@@ -8,7 +8,6 @@ output so the run can be replayed byte for byte.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
@@ -16,8 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .disparity import DisparityConfig, DisparityMap, estimate_disparity, \
-    estimate_disparity_series
+from .disparity import DisparityConfig, DisparityMap, estimate_disparity_series
 from .distort import apply_all, spec_from_dict
 from .errors import StereoQaError
 from .fr import FR_METRICS, FR_NEEDS_DISPARITY, FrMetricConfig
@@ -51,7 +49,7 @@ def _write_manifest(out_path: str, args: argparse.Namespace, outputs) -> None:
         fh.write("\n")
 
 
-def _resolve_saliency(mode: str, seq, jobs: int):
+def _resolve_saliency(mode: str, seq):
     if mode == "none":
         return None
     if mode == "uniform":
@@ -63,7 +61,7 @@ def _resolve_saliency(mode: str, seq, jobs: int):
     raise StereoQaError(f"unknown saliency source {mode!r}")
 
 
-def _resolve_disparity(source: str, seq, jobs: int):
+def _resolve_disparity(source: str, seq):
     cfg = DisparityConfig()
     if source.startswith("dir:"):
         maps = load_map_series(source[4:], {"width": seq.width,
@@ -73,54 +71,36 @@ def _resolve_disparity(source: str, seq, jobs: int):
                              search_range=cfg.search_range) for m in maps]
     if source != "estimate":
         raise StereoQaError(f"unknown disparity source {source!r}")
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(estimate_disparity, seq.frames))
     return estimate_disparity_series(seq)
 
 
-def _cmd_score_fr(args) -> int:
-    metric = args.metric
-    if metric not in FR_METRICS:
-        sys.stderr.write(f"unknown metric {metric!r}; available: "
-                         f"{', '.join(sorted(FR_METRICS))}\n")
-        return 2
-    ref = load_sequence(SequenceDescriptor.from_json(args.ref))
-    dist = load_sequence(SequenceDescriptor.from_json(args.dist))
-    cfg = _load_config(args.config, FrMetricConfig)
-    s_series = _resolve_saliency(args.saliency, ref, args.jobs)
-    kwargs = {}
-    for slot in FR_NEEDS_DISPARITY.get(metric, ()):
-        source = args.disparity_ref if slot == "d_ref" else args.disparity_dist
-        seq = ref if slot == "d_ref" else dist
-        kwargs[slot] = _resolve_disparity(source, seq, args.jobs)
-    report = FR_METRICS[metric](ref, dist, s_series=s_series, cfg=cfg, **kwargs)
-    report.save_json(args.out)
-    outputs = [args.out]
-    if args.frame_csv:
-        report.save_frame_csv(args.frame_csv)
-        outputs.append(args.frame_csv)
-    _write_manifest(args.out, args, outputs)
-    sys.stderr.write(f"{metric}: {report.score:.6f} ({report.orientation})\n")
-    return 0
+_SCORERS = {
+    "score-fr": (FR_METRICS, FR_NEEDS_DISPARITY, FrMetricConfig),
+    "score-nr": (NR_METRICS, NR_NEEDS_DISPARITY, NrMetricConfig),
+}
 
 
-def _cmd_score_nr(args) -> int:
+def _cmd_score(args) -> int:
+    metrics, needs, config_cls = _SCORERS[args.command]
     metric = args.metric
-    if metric not in NR_METRICS:
+    if metric not in metrics:
         sys.stderr.write(f"unknown metric {metric!r}; available: "
-                         f"{', '.join(sorted(NR_METRICS))}\n")
+                         f"{', '.join(sorted(metrics))}\n")
         return 2
-    dist = load_sequence(SequenceDescriptor.from_json(args.dist))
-    cfg = _load_config(args.config, NrMetricConfig)
-    s_series = _resolve_saliency(args.saliency, dist, args.jobs)
-    kwargs = {}
-    if metric in NR_NEEDS_DISPARITY:
-        kwargs["d_dist"] = _resolve_disparity(args.disparity, dist, args.jobs)
-    if metric == "nospdm_s":
-        report = NR_METRICS[metric](dist, s_left=s_series, cfg=cfg)
+    if args.command == "score-fr":
+        paths = (args.ref, args.dist)
+        sources = {"d_ref": args.disparity_ref, "d_dist": args.disparity_dist}
     else:
-        report = NR_METRICS[metric](dist, s_series=s_series, cfg=cfg, **kwargs)
+        paths = (args.dist,)
+        sources = {"d_dist": args.disparity}
+    seqs = [load_sequence(SequenceDescriptor.from_json(p)) for p in paths]
+    cfg = _load_config(args.config, config_cls)
+    # saliency comes from the first sequence: the reference for FR
+    s_series = _resolve_saliency(args.saliency, seqs[0])
+    disparity = {slot: _resolve_disparity(sources[slot],
+                                          seqs[0] if slot == "d_ref" else seqs[-1])
+                 for slot in needs.get(metric, ())}
+    report = metrics[metric](*seqs, s_series=s_series, cfg=cfg, **disparity)
     report.save_json(args.out)
     outputs = [args.out]
     if args.frame_csv:
@@ -136,7 +116,7 @@ def _cmd_saliency(args) -> int:
     cfg = _load_config(args.config, VamConfig)
     d_series = None
     if args.disparity != "none":
-        d_series = _resolve_disparity(args.disparity, seq, args.jobs)
+        d_series = _resolve_disparity(args.disparity, seq)
     maps = baseline_vam(seq, disparity_series=d_series, cfg=cfg)
     save_map_series([m.values for m in maps], args.out)
     _write_manifest(os.path.join(args.out, "saliency"), args,
@@ -147,7 +127,7 @@ def _cmd_saliency(args) -> int:
 
 def _cmd_disparity(args) -> int:
     seq = load_sequence(SequenceDescriptor.from_json(args.input))
-    maps = _resolve_disparity("estimate", seq, args.jobs)
+    maps = _resolve_disparity("estimate", seq)
     # stored on the unit scale: raw pgm value * search_range = disparity
     save_map_series([m.values / m.search_range for m in maps], args.out)
     _write_manifest(os.path.join(args.out, "disparity"), args,
@@ -215,7 +195,6 @@ def _cmd_info(args) -> int:
 
 def _add_common(p, saliency=True):
     p.add_argument("--config", default=None, help="JSON config overrides")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     if saliency:
         p.add_argument("--saliency", default="none",
                        help="none | uniform | baseline | dir:<path>")
@@ -235,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--disparity-ref", default="estimate")
     p.add_argument("--disparity-dist", default="estimate")
     _add_common(p)
-    p.set_defaults(func=_cmd_score_fr)
+    p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("score-nr", help="no-reference metric over a sequence")
     p.add_argument("--metric", required=True)
@@ -244,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frame-csv", default=None)
     p.add_argument("--disparity", default="estimate")
     _add_common(p)
-    p.set_defaults(func=_cmd_score_nr)
+    p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("saliency", help="write baseline saliency maps")
     p.add_argument("--in", dest="input", required=True)

@@ -3,7 +3,7 @@
 Every metric pools local values with weighted_spatial_mean, so passing a
 constant saliency series reproduces the base (unweighted) metric.  Saliency
 for FR scoring comes from the reference pair; temporal pooling is the plain
-mean over frames.
+mean over frames.  Each metric is a formula run by the driver in ``metric``.
 """
 
 from __future__ import annotations
@@ -13,26 +13,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disparity import DisparityMap, disparity_to_depth
-from .errors import (
-    DimensionMismatch,
-    DisparityRequired,
-    NeedsTemporalContext,
-    ParamError,
-    SequenceLengthError,
-    TooSmall,
-)
+from .errors import DimensionMismatch, NeedsTemporalContext, ParamError, TooSmall
 from .kernels import (
-    Kernel2D,
     convolve2d,
     dct2_stack,
     dct3_stereo_stack,
+    downsample2,
     gaussian_kernel,
     halving_chain,
     idct2_stack,
     sobel_gradient,
 )
-from .media import StereoFrame, StereoSequence
-from .report import MetricReport, make_report
+from .media import StereoFrame
+from .metric import VIEWS, registrar
 from .saliency import SaliencyMap, build_saliency_pyramid, weighted_spatial_mean
 
 MSSSIM_EXPONENTS = (0.0448, 0.2856, 0.3001, 0.2363, 0.1333)
@@ -71,39 +64,14 @@ class FrMetricConfig:
             raise ParamError("CSF mask must be 4x4")
 
 
-_VIEWS = ("left", "right")
+FR_METRICS: dict = {}
+FR_NEEDS_DISPARITY: dict = {}
+_fr = registrar(FR_METRICS, FR_NEEDS_DISPARITY, FrMetricConfig, reference=True)
 
 
-def _saliency_mode(s_series) -> str:
-    return "none" if s_series is None else s_series[0].source
-
-
-def _validate_pair(ref: StereoSequence, dist: StereoSequence, s_series) -> None:
-    if len(ref) != len(dist):
-        raise SequenceLengthError(f"{len(ref)} vs {len(dist)} frames")
-    if (ref.height, ref.width) != (dist.height, dist.width):
-        raise DimensionMismatch("reference and distorted dimensions differ")
-    if s_series is not None and len(s_series) != len(ref):
-        raise SequenceLengthError("saliency series length does not match frames")
-
-
-def _require_disparity(*series):
-    for d in series:
-        if d is None:
-            raise DisparityRequired("this metric needs disparity maps")
-
-
-def _smap(s_series, t):
-    return None if s_series is None else s_series[t]
-
-
-def _dmap(d_series, t) -> np.ndarray:
-    d = d_series[t]
-    return d.values if isinstance(d, DisparityMap) else np.asarray(d, dtype=np.float64)
-
-
-def _ssim_window(cfg: FrMetricConfig) -> Kernel2D:
-    return gaussian_kernel(cfg.ssim_window, cfg.ssim_sigma)
+def _views(c):
+    """(reference, distorted) luma of each view of a frame context."""
+    return [(getattr(c.ref, v).luma, getattr(c.dist, v).luma) for v in VIEWS]
 
 
 def _raw_moments(x, y, window):
@@ -116,8 +84,8 @@ def _raw_moments(x, y, window):
     return mu_x, mu_y, var_x, var_y, cov
 
 
-def _ssim_map(x, y, cfg: FrMetricConfig, window: Kernel2D | None = None) -> np.ndarray:
-    window = window or _ssim_window(cfg)
+def _ssim_map(x, y, cfg: FrMetricConfig) -> np.ndarray:
+    window = gaussian_kernel(cfg.ssim_window, cfg.ssim_sigma)
     mu_x, mu_y, var_x, var_y, cov = _raw_moments(x, y, window)
     c1, c2 = cfg.ssim_c1, cfg.ssim_c2
     num = (2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)
@@ -131,40 +99,17 @@ def _psnr_from_mse(mse: float, cap: float) -> float:
     return min(cap, 10.0 * np.log10(255.0**2 / mse))
 
 
-def psnr_s(ref: StereoSequence, dist: StereoSequence, s_series=None,
-           cfg: FrMetricConfig | None = None) -> MetricReport:
+@_fr("higher_better")
+def psnr_s(x, y, s, cfg):
     """PSNR over saliency-weighted MSE, averaged over views."""
-    cfg = cfg or FrMetricConfig()
-    _validate_pair(ref, dist, s_series)
-    scores = []
-    for t in range(len(ref)):
-        s = _smap(s_series, t)
-        per_view = []
-        for view in _VIEWS:
-            err = getattr(ref.frames[t], view).luma - getattr(dist.frames[t], view).luma
-            mse = weighted_spatial_mean(err * err, s)
-            per_view.append(_psnr_from_mse(mse, cfg.psnr_cap))
-        scores.append(0.5 * (per_view[0] + per_view[1]))
-    return make_report("psnr_s", scores, "higher_better", _saliency_mode(s_series), cfg)
+    err = x - y
+    return _psnr_from_mse(weighted_spatial_mean(err * err, s), cfg.psnr_cap)
 
 
-def ssim_s(ref: StereoSequence, dist: StereoSequence, s_series=None,
-           cfg: FrMetricConfig | None = None) -> MetricReport:
+@_fr("higher_better")
+def ssim_s(x, y, s, cfg):
     """Saliency-pooled local SSIM, averaged over views."""
-    cfg = cfg or FrMetricConfig()
-    _validate_pair(ref, dist, s_series)
-    window = _ssim_window(cfg)
-    scores = []
-    for t in range(len(ref)):
-        s = _smap(s_series, t)
-        vals = [
-            weighted_spatial_mean(
-                _ssim_map(getattr(ref.frames[t], view).luma,
-                          getattr(dist.frames[t], view).luma, cfg, window), s)
-            for view in _VIEWS
-        ]
-        scores.append(0.5 * (vals[0] + vals[1]))
-    return make_report("ssim_s", scores, "higher_better", _saliency_mode(s_series), cfg)
+    return weighted_spatial_mean(_ssim_map(x, y, cfg), s)
 
 
 def _msssim_scales(height: int, width: int, cfg: FrMetricConfig) -> int:
@@ -176,7 +121,7 @@ def _msssim_scales(height: int, width: int, cfg: FrMetricConfig) -> int:
 
 
 def _msssim_frame(x: np.ndarray, y: np.ndarray, s: SaliencyMap | None,
-                  cfg: FrMetricConfig, window: Kernel2D) -> float:
+                  cfg: FrMetricConfig) -> float:
     scales = _msssim_scales(x.shape[0], x.shape[1], cfg)
     if scales < 2:
         raise TooSmall("image supports fewer than 2 MS-SSIM scales")
@@ -185,10 +130,9 @@ def _msssim_frame(x: np.ndarray, y: np.ndarray, s: SaliencyMap | None,
     s_levels = None
     if s is not None:
         s_levels = build_saliency_pyramid(s, halving_chain(*x.shape, scales)).levels
+    window = gaussian_kernel(cfg.ssim_window, cfg.ssim_sigma)
     c1, c2 = cfg.ssim_c1, cfg.ssim_c2
     score = 1.0
-    from .kernels import downsample2  # local import avoids a cycle at module load
-
     for m in range(scales):
         s_m = None if s_levels is None else s_levels[m]
         mu_x, mu_y, var_x, var_y, cov = _raw_moments(x, y, window)
@@ -204,25 +148,14 @@ def _msssim_frame(x: np.ndarray, y: np.ndarray, s: SaliencyMap | None,
     return float(score)
 
 
-def msssim_s(ref: StereoSequence, dist: StereoSequence, s_series=None,
-             cfg: FrMetricConfig | None = None) -> MetricReport:
+@_fr("higher_better", over="frame")
+def msssim_s(c, cfg):
     """Multi-scale SSIM with per-scale saliency pyramids, averaged over views."""
-    cfg = cfg or FrMetricConfig()
-    _validate_pair(ref, dist, s_series)
-    window = _ssim_window(cfg)
-    scales = _msssim_scales(ref.height, ref.width, cfg)
-    flags = [] if scales == 5 else [f"scales_reduced:{scales}"]
-    scores = []
-    for t in range(len(ref)):
-        s = _smap(s_series, t)
-        vals = [
-            _msssim_frame(getattr(ref.frames[t], view).luma,
-                          getattr(dist.frames[t], view).luma, s, cfg, window)
-            for view in _VIEWS
-        ]
-        scores.append(0.5 * (vals[0] + vals[1]))
-    return make_report("msssim_s", scores, "higher_better",
-                       _saliency_mode(s_series), cfg, flags)
+    scales = _msssim_scales(*c.ref.left.luma.shape, cfg)
+    if scales < 5:
+        c.flags.append(f"scales_reduced:{scales}")
+    vals = [_msssim_frame(x, y, c.s, cfg) for x, y in _views(c)]
+    return 0.5 * (vals[0] + vals[1])
 
 
 def _vif_frame(x: np.ndarray, y: np.ndarray, s: SaliencyMap | None,
@@ -262,73 +195,38 @@ def _vif_frame(x: np.ndarray, y: np.ndarray, s: SaliencyMap | None,
     return float(num_total / den_total)
 
 
-def vif_s(ref: StereoSequence, dist: StereoSequence, s_series=None,
-          cfg: FrMetricConfig | None = None) -> MetricReport:
+@_fr("higher_better")
+def vif_s(x, y, s, cfg):
     """Pixel-domain visual information fidelity over 4 scales, view-averaged."""
-    cfg = cfg or FrMetricConfig()
-    _validate_pair(ref, dist, s_series)
-    scores = []
-    for t in range(len(ref)):
-        s = _smap(s_series, t)
-        vals = [
-            _vif_frame(getattr(ref.frames[t], view).luma,
-                       getattr(dist.frames[t], view).luma, s, cfg)
-            for view in _VIEWS
-        ]
-        scores.append(0.5 * (vals[0] + vals[1]))
-    return make_report("vif_s", scores, "higher_better", _saliency_mode(s_series), cfg)
+    return _vif_frame(x, y, s, cfg)
 
 
-def ddl1_s(ref: StereoSequence, dist: StereoSequence, d_ref=None, d_dist=None,
-           s_series=None, cfg: FrMetricConfig | None = None) -> MetricReport:
+@_fr("higher_better", needs=("d_ref", "d_dist"), over="frame")
+def ddl1_s(c, cfg):
     """SSIM damped by disparity differences; per-frame value is left + right.
 
     The disparity factor is clamp01(1 - sqrt(|D^2 - D'^2|) / 255); the absolute
     value keeps the radicand real when the distorted disparity is larger.
     """
-    cfg = cfg or FrMetricConfig()
-    _validate_pair(ref, dist, s_series)
-    _require_disparity(d_ref, d_dist)
-    window = _ssim_window(cfg)
-    scores = []
-    for t in range(len(ref)):
-        s = _smap(s_series, t)
-        dr, dd = _dmap(d_ref, t), _dmap(d_dist, t)
-        factor = np.clip(1.0 - np.sqrt(np.abs(dr * dr - dd * dd)) / 255.0, 0.0, 1.0)
-        total = 0.0
-        for view in _VIEWS:
-            smap = _ssim_map(getattr(ref.frames[t], view).luma,
-                             getattr(dist.frames[t], view).luma, cfg, window)
-            total += weighted_spatial_mean(smap * factor, s)
-        scores.append(total)
-    return make_report("ddl1_s", scores, "higher_better", _saliency_mode(s_series), cfg)
+    dr, dd = c.d_ref, c.d_dist
+    factor = np.clip(1.0 - np.sqrt(np.abs(dr * dr - dd * dd)) / 255.0, 0.0, 1.0)
+    return sum(weighted_spatial_mean(_ssim_map(x, y, cfg) * factor, c.s)
+               for x, y in _views(c))
 
 
-def oq_s(ref: StereoSequence, dist: StereoSequence, d_ref=None, d_dist=None,
-         s_series=None, cfg: FrMetricConfig | None = None) -> MetricReport:
+@_fr("composite", needs=("d_ref", "d_dist"), over="frame")
+def oq_s(c, cfg):
     """Combination of view SSIM and mean absolute disparity difference.
 
     Orientation is composite: the two terms move in opposite directions and
     the published combination constants are unavailable.
     """
-    cfg = cfg or FrMetricConfig()
-    _validate_pair(ref, dist, s_series)
-    _require_disparity(d_ref, d_dist)
-    window = _ssim_window(cfg)
-    scores = []
-    for t in range(len(ref)):
-        s = _smap(s_series, t)
-        iq = 0.5 * sum(
-            weighted_spatial_mean(
-                _ssim_map(getattr(ref.frames[t], view).luma,
-                          getattr(dist.frames[t], view).luma, cfg, window), s)
-            for view in _VIEWS
-        )
-        dq = weighted_spatial_mean(np.abs(_dmap(d_ref, t) - _dmap(d_dist, t)), s)
-        iq_d = np.power(iq, cfg.oq_d)
-        scores.append(cfg.oq_a * iq_d + cfg.oq_b * np.power(dq, cfg.oq_e)
-                      + cfg.oq_c * iq_d * np.power(dq, cfg.oq_d))
-    return make_report("oq_s", scores, "composite", _saliency_mode(s_series), cfg)
+    iq = 0.5 * sum(weighted_spatial_mean(_ssim_map(x, y, cfg), c.s)
+                   for x, y in _views(c))
+    dq = weighted_spatial_mean(np.abs(c.d_ref - c.d_dist), c.s)
+    iq_d = np.power(iq, cfg.oq_d)
+    return (cfg.oq_a * iq_d + cfg.oq_b * np.power(dq, cfg.oq_e)
+            + cfg.oq_c * iq_d * np.power(dq, cfg.oq_d))
 
 
 def cyclopean_fuse(pair: StereoFrame, d: DisparityMap) -> np.ndarray:
@@ -343,20 +241,12 @@ def cyclopean_fuse(pair: StereoFrame, d: DisparityMap) -> np.ndarray:
     return 0.5 * (left + right[rows, cols])
 
 
-def ciq_s(ref: StereoSequence, dist: StereoSequence, d_ref=None, d_dist=None,
-          s_series=None, cfg: FrMetricConfig | None = None) -> MetricReport:
+@_fr("higher_better", needs=("d_ref", "d_dist"), over="frame")
+def ciq_s(c, cfg):
     """Saliency-pooled SSIM between the two cyclopean views."""
-    cfg = cfg or FrMetricConfig()
-    _validate_pair(ref, dist, s_series)
-    _require_disparity(d_ref, d_dist)
-    window = _ssim_window(cfg)
-    scores = []
-    for t in range(len(ref)):
-        ci_ref = cyclopean_fuse(ref.frames[t], d_ref[t])
-        ci_dist = cyclopean_fuse(dist.frames[t], d_dist[t])
-        smap = _ssim_map(ci_ref, ci_dist, cfg, window)
-        scores.append(weighted_spatial_mean(smap, _smap(s_series, t)))
-    return make_report("ciq_s", scores, "higher_better", _saliency_mode(s_series), cfg)
+    ci_ref = cyclopean_fuse(c.ref, c.d_ref)
+    ci_dist = cyclopean_fuse(c.dist, c.d_dist)
+    return weighted_spatial_mean(_ssim_map(ci_ref, ci_dist, cfg), c.s)
 
 
 def _gather_blocks(image: np.ndarray, anchors, size: int) -> np.ndarray:
@@ -388,75 +278,51 @@ def _structure_errors(ref_t: StereoFrame, dist_t: StereoFrame, d_values: np.ndar
     h, w = ref_t.left.luma.shape
     anchors = _block_grid(h, w, 4)
     matched = _matched_anchors(anchors, d_values, 4, w)
-    pairs_ref = np.stack([
-        np.stack([ref_t.left.luma[y0:y0 + 4, x0:x0 + 4],
-                  ref_t.right.luma[y1:y1 + 4, x1:x1 + 4]], axis=-1)
-        for (y0, x0), (y1, x1) in zip(anchors, matched)
-    ])
-    pairs_dist = np.stack([
-        np.stack([dist_t.left.luma[y0:y0 + 4, x0:x0 + 4],
-                  dist_t.right.luma[y1:y1 + 4, x1:x1 + 4]], axis=-1)
-        for (y0, x0), (y1, x1) in zip(anchors, matched)
-    ])
-    diff = dct3_stereo_stack(pairs_ref) - dct3_stereo_stack(pairs_dist)
+
+    def coefficients(frame: StereoFrame) -> np.ndarray:
+        return dct3_stereo_stack(np.stack([
+            np.stack([frame.left.luma[y0:y0 + 4, x0:x0 + 4],
+                      frame.right.luma[y1:y1 + 4, x1:x1 + 4]], axis=-1)
+            for (y0, x0), (y1, x1) in zip(anchors, matched)
+        ]))
+
+    diff = coefficients(ref_t) - coefficients(dist_t)
     csf = np.asarray(cfg.csf_mask, dtype=np.float64)[None, :, :, None]
     errors = np.mean((diff * csf) ** 2, axis=(1, 2, 3))
     return anchors, errors
 
 
-def phvs3d_s(ref: StereoSequence, dist: StereoSequence, d_ref=None,
-             s_series=None, cfg: FrMetricConfig | None = None) -> MetricReport:
+@_fr("higher_better", needs=("d_ref",), over="frame")
+def phvs3d_s(c, cfg):
     """PSNR over the saliency-weighted MSE of 3D-DCT block structures."""
-    cfg = cfg or FrMetricConfig()
-    _validate_pair(ref, dist, s_series)
-    _require_disparity(d_ref)
-    scores = []
-    for t in range(len(ref)):
-        anchors, errors = _structure_errors(ref.frames[t], dist.frames[t],
-                                            _dmap(d_ref, t), cfg)
-        weights = _block_weights(_smap(s_series, t), anchors, 4)
-        mse = float((errors * weights).sum() / weights.sum())
-        scores.append(_psnr_from_mse(mse, cfg.psnr_cap))
-    return make_report("phvs3d_s", scores, "higher_better",
-                       _saliency_mode(s_series), cfg)
+    anchors, errors = _structure_errors(c.ref, c.dist, c.d_ref, cfg)
+    weights = _block_weights(c.s, anchors, 4)
+    mse = float((errors * weights).sum() / weights.sum())
+    return _psnr_from_mse(mse, cfg.psnr_cap)
 
 
-def phsd_s(ref: StereoSequence, dist: StereoSequence, d_ref=None, d_dist=None,
-           s_series=None, cfg: FrMetricConfig | None = None) -> MetricReport:
+@_fr("higher_better", needs=("d_ref", "d_dist"), over="frame")
+def phsd_s(c, cfg):
     """Block-structure error masked by local disparity variance, mixed with
     the squared disparity-difference error."""
-    cfg = cfg or FrMetricConfig()
-    _validate_pair(ref, dist, s_series)
-    _require_disparity(d_ref, d_dist)
     eps, alpha = cfg.phsd_epsilon, cfg.phsd_alpha
-    scores = []
-    for t in range(len(ref)):
-        s = _smap(s_series, t)
-        dr, dd = _dmap(d_ref, t), _dmap(d_dist, t)
-        mse_d = weighted_spatial_mean((dr - dd) ** 2, s)
-        anchors, errors = _structure_errors(ref.frames[t], dist.frames[t], dr, cfg)
-        sigma_d = np.array([np.var(dr[y0:y0 + 4, x0:x0 + 4]) for y0, x0 in anchors])
-        den = errors + alpha * sigma_d
-        masked = np.where(den > 0.0, errors * errors / np.where(den > 0.0, den, 1.0), 0.0)
-        weights = _block_weights(s, anchors, 4)
-        mse_i = float((masked * weights).sum() / weights.sum())
-        scores.append(_psnr_from_mse((1.0 - eps) * mse_i + eps * mse_d, cfg.psnr_cap))
-    return make_report("phsd_s", scores, "higher_better", _saliency_mode(s_series), cfg)
+    dr = c.d_ref
+    mse_d = weighted_spatial_mean((dr - c.d_dist) ** 2, c.s)
+    anchors, errors = _structure_errors(c.ref, c.dist, dr, cfg)
+    sigma_d = np.array([np.var(dr[y0:y0 + 4, x0:x0 + 4]) for y0, x0 in anchors])
+    den = errors + alpha * sigma_d
+    masked = np.where(den > 0.0, errors * errors / np.where(den > 0.0, den, 1.0), 0.0)
+    weights = _block_weights(c.s, anchors, 4)
+    mse_i = float((masked * weights).sum() / weights.sum())
+    return _psnr_from_mse((1.0 - eps) * mse_i + eps * mse_d, cfg.psnr_cap)
 
 
-def mj3d_s(ref: StereoSequence, dist: StereoSequence, d_ref=None, d_dist=None,
-           s_series=None, cfg: FrMetricConfig | None = None) -> MetricReport:
+@_fr("higher_better", needs=("d_ref", "d_dist"), over="frame")
+def mj3d_s(c, cfg):
     """Multi-scale SSIM of the cyclopean views."""
-    cfg = cfg or FrMetricConfig()
-    _validate_pair(ref, dist, s_series)
-    _require_disparity(d_ref, d_dist)
-    window = _ssim_window(cfg)
-    scores = []
-    for t in range(len(ref)):
-        ci_ref = cyclopean_fuse(ref.frames[t], d_ref[t])
-        ci_dist = cyclopean_fuse(dist.frames[t], d_dist[t])
-        scores.append(_msssim_frame(ci_ref, ci_dist, _smap(s_series, t), cfg, window))
-    return make_report("mj3d_s", scores, "higher_better", _saliency_mode(s_series), cfg)
+    ci_ref = cyclopean_fuse(c.ref, c.d_ref)
+    ci_dist = cyclopean_fuse(c.dist, c.d_dist)
+    return _msssim_frame(ci_ref, ci_dist, c.s, cfg)
 
 
 def _global_ssim(x: np.ndarray, y: np.ndarray, cfg: FrMetricConfig) -> float:
@@ -469,46 +335,38 @@ def _global_ssim(x: np.ndarray, y: np.ndarray, cfg: FrMetricConfig) -> float:
                  / ((mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)))
 
 
-def hv3d_s(ref: StereoSequence, dist: StereoSequence, d_ref=None, d_dist=None,
-           s_series=None, cfg: FrMetricConfig | None = None) -> MetricReport:
+@_fr("higher_better", needs=("d_ref", "d_dist"), over="frame")
+def hv3d_s(c, cfg):
     """Product of fused-block SSIM, disparity VIF, and the saliency-weighted
     block variance ratio of the reference disparity map."""
-    cfg = cfg or FrMetricConfig()
-    _validate_pair(ref, dist, s_series)
-    _require_disparity(d_ref, d_dist)
     b = cfg.hv3d_block
-    h, w = ref.height, ref.width
+    h, w = c.ref.left.luma.shape
     anchors = _block_grid(h, w, b)
-    scores = []
-    for t in range(len(ref)):
-        s = _smap(s_series, t)
-        dr, dd = _dmap(d_ref, t), _dmap(d_dist, t)
-        matched_ref = _matched_anchors(anchors, dr, b, w)
-        matched_dist = _matched_anchors(anchors, dd, b, w)
-        xc_ref = 0.5 * (
-            dct2_stack(_gather_blocks(ref.frames[t].left.luma, anchors, b))
-            + dct2_stack(_gather_blocks(ref.frames[t].right.luma, matched_ref, b)))
-        xc_dist = 0.5 * (
-            dct2_stack(_gather_blocks(dist.frames[t].left.luma, anchors, b))
-            + dct2_stack(_gather_blocks(dist.frames[t].right.luma, matched_dist, b)))
-        rec_ref = idct2_stack(xc_ref)
-        rec_dist = idct2_stack(xc_dist)
-        weights = _block_weights(s, anchors, b)
-        ssim_vals = np.array([
-            _global_ssim(rec_ref[i], rec_dist[i], cfg) for i in range(len(anchors))
-        ])
-        term1 = float((ssim_vals * weights).sum() / weights.sum())
-        term2 = _vif_frame(dr, dd, s, cfg)
-        sigma = np.array([np.var(dr[y0:y0 + b, x0:x0 + b]) for y0, x0 in anchors])
-        max_sigma = sigma.max()
-        if max_sigma <= 0.0:
-            term3 = 1.0
-        else:
-            term3 = float((sigma * weights).sum() / (weights.sum() * max_sigma))
-        scores.append(max(term1, 0.0) ** cfg.hv3d_beta1
-                      * max(term2, 0.0) ** cfg.hv3d_beta2
-                      * term3 ** cfg.hv3d_beta3)
-    return make_report("hv3d_s", scores, "higher_better", _saliency_mode(s_series), cfg)
+    dr, dd = c.d_ref, c.d_dist
+
+    def fused_blocks(frame: StereoFrame, d_values: np.ndarray) -> np.ndarray:
+        matched = _matched_anchors(anchors, d_values, b, w)
+        return idct2_stack(0.5 * (
+            dct2_stack(_gather_blocks(frame.left.luma, anchors, b))
+            + dct2_stack(_gather_blocks(frame.right.luma, matched, b))))
+
+    rec_ref = fused_blocks(c.ref, dr)
+    rec_dist = fused_blocks(c.dist, dd)
+    weights = _block_weights(c.s, anchors, b)
+    ssim_vals = np.array([
+        _global_ssim(rec_ref[i], rec_dist[i], cfg) for i in range(len(anchors))
+    ])
+    term1 = float((ssim_vals * weights).sum() / weights.sum())
+    term2 = _vif_frame(dr, dd, c.s, cfg)
+    sigma = np.array([np.var(dr[y0:y0 + b, x0:x0 + b]) for y0, x0 in anchors])
+    max_sigma = sigma.max()
+    if max_sigma <= 0.0:
+        term3 = 1.0
+    else:
+        term3 = float((sigma * weights).sum() / (weights.sum() * max_sigma))
+    return (max(term1, 0.0) ** cfg.hv3d_beta1
+            * max(term2, 0.0) ** cfg.hv3d_beta2
+            * term3 ** cfg.hv3d_beta3)
 
 
 def _patch_features(image: np.ndarray, patch: int) -> np.ndarray:
@@ -528,66 +386,32 @@ def _patch_features(image: np.ndarray, patch: int) -> np.ndarray:
     return np.asarray(rows)
 
 
-def flosim3d_s(ref: StereoSequence, dist: StereoSequence, d_ref=None, d_dist=None,
-               s_series=None, cfg: FrMetricConfig | None = None) -> MetricReport:
+@_fr("lower_better", needs=("d_ref", "d_dist"), over="sequence")
+def flosim3d_s(c, cfg):
     """Temporal patch-feature dispersion gated by spatial and depth
     dissimilarity (1 - MS-SSIM); lower is better, 0 means identical."""
-    cfg = cfg or FrMetricConfig()
-    _validate_pair(ref, dist, s_series)
-    _require_disparity(d_ref, d_dist)
-    if len(ref) < 2:
+    if len(c.ref) < 2:
         raise NeedsTemporalContext("needs at least 2 frames")
-    window = _ssim_window(cfg)
     flow_scores = []
     depth_scores = []
-    for t in range(1, len(ref)):
-        s = _smap(s_series, t)
+    for t in range(1, len(c.ref)):
+        s = c.s[t]
+        ref_t, ref_p = c.ref.frames[t], c.ref.frames[t - 1]
+        dist_t, dist_p = c.dist.frames[t], c.dist.frames[t - 1]
         total = 0.0
-        for view in _VIEWS:
-            ref_diff = (getattr(ref.frames[t], view).luma
-                        - getattr(ref.frames[t - 1], view).luma)
-            dist_diff = (getattr(dist.frames[t], view).luma
-                         - getattr(dist.frames[t - 1], view).luma)
+        for view in VIEWS:
+            ref_diff = getattr(ref_t, view).luma - getattr(ref_p, view).luma
+            dist_diff = getattr(dist_t, view).luma - getattr(dist_p, view).luma
             q_fl = float(np.abs(_patch_features(ref_diff, cfg.flosim_patch)
                                 - _patch_features(dist_diff, cfg.flosim_patch))
                          .sum(axis=1).mean())
-            q_s = 1.0 - _msssim_frame(getattr(ref.frames[t], view).luma,
-                                      getattr(dist.frames[t], view).luma,
-                                      s, cfg, window)
+            q_s = 1.0 - _msssim_frame(getattr(ref_t, view).luma,
+                                      getattr(dist_t, view).luma, s, cfg)
             total += q_s * q_fl
         flow_scores.append(0.5 * total)
-        depth_ref = disparity_to_depth(d_ref[t]) * 255.0
-        depth_dist = disparity_to_depth(d_dist[t]) * 255.0
-        q_d = 1.0 - _msssim_frame(depth_ref, depth_dist, s, cfg, window)
+        depth_ref = disparity_to_depth(DisparityMap(c.d_ref[t])) * 255.0
+        depth_dist = disparity_to_depth(DisparityMap(c.d_dist[t])) * 255.0
+        q_d = 1.0 - _msssim_frame(depth_ref, depth_dist, s, cfg)
         depth_scores.append(q_d)  # the shared map serves both view depths
     q_d_mean = float(np.mean(depth_scores))
-    scores = [f * q_d_mean for f in flow_scores]
-    return make_report("flosim3d_s", scores, "lower_better",
-                       _saliency_mode(s_series), cfg)
-
-
-FR_METRICS = {
-    "psnr_s": psnr_s,
-    "ssim_s": ssim_s,
-    "msssim_s": msssim_s,
-    "vif_s": vif_s,
-    "ddl1_s": ddl1_s,
-    "oq_s": oq_s,
-    "ciq_s": ciq_s,
-    "phvs3d_s": phvs3d_s,
-    "phsd_s": phsd_s,
-    "mj3d_s": mj3d_s,
-    "hv3d_s": hv3d_s,
-    "flosim3d_s": flosim3d_s,
-}
-
-FR_NEEDS_DISPARITY = {
-    "ddl1_s": ("d_ref", "d_dist"),
-    "oq_s": ("d_ref", "d_dist"),
-    "ciq_s": ("d_ref", "d_dist"),
-    "phvs3d_s": ("d_ref",),
-    "phsd_s": ("d_ref", "d_dist"),
-    "mj3d_s": ("d_ref", "d_dist"),
-    "hv3d_s": ("d_ref", "d_dist"),
-    "flosim3d_s": ("d_ref", "d_dist"),
-}
+    return [f * q_d_mean for f in flow_scores]

@@ -25,7 +25,6 @@ class Kernel2D:
     """K x K tap array; even K is allowed for the literal size-4 blur."""
 
     taps: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self):
         self.taps = np.asarray(self.taps, dtype=np.float64)
@@ -52,7 +51,7 @@ def gaussian_kernel(size: int, sigma: float) -> Kernel2D:
         raise ParamError("sigma must be > 0")
     offs = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
     g = np.exp(-(offs[:, None] ** 2 + offs[None, :] ** 2) / (2.0 * sigma**2))
-    return Kernel2D(g / g.sum(), normalized=True)
+    return Kernel2D(g / g.sum())
 
 
 def convolve2d(image: np.ndarray, kernel: Kernel2D) -> np.ndarray:
@@ -122,12 +121,7 @@ def dct3_stereo(block_pair: np.ndarray) -> np.ndarray:
     block_pair = np.asarray(block_pair, dtype=np.float64)
     if block_pair.shape != (4, 4, 2):
         raise ParamError(f"expected shape (4, 4, 2), got {block_pair.shape}")
-    slabs = scipy.fft.dctn(block_pair, type=2, norm="ortho", axes=(0, 1))
-    out = np.empty_like(slabs)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    out[:, :, 0] = (slabs[:, :, 0] + slabs[:, :, 1]) * inv_sqrt2
-    out[:, :, 1] = (slabs[:, :, 0] - slabs[:, :, 1]) * inv_sqrt2
-    return out
+    return dct3_stereo_stack(block_pair[None])[0]
 
 
 def idct3_stereo(coeffs: np.ndarray) -> np.ndarray:

@@ -100,10 +100,6 @@ class StereoSequence:
     def width(self) -> int:
         return self.frames[0].left.width
 
-    def lumas(self, view: str) -> list[np.ndarray]:
-        """Luma planes of one view ('left' or 'right'), in frame order."""
-        return [getattr(fr, view).luma for fr in self.frames]
-
 
 @dataclass
 class SequenceDescriptor:

@@ -11,19 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disparity import DisparityMap
-from .errors import (
-    DimensionMismatch,
-    DisparityRequired,
-    NeedsTemporalContext,
-    NoEdges,
-    ParamError,
-    SequenceLengthError,
-)
+from .errors import NeedsTemporalContext, NoEdges, ParamError
 from .kernels import Kernel2D, convolve2d, sobel_gradient
-from .media import StereoSequence
-from .report import MetricReport, make_report
-from .saliency import SaliencyMap
+from .metric import registrar
+from .saliency import weighted_spatial_mean
 
 
 @dataclass
@@ -61,42 +52,21 @@ class NrMetricConfig:
             raise ParamError("gbim_masking must be 'neutral' or 'luminance'")
 
 
-_VIEWS = ("left", "right")
-
-
-def _saliency_mode(s_series) -> str:
-    return "none" if s_series is None else s_series[0].source
-
-
-def _validate(dist: StereoSequence, s_series) -> None:
-    if s_series is not None and len(s_series) != len(dist):
-        raise SequenceLengthError("saliency series length does not match frames")
-
-
-def _svalues(s_series, t, shape) -> np.ndarray:
-    if s_series is None:
-        return np.ones(shape)
-    s = s_series[t]
-    values = s.values if isinstance(s, SaliencyMap) else np.asarray(s)
-    if values.shape != shape:
-        raise DimensionMismatch("saliency shape does not match frame")
-    return values
-
-
-def _wmean(values: np.ndarray, weights: np.ndarray) -> float:
-    total = weights.sum()
-    if total <= 0:
-        return 0.0
-    return float((values * weights).sum() / total)
+NR_METRICS: dict = {}
+NR_NEEDS_DISPARITY: dict = {}
+_nr = registrar(NR_METRICS, NR_NEEDS_DISPARITY, NrMetricConfig, reference=False)
 
 
 def _local_std(image: np.ndarray, size: int) -> np.ndarray:
-    box = Kernel2D(np.full((size, size), 1.0 / size**2), normalized=True)
+    box = Kernel2D(np.full((size, size), 1.0 / size**2))
     mu = convolve2d(image, box)
     return np.sqrt(np.maximum(convolve2d(image * image, box) - mu * mu, 0.0))
 
 
-def _gbim_frame(luma: np.ndarray, s: np.ndarray, cfg: NrMetricConfig) -> float:
+@_nr("lower_better")
+def gbim_s(luma, s, cfg):
+    """Block-edge impairment: 8-grid boundary differences over the frame's
+    average inter-pixel difference.  Lower is better."""
     h, w = luma.shape
     g = cfg.gbim_grid
     if cfg.gbim_masking == "luminance":
@@ -116,32 +86,26 @@ def _gbim_frame(luma: np.ndarray, s: np.ndarray, cfg: NrMetricConfig) -> float:
     diff_v = np.abs(luma[rows, :] - luma[rows - 1, :])
     w_v = 0.5 * (mask[rows, :] + mask[rows - 1, :])
     s_v = 0.5 * (s[rows, :] + s[rows - 1, :])
-    m_h = _wmean(w_h * diff_h, s_h)
-    m_v = _wmean(w_v * diff_v, s_v)
+    m_h = weighted_spatial_mean(w_h * diff_h, s_h)
+    m_v = weighted_spatial_mean(w_v * diff_v, s_v)
     return (m_h + m_v) / (2.0 * e)
 
 
-def gbim_s(dist: StereoSequence, s_series=None,
-           cfg: NrMetricConfig | None = None) -> MetricReport:
-    """Block-edge impairment: 8-grid boundary differences over the frame's
-    average inter-pixel difference.  Lower is better."""
-    cfg = cfg or NrMetricConfig()
-    _validate(dist, s_series)
-    shape = (dist.height, dist.width)
-    scores = []
-    for t in range(len(dist)):
-        s = _svalues(s_series, t, shape)
-        vals = [_gbim_frame(getattr(dist.frames[t], v).luma, s, cfg) for v in _VIEWS]
-        scores.append(0.5 * (vals[0] + vals[1]))
-    return make_report("gbim_s", scores, "lower_better", _saliency_mode(s_series), cfg)
+def _probe(n: int, axis: int) -> Kernel2D:
+    # 1 x n (or n x 1) box probe embedded in an n x n kernel for convolve2d
+    taps = np.zeros((n, n))
+    taps[n // 2, :] = 1.0 / n
+    return Kernel2D(taps if axis == 1 else taps.T)
 
 
-def _nrpbm_frame(luma: np.ndarray, s: np.ndarray, cfg: NrMetricConfig) -> float:
+@_nr("lower_better")
+def nrpbm_s(luma, s, cfg):
+    """Perceptual blur via the re-blur probe; higher means blurrier
+    (lower is better)."""
     n = cfg.nrpbm_probe
-    blur_h = convolve2d(luma, _probe(n, axis=1))
-    blur_v = convolve2d(luma, _probe(n, axis=0))
     ratios = []
-    for blurred, axis in ((blur_h, 1), (blur_v, 0)):
+    for axis in (1, 0):
+        blurred = convolve2d(luma, _probe(n, axis))
         df = np.abs(np.diff(luma, axis=axis))
         db = np.abs(np.diff(blurred, axis=axis))
         dv = np.maximum(df - db, 0.0)
@@ -154,31 +118,6 @@ def _nrpbm_frame(luma: np.ndarray, s: np.ndarray, cfg: NrMetricConfig) -> float:
     if all(r is None for r in ratios):
         return 0.0  # flat frame
     return 1.0 - max(r for r in ratios if r is not None)
-
-
-def _probe(n: int, axis: int) -> Kernel2D:
-    # 1 x n (or n x 1) box probe embedded in an n x n kernel for convolve2d
-    taps = np.zeros((n, n))
-    if axis == 1:
-        taps[n // 2, :] = 1.0 / n
-    else:
-        taps[:, n // 2] = 1.0 / n
-    return Kernel2D(taps, normalized=True)
-
-
-def nrpbm_s(dist: StereoSequence, s_series=None,
-            cfg: NrMetricConfig | None = None) -> MetricReport:
-    """Perceptual blur via the re-blur probe; higher means blurrier
-    (lower is better)."""
-    cfg = cfg or NrMetricConfig()
-    _validate(dist, s_series)
-    shape = (dist.height, dist.width)
-    scores = []
-    for t in range(len(dist)):
-        s = _svalues(s_series, t, shape)
-        vals = [_nrpbm_frame(getattr(dist.frames[t], v).luma, s, cfg) for v in _VIEWS]
-        scores.append(0.5 * (vals[0] + vals[1]))
-    return make_report("nrpbm_s", scores, "lower_better", _saliency_mode(s_series), cfg)
 
 
 def _edge_widths(luma: np.ndarray, threshold_frac: float):
@@ -209,30 +148,21 @@ def _edge_widths(luma: np.ndarray, threshold_frac: float):
     return out
 
 
-def blur_farias_s(dist: StereoSequence, s_series=None,
-                  cfg: NrMetricConfig | None = None) -> MetricReport:
+@_nr("lower_better")
+def blur_farias_s(luma, s, cfg):
     """Mean edge width at Sobel edge pixels; lower (sharper) is better."""
-    cfg = cfg or NrMetricConfig()
-    _validate(dist, s_series)
-    shape = (dist.height, dist.width)
-    scores = []
-    for t in range(len(dist)):
-        s = _svalues(s_series, t, shape)
-        vals = []
-        for view in _VIEWS:
-            edges = _edge_widths(getattr(dist.frames[t], view).luma,
-                                 cfg.farias_edge_threshold)
-            if not edges:
-                raise NoEdges(f"no edge pixels in frame {t} ({view})")
-            widths = np.array([wd for _, _, wd in edges])
-            weights = np.array([s[y, x] for y, x, _ in edges])
-            vals.append(_wmean(widths, weights))
-        scores.append(0.5 * (vals[0] + vals[1]))
-    return make_report("blur_farias_s", scores, "lower_better",
-                       _saliency_mode(s_series), cfg)
+    edges = _edge_widths(luma, cfg.farias_edge_threshold)
+    if not edges:
+        raise NoEdges("no edge pixels in a view")
+    widths = np.array([wd for _, _, wd in edges])
+    weights = np.array([s[y, x] for y, x, _ in edges])
+    return weighted_spatial_mean(widths, weights)
 
 
-def _block_farias_frame(luma: np.ndarray, s: np.ndarray, cfg: NrMetricConfig) -> float:
+@_nr("lower_better")
+def block_farias_s(luma, s, cfg):
+    """Ratio of 8-grid boundary differences to all differences, scaled by
+    1/(H*W); lower is better."""
     h, w = luma.shape
     g = cfg.gbim_grid
     total = 0.0
@@ -251,24 +181,9 @@ def _block_farias_frame(luma: np.ndarray, s: np.ndarray, cfg: NrMetricConfig) ->
     return total / (h * w)
 
 
-def block_farias_s(dist: StereoSequence, s_series=None,
-                   cfg: NrMetricConfig | None = None) -> MetricReport:
-    """Ratio of 8-grid boundary differences to all differences, scaled by
-    1/(H*W); lower is better."""
-    cfg = cfg or NrMetricConfig()
-    _validate(dist, s_series)
-    shape = (dist.height, dist.width)
-    scores = []
-    for t in range(len(dist)):
-        s = _svalues(s_series, t, shape)
-        vals = [_block_farias_frame(getattr(dist.frames[t], v).luma, s, cfg)
-                for v in _VIEWS]
-        scores.append(0.5 * (vals[0] + vals[1]))
-    return make_report("block_farias_s", scores, "lower_better",
-                       _saliency_mode(s_series), cfg)
-
-
-def _sadaka_frame(luma: np.ndarray, s: np.ndarray, cfg: NrMetricConfig) -> float:
+@_nr("higher_better")
+def sadaka_s(luma, s, cfg):
+    """Foveal just-noticeable-blur sharpness; higher (sharper) is better."""
     h, w = luma.shape
     edges = _edge_widths(luma, cfg.farias_edge_threshold)
     if not edges:
@@ -295,43 +210,19 @@ def _sadaka_frame(luma: np.ndarray, s: np.ndarray, cfg: NrMetricConfig) -> float
     return total ** (-1.0 / beta)
 
 
-def sadaka_s(dist: StereoSequence, s_series=None,
-             cfg: NrMetricConfig | None = None) -> MetricReport:
-    """Foveal just-noticeable-blur sharpness; higher (sharper) is better."""
-    cfg = cfg or NrMetricConfig()
-    _validate(dist, s_series)
-    shape = (dist.height, dist.width)
-    scores = []
-    for t in range(len(dist)):
-        s = _svalues(s_series, t, shape)
-        vals = [_sadaka_frame(getattr(dist.frames[t], v).luma, s, cfg) for v in _VIEWS]
-        scores.append(0.5 * (vals[0] + vals[1]))
-    return make_report("sadaka_s", scores, "higher_better",
-                       _saliency_mode(s_series), cfg)
-
-
-def vqsm_s(dist: StereoSequence, s_series=None,
-           cfg: NrMetricConfig | None = None) -> MetricReport:
+@_nr("higher_better", over="frame")
+def vqsm_s(c, cfg):
     """Sharpness (gradient magnitude) and smoothness (local std) combined by
     the configured polynomial; the neutral defaults give sharpness minus
     smoothness, higher better."""
-    cfg = cfg or NrMetricConfig()
-    _validate(dist, s_series)
-    shape = (dist.height, dist.width)
     a1, a2, a3, a4, a5 = cfg.vqsm_alphas
-    box = Kernel2D(np.full((5, 5), 1.0 / 25.0), normalized=True)
-    scores = []
-    for t in range(len(dist)):
-        s = _svalues(s_series, t, shape)
-        s_bar = convolve2d(s, box)
-        vals = []
-        for view in _VIEWS:
-            luma = getattr(dist.frames[t], view).luma
-            q_sh = _wmean(sobel_gradient(luma)["magnitude"], s)
-            q_sm = _wmean(_local_std(luma, 5), s_bar)
-            vals.append(a1 * q_sh**2 + a2 * q_sh + a3 * q_sm**2 + a4 * q_sm + a5)
-        scores.append(0.5 * (vals[0] + vals[1]))
-    return make_report("vqsm_s", scores, "higher_better", _saliency_mode(s_series), cfg)
+    s_bar = convolve2d(c.s, Kernel2D(np.full((5, 5), 1.0 / 25.0)))
+    vals = []
+    for luma in (c.dist.left.luma, c.dist.right.luma):
+        q_sh = weighted_spatial_mean(sobel_gradient(luma)["magnitude"], c.s)
+        q_sm = weighted_spatial_mean(_local_std(luma, 5), s_bar)
+        vals.append(a1 * q_sh**2 + a2 * q_sh + a3 * q_sm**2 + a4 * q_sm + a5)
+    return 0.5 * (vals[0] + vals[1])
 
 
 _AQI_STEPS = {0: (0, 1), 45: (-1, 1), 90: (1, 0), 135: (1, 1)}
@@ -342,10 +233,13 @@ def _aqi_kernel(direction: int) -> Kernel2D:
     taps = np.zeros((7, 7))
     for t in range(-3, 4):
         taps[3 + t * dy, 3 + t * dx] += 1.0 / 7.0
-    return Kernel2D(taps, normalized=True)
+    return Kernel2D(taps)
 
 
-def _aqi_frame(luma: np.ndarray, s: np.ndarray, cfg: NrMetricConfig) -> float:
+@_nr("higher_better")
+def aqi_s(luma, s, cfg):
+    """Spread of directional entropies (saliency-weighted histograms);
+    higher anisotropy means less degradation."""
     entropies = []
     for direction in cfg.aqi_directions:
         filtered = convolve2d(luma, _aqi_kernel(direction))
@@ -361,53 +255,31 @@ def _aqi_frame(luma: np.ndarray, s: np.ndarray, cfg: NrMetricConfig) -> float:
     return float(np.std(entropies))
 
 
-def aqi_s(dist: StereoSequence, s_series=None,
-          cfg: NrMetricConfig | None = None) -> MetricReport:
-    """Spread of directional entropies (saliency-weighted histograms);
-    higher anisotropy means less degradation."""
-    cfg = cfg or NrMetricConfig()
-    _validate(dist, s_series)
-    shape = (dist.height, dist.width)
-    scores = []
-    for t in range(len(dist)):
-        s = _svalues(s_series, t, shape)
-        vals = [_aqi_frame(getattr(dist.frames[t], v).luma, s, cfg) for v in _VIEWS]
-        scores.append(0.5 * (vals[0] + vals[1]))
-    return make_report("aqi_s", scores, "higher_better", _saliency_mode(s_series), cfg)
-
-
-def qa3d_s(dist: StereoSequence, d_dist=None, s_series=None,
-           cfg: NrMetricConfig | None = None) -> MetricReport:
+@_nr("higher_better", needs=("d_dist",), over="sequence")
+def qa3d_s(c, cfg):
     """Temporal disparity consistency plus an interview edge difference;
     scored from frame `history` onward, higher better."""
-    cfg = cfg or NrMetricConfig()
-    _validate(dist, s_series)
-    if d_dist is None:
-        raise DisparityRequired("qa3d needs disparity for the distorted pair")
     p = cfg.qa3d_history
-    if len(dist) < p + 1:
+    if len(c.dist) < p + 1:
         raise NeedsTemporalContext(f"needs at least {p + 1} frames")
-    shape = (dist.height, dist.width)
     d_index = []
     d_edge = []
-    for t in range(len(dist)):
-        s = _svalues(s_series, t, shape)
-        d = d_dist[t].values if isinstance(d_dist[t], DisparityMap) else np.asarray(d_dist[t])
+    for frame, s, d in zip(c.dist.frames, c.s, c.d_dist):
         thresholded = np.where(d < cfg.qa3d_threshold, 0.0, d)
-        d_index.append(_wmean(thresholded, s))
-        left = sobel_gradient(dist.frames[t].left.luma)["magnitude"]
-        right = sobel_gradient(dist.frames[t].right.luma)["magnitude"]
-        d_edge.append(_wmean(np.abs(left - right) / 255.0, s))
+        d_index.append(weighted_spatial_mean(thresholded, s))
+        left = sobel_gradient(frame.left.luma)["magnitude"]
+        right = sobel_gradient(frame.right.luma)["magnitude"]
+        d_edge.append(weighted_spatial_mean(np.abs(left - right) / 255.0, s))
     scores = []
-    for n in range(p, len(dist)):
+    for n in range(p, len(c.dist)):
         s_m = 0.1 * (sum(d_index[n - p:n]) - d_index[n] * p) * d_index[n]
         scores.append(1.0 - (s_m + d_edge[n]) / 2.0)
-    return make_report("qa3d_s", scores, "higher_better", _saliency_mode(s_series), cfg)
+    return scores
 
 
 def _qjpeg(luma: np.ndarray, s: np.ndarray, cfg: NrMetricConfig):
     g = 8
-    comps = {"B": [], "A": [], "Z": []}
+    b = a = z = 0.0  # each the mean of its horizontal and vertical value
     for axis in (1, 0):
         d = np.diff(luma, axis=axis)
         if axis == 1:
@@ -415,22 +287,19 @@ def _qjpeg(luma: np.ndarray, s: np.ndarray, cfg: NrMetricConfig):
             boundary = (np.arange(d.shape[1]) + 1) % g == 0
             b_mask = np.zeros(d.shape, bool)
             b_mask[:, boundary] = True
-            z = (d[:, 1:] * d[:, :-1]) < 0
+            crossings = (d[:, 1:] * d[:, :-1]) < 0
             zw = s[:, 1:-1]
         else:
             sw = 0.5 * (s[1:, :] + s[:-1, :])
             boundary = (np.arange(d.shape[0]) + 1) % g == 0
             b_mask = np.zeros(d.shape, bool)
             b_mask[boundary, :] = True
-            z = (d[1:, :] * d[:-1, :]) < 0
+            crossings = (d[1:, :] * d[:-1, :]) < 0
             zw = s[1:-1, :]
         ad = np.abs(d)
-        comps["B"].append(_wmean(ad[b_mask], sw[b_mask]))
-        comps["A"].append(_wmean(ad[~b_mask], sw[~b_mask]))
-        comps["Z"].append(_wmean(z.astype(float), zw))
-    b = 0.5 * sum(comps["B"])
-    a = 0.5 * sum(comps["A"])
-    z = 0.5 * sum(comps["Z"])
+        b += 0.5 * weighted_spatial_mean(ad[b_mask], sw[b_mask])
+        a += 0.5 * weighted_spatial_mean(ad[~b_mask], sw[~b_mask])
+        z += 0.5 * weighted_spatial_mean(crossings.astype(float), zw)
     if b <= 0.0 or a <= 0.0 or z <= 0.0:
         return cfg.nospdm_alpha, True  # degenerate signal, power terms dropped
     q = (cfg.nospdm_alpha + cfg.nospdm_beta
@@ -445,45 +314,19 @@ def _angle(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.arccos(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0)))
 
 
-def nospdm_s(dist: StereoSequence, s_left=None, s_right=None,
-             cfg: NrMetricConfig | None = None) -> MetricReport:
+@_nr("higher_better", over="frame")
+def nospdm_s(c, cfg):
     """Parallax-compensated JPEG sharpness with interview and inter-map angle
     terms; higher better under the reference constants."""
-    cfg = cfg or NrMetricConfig()
-    _validate(dist, s_left)
-    if s_right is None:
-        s_right = s_left
-    shape = (dist.height, dist.width)
-    scores = []
-    flags = []
-    for t in range(len(dist)):
-        sl = _svalues(s_left, t, shape)
-        sr = _svalues(s_right, t, shape)
-        q_l, deg_l = _qjpeg(dist.frames[t].left.luma, sl, cfg)
-        q_r, deg_r = _qjpeg(dist.frames[t].right.luma, sr, cfg)
-        if (deg_l or deg_r) and "qjpeg_degenerate" not in flags:
-            flags.append("qjpeg_degenerate")
-        left = dist.frames[t].left.luma.ravel()
-        right = dist.frames[t].right.luma.ravel()
-        score = ((2.0 - cfg.nospdm_mu_r) * q_l + cfg.nospdm_mu_r * q_r
-                 - cfg.nospdm_lambda * max(q_l, q_r)
-                 + _angle(left, right)
-                 + cfg.nospdm_omega_s * _angle(sl.ravel(), sr.ravel()))
-        scores.append(score)
-    return make_report("nospdm_s", scores, "higher_better",
-                       _saliency_mode(s_left), cfg, flags)
-
-
-NR_METRICS = {
-    "gbim_s": gbim_s,
-    "nrpbm_s": nrpbm_s,
-    "blur_farias_s": blur_farias_s,
-    "block_farias_s": block_farias_s,
-    "sadaka_s": sadaka_s,
-    "vqsm_s": vqsm_s,
-    "aqi_s": aqi_s,
-    "qa3d_s": qa3d_s,
-    "nospdm_s": nospdm_s,
-}
-
-NR_NEEDS_DISPARITY = {"qa3d_s": ("d_dist",)}
+    q_l, deg_l = _qjpeg(c.dist.left.luma, c.s, cfg)
+    q_r, deg_r = _qjpeg(c.dist.right.luma, c.s, cfg)
+    if deg_l or deg_r:
+        c.flags.append("qjpeg_degenerate")
+    left = c.dist.left.luma.ravel()
+    right = c.dist.right.luma.ravel()
+    # one saliency map weights both views, so the inter-map angle is that of
+    # S with itself: zero up to rounding
+    return ((2.0 - cfg.nospdm_mu_r) * q_l + cfg.nospdm_mu_r * q_r
+            - cfg.nospdm_lambda * max(q_l, q_r)
+            + _angle(left, right)
+            + cfg.nospdm_omega_s * _angle(c.s.ravel(), c.s.ravel()))

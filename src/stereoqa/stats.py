@@ -157,7 +157,8 @@ def pearson_cc(x, y) -> float:
     if x.size < 3:
         raise ParamError("need at least 3 points")
     cx, cy = x - x.mean(), y - y.mean()
-    denom = np.sqrt((cx * cx).sum() * (cy * cy).sum())
+    # two roots, not the root of the product, which underflows for tiny spreads
+    denom = np.sqrt((cx * cx).sum()) * np.sqrt((cy * cy).sum())
     if denom <= 0:
         raise UndefinedCorrelation("zero variance in a series")
     return float(np.clip((cx * cy).sum() / denom, -1.0, 1.0))

@@ -60,8 +60,6 @@ def _run_nr(metric, seq, s_series, d_dist, cfg):
     fn = NR_METRICS[metric]
     if metric == "qa3d_s":
         return fn(seq, d_dist=d_dist, s_series=s_series, cfg=cfg)
-    if metric == "nospdm_s":
-        return fn(seq, s_left=s_series, cfg=cfg)
     return fn(seq, s_series=s_series, cfg=cfg)
 
 

@@ -1,10 +1,14 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from stereoqa.cli import main
-from stereoqa.media import save_sequence
+from stereoqa.distort import DistortionSpec, apply
+from stereoqa.fr import FR_METRICS
+from stereoqa.media import save_map_series, save_sequence
+from stereoqa.nr import NR_METRICS
 
 from conftest import make_seq
 
@@ -52,6 +56,43 @@ def test_unknown_metric_usage_error(desc_path, tmp_path, capsys):
 def test_bad_arguments_exit_2(capsys):
     assert main(["score-fr"]) == 2
     assert main(["bogus-command"]) == 2
+
+
+def test_jobs_option_removed(desc_path, tmp_path, capsys):
+    code = main(["score-fr", "--metric", "psnr_s", "--ref", desc_path,
+                 "--dist", desc_path, "--out", str(tmp_path / "r.json"),
+                 "--jobs", "2"])
+    assert code == 2
+
+
+def test_every_metric_through_cli(tmp_path):
+    ref = make_seq(103, frames=3, size=64)
+    dist = apply(ref, DistortionSpec(kind="awgn", params={"variance": 0.005}, seed=4))
+    ref_path = _write_fixture(tmp_path, "ref", ref)
+    dist_path = _write_fixture(tmp_path, "dist", dist)
+    cfg = tmp_path / "nr.json"
+    cfg.write_text(json.dumps({"qa3d_history": 2}))
+    for metric in FR_METRICS:
+        assert main(["score-fr", "--metric", metric, "--ref", ref_path,
+                     "--dist", dist_path, "--saliency", "uniform",
+                     "--out", str(tmp_path / f"{metric}.json")]) == 0, metric
+    for metric in NR_METRICS:
+        extra = ["--config", str(cfg)] if metric == "qa3d_s" else []
+        assert main(["score-nr", "--metric", metric, "--dist", dist_path,
+                     "--saliency", "uniform", *extra,
+                     "--out", str(tmp_path / f"{metric}.json")]) == 0, metric
+
+
+def test_zero_saliency_on_every_edge_exit_1(tmp_path, capsys):
+    desc = _write_fixture(tmp_path, "blocks", make_seq(5, frames=1, size=64, block=8))
+    smap = np.zeros((64, 64))
+    smap[0, 0] = 1.0  # inside the first flat 8x8 cell, so on no edge
+    save_map_series([smap], str(tmp_path / "sal"))
+    code = main(["score-nr", "--metric", "blur_farias_s", "--dist", desc,
+                 "--saliency", f"dir:{tmp_path / 'sal'}",
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 1
+    assert "saliency weights sum to zero" in capsys.readouterr().err
 
 
 def test_missing_input_exit_1(tmp_path, capsys):

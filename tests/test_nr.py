@@ -5,13 +5,14 @@ import stereoqa.nr as nr
 from stereoqa.disparity import DisparityMap
 from stereoqa.distort import DistortionSpec, apply
 from stereoqa.errors import (
+    DegenerateSaliency,
     DisparityRequired,
     NeedsTemporalContext,
     NoEdges,
     ParamError,
 )
 from stereoqa.nr import NR_METRICS, NrMetricConfig
-from stereoqa.saliency import uniform_series
+from stereoqa.saliency import SaliencyMap, uniform_series
 
 from conftest import flat_seq, make_seq
 
@@ -66,6 +67,15 @@ def test_blur_farias_no_edges():
     seq = flat_seq(10.0, frames=1, size=32)
     with pytest.raises(NoEdges):
         nr.blur_farias_s(seq)
+
+
+def test_blur_farias_zero_weight_on_every_edge_raises():
+    # the only weight sits at (0, 0), inside the first flat 8x8 cell
+    seq = make_seq(5, frames=1, size=64, block=8)
+    smap = np.zeros((64, 64))
+    smap[0, 0] = 1.0
+    with pytest.raises(DegenerateSaliency):
+        nr.blur_farias_s(seq, s_series=[SaliencyMap(smap, "external")])
 
 
 def test_blur_farias_grows_with_blur():
@@ -171,8 +181,6 @@ def test_every_registered_metric_runs():
     for metric, fn in NR_METRICS.items():
         if metric == "qa3d_s":
             rep = fn(seq, d_dist=_flat_disparity(seq), s_series=s)
-        elif metric == "nospdm_s":
-            rep = fn(seq, s_left=s)
         else:
             rep = fn(seq, s_series=s)
         assert np.isfinite(rep.score), metric

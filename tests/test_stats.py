@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stereoqa.errors import (
@@ -230,6 +230,7 @@ def test_table_csv_parsing(tmp_path):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.floats(-100, 100), min_size=4, max_size=20),
        st.floats(0.1, 10.0), st.floats(-50, 50))
+@example(xs=[0.0, 0.0, 0.0, 1.147e-84], a=1.0, b=0.0)  # product of sums underflows
 def test_pearson_affine_invariance(xs, a, b):
     x = np.asarray(xs)
     y = np.sin(x) + 0.1 * x
