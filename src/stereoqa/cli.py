@@ -17,10 +17,10 @@ import numpy as np
 from . import __version__
 from .disparity import DisparityConfig, DisparityMap, estimate_disparity_series
 from .distort import apply_all, spec_from_dict
-from .errors import StereoQaError
+from .errors import MalformedJson, StereoQaError
 from .fr import FR_METRICS, FR_NEEDS_DISPARITY, FrMetricConfig
 from .media import SequenceDescriptor, load_map_series, load_sequence, \
-    save_map_series, save_sequence
+    read_json, save_map_series, save_sequence
 from .nr import NR_METRICS, NR_NEEDS_DISPARITY, NrMetricConfig
 from .saliency import VamConfig, baseline_vam, load_external_saliency, \
     uniform_series
@@ -31,8 +31,11 @@ from .stats import MosTable, SubjectiveTable, emit_report, performance, \
 def _load_config(path, cls):
     if path is None:
         return cls()
-    with open(path) as fh:
-        return cls(**json.load(fh))
+    data = read_json(path)
+    try:
+        return cls(**data)
+    except TypeError as exc:
+        raise MalformedJson(f"{path}: {exc}") from exc
 
 
 def _write_manifest(out_path: str, args: argparse.Namespace, outputs) -> None:
@@ -138,8 +141,7 @@ def _cmd_disparity(args) -> int:
 
 def _cmd_distort(args) -> int:
     seq = load_sequence(SequenceDescriptor.from_json(args.input))
-    with open(args.spec) as fh:
-        raw = json.load(fh)
+    raw = read_json(args.spec)
     specs = [spec_from_dict(d) for d in (raw if isinstance(raw, list) else [raw])]
     out_seq = apply_all(seq, specs)
     os.makedirs(args.out, exist_ok=True)
@@ -163,8 +165,7 @@ def _cmd_evaluate(args) -> int:
         if not path:
             sys.stderr.write("objective entries must look like item_id=report.json\n")
             return 2
-        with open(path) as fh:
-            rep = json.load(fh)
+        rep = read_json(path)
         key = (rep["metric"], rep["saliency_mode"])
         groups.setdefault(key, []).append((item_id, float(rep["score"])))
     rows = []

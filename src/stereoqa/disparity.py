@@ -54,10 +54,18 @@ class DepthBracket:
         return self.far - self.near
 
 
+def _anchors(n: int, block: int) -> np.ndarray:
+    """Block origins every `block` samples, the last one clamped to fit."""
+    return np.unique(np.minimum(np.arange(0, n, block), n - block))
+
+
 def estimate_disparity(pair: StereoFrame, cfg: DisparityConfig | None = None) -> DisparityMap:
     """Per-block argmin-SAD match of left against right, 3x3 median filtered.
 
-    Ties go to the smallest candidate disparity.
+    Blocks sit on a grid of `block` px whose last row and column are clamped
+    to the frame.  A block at column x0 tries d = 0..min(search_range, x0);
+    ties go to the smallest candidate disparity.  Where clamped blocks
+    overlap, the later block in row-major order sets the pixels.
     """
     cfg = cfg or DisparityConfig()
     left, right = pair.left.luma, pair.right.luma
@@ -67,18 +75,22 @@ def estimate_disparity(pair: StereoFrame, cfg: DisparityConfig | None = None) ->
     if w < cfg.search_range + cfg.block:
         raise ParamError("frame narrower than search_range + block")
     b = cfg.block
-    out = np.zeros((h, w))
-    y_anchors = sorted({min(y0, h - b) for y0 in range(0, h, b)})
-    x_anchors = sorted({min(x0, w - b) for x0 in range(0, w, b)})
-    for y0 in y_anchors:
-        lrow = left[y0:y0 + b]
-        for x0 in x_anchors:
-            lblock = lrow[:, x0:x0 + b]
-            d_max = min(cfg.search_range, x0)
-            cand = np.empty(d_max + 1)
-            for d in range(d_max + 1):
-                cand[d] = np.abs(lblock - right[y0:y0 + b, x0 - d:x0 - d + b]).sum()
-            out[y0:y0 + b, x0:x0 + b] = int(np.argmin(cand))
+    y_anchors, x_anchors = _anchors(h, b), _anchors(w, b)
+    offs = np.arange(b)
+    rows = y_anchors[:, None] + offs
+    cols = x_anchors[:, None] + offs
+    # one SAD plane per candidate d, summed over every block at once
+    costs = np.empty((cfg.search_range + 1, len(y_anchors), len(x_anchors)))
+    plane = np.zeros((h, w))
+    for d in range(cfg.search_range + 1):
+        np.abs(left[:, d:] - right[:, :w - d], out=plane[:, d:])
+        costs[d] = plane[:, cols].sum(axis=-1)[rows].sum(axis=1)
+        costs[d][:, x_anchors < d] = np.inf
+    best = np.argmin(costs, axis=0)
+    # each pixel takes the last block in anchor order that covers it
+    y_cover = np.searchsorted(y_anchors, np.arange(h), side="right") - 1
+    x_cover = np.searchsorted(x_anchors, np.arange(w), side="right") - 1
+    out = best[y_cover[:, None], x_cover[None, :]].astype(np.float64)
     out = scipy.ndimage.median_filter(out, size=3, mode="nearest")
     return DisparityMap(out, block=cfg.block, search_range=cfg.search_range)
 

@@ -25,6 +25,10 @@ class MapSeriesGap(StereoQaError):
     """A numbered map series has a missing index or wrong count."""
 
 
+class MalformedJson(StereoQaError):
+    """A JSON input is not valid JSON, or its fields are missing or unknown."""
+
+
 class RangeError(StereoQaError):
     """A sample value lies outside the documented range."""
 

@@ -249,27 +249,35 @@ def ciq_s(c, cfg):
     return weighted_spatial_mean(_ssim_map(ci_ref, ci_dist, cfg), c.s)
 
 
-def _gather_blocks(image: np.ndarray, anchors, size: int) -> np.ndarray:
-    return np.stack([image[y0:y0 + size, x0:x0 + size] for y0, x0 in anchors])
+def _gather_blocks(image: np.ndarray, anchors: np.ndarray, size: int) -> np.ndarray:
+    """(n, size, size) blocks of `image` at the (n, 2) array of (y0, x0)."""
+    offs = np.arange(size)
+    rows = anchors[:, 0, None, None] + offs[:, None]
+    cols = anchors[:, 1, None, None] + offs
+    return image[rows, cols]
 
 
-def _block_grid(h: int, w: int, size: int):
-    return [(y0, x0) for y0 in range(0, h - size + 1, size)
-            for x0 in range(0, w - size + 1, size)]
+def _block_grid(h: int, w: int, size: int) -> np.ndarray:
+    """(n, 2) row-major origins of the whole size x size blocks."""
+    if h < size or w < size:
+        raise TooSmall(f"frame smaller than one {size}x{size} block")
+    y0, x0 = np.meshgrid(np.arange(0, h - size + 1, size),
+                         np.arange(0, w - size + 1, size), indexing="ij")
+    return np.stack([y0.ravel(), x0.ravel()], axis=1)
 
 
-def _matched_anchors(anchors, d_values: np.ndarray, size: int, w: int):
-    out = []
-    for y0, x0 in anchors:
-        d = int(np.rint(d_values[y0:y0 + size, x0:x0 + size].mean()))
-        out.append((y0, int(np.clip(x0 - d, 0, w - size))))
-    return out
+def _matched_anchors(anchors: np.ndarray, d_values: np.ndarray, size: int,
+                     w: int) -> np.ndarray:
+    """Anchors moved left by each block's rounded mean disparity."""
+    d = np.rint(_gather_blocks(d_values, anchors, size).mean(axis=(1, 2)))
+    x1 = np.clip(anchors[:, 1] - d.astype(int), 0, w - size)
+    return np.stack([anchors[:, 0], x1], axis=1)
 
 
-def _block_weights(s: SaliencyMap | None, anchors, size: int) -> np.ndarray:
+def _block_weights(s: SaliencyMap | None, anchors: np.ndarray, size: int) -> np.ndarray:
     if s is None:
         return np.ones(len(anchors))
-    return np.array([s.values[y0:y0 + size, x0:x0 + size].mean() for y0, x0 in anchors])
+    return _gather_blocks(s.values, anchors, size).mean(axis=(1, 2))
 
 
 def _structure_errors(ref_t: StereoFrame, dist_t: StereoFrame, d_values: np.ndarray,
@@ -281,10 +289,8 @@ def _structure_errors(ref_t: StereoFrame, dist_t: StereoFrame, d_values: np.ndar
 
     def coefficients(frame: StereoFrame) -> np.ndarray:
         return dct3_stereo_stack(np.stack([
-            np.stack([frame.left.luma[y0:y0 + 4, x0:x0 + 4],
-                      frame.right.luma[y1:y1 + 4, x1:x1 + 4]], axis=-1)
-            for (y0, x0), (y1, x1) in zip(anchors, matched)
-        ]))
+            _gather_blocks(frame.left.luma, anchors, 4),
+            _gather_blocks(frame.right.luma, matched, 4)], axis=-1))
 
     diff = coefficients(ref_t) - coefficients(dist_t)
     csf = np.asarray(cfg.csf_mask, dtype=np.float64)[None, :, :, None]
@@ -309,7 +315,7 @@ def phsd_s(c, cfg):
     dr = c.d_ref
     mse_d = weighted_spatial_mean((dr - c.d_dist) ** 2, c.s)
     anchors, errors = _structure_errors(c.ref, c.dist, dr, cfg)
-    sigma_d = np.array([np.var(dr[y0:y0 + 4, x0:x0 + 4]) for y0, x0 in anchors])
+    sigma_d = np.var(_gather_blocks(dr, anchors, 4), axis=(1, 2))
     den = errors + alpha * sigma_d
     masked = np.where(den > 0.0, errors * errors / np.where(den > 0.0, den, 1.0), 0.0)
     weights = _block_weights(c.s, anchors, 4)
@@ -325,14 +331,16 @@ def mj3d_s(c, cfg):
     return _msssim_frame(ci_ref, ci_dist, c.s, cfg)
 
 
-def _global_ssim(x: np.ndarray, y: np.ndarray, cfg: FrMetricConfig) -> float:
-    mu_x, mu_y = x.mean(), y.mean()
-    var_x = (x * x).mean() - mu_x * mu_x
-    var_y = (y * y).mean() - mu_y * mu_y
-    cov = (x * y).mean() - mu_x * mu_y
+def _global_ssim(x: np.ndarray, y: np.ndarray, cfg: FrMetricConfig) -> np.ndarray:
+    """SSIM of each whole block of the (n, b, b) stacks x and y."""
+    axes = (-2, -1)
+    mu_x, mu_y = x.mean(axis=axes), y.mean(axis=axes)
+    var_x = (x * x).mean(axis=axes) - mu_x * mu_x
+    var_y = (y * y).mean(axis=axes) - mu_y * mu_y
+    cov = (x * y).mean(axis=axes) - mu_x * mu_y
     c1, c2 = cfg.ssim_c1, cfg.ssim_c2
-    return float(((2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2))
-                 / ((mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)))
+    return (((2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2))
+            / ((mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)))
 
 
 @_fr("higher_better", needs=("d_ref", "d_dist"), over="frame")
@@ -353,12 +361,10 @@ def hv3d_s(c, cfg):
     rec_ref = fused_blocks(c.ref, dr)
     rec_dist = fused_blocks(c.dist, dd)
     weights = _block_weights(c.s, anchors, b)
-    ssim_vals = np.array([
-        _global_ssim(rec_ref[i], rec_dist[i], cfg) for i in range(len(anchors))
-    ])
+    ssim_vals = _global_ssim(rec_ref, rec_dist, cfg)
     term1 = float((ssim_vals * weights).sum() / weights.sum())
     term2 = _vif_frame(dr, dd, c.s, cfg)
-    sigma = np.array([np.var(dr[y0:y0 + b, x0:x0 + b]) for y0, x0 in anchors])
+    sigma = np.var(_gather_blocks(dr, anchors, b), axis=(1, 2))
     max_sigma = sigma.max()
     if max_sigma <= 0.0:
         term3 = 1.0
@@ -372,18 +378,15 @@ def hv3d_s(c, cfg):
 def _patch_features(image: np.ndarray, patch: int) -> np.ndarray:
     """(mean, variance, min gradient-covariance eigenvalue) per patch."""
     grad = sobel_gradient(image)
-    gx, gy = grad["gx"], grad["gy"]
-    rows = []
-    for y0, x0 in _block_grid(image.shape[0], image.shape[1], patch):
-        p = image[y0:y0 + patch, x0:x0 + patch]
-        pgx = gx[y0:y0 + patch, x0:x0 + patch]
-        pgy = gy[y0:y0 + patch, x0:x0 + patch]
-        a = float((pgx * pgx).mean())
-        c = float((pgy * pgy).mean())
-        bb = float((pgx * pgy).mean())
-        min_eig = 0.5 * ((a + c) - np.sqrt((a - c) ** 2 + 4.0 * bb * bb))
-        rows.append((p.mean(), p.var(), min_eig))
-    return np.asarray(rows)
+    anchors = _block_grid(image.shape[0], image.shape[1], patch)
+    p, pgx, pgy = (_gather_blocks(a, anchors, patch)
+                   for a in (image, grad["gx"], grad["gy"]))
+    axes = (1, 2)
+    a = (pgx * pgx).mean(axis=axes)
+    c = (pgy * pgy).mean(axis=axes)
+    bb = (pgx * pgy).mean(axis=axes)
+    min_eig = 0.5 * ((a + c) - np.sqrt((a - c) ** 2 + 4.0 * bb * bb))
+    return np.stack([p.mean(axis=axes), p.var(axis=axes), min_eig], axis=1)
 
 
 @_fr("lower_better", needs=("d_ref", "d_dist"), over="sequence")

@@ -19,6 +19,7 @@ from .errors import (
     DimensionMismatch,
     EmptySequence,
     IoError,
+    MalformedJson,
     MapSeriesGap,
     MapShapeError,
     NumericError,
@@ -26,6 +27,18 @@ from .errors import (
 )
 
 PIXEL_FORMATS = ("yuv420p8", "yuv444p8", "gray8")
+_DESCRIPTOR_FIELDS = ("left", "right", "width", "height", "fps", "frames")
+
+
+def read_json(path: str):
+    """Parsed JSON file; a missing file is IoError, bad JSON MalformedJson."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except FileNotFoundError as exc:
+        raise IoError(f"file not found: {path}") from exc
+    except ValueError as exc:
+        raise MalformedJson(f"{path}: not valid JSON ({exc})") from exc
 
 
 @dataclass
@@ -127,16 +140,20 @@ class SequenceDescriptor:
 
     @classmethod
     def from_json(cls, path: str) -> "SequenceDescriptor":
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except FileNotFoundError as exc:
-            raise IoError(f"descriptor not found: {path}") from exc
+        data = read_json(path)
+        if not isinstance(data, dict):
+            raise MalformedJson(f"{path}: descriptor must be a JSON object")
+        missing = [k for k in _DESCRIPTOR_FIELDS if k not in data]
+        if missing:
+            raise MalformedJson(f"{path}: descriptor lacks {', '.join(missing)}")
         base = os.path.dirname(os.path.abspath(path))
         for key in ("left", "right"):
             if not os.path.isabs(data[key]):
                 data[key] = os.path.join(base, data[key])
-        return cls(**data)
+        try:
+            return cls(**data)
+        except TypeError as exc:
+            raise MalformedJson(f"{path}: {exc}") from exc
 
     def to_json(self, path: str) -> None:
         data = {

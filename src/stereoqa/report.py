@@ -9,6 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericError
+
 
 def config_fingerprint(cfg) -> str:
     """Short stable hash of the effective metric constants."""
@@ -60,6 +62,8 @@ class MetricReport:
 def make_report(metric: str, frame_scores, orientation: str, saliency_mode: str,
                 cfg, flags=None) -> MetricReport:
     frame_scores = [float(s) for s in frame_scores]
+    if not np.all(np.isfinite(frame_scores)):
+        raise NumericError(f"{metric}: non-finite frame score")
     return MetricReport(
         metric=metric,
         frame_scores=frame_scores,

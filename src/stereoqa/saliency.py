@@ -18,7 +18,7 @@ from .errors import (
     NumericError,
     PyramidMismatch,
 )
-from .kernels import convolve2d, downsample2, gaussian_kernel, halving_chain
+from .kernels import downsample2, gaussian_smooth, halving_chain
 from .media import StereoSequence, load_map_series
 
 FLAT_GUARD = 1e-12
@@ -154,7 +154,7 @@ def _smooth(values: np.ndarray, sigma: float) -> np.ndarray:
     size = min(2 * int(np.ceil(3 * sigma)) + 1, min(values.shape))
     if size < 3:
         return values
-    return convolve2d(values, gaussian_kernel(size, sigma))
+    return gaussian_smooth(values, size, sigma)
 
 
 def baseline_vam(seq: StereoSequence, disparity_series=None,

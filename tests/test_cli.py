@@ -100,6 +100,35 @@ def test_missing_input_exit_1(tmp_path, capsys):
     assert code == 1
 
 
+def _assert_exit_1(code, capsys):
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("mangle", [
+    lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "left"}),
+    lambda text: json.dumps({**json.loads(text), "colour": "blue"}),
+    lambda text: text[:-5],
+], ids=["missing-field", "unknown-field", "malformed-json"])
+def test_bad_descriptor_exit_1(desc_path, tmp_path, capsys, mangle):
+    with open(desc_path) as fh:
+        bad = tmp_path / "bad.json"
+        bad.write_text(mangle(fh.read()))
+    _assert_exit_1(main(["info", "--in", str(bad)]), capsys)
+
+
+@pytest.mark.parametrize("text", ["{psnr_cap: 60}", '{"psnr_kap": 60.0}'],
+                         ids=["malformed-json", "unknown-key"])
+def test_bad_config_exit_1(desc_path, tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    _assert_exit_1(main(["score-fr", "--metric", "psnr_s", "--ref", desc_path,
+                         "--dist", desc_path, "--out", str(tmp_path / "r.json"),
+                         "--config", str(cfg)]), capsys)
+
+
 def test_none_and_uniform_saliency_agree(desc_path, tmp_path):
     a = str(tmp_path / "none.json")
     b = str(tmp_path / "uniform.json")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.ndimage
 
 from stereoqa.disparity import (
     DisparityConfig,
@@ -109,3 +110,62 @@ def test_median_filter_removes_speckle():
     d = estimate_disparity(pair)
     patch = d.values[8:48, 8:48]
     assert np.median(patch) == 4
+
+
+def _reference_disparity(pair, cfg=None):
+    """The per-block, per-candidate SAD loop that estimate_disparity replaced."""
+    cfg = cfg or DisparityConfig()
+    left, right = pair.left.luma, pair.right.luma
+    h, w = left.shape
+    b = cfg.block
+    out = np.zeros((h, w))
+    y_anchors = sorted({min(y0, h - b) for y0 in range(0, h, b)})
+    x_anchors = sorted({min(x0, w - b) for x0 in range(0, w, b)})
+    for y0 in y_anchors:
+        lrow = left[y0:y0 + b]
+        for x0 in x_anchors:
+            lblock = lrow[:, x0:x0 + b]
+            d_max = min(cfg.search_range, x0)
+            cand = np.empty(d_max + 1)
+            for d in range(d_max + 1):
+                cand[d] = np.abs(lblock - right[y0:y0 + b, x0 - d:x0 - d + b]).sum()
+            out[y0:y0 + b, x0:x0 + b] = int(np.argmin(cand))
+    return scipy.ndimage.median_filter(out, size=3, mode="nearest")
+
+
+def _integer_pair(h, w, seed):
+    """Integer-valued luma, as read from 8-bit files.  The right view is the
+    left one shifted by 0..12 px in patches that do not line up with the
+    block grid, plus noise, so the SAD minimum varies across the frame and
+    across the clamped last row and column of blocks."""
+    rng = SeededRng(seed)
+    left = np.floor(rng.uniform(h * w).reshape(h, w) * 256.0)
+    noise = np.floor(rng.uniform(h * w).reshape(h, w) * 16.0)
+    y, x = np.mgrid[0:h, 0:w]
+    shift = (y // 11 + x // 13) % 7 * 2
+    right = left[y, np.minimum(x + shift, w - 1)] + noise - 8.0
+    return StereoFrame(left=Frame(luma=left), right=Frame(luma=right), index=0)
+
+
+@pytest.mark.parametrize("h, w, cfg", [
+    (64, 64, None),
+    (100, 132, None),
+    (270, 480, None),
+    (64, 77, None),
+    (48, 40, None),
+    (37, 45, DisparityConfig(block=4, search_range=5)),
+    (64, 64, DisparityConfig(block=4, search_range=32)),
+    (50, 66, DisparityConfig(block=8, search_range=5)),
+])
+def test_matches_reference_loop(h, w, cfg):
+    pair = _integer_pair(h, w, seed=h * 1000 + w)
+    d = estimate_disparity(pair, cfg)
+    assert np.array_equal(d.values, _reference_disparity(pair, cfg))
+
+
+def test_flat_frame_matches_reference_loop():
+    flat = np.full((100, 132), 77.0)
+    pair = StereoFrame(left=Frame(luma=flat), right=Frame(luma=flat.copy()), index=0)
+    d = estimate_disparity(pair)
+    assert np.array_equal(d.values, _reference_disparity(pair))
+    assert np.all(d.values == 0)

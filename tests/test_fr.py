@@ -10,11 +10,14 @@ from stereoqa.errors import (
     DisparityRequired,
     NeedsTemporalContext,
     SequenceLengthError,
+    TooSmall,
 )
 from stereoqa.fr import FR_METRICS, FR_NEEDS_DISPARITY, FrMetricConfig, cyclopean_fuse
-from stereoqa.saliency import uniform_series
+from stereoqa.kernels import dct3_stereo_stack, sobel_gradient
+from stereoqa.rng import SeededRng
+from stereoqa.saliency import SaliencyMap, uniform_series
 
-from conftest import flat_seq, make_seq
+from conftest import flat_seq, make_seq, seq_from_lumas
 
 
 def _flat_disparity(seq, value=0.0):
@@ -146,3 +149,113 @@ def test_every_registered_metric_runs():
         rep = fn(ref, dist, **_disparity_kwargs(metric, ref, dist))
         assert np.isfinite(rep.score), metric
         assert rep.orientation in ("higher_better", "lower_better", "composite")
+
+
+
+# Per-block loop references for the block helpers, at a size whose height and
+# width are not multiples of 8.
+_H, _W = 100, 132
+
+
+def _grid_loop(h, w, size):
+    return [(y0, x0) for y0 in range(0, h - size + 1, size)
+            for x0 in range(0, w - size + 1, size)]
+
+
+def _matched_loop(anchors, d_values, size, w):
+    out = []
+    for y0, x0 in anchors:
+        d = int(np.rint(d_values[y0:y0 + size, x0:x0 + size].mean()))
+        out.append((y0, int(np.clip(x0 - d, 0, w - size))))
+    return out
+
+
+def _block_inputs(seed=61):
+    """Integer luma, integer disparity 0..32 and random saliency."""
+    rng = SeededRng(seed)
+    lumas = [np.floor(rng.uniform(_H * _W).reshape(_H, _W) * 256.0) for _ in range(4)]
+    ref = seq_from_lumas([lumas[0]], [lumas[1]]).frames[0]
+    dist = seq_from_lumas([lumas[2]], [lumas[3]]).frames[0]
+    d_values = np.floor(rng.uniform(_H * _W).reshape(_H, _W) * 33.0)
+    s = SaliencyMap(rng.uniform(_H * _W).reshape(_H, _W))
+    return ref, dist, d_values, s
+
+
+@pytest.mark.parametrize("size", [4, 8])
+def test_matched_anchors_match_block_loop(size):
+    _, _, d_values, _ = _block_inputs()
+    anchors = fr._block_grid(_H, _W, size)
+    assert anchors.tolist() == [list(a) for a in _grid_loop(_H, _W, size)]
+    want = _matched_loop(_grid_loop(_H, _W, size), d_values, size, _W)
+    got = fr._matched_anchors(anchors, d_values, size, _W)
+    assert got.tolist() == [list(a) for a in want]
+
+
+@pytest.mark.parametrize("size", [4, 8])
+def test_block_weights_match_block_loop(size):
+    _, _, _, s = _block_inputs()
+    want = [s.values[y0:y0 + size, x0:x0 + size].mean()
+            for y0, x0 in _grid_loop(_H, _W, size)]
+    got = fr._block_weights(s, fr._block_grid(_H, _W, size), size)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+def test_structure_errors_match_block_loop():
+    ref, dist, d_values, _ = _block_inputs()
+    cfg = FrMetricConfig(csf_mask=tuple(tuple(1.0 + 0.1 * (i + j) for j in range(4))
+                                        for i in range(4)))
+    anchors = _grid_loop(_H, _W, 4)
+    matched = _matched_loop(anchors, d_values, 4, _W)
+
+    def coefficients(frame):
+        return dct3_stereo_stack(np.stack([
+            np.stack([frame.left.luma[y0:y0 + 4, x0:x0 + 4],
+                      frame.right.luma[y1:y1 + 4, x1:x1 + 4]], axis=-1)
+            for (y0, x0), (y1, x1) in zip(anchors, matched)]))
+
+    diff = coefficients(ref) - coefficients(dist)
+    csf = np.asarray(cfg.csf_mask)[None, :, :, None]
+    want = np.mean((diff * csf) ** 2, axis=(1, 2, 3))
+    got_anchors, got = fr._structure_errors(ref, dist, d_values, cfg)
+    assert got_anchors.tolist() == [list(a) for a in anchors]
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+def test_global_ssim_matches_block_loop():
+    ref, dist, _, _ = _block_inputs()
+    cfg = FrMetricConfig()
+    anchors = fr._block_grid(_H, _W, 8)
+    x = fr._gather_blocks(ref.left.luma, anchors, 8)
+    y = fr._gather_blocks(dist.left.luma, anchors, 8)
+    want = []
+    for xb, yb in zip(x, y):
+        mu_x, mu_y = xb.mean(), yb.mean()
+        var_x = (xb * xb).mean() - mu_x * mu_x
+        var_y = (yb * yb).mean() - mu_y * mu_y
+        cov = (xb * yb).mean() - mu_x * mu_y
+        want.append(((2 * mu_x * mu_y + cfg.ssim_c1) * (2 * cov + cfg.ssim_c2))
+                    / ((mu_x * mu_x + mu_y * mu_y + cfg.ssim_c1)
+                       * (var_x + var_y + cfg.ssim_c2)))
+    np.testing.assert_allclose(fr._global_ssim(x, y, cfg), want, rtol=1e-13, atol=0)
+
+
+def test_patch_features_match_block_loop():
+    ref, dist, _, _ = _block_inputs()
+    image = ref.left.luma - dist.left.luma
+    grad = sobel_gradient(image)
+    gx, gy = grad["gx"], grad["gy"]
+    rows = []
+    for y0, x0 in _grid_loop(_H, _W, 8):
+        p = image[y0:y0 + 8, x0:x0 + 8]
+        pgx, pgy = gx[y0:y0 + 8, x0:x0 + 8], gy[y0:y0 + 8, x0:x0 + 8]
+        a, c = (pgx * pgx).mean(), (pgy * pgy).mean()
+        bb = (pgx * pgy).mean()
+        rows.append((p.mean(), p.var(),
+                     0.5 * ((a + c) - np.sqrt((a - c) ** 2 + 4.0 * bb * bb))))
+    got = fr._patch_features(image, 8)
+    np.testing.assert_allclose(got, np.asarray(rows), rtol=1e-13, atol=0)
+
+
+def test_block_metrics_need_one_whole_block():
+    with pytest.raises(TooSmall):
+        fr._block_grid(3, 40, 4)

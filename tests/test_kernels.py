@@ -13,6 +13,7 @@ from stereoqa.kernels import (
     dct3_stereo,
     downsample2,
     gaussian_kernel,
+    gaussian_smooth,
     halving_chain,
     idct2,
     idct3_stereo,
@@ -179,3 +180,24 @@ def test_rng_split_point_invariance(seed, split):
     b = SeededRng(seed)
     left = np.concatenate([a.next_u64(split), a.next_u64(65 - split)])
     assert np.array_equal(left, b.next_u64(65))
+
+
+@pytest.mark.parametrize("size, sigma, shape", [
+    (3, 0.5, (10, 12)),
+    (4, 4.0, (16, 9)),      # even: half-integer offsets, no one-pixel shift
+    (10, 2.0, (10, 12)),
+    (11, 1.5, (40, 33)),
+    (53, 8.4375, (70, 90)),
+])
+def test_gaussian_smooth_matches_2d_convolution(size, sigma, shape):
+    image = SeededRng(size).uniform(shape[0] * shape[1]).reshape(shape) * 255.0
+    want = convolve2d(image, gaussian_kernel(size, sigma))
+    got = gaussian_smooth(image, size, sigma)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+def test_gaussian_smooth_checks_like_convolve2d():
+    with pytest.raises(KernelTooLarge):
+        gaussian_smooth(np.zeros((8, 12)), 9, 1.0)
+    with pytest.raises(ParamError):
+        gaussian_smooth(np.zeros((8, 8)), 3, 0.0)

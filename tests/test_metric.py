@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from stereoqa.disparity import DisparityMap
-from stereoqa.errors import DisparityRequired, SequenceLengthError
-from stereoqa.fr import FR_METRICS, FR_NEEDS_DISPARITY
+from stereoqa.errors import DisparityRequired, NumericError, SequenceLengthError
+from stereoqa.fr import FR_METRICS, FR_NEEDS_DISPARITY, FrMetricConfig
+from stereoqa.metric import registrar
 from stereoqa.nr import NR_METRICS, NR_NEEDS_DISPARITY, NrMetricConfig
 from stereoqa.saliency import uniform_series
 
@@ -39,3 +40,17 @@ def test_registry_entry_contract(module, name):
     for slot in needs:
         with pytest.raises(DisparityRequired):
             fn(*args, cfg=cfg, **{k: v for k, v in maps.items() if k != slot})
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_frame_score_raises(bad):
+    registry, needs = {}, {}
+    calls = iter([0.5, bad, 0.5, 0.5])
+
+    @registrar(registry, needs, FrMetricConfig, reference=True)("higher_better")
+    def broken(x, y, s, cfg):
+        return next(calls)
+
+    seq = make_seq(71, frames=2, size=16)
+    with pytest.raises(NumericError):
+        broken(seq, seq)

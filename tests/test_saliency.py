@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.ndimage
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import stereoqa.saliency as saliency
 from stereoqa.disparity import estimate_disparity_series
 from stereoqa.errors import (
     DegenerateSaliency,
@@ -20,7 +22,9 @@ from stereoqa.saliency import (
     uniform_series,
     weighted_spatial_mean,
 )
-from stereoqa.media import save_map_series
+from stereoqa.kernels import gaussian_kernel
+from stereoqa.media import Frame, StereoFrame, StereoSequence, save_map_series
+from stereoqa.rng import SeededRng
 
 from conftest import make_seq
 
@@ -147,3 +151,39 @@ def test_vam_config_weights_default():
 def test_saliency_map_rejects_negative():
     with pytest.raises(Exception):
         SaliencyMap(np.array([[-1.0, 0.0], [0.0, 1.0]]), "external")
+
+
+def _smooth_2d(values, size, sigma):
+    """The full 2-D Gaussian convolution that the VAM smoothing replaced."""
+    return scipy.ndimage.convolve(values, gaussian_kernel(size, sigma).taps,
+                                  mode="nearest")
+
+
+def _seq_with_chroma(seed, frames, h, w):
+    rng = SeededRng(seed)
+    out = []
+    for i in range(frames):
+        views = []
+        for _ in range(2):
+            luma = np.floor(rng.uniform(h * w).reshape(h, w) * 256.0)
+            u, v = (np.floor(rng.uniform(h * w // 4).reshape(h // 2, w // 2) * 256.0)
+                    for _ in range(2))
+            views.append(Frame(luma=luma, chroma_u=u, chroma_v=v))
+        out.append(StereoFrame(left=views[0], right=views[1], index=i))
+    return StereoSequence(frames=out, fps=25.0)
+
+
+@pytest.mark.parametrize("seq", [
+    _seq_with_chroma(41, frames=2, h=64, w=64),
+    make_seq(43, frames=2, size=64),
+    _seq_with_chroma(47, frames=3, h=100, w=132),
+    # 10x12: the motion window is clipped to an even size (10)
+    _seq_with_chroma(53, frames=2, h=10, w=12),
+], ids=["64x64-yuv", "64x64-gray", "100x132-yuv", "10x12-even-window"])
+def test_baseline_vam_matches_2d_smoothing(seq, monkeypatch):
+    got = baseline_vam(seq)
+    monkeypatch.setattr(saliency, "gaussian_smooth", _smooth_2d)
+    want = baseline_vam(seq)
+    for g, r in zip(got, want):
+        np.testing.assert_allclose(g.values, r.values, rtol=0,
+                                   atol=1e-12 * np.abs(r.values).max())
