@@ -3,10 +3,8 @@
 __version__ = "0.1.0"
 
 from .disparity import (
-    DepthBracket,
     DisparityConfig,
     DisparityMap,
-    depth_bracket,
     disparity_to_depth,
     estimate_disparity,
     estimate_disparity_series,

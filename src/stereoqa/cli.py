@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from .disparity import DisparityConfig, DisparityMap, estimate_disparity_series
 from .distort import apply_all, spec_from_dict
-from .errors import MalformedJson, StereoQaError
+from .errors import MalformedJson, ParamError, StereoQaError
 from .fr import FR_METRICS, FR_NEEDS_DISPARITY, FrMetricConfig
 from .media import SequenceDescriptor, load_map_series, load_sequence, \
     read_json, save_map_series, save_sequence
@@ -165,9 +165,14 @@ def _cmd_evaluate(args) -> int:
         if not path:
             sys.stderr.write("objective entries must look like item_id=report.json\n")
             return 2
+        if item_id not in item_pos:
+            raise ParamError(f"item {item_id!r} is not in {args.scores}")
         rep = read_json(path)
-        key = (rep["metric"], rep["saliency_mode"])
-        groups.setdefault(key, []).append((item_id, float(rep["score"])))
+        try:
+            key = (rep["metric"], rep["saliency_mode"])
+            groups.setdefault(key, []).append((item_id, float(rep["score"])))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedJson(f"{path}: not a metric report ({exc!r})") from exc
     rows = []
     for (metric, mode), pairs in sorted(groups.items()):
         idx = [item_pos[item] for item, _ in pairs]

@@ -1,4 +1,4 @@
-"""Blockwise SAD disparity estimation, relative depth, and the depth bracket.
+"""Blockwise SAD disparity estimation and relative depth.
 
 Convention: disparity d at (x, y) matches left(x, y) with right(x - d, y);
 larger d means nearer.  The search is non-negative (parallel cameras).
@@ -11,9 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.ndimage
 
-from .errors import DimensionMismatch, ParamError
+from .errors import ParamError
 from .media import StereoFrame
-from .saliency import SaliencyMap
 
 
 @dataclass
@@ -42,16 +41,6 @@ class DisparityMap:
     @property
     def shape(self):
         return self.values.shape
-
-
-@dataclass
-class DepthBracket:
-    near: float
-    far: float
-
-    @property
-    def bracket(self) -> float:
-        return self.far - self.near
 
 
 def _anchors(n: int, block: int) -> np.ndarray:
@@ -106,25 +95,3 @@ def disparity_to_depth(d: DisparityMap) -> np.ndarray:
     if hi - lo < 1e-12:
         return np.full_like(values, 0.5)
     return 1.0 - (values - lo) / (hi - lo)
-
-
-def depth_bracket(d_series, s_series, percentile: float = 5.0) -> DepthBracket:
-    """Depth spread of the visually important pixels, pooled over frames.
-
-    Pixels with saliency above its 75th percentile are kept; the bracket is
-    the (100-p)th minus the pth percentile of their depths.
-    """
-    if len(d_series) != len(s_series):
-        raise DimensionMismatch("disparity and saliency series lengths differ")
-    samples = []
-    for d, s in zip(d_series, s_series):
-        depth = disparity_to_depth(d)
-        weights = s.values if isinstance(s, SaliencyMap) else np.asarray(s)
-        if weights.shape != depth.shape:
-            raise DimensionMismatch("saliency/disparity shape mismatch")
-        mask = weights > np.percentile(weights, 75)
-        samples.append(depth[mask] if mask.any() else depth.ravel())
-    pooled = np.concatenate(samples)
-    near = float(np.percentile(pooled, percentile))
-    far = float(np.percentile(pooled, 100.0 - percentile))
-    return DepthBracket(near=near, far=far)

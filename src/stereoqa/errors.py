@@ -29,6 +29,10 @@ class MalformedJson(StereoQaError):
     """A JSON input is not valid JSON, or its fields are missing or unknown."""
 
 
+class MalformedCsv(StereoQaError):
+    """A CSV input lacks a required column or holds a malformed row."""
+
+
 class RangeError(StereoQaError):
     """A sample value lies outside the documented range."""
 
@@ -83,10 +87,6 @@ class ScreeningDegenerate(StereoQaError):
 
 class UndefinedCorrelation(StereoQaError):
     """Correlation is undefined (zero variance or too few points)."""
-
-
-class FitDidNotConverge(StereoQaError):
-    """Logistic fitting did not converge within the evaluation budget."""
 
 
 class EmptyReport(StereoQaError):

@@ -26,7 +26,7 @@ from .kernels import (
 )
 from .media import StereoFrame
 from .metric import VIEWS, registrar
-from .saliency import SaliencyMap, build_saliency_pyramid, weighted_spatial_mean
+from .saliency import build_saliency_pyramid, weighted_spatial_mean
 
 MSSSIM_EXPONENTS = (0.0448, 0.2856, 0.3001, 0.2363, 0.1333)
 
@@ -120,21 +120,18 @@ def _msssim_scales(height: int, width: int, cfg: FrMetricConfig) -> int:
     return m
 
 
-def _msssim_frame(x: np.ndarray, y: np.ndarray, s: SaliencyMap | None,
+def _msssim_frame(x: np.ndarray, y: np.ndarray, s: np.ndarray,
                   cfg: FrMetricConfig) -> float:
     scales = _msssim_scales(x.shape[0], x.shape[1], cfg)
     if scales < 2:
         raise TooSmall("image supports fewer than 2 MS-SSIM scales")
     weights = np.asarray(cfg.msssim_exponents[:scales])
     weights = weights / weights.sum()
-    s_levels = None
-    if s is not None:
-        s_levels = build_saliency_pyramid(s, halving_chain(*x.shape, scales)).levels
+    s_levels = build_saliency_pyramid(s, halving_chain(*x.shape, scales))
     window = gaussian_kernel(cfg.ssim_window, cfg.ssim_sigma)
     c1, c2 = cfg.ssim_c1, cfg.ssim_c2
     score = 1.0
-    for m in range(scales):
-        s_m = None if s_levels is None else s_levels[m]
+    for m, s_m in enumerate(s_levels):
         mu_x, mu_y, var_x, var_y, cov = _raw_moments(x, y, window)
         cs_map = (2.0 * cov + c2) / (var_x + var_y + c2)
         cs = max(weighted_spatial_mean(cs_map, s_m), 0.0)
@@ -158,18 +155,15 @@ def msssim_s(c, cfg):
     return 0.5 * (vals[0] + vals[1])
 
 
-def _vif_frame(x: np.ndarray, y: np.ndarray, s: SaliencyMap | None,
+def _vif_frame(x: np.ndarray, y: np.ndarray, s: np.ndarray,
                cfg: FrMetricConfig) -> float:
     if min(x.shape) < 32:
         raise TooSmall("VIF needs at least 32 pixels per side")
-    s_levels = None
-    if s is not None:
-        s_levels = build_saliency_pyramid(
-            s, halving_chain(*x.shape, cfg.vif_scales)).levels
+    s_levels = build_saliency_pyramid(s, halving_chain(*x.shape, cfg.vif_scales))
     sigma_n_sq = cfg.vif_sigma_n_sq
     num_total = 0.0
     den_total = 0.0
-    for k in range(1, cfg.vif_scales + 1):
+    for k, w in enumerate(s_levels, start=1):
         size = 2 ** (cfg.vif_scales - k + 1) + 1
         window = gaussian_kernel(size, size / 5.0)
         if k > 1:
@@ -183,13 +177,8 @@ def _vif_frame(x: np.ndarray, y: np.ndarray, s: SaliencyMap | None,
         sv_sq = np.maximum(var_y - g * cov, 0.0)
         num_map = np.log10(1.0 + g * g * var_x / (sv_sq + sigma_n_sq))
         den_map = np.log10(1.0 + var_x / sigma_n_sq)
-        if s_levels is None:
-            num_total += num_map.sum()
-            den_total += den_map.sum()
-        else:
-            w = s_levels[k - 1].values
-            num_total += (num_map * w).sum()
-            den_total += (den_map * w).sum()
+        num_total += (num_map * w).sum()
+        den_total += (den_map * w).sum()
     if den_total <= 0.0:
         return 1.0
     return float(num_total / den_total)
@@ -274,10 +263,8 @@ def _matched_anchors(anchors: np.ndarray, d_values: np.ndarray, size: int,
     return np.stack([anchors[:, 0], x1], axis=1)
 
 
-def _block_weights(s: SaliencyMap | None, anchors: np.ndarray, size: int) -> np.ndarray:
-    if s is None:
-        return np.ones(len(anchors))
-    return _gather_blocks(s.values, anchors, size).mean(axis=(1, 2))
+def _block_weights(s: np.ndarray, anchors: np.ndarray, size: int) -> np.ndarray:
+    return _gather_blocks(s, anchors, size).mean(axis=(1, 2))
 
 
 def _structure_errors(ref_t: StereoFrame, dist_t: StereoFrame, d_values: np.ndarray,

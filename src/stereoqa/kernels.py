@@ -1,4 +1,4 @@
-"""Shared numeric kernels: convolution, pyramids, DCTs, gradients, moments.
+"""Shared numeric kernels: convolution, pyramids, DCTs and gradients.
 
 Border policy is edge replication everywhere so every metric sees the same
 boundary behavior.  DCTs are orthonormal (type II) so Parseval holds exactly.
@@ -12,7 +12,7 @@ import numpy as np
 import scipy.fft
 import scipy.ndimage
 
-from .errors import DimensionMismatch, KernelTooLarge, ParamError, TooSmall
+from .errors import KernelTooLarge, ParamError, TooSmall
 
 DCT_SIZES = (4, 8)
 _BINOMIAL5 = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
@@ -167,20 +167,6 @@ def dct3_stereo_stack(pairs: np.ndarray) -> np.ndarray:
     out[..., 0] = (slabs[..., 0] + slabs[..., 1]) * inv_sqrt2
     out[..., 1] = (slabs[..., 0] - slabs[..., 1]) * inv_sqrt2
     return out
-
-
-def local_stats(x: np.ndarray, y: np.ndarray, window: Kernel2D) -> dict:
-    """Windowed means, variances (clamped >= 0), and covariance of x and y."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise DimensionMismatch(f"shapes differ: {x.shape} vs {y.shape}")
-    mu_x = convolve2d(x, window)
-    mu_y = convolve2d(y, window)
-    var_x = np.maximum(convolve2d(x * x, window) - mu_x * mu_x, 0.0)
-    var_y = np.maximum(convolve2d(y * y, window) - mu_y * mu_y, 0.0)
-    cov = convolve2d(x * y, window) - mu_x * mu_y
-    return {"mu_x": mu_x, "mu_y": mu_y, "var_x": var_x, "var_y": var_y, "cov": cov}
 
 
 def sobel_gradient(image: np.ndarray) -> dict:

@@ -13,8 +13,8 @@ flags and the report.
 - ``"sequence"``: ``formula(c, cfg)`` gets that context with whole
   sequences and per-frame lists and returns the frame scores.
 
-``s`` is a SaliencyMap or None for FR, and an array (all ones without
-saliency) for NR.  Disparity maps arrive as float arrays.
+``s`` is a float64 weight array for FR and NR alike, all ones without
+saliency.  Disparity maps arrive as float arrays.
 """
 
 from __future__ import annotations
@@ -25,25 +25,24 @@ from types import SimpleNamespace
 import numpy as np
 
 from .disparity import DisparityMap
-from .errors import DimensionMismatch, DisparityRequired, SequenceLengthError
+from .errors import DimensionMismatch, DisparityRequired, ParamError, SequenceLengthError
 from .report import make_report
 from .saliency import SaliencyMap
 
 VIEWS = ("left", "right")
 
 
-def _saliency(s_series, n: int, shape, as_array: bool) -> list:
+def _saliency(s_series, n: int, shape) -> list:
     if s_series is None:
-        return [np.ones(shape) if as_array else None] * n
+        return [np.ones(shape)] * n
     if len(s_series) != n:
         raise SequenceLengthError("saliency series length does not match frames")
-    out = []
     for s in s_series:
-        values = s.values if isinstance(s, SaliencyMap) else np.asarray(s)
-        if values.shape != shape:
+        if not isinstance(s, SaliencyMap):
+            raise ParamError(f"s_series must hold SaliencyMap, not {type(s).__name__}")
+        if s.shape != shape:
             raise DimensionMismatch("saliency shape does not match frame")
-        out.append(values if as_array else s)
-    return out
+    return [s.values for s in s_series]
 
 
 def _disparity(series, slot: str, n: int) -> list:
@@ -62,7 +61,7 @@ def _run(formula, orientation, needs, over, ref, dist, s_series, maps, cfg):
         if (ref.height, ref.width) != (dist.height, dist.width):
             raise DimensionMismatch("reference and distorted dimensions differ")
     n = len(dist)
-    s = _saliency(s_series, n, (dist.height, dist.width), as_array=ref is None)
+    s = _saliency(s_series, n, (dist.height, dist.width))
     d = {slot: _disparity(maps[slot], slot, n) if slot in needs else [None] * n
          for slot in maps}
     flags = []

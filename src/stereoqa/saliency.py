@@ -42,11 +42,6 @@ class SaliencyMap:
 
 
 @dataclass
-class SaliencyPyramid:
-    levels: list[SaliencyMap]
-
-
-@dataclass
 class VamConfig:
     """Fixed-weight channel fusion: intensity, color, motion, depth."""
 
@@ -64,16 +59,10 @@ class VamConfig:
             raise NumericError("channel weights must be >= 0 with positive sum")
 
 
-def _weights(s) -> np.ndarray:
-    return s.values if isinstance(s, SaliencyMap) else np.asarray(s, dtype=np.float64)
-
-
-def weighted_spatial_mean(f: np.ndarray, s) -> float:
-    """sum(f * S) / sum(S); the single pooling contract of the toolkit."""
+def weighted_spatial_mean(f: np.ndarray, w: np.ndarray) -> float:
+    """sum(f * w) / sum(w); the single pooling contract of the toolkit."""
     f = np.asarray(f, dtype=np.float64)
-    if s is None:
-        return float(f.mean())
-    w = _weights(s)
+    w = np.asarray(w, dtype=np.float64)
     if w.shape != f.shape:
         raise DimensionMismatch(f"map shape {w.shape} vs field shape {f.shape}")
     total = w.sum()
@@ -93,18 +82,16 @@ def normalize_map(raw: np.ndarray, source: str = "external") -> SaliencyMap:
     return SaliencyMap((raw - lo) / (hi - lo), source)
 
 
-def build_saliency_pyramid(s: SaliencyMap, target_dims) -> SaliencyPyramid:
-    """Repeated downsample2 of S, re-normalized per level."""
+def build_saliency_pyramid(values: np.ndarray, target_dims) -> list[np.ndarray]:
+    """Repeated downsample2 of a weight array, re-normalized per level."""
     target_dims = [tuple(d) for d in target_dims]
-    chain = halving_chain(*s.shape, levels=len(target_dims))
+    chain = halving_chain(*values.shape, levels=len(target_dims))
     if chain != target_dims:
         raise PyramidMismatch(f"dims {target_dims} are not the halving chain {chain}")
-    levels = [normalize_map(s.values, s.source)]
-    current = s.values
+    levels = [values]
     for _ in range(len(target_dims) - 1):
-        current = downsample2(current)
-        levels.append(normalize_map(current, s.source))
-    return SaliencyPyramid(levels)
+        levels.append(downsample2(levels[-1]))
+    return [normalize_map(level).values for level in levels]
 
 
 def uniform_series(seq: StereoSequence) -> list[SaliencyMap]:

@@ -12,6 +12,7 @@ import scipy.optimize
 from .errors import (
     DimensionMismatch,
     EmptyReport,
+    MalformedCsv,
     ParamError,
     RangeError,
     ScreeningDegenerate,
@@ -42,8 +43,15 @@ class SubjectiveTable:
         rows = []
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
+            missing = {"item_id", "subject_id", "score"} - set(reader.fieldnames or ())
+            if missing:
+                raise MalformedCsv(f"{path}: missing column(s) {', '.join(sorted(missing))}")
             for row in reader:
-                rows.append((row["item_id"], row["subject_id"], float(row["score"])))
+                try:
+                    rows.append((row["item_id"], row["subject_id"], float(row["score"])))
+                except (TypeError, ValueError) as exc:
+                    raise MalformedCsv(f"{path}: line {reader.line_num}: score "
+                                       f"{row['score']!r} is not a number") from exc
         items = sorted({r[0] for r in rows})
         subjects = sorted({r[1] for r in rows})
         scores = np.full((len(items), len(subjects)), np.nan)
@@ -157,10 +165,12 @@ def pearson_cc(x, y) -> float:
     if x.size < 3:
         raise ParamError("need at least 3 points")
     cx, cy = x - x.mean(), y - y.mean()
-    # two roots, not the root of the product, which underflows for tiny spreads
-    denom = np.sqrt((cx * cx).sum()) * np.sqrt((cy * cy).sum())
-    if denom <= 0:
+    sx, sy = np.abs(cx).max(), np.abs(cy).max()
+    if sx == 0 or sy == 0:
         raise UndefinedCorrelation("zero variance in a series")
+    # unit-scale both series so that no square or product under- or overflows
+    cx, cy = cx / sx, cy / sy
+    denom = np.sqrt((cx * cx).sum()) * np.sqrt((cy * cy).sum())
     return float(np.clip((cx * cy).sum() / denom, -1.0, 1.0))
 
 

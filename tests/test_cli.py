@@ -215,6 +215,46 @@ def test_evaluate_pipeline(tmp_path):
     assert "1.0000" in text  # perfectly linear objective
 
 
+_REPORT = {"metric": "psnr_s", "saliency_mode": "none", "score": 30.0}
+_COLUMNS = ("item_id", "subject_id", "score")
+
+
+def _without(mapping, key):
+    return {k: v for k, v in mapping.items() if k != key}
+
+
+@pytest.mark.parametrize("columns,first_score,report,item,fragment", [
+    pytest.param(_COLUMNS, "80", _REPORT, "zz", "'zz'", id="unknown-item"),
+    pytest.param(_COLUMNS[1:], "80", _REPORT, "a", "item_id", id="no-item-column"),
+    pytest.param(_COLUMNS[::2], "80", _REPORT, "a", "subject_id", id="no-subject-column"),
+    pytest.param(_COLUMNS[:2], "80", _REPORT, "a", "score", id="no-score-column"),
+    pytest.param(_COLUMNS, "high", _REPORT, "a", "line 2", id="non-numeric-score"),
+    pytest.param(_COLUMNS, "80", _without(_REPORT, "saliency_mode"), "a", "rep.json",
+                 id="report-without-mode"),
+    pytest.param(_COLUMNS, "80", _without(_REPORT, "metric"), "a", "rep.json",
+                 id="report-without-metric"),
+    pytest.param(_COLUMNS, "80", _without(_REPORT, "score"), "a", "rep.json",
+                 id="report-without-score"),
+    pytest.param(_COLUMNS, "80", [_REPORT], "a", "rep.json", id="report-is-list"),
+])
+def test_bad_evaluate_input_exit_1(tmp_path, capsys, columns, first_score, report,
+                                   item, fragment):
+    rows = [{"item_id": it, "subject_id": f"s{s}", "score": str(m + s)}
+            for it, m in (("a", 80), ("b", 40)) for s in range(3)]
+    rows[0]["score"] = first_score
+    scores_csv = tmp_path / "scores.csv"
+    scores_csv.write_text("\n".join([",".join(columns)]
+                                    + [",".join(r[c] for c in columns) for r in rows]) + "\n")
+    rep = tmp_path / "rep.json"
+    rep.write_text(json.dumps(report))
+    code = main(["evaluate", "--scores", str(scores_csv), "--objective",
+                 f"{item}={rep}", "--out", str(tmp_path / "perf.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and fragment in err
+    assert "Traceback" not in err
+
+
 def test_config_override(desc_path, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"psnr_cap": 60.0}))

@@ -5,7 +5,6 @@ import scipy.ndimage
 from stereoqa.disparity import (
     DisparityConfig,
     DisparityMap,
-    depth_bracket,
     disparity_to_depth,
     estimate_disparity,
     estimate_disparity_series,
@@ -13,7 +12,6 @@ from stereoqa.disparity import (
 from stereoqa.errors import ParamError
 from stereoqa.media import Frame, StereoFrame
 from stereoqa.rng import SeededRng
-from stereoqa.saliency import SaliencyMap
 
 from conftest import make_seq
 
@@ -77,29 +75,6 @@ def test_disparity_to_depth_orientation():
 def test_disparity_to_depth_flat():
     d = DisparityMap(values=np.full((4, 4), 5.0), block=8, search_range=32)
     assert np.allclose(disparity_to_depth(d), 0.5)
-
-
-def test_depth_bracket_ordering():
-    values = np.zeros((16, 16))
-    values[:8] = 30.0
-    values[8:] = 2.0
-    d = DisparityMap(values=values, block=8, search_range=32)
-    s = SaliencyMap(np.ones((16, 16)), "uniform")
-    bracket = depth_bracket([d], [s])
-    assert bracket.near <= bracket.far
-    assert bracket.bracket == pytest.approx(bracket.far - bracket.near)
-
-
-def test_depth_bracket_tracks_salient_region():
-    values = np.zeros((16, 16))
-    values[:8] = 30.0
-    d = DisparityMap(values=values, block=8, search_range=32)
-    hot_top = np.ones((16, 16)) * 1e-3
-    hot_top[:8] = 1.0
-    narrow = depth_bracket([d], [SaliencyMap(hot_top, "external")])
-    wide = depth_bracket([d], [SaliencyMap(np.ones((16, 16)), "uniform")])
-    # saliency concentrated on one plane should not widen the bracket
-    assert narrow.bracket <= wide.bracket + 1e-12
 
 
 def test_median_filter_removes_speckle():

@@ -196,7 +196,7 @@ def test_block_weights_match_block_loop(size):
     _, _, _, s = _block_inputs()
     want = [s.values[y0:y0 + size, x0:x0 + size].mean()
             for y0, x0 in _grid_loop(_H, _W, size)]
-    got = fr._block_weights(s, fr._block_grid(_H, _W, size), size)
+    got = fr._block_weights(s.values, fr._block_grid(_H, _W, size), size)
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 

@@ -17,7 +17,6 @@ from stereoqa.kernels import (
     halving_chain,
     idct2,
     idct3_stereo,
-    local_stats,
     sobel_gradient,
 )
 from stereoqa.rng import SeededRng
@@ -115,14 +114,6 @@ def test_dct3_view_axis_is_sum_difference():
     # dc across views: (a+b)/sqrt(2) then 2-d dc gain of 4
     assert coeffs[0, 0, 0] == pytest.approx(8.0 / math.sqrt(2) * 4)
     assert coeffs[0, 0, 1] == pytest.approx(4.0 / math.sqrt(2) * 4)
-
-
-def test_local_stats_constant():
-    stats = local_stats(np.full((16, 16), 5.0), np.full((16, 16), 5.0),
-                        gaussian_kernel(3, 1.0))
-    assert np.allclose(stats["mu_x"], 5.0)
-    assert stats["var_x"].min() >= 0.0
-    assert np.allclose(stats["var_x"], 0.0)
 
 
 def test_sobel_on_ramp():

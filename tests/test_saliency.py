@@ -36,8 +36,9 @@ def test_weighted_mean_hand_value():
 
 
 def test_weighted_mean_none_is_plain_mean():
-    f = np.arange(12.0).reshape(3, 4)
-    assert weighted_spatial_mean(f, None) == pytest.approx(f.mean())
+    # no saliency is the all-ones weight array: exactly the plain mean
+    f = np.random.RandomState(1).randn(37, 53)
+    assert weighted_spatial_mean(f, np.ones_like(f)) == f.mean()
 
 
 def test_weighted_mean_zero_saliency():
@@ -85,14 +86,14 @@ def test_normalize_flat_map_uniform():
 
 def test_pyramid_levels_match_chain():
     s = normalize_map(np.abs(np.random.RandomState(0).randn(64, 64)))
-    pyr = build_saliency_pyramid(s, [(64, 64), (32, 32), (16, 16)])
-    assert [lvl.values.shape for lvl in pyr.levels] == [(64, 64), (32, 32), (16, 16)]
+    pyr = build_saliency_pyramid(s.values, [(64, 64), (32, 32), (16, 16)])
+    assert [lvl.shape for lvl in pyr] == [(64, 64), (32, 32), (16, 16)]
 
 
 def test_pyramid_mismatch():
     s = normalize_map(np.ones((64, 64)) + np.eye(64))
     with pytest.raises(PyramidMismatch):
-        build_saliency_pyramid(s, [(64, 64), (31, 31)])
+        build_saliency_pyramid(s.values, [(64, 64), (31, 31)])
 
 
 def test_uniform_series(tiny_seq):
