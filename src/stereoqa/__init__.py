@@ -10,7 +10,7 @@ from .disparity import (
     estimate_disparity_series,
 )
 from .distort import DistortionSpec, apply, apply_all
-from .fr import FR_METRICS, FrMetricConfig, cyclopean_fuse
+from .fr import FR_METRICS, FrMetricConfig
 from .media import (
     Frame,
     SequenceDescriptor,

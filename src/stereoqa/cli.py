@@ -140,14 +140,15 @@ def _cmd_disparity(args) -> int:
 
 
 def _cmd_distort(args) -> int:
-    seq = load_sequence(SequenceDescriptor.from_json(args.input))
+    desc = SequenceDescriptor.from_json(args.input)
+    seq = load_sequence(desc)
     raw = read_json(args.spec)
     specs = [spec_from_dict(d) for d in (raw if isinstance(raw, list) else [raw])]
     out_seq = apply_all(seq, specs)
     os.makedirs(args.out, exist_ok=True)
     left = os.path.join(args.out, "left.raw")
     right = os.path.join(args.out, "right.raw")
-    desc = save_sequence(out_seq, left, right)
+    desc = save_sequence(out_seq, left, right, format=desc.format)
     desc_path = os.path.join(args.out, "descriptor.json")
     desc.left, desc.right = "left.raw", "right.raw"
     desc.to_json(desc_path)
@@ -170,13 +171,18 @@ def _cmd_evaluate(args) -> int:
         rep = read_json(path)
         try:
             key = (rep["metric"], rep["saliency_mode"])
-            groups.setdefault(key, []).append((item_id, float(rep["score"])))
+            score = float(rep["score"])
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedJson(f"{path}: not a metric report ({exc!r})") from exc
+        scores = groups.setdefault(key, {})
+        if item_id in scores:
+            raise ParamError(f"item {item_id!r} has two reports for {key[0]} "
+                             f"with saliency {key[1]!r}")
+        scores[item_id] = score
     rows = []
-    for (metric, mode), pairs in sorted(groups.items()):
-        idx = [item_pos[item] for item, _ in pairs]
-        objective = np.array([score for _, score in pairs])
+    for (metric, mode), scores in sorted(groups.items()):
+        idx = [item_pos[item] for item in scores]
+        objective = np.array(list(scores.values()))
         perf = performance(objective, mos_table.mos[idx],
                            per_item_std=mos_table.std[idx],
                            use_logistic=args.logistic)
@@ -199,11 +205,10 @@ def _cmd_info(args) -> int:
     return 0
 
 
-def _add_common(p, saliency=True):
+def _add_common(p):
     p.add_argument("--config", default=None, help="JSON config overrides")
-    if saliency:
-        p.add_argument("--saliency", default="none",
-                       help="none | uniform | baseline | dir:<path>")
+    p.add_argument("--saliency", default="none",
+                   help="none | uniform | baseline | dir:<path>")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -236,20 +241,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--disparity", default="none",
                    help="none | estimate | dir:<path> (depth channel input)")
-    _add_common(p, saliency=False)
+    p.add_argument("--config", default=None, help="JSON config overrides")
     p.set_defaults(func=_cmd_saliency)
 
     p = sub.add_parser("disparity", help="write block-matched disparity maps")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
-    _add_common(p, saliency=False)
     p.set_defaults(func=_cmd_disparity)
 
     p = sub.add_parser("distort", help="apply a distortion recipe")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--spec", required=True)
     p.add_argument("--out", required=True)
-    _add_common(p, saliency=False)
     p.set_defaults(func=_cmd_distort)
 
     p = sub.add_parser("evaluate", help="metric vs MOS performance table")

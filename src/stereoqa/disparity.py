@@ -88,10 +88,10 @@ def estimate_disparity_series(seq, cfg: DisparityConfig | None = None) -> list[D
     return [estimate_disparity(frame, cfg) for frame in seq.frames]
 
 
-def disparity_to_depth(d: DisparityMap) -> np.ndarray:
-    """Relative depth in [0, 1]; nearer (larger d) maps to smaller depth."""
-    values = d.values
-    lo, hi = values.min(), values.max()
+def disparity_to_depth(d: np.ndarray) -> np.ndarray:
+    """Relative depth in [0, 1] of a disparity array; nearer (larger d) maps
+    to smaller depth."""
+    lo, hi = d.min(), d.max()
     if hi - lo < 1e-12:
-        return np.full_like(values, 0.5)
-    return 1.0 - (values - lo) / (hi - lo)
+        return np.full_like(d, 0.5)
+    return 1.0 - (d - lo) / (hi - lo)

@@ -65,10 +65,6 @@ class NumericError(StereoQaError):
     """Non-finite values where finite values are required."""
 
 
-class PyramidMismatch(StereoQaError):
-    """Requested pyramid dimensions are not a halving chain of the input."""
-
-
 class DisparityRequired(StereoQaError):
     """The metric needs disparity maps and none were supplied."""
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disparity import DisparityMap, disparity_to_depth
-from .errors import DimensionMismatch, NeedsTemporalContext, ParamError, TooSmall
+from .disparity import disparity_to_depth
+from .errors import NeedsTemporalContext, ParamError, TooSmall
 from .kernels import (
     convolve2d,
     dct2_stack,
@@ -127,7 +127,7 @@ def _msssim_frame(x: np.ndarray, y: np.ndarray, s: np.ndarray,
         raise TooSmall("image supports fewer than 2 MS-SSIM scales")
     weights = np.asarray(cfg.msssim_exponents[:scales])
     weights = weights / weights.sum()
-    s_levels = build_saliency_pyramid(s, halving_chain(*x.shape, scales))
+    s_levels = build_saliency_pyramid(s, scales)
     window = gaussian_kernel(cfg.ssim_window, cfg.ssim_sigma)
     c1, c2 = cfg.ssim_c1, cfg.ssim_c2
     score = 1.0
@@ -159,7 +159,7 @@ def _vif_frame(x: np.ndarray, y: np.ndarray, s: np.ndarray,
                cfg: FrMetricConfig) -> float:
     if min(x.shape) < 32:
         raise TooSmall("VIF needs at least 32 pixels per side")
-    s_levels = build_saliency_pyramid(s, halving_chain(*x.shape, cfg.vif_scales))
+    s_levels = build_saliency_pyramid(s, cfg.vif_scales)
     sigma_n_sq = cfg.vif_sigma_n_sq
     num_total = 0.0
     den_total = 0.0
@@ -218,14 +218,11 @@ def oq_s(c, cfg):
             + cfg.oq_c * iq_d * np.power(dq, cfg.oq_d))
 
 
-def cyclopean_fuse(pair: StereoFrame, d: DisparityMap) -> np.ndarray:
+def _cyclopean(pair: StereoFrame, d: np.ndarray) -> np.ndarray:
     """Disparity-compensated average of the two views."""
     left, right = pair.left.luma, pair.right.luma
     h, w = left.shape
-    dv = d.values if isinstance(d, DisparityMap) else np.asarray(d)
-    if dv.shape != left.shape:
-        raise DimensionMismatch("disparity map shape does not match frame")
-    cols = np.clip(np.arange(w)[None, :] - np.rint(dv).astype(int), 0, w - 1)
+    cols = np.clip(np.arange(w)[None, :] - np.rint(d).astype(int), 0, w - 1)
     rows = np.arange(h)[:, None]
     return 0.5 * (left + right[rows, cols])
 
@@ -233,8 +230,8 @@ def cyclopean_fuse(pair: StereoFrame, d: DisparityMap) -> np.ndarray:
 @_fr("higher_better", needs=("d_ref", "d_dist"), over="frame")
 def ciq_s(c, cfg):
     """Saliency-pooled SSIM between the two cyclopean views."""
-    ci_ref = cyclopean_fuse(c.ref, c.d_ref)
-    ci_dist = cyclopean_fuse(c.dist, c.d_dist)
+    ci_ref = _cyclopean(c.ref, c.d_ref)
+    ci_dist = _cyclopean(c.dist, c.d_dist)
     return weighted_spatial_mean(_ssim_map(ci_ref, ci_dist, cfg), c.s)
 
 
@@ -289,8 +286,7 @@ def _structure_errors(ref_t: StereoFrame, dist_t: StereoFrame, d_values: np.ndar
 def phvs3d_s(c, cfg):
     """PSNR over the saliency-weighted MSE of 3D-DCT block structures."""
     anchors, errors = _structure_errors(c.ref, c.dist, c.d_ref, cfg)
-    weights = _block_weights(c.s, anchors, 4)
-    mse = float((errors * weights).sum() / weights.sum())
+    mse = weighted_spatial_mean(errors, _block_weights(c.s, anchors, 4))
     return _psnr_from_mse(mse, cfg.psnr_cap)
 
 
@@ -305,16 +301,15 @@ def phsd_s(c, cfg):
     sigma_d = np.var(_gather_blocks(dr, anchors, 4), axis=(1, 2))
     den = errors + alpha * sigma_d
     masked = np.where(den > 0.0, errors * errors / np.where(den > 0.0, den, 1.0), 0.0)
-    weights = _block_weights(c.s, anchors, 4)
-    mse_i = float((masked * weights).sum() / weights.sum())
+    mse_i = weighted_spatial_mean(masked, _block_weights(c.s, anchors, 4))
     return _psnr_from_mse((1.0 - eps) * mse_i + eps * mse_d, cfg.psnr_cap)
 
 
 @_fr("higher_better", needs=("d_ref", "d_dist"), over="frame")
 def mj3d_s(c, cfg):
     """Multi-scale SSIM of the cyclopean views."""
-    ci_ref = cyclopean_fuse(c.ref, c.d_ref)
-    ci_dist = cyclopean_fuse(c.dist, c.d_dist)
+    ci_ref = _cyclopean(c.ref, c.d_ref)
+    ci_dist = _cyclopean(c.dist, c.d_dist)
     return _msssim_frame(ci_ref, ci_dist, c.s, cfg)
 
 
@@ -348,8 +343,8 @@ def hv3d_s(c, cfg):
     rec_ref = fused_blocks(c.ref, dr)
     rec_dist = fused_blocks(c.dist, dd)
     weights = _block_weights(c.s, anchors, b)
-    ssim_vals = _global_ssim(rec_ref, rec_dist, cfg)
-    term1 = float((ssim_vals * weights).sum() / weights.sum())
+    # term1 raises DegenerateSaliency on zero block weight, so term3 may divide
+    term1 = weighted_spatial_mean(_global_ssim(rec_ref, rec_dist, cfg), weights)
     term2 = _vif_frame(dr, dd, c.s, cfg)
     sigma = np.var(_gather_blocks(dr, anchors, b), axis=(1, 2))
     max_sigma = sigma.max()
@@ -399,8 +394,8 @@ def flosim3d_s(c, cfg):
                                       getattr(dist_t, view).luma, s, cfg)
             total += q_s * q_fl
         flow_scores.append(0.5 * total)
-        depth_ref = disparity_to_depth(DisparityMap(c.d_ref[t])) * 255.0
-        depth_dist = disparity_to_depth(DisparityMap(c.d_dist[t])) * 255.0
+        depth_ref = disparity_to_depth(c.d_ref[t]) * 255.0
+        depth_dist = disparity_to_depth(c.d_dist[t]) * 255.0
         q_d = 1.0 - _msssim_frame(depth_ref, depth_dist, s, cfg)
         depth_scores.append(q_d)  # the shared map serves both view depths
     q_d_mean = float(np.mean(depth_scores))

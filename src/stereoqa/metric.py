@@ -14,7 +14,9 @@ flags and the report.
   sequences and per-frame lists and returns the frame scores.
 
 ``s`` is a float64 weight array for FR and NR alike, all ones without
-saliency.  Disparity maps arrive as float arrays.
+saliency.  Disparity maps arrive as float64 arrays.  The driver checks every
+map series once (count, ``SaliencyMap``/``DisparityMap`` elements, frame
+shape), so formulas never re-check them.
 """
 
 from __future__ import annotations
@@ -32,26 +34,17 @@ from .saliency import SaliencyMap
 VIEWS = ("left", "right")
 
 
-def _saliency(s_series, n: int, shape) -> list:
-    if s_series is None:
-        return [np.ones(shape)] * n
-    if len(s_series) != n:
-        raise SequenceLengthError("saliency series length does not match frames")
-    for s in s_series:
-        if not isinstance(s, SaliencyMap):
-            raise ParamError(f"s_series must hold SaliencyMap, not {type(s).__name__}")
-        if s.shape != shape:
-            raise DimensionMismatch("saliency shape does not match frame")
-    return [s.values for s in s_series]
-
-
-def _disparity(series, slot: str, n: int) -> list:
-    if series is None:
-        raise DisparityRequired(f"this metric needs disparity maps ({slot})")
+def _maps(series, kind, n: int, shape, name: str) -> list:
+    """Float64 values of a per-frame map series, checked once for its count,
+    element type and frame shape."""
     if len(series) != n:
-        raise SequenceLengthError(f"{slot} series length does not match frames")
-    return [d.values if isinstance(d, DisparityMap) else np.asarray(d, dtype=np.float64)
-            for d in series]
+        raise SequenceLengthError(f"{name} length does not match frames")
+    for m in series:
+        if not isinstance(m, kind):
+            raise ParamError(f"{name} must hold {kind.__name__}, not {type(m).__name__}")
+        if m.shape != shape:
+            raise DimensionMismatch(f"{name} map shape {m.shape} does not match frame {shape}")
+    return [m.values for m in series]
 
 
 def _run(formula, orientation, needs, over, ref, dist, s_series, maps, cfg):
@@ -61,9 +54,16 @@ def _run(formula, orientation, needs, over, ref, dist, s_series, maps, cfg):
         if (ref.height, ref.width) != (dist.height, dist.width):
             raise DimensionMismatch("reference and distorted dimensions differ")
     n = len(dist)
-    s = _saliency(s_series, n, (dist.height, dist.width))
-    d = {slot: _disparity(maps[slot], slot, n) if slot in needs else [None] * n
-         for slot in maps}
+    shape = (dist.height, dist.width)
+    if s_series is None:
+        s = [np.ones(shape)] * n
+    else:
+        s = _maps(s_series, SaliencyMap, n, shape, "s_series")
+    d = {slot: [None] * n for slot in maps}
+    for slot in needs:
+        if maps[slot] is None:
+            raise DisparityRequired(f"this metric needs disparity maps ({slot})")
+        d[slot] = _maps(maps[slot], DisparityMap, n, shape, slot)
     flags = []
     if over == "sequence":
         scores = formula(SimpleNamespace(ref=ref, dist=dist, s=s, flags=flags, **d), cfg)

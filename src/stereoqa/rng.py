@@ -67,6 +67,3 @@ class SeededRng:
                 self._spare = float(z[remaining])
             pos = n
         return mu + sigma * out
-
-    def normal(self, mu: float = 0.0, sigma: float = 1.0) -> float:
-        return float(self.normals(1, mu, sigma)[0])

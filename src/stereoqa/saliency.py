@@ -11,14 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateSaliency,
-    DimensionMismatch,
-    MapSeriesGap,
-    NumericError,
-    PyramidMismatch,
-)
-from .kernels import downsample2, gaussian_smooth, halving_chain
+from .errors import DegenerateSaliency, DimensionMismatch, MapSeriesGap, NumericError
+from .kernels import downsample2, gaussian_smooth
 from .media import StereoSequence, load_map_series
 
 FLAT_GUARD = 1e-12
@@ -82,16 +76,10 @@ def normalize_map(raw: np.ndarray, source: str = "external") -> SaliencyMap:
     return SaliencyMap((raw - lo) / (hi - lo), source)
 
 
-def build_saliency_pyramid(values: np.ndarray, target_dims) -> list[np.ndarray]:
-    """Repeated downsample2 of a weight array, re-normalized per level."""
-    target_dims = [tuple(d) for d in target_dims]
-    chain = halving_chain(*values.shape, levels=len(target_dims))
-    if chain != target_dims:
-        raise PyramidMismatch(f"dims {target_dims} are not the halving chain {chain}")
-    levels = [values]
-    for _ in range(len(target_dims) - 1):
-        levels.append(downsample2(levels[-1]))
-    return [normalize_map(level).values for level in levels]
+def build_saliency_pyramid(values: np.ndarray, levels: int) -> list[np.ndarray]:
+    """`levels` repeated downsample2 levels of a weight array (the first is
+    `values`), each re-normalized; their shapes follow kernels.halving_chain."""
+    return [normalize_map(level).values for level in _gauss_pyramid(values, levels - 1)]
 
 
 def uniform_series(seq: StereoSequence) -> list[SaliencyMap]:

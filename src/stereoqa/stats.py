@@ -40,24 +40,28 @@ class SubjectiveTable:
 
     @classmethod
     def from_csv(cls, path) -> "SubjectiveTable":
-        rows = []
+        ratings = {}
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
             missing = {"item_id", "subject_id", "score"} - set(reader.fieldnames or ())
             if missing:
                 raise MalformedCsv(f"{path}: missing column(s) {', '.join(sorted(missing))}")
             for row in reader:
+                key = (row["item_id"], row["subject_id"])
+                if key in ratings:
+                    raise MalformedCsv(f"{path}: line {reader.line_num}: item {key[0]!r} "
+                                       f"already has a score from subject {key[1]!r}")
                 try:
-                    rows.append((row["item_id"], row["subject_id"], float(row["score"])))
+                    ratings[key] = float(row["score"])
                 except (TypeError, ValueError) as exc:
                     raise MalformedCsv(f"{path}: line {reader.line_num}: score "
                                        f"{row['score']!r} is not a number") from exc
-        items = sorted({r[0] for r in rows})
-        subjects = sorted({r[1] for r in rows})
+        items = sorted({item for item, _ in ratings})
+        subjects = sorted({subj for _, subj in ratings})
         scores = np.full((len(items), len(subjects)), np.nan)
         ii = {v: i for i, v in enumerate(items)}
         ji = {v: j for j, v in enumerate(subjects)}
-        for item, subj, score in rows:
+        for (item, subj), score in ratings.items():
             scores[ii[item], ji[subj]] = score
         return cls(items=items, subjects=subjects, scores=scores)
 

@@ -7,7 +7,8 @@ import pytest
 from stereoqa.cli import main
 from stereoqa.distort import DistortionSpec, apply
 from stereoqa.fr import FR_METRICS
-from stereoqa.media import save_map_series, save_sequence
+from stereoqa.media import SequenceDescriptor, load_sequence, save_map_series, \
+    save_sequence
 from stereoqa.nr import NR_METRICS
 
 from conftest import make_seq
@@ -172,6 +173,43 @@ def test_disparity_command(desc_path, tmp_path):
     assert os.path.exists(os.path.join(out_dir, "000001.pgm"))
 
 
+@pytest.mark.parametrize("command", ["disparity", "distort"])
+def test_config_option_removed(desc_path, tmp_path, command):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "awgn", "params": {"variance": 0.01}}))
+    extra = ["--spec", str(spec)] if command == "distort" else []
+    code = main([command, "--in", desc_path, *extra, "--out", str(tmp_path / "out"),
+                 "--config", str(spec)])
+    assert code == 2
+
+
+def test_distort_keeps_pixel_format(tmp_path):
+    ref = make_seq(104, frames=2, size=32)
+    for t, frame in enumerate(ref.frames):
+        for v, view in enumerate((frame.left, frame.right)):
+            view.chroma_u = np.full((16, 16), 40.0 + 10 * t + v)
+            view.chroma_v = np.arange(256.0).reshape(16, 16)
+    d = tmp_path / "yuv"
+    d.mkdir()
+    save_sequence(ref, str(d / "l.raw"), str(d / "r.raw"), format="yuv420p8").to_json(
+        str(d / "desc.json"))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kind": "awgn", "params": {"variance": 0.01}, "seed": 3}))
+    out_dir = tmp_path / "distorted"
+    assert main(["distort", "--in", str(d / "desc.json"), "--spec", str(spec),
+                 "--out", str(out_dir)]) == 0
+    desc = SequenceDescriptor.from_json(str(out_dir / "descriptor.json"))
+    assert desc.format == "yuv420p8"
+    before = load_sequence(SequenceDescriptor.from_json(str(d / "desc.json")))
+    after = load_sequence(desc)
+    for fa, fb in zip(before.frames, after.frames):
+        for view in ("left", "right"):
+            a, b = getattr(fa, view), getattr(fb, view)
+            assert np.array_equal(a.chroma_u, b.chroma_u)
+            assert np.array_equal(a.chroma_v, b.chroma_v)
+            assert not np.array_equal(a.luma, b.luma)
+
+
 def test_distort_command(desc_path, tmp_path):
     spec_path = str(tmp_path / "spec.json")
     with open(spec_path, "w") as fh:
@@ -223,32 +261,36 @@ def _without(mapping, key):
     return {k: v for k, v in mapping.items() if k != key}
 
 
-@pytest.mark.parametrize("columns,first_score,report,item,fragment", [
-    pytest.param(_COLUMNS, "80", _REPORT, "zz", "'zz'", id="unknown-item"),
-    pytest.param(_COLUMNS[1:], "80", _REPORT, "a", "item_id", id="no-item-column"),
-    pytest.param(_COLUMNS[::2], "80", _REPORT, "a", "subject_id", id="no-subject-column"),
-    pytest.param(_COLUMNS[:2], "80", _REPORT, "a", "score", id="no-score-column"),
-    pytest.param(_COLUMNS, "high", _REPORT, "a", "line 2", id="non-numeric-score"),
-    pytest.param(_COLUMNS, "80", _without(_REPORT, "saliency_mode"), "a", "rep.json",
+@pytest.mark.parametrize("columns,first_row,report,items,fragment", [
+    pytest.param(_COLUMNS, {}, _REPORT, ("zz",), "'zz'", id="unknown-item"),
+    pytest.param(_COLUMNS[1:], {}, _REPORT, ("a",), "item_id", id="no-item-column"),
+    pytest.param(_COLUMNS[::2], {}, _REPORT, ("a",), "subject_id", id="no-subject-column"),
+    pytest.param(_COLUMNS[:2], {}, _REPORT, ("a",), "score", id="no-score-column"),
+    pytest.param(_COLUMNS, {"score": "high"}, _REPORT, ("a",), "line 2",
+                 id="non-numeric-score"),
+    pytest.param(_COLUMNS, {"subject_id": "s1"}, _REPORT, ("a",), "line 3",
+                 id="repeated-rating"),
+    pytest.param(_COLUMNS, {}, _REPORT, ("a", "b", "a"), "'a'", id="repeated-item"),
+    pytest.param(_COLUMNS, {}, _without(_REPORT, "saliency_mode"), ("a",), "rep.json",
                  id="report-without-mode"),
-    pytest.param(_COLUMNS, "80", _without(_REPORT, "metric"), "a", "rep.json",
+    pytest.param(_COLUMNS, {}, _without(_REPORT, "metric"), ("a",), "rep.json",
                  id="report-without-metric"),
-    pytest.param(_COLUMNS, "80", _without(_REPORT, "score"), "a", "rep.json",
+    pytest.param(_COLUMNS, {}, _without(_REPORT, "score"), ("a",), "rep.json",
                  id="report-without-score"),
-    pytest.param(_COLUMNS, "80", [_REPORT], "a", "rep.json", id="report-is-list"),
+    pytest.param(_COLUMNS, {}, [_REPORT], ("a",), "rep.json", id="report-is-list"),
 ])
-def test_bad_evaluate_input_exit_1(tmp_path, capsys, columns, first_score, report,
-                                   item, fragment):
+def test_bad_evaluate_input_exit_1(tmp_path, capsys, columns, first_row, report,
+                                   items, fragment):
     rows = [{"item_id": it, "subject_id": f"s{s}", "score": str(m + s)}
             for it, m in (("a", 80), ("b", 40)) for s in range(3)]
-    rows[0]["score"] = first_score
+    rows[0].update(first_row)
     scores_csv = tmp_path / "scores.csv"
     scores_csv.write_text("\n".join([",".join(columns)]
                                     + [",".join(r[c] for c in columns) for r in rows]) + "\n")
     rep = tmp_path / "rep.json"
     rep.write_text(json.dumps(report))
     code = main(["evaluate", "--scores", str(scores_csv), "--objective",
-                 f"{item}={rep}", "--out", str(tmp_path / "perf.csv")])
+                 *(f"{item}={rep}" for item in items), "--out", str(tmp_path / "perf.csv")])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and fragment in err

@@ -66,7 +66,7 @@ def test_config_validation():
 def test_disparity_to_depth_orientation():
     d = DisparityMap(values=np.array([[0.0, 16.0], [32.0, 8.0]]),
                      block=8, search_range=32)
-    depth = disparity_to_depth(d)
+    depth = disparity_to_depth(d.values)
     # larger disparity is nearer, so it maps to smaller depth
     assert depth[0, 0] == 1.0
     assert depth[1, 0] == 0.0
@@ -74,7 +74,7 @@ def test_disparity_to_depth_orientation():
 
 def test_disparity_to_depth_flat():
     d = DisparityMap(values=np.full((4, 4), 5.0), block=8, search_range=32)
-    assert np.allclose(disparity_to_depth(d), 0.5)
+    assert np.allclose(disparity_to_depth(d.values), 0.5)
 
 
 def test_median_filter_removes_speckle():

@@ -12,7 +12,7 @@ from stereoqa.errors import (
     SequenceLengthError,
     TooSmall,
 )
-from stereoqa.fr import FR_METRICS, FR_NEEDS_DISPARITY, FrMetricConfig, cyclopean_fuse
+from stereoqa.fr import FR_METRICS, FR_NEEDS_DISPARITY, FrMetricConfig
 from stereoqa.kernels import dct3_stereo_stack, sobel_gradient
 from stereoqa.rng import SeededRng
 from stereoqa.saliency import SaliencyMap, uniform_series
@@ -73,7 +73,7 @@ def test_flosim_needs_two_frames():
 def test_cyclopean_fuse_zero_disparity_is_average():
     seq = make_seq(43, frames=1, size=32)
     pair = seq.frames[0]
-    fused = cyclopean_fuse(pair, DisparityMap(np.zeros((32, 32))))
+    fused = fr._cyclopean(pair, np.zeros((32, 32)))
     assert np.allclose(fused, 0.5 * (pair.left.luma + pair.right.luma))
 
 
@@ -81,7 +81,7 @@ def test_cyclopean_fuse_shift_alignment():
     seq = make_seq(44, frames=1, size=32)
     pair = seq.frames[0]
     # with disparity d, column x of the left view pairs with x-d on the right
-    fused = cyclopean_fuse(pair, DisparityMap(np.full((32, 32), 4.0)))
+    fused = fr._cyclopean(pair, np.full((32, 32), 4.0))
     expected = 0.5 * (pair.left.luma[:, 10] + pair.right.luma[:, 6])
     assert np.allclose(fused[:, 10], expected)
 

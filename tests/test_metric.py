@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 
 from stereoqa.disparity import DisparityMap
-from stereoqa.errors import (DisparityRequired, NumericError, ParamError,
-                             SequenceLengthError)
+from stereoqa.errors import (DegenerateSaliency, DimensionMismatch, DisparityRequired,
+                             NumericError, ParamError, SequenceLengthError)
 from stereoqa.fr import FR_METRICS, FR_NEEDS_DISPARITY, FrMetricConfig
 from stereoqa.metric import registrar
 from stereoqa.nr import NR_METRICS, NR_NEEDS_DISPARITY, NrMetricConfig
-from stereoqa.saliency import uniform_series
+from stereoqa.saliency import SaliencyMap, uniform_series
 
-from conftest import make_seq
+from conftest import make_seq, seq_from_lumas
 
 REGISTRY = ([("stereoqa.fr", name) for name in FR_METRICS]
             + [("stereoqa.nr", name) for name in NR_METRICS])
+NEEDS_DISPARITY = {**FR_NEEDS_DISPARITY, **NR_NEEDS_DISPARITY}
 
 
 def test_registries_hold_all_21_metrics():
@@ -99,3 +100,36 @@ def test_raw_array_saliency_is_param_error(name):
     args = (seq, seq) if name in FR_METRICS else (seq,)
     with pytest.raises(ParamError):
         fn(*args, s_series=[np.ones((32, 32))] * 2)
+
+
+@pytest.mark.parametrize("name", sorted(NEEDS_DISPARITY))
+@pytest.mark.parametrize("bad,error", [
+    (DisparityMap(np.zeros((80, 80))), DimensionMismatch),
+    (DisparityMap(np.zeros((48, 48))), DimensionMismatch),
+    (np.zeros((64, 64)), ParamError),
+], ids=["larger-map", "smaller-map", "raw-array"])
+def test_disparity_map_checked_by_driver(name, bad, error):
+    reference = name in FR_METRICS
+    fn = (FR_METRICS if reference else NR_METRICS)[name]
+    seq = make_seq(81, frames=3, size=64, block=8)
+    args = (seq, seq) if reference else (seq,)
+    cfg = None if reference else NrMetricConfig(qa3d_history=2)
+    good = [DisparityMap(np.zeros((64, 64))) for _ in range(3)]
+    for slot in NEEDS_DISPARITY[name]:
+        maps = {s: good for s in NEEDS_DISPARITY[name]}
+        maps[slot] = [good[0], bad, good[2]]
+        with pytest.raises(error):
+            fn(*args, cfg=cfg, **maps)
+
+
+@pytest.mark.parametrize("name", ["phvs3d_s", "phsd_s", "hv3d_s"])
+def test_block_pool_without_block_weight_is_degenerate(name):
+    # 64x66 frames: no whole 4x4 or 8x8 block reaches columns 64-65
+    rng = np.random.RandomState(5)
+    lumas = [rng.rand(64, 66) * 255.0 for _ in range(2)]
+    seq = seq_from_lumas(lumas, [np.roll(x, 2, axis=1) for x in lumas])
+    s = np.zeros((64, 66))
+    s[:, 64:] = 1.0
+    maps = {slot: [DisparityMap(np.zeros((64, 66)))] * 2 for slot in FR_NEEDS_DISPARITY[name]}
+    with pytest.raises(DegenerateSaliency):
+        FR_METRICS[name](seq, seq, s_series=[SaliencyMap(s)] * 2, **maps)

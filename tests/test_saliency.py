@@ -7,11 +7,7 @@ from hypothesis.extra import numpy as hnp
 
 import stereoqa.saliency as saliency
 from stereoqa.disparity import estimate_disparity_series
-from stereoqa.errors import (
-    DegenerateSaliency,
-    DimensionMismatch,
-    PyramidMismatch,
-)
+from stereoqa.errors import DegenerateSaliency, DimensionMismatch
 from stereoqa.saliency import (
     SaliencyMap,
     VamConfig,
@@ -86,14 +82,8 @@ def test_normalize_flat_map_uniform():
 
 def test_pyramid_levels_match_chain():
     s = normalize_map(np.abs(np.random.RandomState(0).randn(64, 64)))
-    pyr = build_saliency_pyramid(s.values, [(64, 64), (32, 32), (16, 16)])
+    pyr = build_saliency_pyramid(s.values, 3)
     assert [lvl.shape for lvl in pyr] == [(64, 64), (32, 32), (16, 16)]
-
-
-def test_pyramid_mismatch():
-    s = normalize_map(np.ones((64, 64)) + np.eye(64))
-    with pytest.raises(PyramidMismatch):
-        build_saliency_pyramid(s.values, [(64, 64), (31, 31)])
 
 
 def test_uniform_series(tiny_seq):
