@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParamError, RangeError
-from .kernels import convolve2d, dct2, gaussian_kernel, idct2
+from .kernels import convolve2d, dct2_stack, gaussian_kernel, idct2_stack
 from .media import Frame, StereoFrame, StereoSequence
 from .rng import SeededRng
 
@@ -93,15 +93,14 @@ def _block_quantize(luma: np.ndarray, spec: DistortionSpec) -> np.ndarray:
     ys, xs = _region_slices(spec, luma.shape)
     out = luma.copy()
     patch = out[ys, xs]
-    h, w = patch.shape
-    for y0 in range(0, h - 7, 8):
-        for x0 in range(0, w - 7, 8):
-            block = patch[y0:y0 + 8, x0:x0 + 8]
-            coeffs = dct2(block)
-            # round half away from zero so the mapping has no even bias
-            levels = np.sign(coeffs) * np.floor(np.abs(coeffs) / step + 0.5)
-            patch[y0:y0 + 8, x0:x0 + 8] = np.clip(idct2(levels * step), 0.0, 255.0)
-    out[ys, xs] = patch
+    h, w = patch.shape[0] // 8 * 8, patch.shape[1] // 8 * 8
+    # the whole 8x8 blocks as an (h/8, w/8, 8, 8) stack; the ragged border stays
+    blocks = patch[:h, :w].reshape(h // 8, 8, w // 8, 8).swapaxes(1, 2)
+    coeffs = dct2_stack(blocks)
+    # round half away from zero so the mapping has no even bias
+    levels = np.sign(coeffs) * np.floor(np.abs(coeffs) / step + 0.5)
+    quantized = np.clip(idct2_stack(levels * step), 0.0, 255.0)
+    patch[:h, :w] = quantized.swapaxes(1, 2).reshape(h, w)
     return out
 
 

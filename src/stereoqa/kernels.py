@@ -14,7 +14,6 @@ import scipy.ndimage
 
 from .errors import KernelTooLarge, ParamError, TooSmall
 
-DCT_SIZES = (4, 8)
 _BINOMIAL5 = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 _SOBEL_X = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
 _SOBEL_Y = _SOBEL_X.T
@@ -106,26 +105,8 @@ def halving_chain(height: int, width: int, levels: int) -> list[tuple[int, int]]
     return dims
 
 
-def _check_block(block: np.ndarray) -> np.ndarray:
-    block = np.asarray(block, dtype=np.float64)
-    if block.ndim != 2 or block.shape[0] != block.shape[1]:
-        raise ParamError("block must be square")
-    if block.shape[0] not in DCT_SIZES:
-        raise ParamError(f"unsupported block size {block.shape[0]} (use 4 or 8)")
-    return block
-
-
-def dct2(block: np.ndarray) -> np.ndarray:
-    """Orthonormal 2-D DCT-II of a 4x4 or 8x8 block."""
-    return scipy.fft.dctn(_check_block(block), type=2, norm="ortho")
-
-
-def idct2(block: np.ndarray) -> np.ndarray:
-    return scipy.fft.idctn(_check_block(block), type=2, norm="ortho")
-
-
 def dct2_stack(blocks: np.ndarray) -> np.ndarray:
-    """Orthonormal 2-D DCT-II over the trailing two axes of (n, N, N)."""
+    """Orthonormal 2-D DCT-II over the trailing two axes of (..., N, N)."""
     return scipy.fft.dctn(np.asarray(blocks, dtype=np.float64),
                           type=2, norm="ortho", axes=(-2, -1))
 
@@ -135,31 +116,10 @@ def idct2_stack(blocks: np.ndarray) -> np.ndarray:
                            type=2, norm="ortho", axes=(-2, -1))
 
 
-def dct3_stereo(block_pair: np.ndarray) -> np.ndarray:
-    """3-D DCT of a 4x4x2 left/right block pair (separable, orthonormal).
-
-    2-D DCT on each view slab, then the 2-point DCT along the view axis.
-    """
-    block_pair = np.asarray(block_pair, dtype=np.float64)
-    if block_pair.shape != (4, 4, 2):
-        raise ParamError(f"expected shape (4, 4, 2), got {block_pair.shape}")
-    return dct3_stereo_stack(block_pair[None])[0]
-
-
-def idct3_stereo(coeffs: np.ndarray) -> np.ndarray:
-    """Inverse of dct3_stereo (the view-axis butterfly is its own inverse)."""
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    if coeffs.shape != (4, 4, 2):
-        raise ParamError(f"expected shape (4, 4, 2), got {coeffs.shape}")
-    slabs = np.empty_like(coeffs)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    slabs[:, :, 0] = (coeffs[:, :, 0] + coeffs[:, :, 1]) * inv_sqrt2
-    slabs[:, :, 1] = (coeffs[:, :, 0] - coeffs[:, :, 1]) * inv_sqrt2
-    return scipy.fft.idctn(slabs, type=2, norm="ortho", axes=(0, 1))
-
-
 def dct3_stereo_stack(pairs: np.ndarray) -> np.ndarray:
-    """dct3_stereo over a stack shaped (n, 4, 4, 2)."""
+    """3-D DCT of each 4x4x2 left/right block pair of an (n, 4, 4, 2) stack
+    (separable, orthonormal): the 2-D DCT of each view slab, then the 2-point
+    DCT along the view axis."""
     slabs = scipy.fft.dctn(np.asarray(pairs, dtype=np.float64),
                            type=2, norm="ortho", axes=(1, 2))
     out = np.empty_like(slabs)

@@ -23,7 +23,9 @@ from .errors import (
     MapSeriesGap,
     MapShapeError,
     NumericError,
+    ParamError,
     RangeError,
+    SequenceLengthError,
 )
 
 PIXEL_FORMATS = ("yuv420p8", "yuv444p8", "gray8")
@@ -309,6 +311,19 @@ def load_map_series(dir_path: str, expected: dict) -> list[np.ndarray]:
             )
         maps.append(m)
     return maps
+
+
+def _maps(series, kind, n: int, shape, name: str) -> list:
+    """Float64 values of a per-frame map series, checked once for its count,
+    element type and frame shape."""
+    if len(series) != n:
+        raise SequenceLengthError(f"{name} length does not match frames")
+    for m in series:
+        if not isinstance(m, kind):
+            raise ParamError(f"{name} must hold {kind.__name__}, not {type(m).__name__}")
+        if m.shape != shape:
+            raise DimensionMismatch(f"{name} map shape {m.shape} does not match frame {shape}")
+    return [m.values for m in series]
 
 
 def save_map_series(maps, dir_path: str) -> None:

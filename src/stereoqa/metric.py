@@ -16,7 +16,7 @@ flags and the report.
 ``s`` is a float64 weight array for FR and NR alike, all ones without
 saliency.  Disparity maps arrive as float64 arrays.  The driver checks every
 map series once (count, ``SaliencyMap``/``DisparityMap`` elements, frame
-shape), so formulas never re-check them.
+shape) and rejects an all-zero saliency map, so formulas never re-check them.
 """
 
 from __future__ import annotations
@@ -27,24 +27,12 @@ from types import SimpleNamespace
 import numpy as np
 
 from .disparity import DisparityMap
-from .errors import DimensionMismatch, DisparityRequired, ParamError, SequenceLengthError
+from .errors import DegenerateSaliency, DimensionMismatch, DisparityRequired, SequenceLengthError
+from .media import _maps
 from .report import make_report
 from .saliency import SaliencyMap
 
 VIEWS = ("left", "right")
-
-
-def _maps(series, kind, n: int, shape, name: str) -> list:
-    """Float64 values of a per-frame map series, checked once for its count,
-    element type and frame shape."""
-    if len(series) != n:
-        raise SequenceLengthError(f"{name} length does not match frames")
-    for m in series:
-        if not isinstance(m, kind):
-            raise ParamError(f"{name} must hold {kind.__name__}, not {type(m).__name__}")
-        if m.shape != shape:
-            raise DimensionMismatch(f"{name} map shape {m.shape} does not match frame {shape}")
-    return [m.values for m in series]
 
 
 def _run(formula, orientation, needs, over, ref, dist, s_series, maps, cfg):
@@ -59,6 +47,9 @@ def _run(formula, orientation, needs, over, ref, dist, s_series, maps, cfg):
         s = [np.ones(shape)] * n
     else:
         s = _maps(s_series, SaliencyMap, n, shape, "s_series")
+        for t, values in enumerate(s):
+            if not values.any():
+                raise DegenerateSaliency(f"saliency map of frame {t} is all zero")
     d = {slot: [None] * n for slot in maps}
     for slot in needs:
         if maps[slot] is None:

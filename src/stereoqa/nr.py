@@ -101,7 +101,9 @@ def _probe(n: int, axis: int) -> Kernel2D:
 @_nr("lower_better")
 def nrpbm_s(luma, s, cfg):
     """Perceptual blur via the re-blur probe; higher means blurrier
-    (lower is better)."""
+    (lower is better).  A flat frame scores 0.0, and so does a frame whose
+    saliency weights no luma difference (the driver has already rejected an
+    all-zero map)."""
     n = cfg.nrpbm_probe
     ratios = []
     for axis in (1, 0):
@@ -120,49 +122,55 @@ def nrpbm_s(luma, s, cfg):
     return 1.0 - max(r for r in ratios if r is not None)
 
 
+def _run_widths(lines: np.ndarray, up: bool) -> np.ndarray:
+    """p2 - p1 at every pixel of each row: the span of the strictly rising
+    (`up`) or falling run of the row through that pixel."""
+    n = lines.shape[1]
+    step = lines[:, 1:] > lines[:, :-1] if up else lines[:, 1:] < lines[:, :-1]
+    idx = np.arange(n, dtype=np.int32)
+    p1 = np.maximum.accumulate(
+        np.where(np.pad(step, ((0, 0), (1, 0))), np.int32(0), idx), axis=1)
+    p2 = np.minimum.accumulate(
+        np.where(np.pad(step, ((0, 0), (0, 1))), np.int32(n - 1), idx)[:, ::-1], axis=1)[:, ::-1]
+    return p2 - p1
+
+
 def _edge_widths(luma: np.ndarray, threshold_frac: float):
     """Marziliano-style widths: length of the monotone luma run through each
-    edge pixel along the dominant gradient axis."""
+    edge pixel along the dominant gradient axis, rising where the gradient
+    along that axis is >= 0.  Returns (ys, xs, widths) in row-major order."""
     grad = sobel_gradient(luma)
     mag = grad["magnitude"]
     gmax = mag.max()
     if gmax <= 0.0:
-        return []
-    thr = threshold_frac * gmax
-    gx, gy = grad["gx"], grad["gy"]
-    out = []
-    h, w = luma.shape
-    for y, x in zip(*np.nonzero(mag > thr)):
-        if abs(gx[y, x]) >= abs(gy[y, x]):
-            line, pos, extent, slope = luma[y, :], x, w, gx[y, x]
-        else:
-            line, pos, extent, slope = luma[:, x], y, h, gy[y, x]
-        up = slope >= 0
-        p1 = pos
-        while p1 > 0 and (line[p1 - 1] < line[p1] if up else line[p1 - 1] > line[p1]):
-            p1 -= 1
-        p2 = pos
-        while p2 < extent - 1 and (line[p2 + 1] > line[p2] if up else line[p2 + 1] < line[p2]):
-            p2 += 1
-        out.append((int(y), int(x), float(p2 - p1)))
-    return out
+        return np.zeros(0, int), np.zeros(0, int), np.zeros(0)
+    ys, xs = np.nonzero(mag > threshold_frac * gmax)
+    gx, gy = grad["gx"][ys, xs], grad["gy"][ys, xs]
+    along_column = np.abs(gx) < np.abs(gy)
+    up = np.where(along_column, gy, gx) >= 0
+    # runs[2 * along_column + up]: the falling and rising runs through each
+    # edge pixel along its row, then along its column
+    cols = np.ascontiguousarray(luma.T)
+    runs = np.stack([_run_widths(luma, False)[ys, xs], _run_widths(luma, True)[ys, xs],
+                     _run_widths(cols, False)[xs, ys], _run_widths(cols, True)[xs, ys]])
+    return ys, xs, runs[2 * along_column + up, np.arange(ys.size)].astype(np.float64)
 
 
 @_nr("lower_better")
 def blur_farias_s(luma, s, cfg):
     """Mean edge width at Sobel edge pixels; lower (sharper) is better."""
-    edges = _edge_widths(luma, cfg.farias_edge_threshold)
-    if not edges:
+    ys, xs, widths = _edge_widths(luma, cfg.farias_edge_threshold)
+    if widths.size == 0:
         raise NoEdges("no edge pixels in a view")
-    widths = np.array([wd for _, _, wd in edges])
-    weights = np.array([s[y, x] for y, x, _ in edges])
-    return weighted_spatial_mean(widths, weights)
+    return weighted_spatial_mean(widths, s[ys, xs])
 
 
 @_nr("lower_better")
 def block_farias_s(luma, s, cfg):
     """Ratio of 8-grid boundary differences to all differences, scaled by
-    1/(H*W); lower is better."""
+    1/(H*W); lower is better.  An axis with no weighted luma difference adds
+    0.0, so a flat frame, or one whose saliency weights no luma difference,
+    scores 0.0 (the driver has already rejected an all-zero map)."""
     h, w = luma.shape
     g = cfg.gbim_grid
     total = 0.0
@@ -181,30 +189,31 @@ def block_farias_s(luma, s, cfg):
     return total / (h * w)
 
 
+def _region_reduce(ufunc, image: np.ndarray, r: int) -> np.ndarray:
+    """`ufunc` reduced over each r x r region (clipped at the right and
+    bottom borders), flattened in row-major region order."""
+    rows, cols = np.arange(0, image.shape[0], r), np.arange(0, image.shape[1], r)
+    return ufunc.reduceat(ufunc.reduceat(image, rows, axis=0), cols, axis=1).ravel()
+
+
 @_nr("higher_better")
 def sadaka_s(luma, s, cfg):
     """Foveal just-noticeable-blur sharpness; higher (sharper) is better."""
-    h, w = luma.shape
-    edges = _edge_widths(luma, cfg.farias_edge_threshold)
-    if not edges:
+    ys, xs, widths = _edge_widths(luma, cfg.farias_edge_threshold)
+    if widths.size == 0:
         raise NoEdges("no edge pixels for foveal sharpness pooling")
     beta = cfg.sadaka_beta
-    s_total = s.sum()
     r = cfg.sadaka_region
-    total = 0.0
-    for y0 in range(0, h, r):
-        for x0 in range(0, w, r):
-            y1, x1 = min(y0 + r, h), min(x0 + r, w)
-            in_region = [wd for y, x, wd in edges if y0 <= y < y1 and x0 <= x < x1]
-            if not in_region:
-                continue
-            region = luma[y0:y1, x0:x1]
-            contrast = region.max() - region.min()
-            w_jnb = (cfg.sadaka_jnb_wide if contrast <= cfg.sadaka_contrast_threshold
-                     else cfg.sadaka_jnb_narrow)
-            d_r = np.sum(np.abs(np.asarray(in_region) / w_jnb) ** beta) ** (1.0 / beta)
-            weight = (s[y0:y1, x0:x1].sum() / s_total) ** beta
-            total += d_r * weight
+    n_x = -(-luma.shape[1] // r)
+    region = ys // r * n_x + xs // r
+    contrast = _region_reduce(np.maximum, luma, r) - _region_reduce(np.minimum, luma, r)
+    w_jnb = np.where(contrast <= cfg.sadaka_contrast_threshold,
+                     cfg.sadaka_jnb_wide, cfg.sadaka_jnb_narrow)
+    # a region without edge pixels has d_r = 0 and adds nothing
+    d_r = np.bincount(region, np.abs(widths / w_jnb[region]) ** beta,
+                      contrast.size) ** (1.0 / beta)
+    weight = (_region_reduce(np.add, s, r) / s.sum()) ** beta
+    total = (d_r * weight).sum()
     if total <= 0.0:
         raise NoEdges("no edge energy after pooling")
     return total ** (-1.0 / beta)
@@ -245,12 +254,7 @@ def aqi_s(luma, s, cfg):
         filtered = convolve2d(luma, _aqi_kernel(direction))
         hist, _ = np.histogram(filtered, bins=cfg.aqi_bins, range=(0.0, 255.0),
                                weights=s)
-        total = hist.sum()
-        if total <= 0:
-            entropies.append(0.0)
-            continue
-        p = hist / total
-        p = p[p > 0]
+        p = hist[hist > 0] / hist.sum()
         entropies.append(float(-(p * np.log(p)).sum()))
     return float(np.std(entropies))
 

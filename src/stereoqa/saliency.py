@@ -11,9 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .disparity import DisparityMap
 from .errors import DegenerateSaliency, DimensionMismatch, MapSeriesGap, NumericError
 from .kernels import downsample2, gaussian_smooth
-from .media import StereoSequence, load_map_series
+from .media import StereoSequence, _maps, load_map_series
 
 FLAT_GUARD = 1e-12
 
@@ -141,7 +142,10 @@ def baseline_vam(seq: StereoSequence, disparity_series=None,
     cfg = cfg or VamConfig()
     shape = (seq.height, seq.width)
     smooth_sigma = cfg.smooth_sigma if cfg.smooth_sigma is not None else min(shape) / 32.0
-    w_depth = cfg.w_depth if disparity_series is not None else 0.0
+    w_depth = 0.0
+    if disparity_series is not None:
+        w_depth = cfg.w_depth
+        d_series = _maps(disparity_series, DisparityMap, len(seq), shape, "disparity_series")
     maps = []
     prev_luma = None
     for t, frame in enumerate(seq.frames):
@@ -161,9 +165,6 @@ def baseline_vam(seq: StereoSequence, disparity_series=None,
                     + cfg.w_color * normalize_map(f_col).values
                     + cfg.w_motion * normalize_map(f_mot).values)
         if w_depth > 0:
-            d = np.asarray(disparity_series[t].values
-                           if hasattr(disparity_series[t], "values")
-                           else disparity_series[t], dtype=np.float64)
-            combined = combined + w_depth * normalize_map(d).values
+            combined = combined + w_depth * normalize_map(d_series[t]).values
         maps.append(normalize_map(_smooth(combined, smooth_sigma), "baseline"))
     return maps

@@ -17,7 +17,7 @@ from stereoqa.cli import main as cli_main
 from stereoqa.disparity import DisparityMap, estimate_disparity_series
 from stereoqa.distort import DistortionSpec, apply
 from stereoqa.fr import FR_METRICS, FR_NEEDS_DISPARITY, FrMetricConfig
-from stereoqa.kernels import dct2, dct3_stereo, idct2, idct3_stereo
+from stereoqa.kernels import dct2_stack, dct3_stereo_stack, idct2_stack
 from stereoqa.media import save_sequence
 from stereoqa.nr import NR_METRICS, NrMetricConfig
 from stereoqa.rng import SeededRng
@@ -172,12 +172,15 @@ def test_oracles_match_hand_computations():
     got = fr.ssim_s(flat_seq(a, 1, 16), flat_seq(b, 1, 16)).score
     assert abs(got - closed) < 1e-9
 
-    # transform round trips
+    # transform round trips; the stereo DCT as a 32 x 32 matrix (row i is the
+    # image of basis pair i) is orthonormal, so its transpose inverts it
     rng = SeededRng(42)
-    block = rng.uniform(64).reshape(8, 8) * 255.0
-    assert np.abs(idct2(dct2(block)) - block).max() < 1e-9
-    pair = rng.uniform(32).reshape(4, 4, 2) * 255.0
-    assert np.abs(idct3_stereo(dct3_stereo(pair)) - pair).max() < 1e-9
+    block = rng.uniform(64).reshape(1, 8, 8) * 255.0
+    assert np.abs(idct2_stack(dct2_stack(block)) - block).max() < 1e-9
+    pair = rng.uniform(32).reshape(1, 4, 4, 2) * 255.0
+    m = dct3_stereo_stack(np.eye(32).reshape(32, 4, 4, 2)).reshape(32, 32)
+    assert np.abs(m.T @ m - np.eye(32)).max() < 1e-12
+    assert np.abs(dct3_stereo_stack(pair).ravel() @ m.T - pair.ravel()).max() < 1e-9
 
     # gbim against a naive recomputation of its sums on one 16x16 frame
     luma = (rng.uniform(256).reshape(16, 16) * 255.0).round()

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
+from stereoqa import distort
 from stereoqa.distort import DistortionSpec, apply, apply_all, spec_from_dict
 from stereoqa.errors import ParamError, RangeError
 
@@ -106,6 +108,35 @@ def test_block_quantize_rounds_half_away_from_zero():
     spec = DistortionSpec(kind="block_quantize", params={"step": 1600.0})
     out = apply(seq, spec)
     assert np.allclose(out.frames[0].left.luma, 200.0)
+
+
+def _reference_block_quantize(luma, spec):
+    """The per-block loop that distort._block_quantize replaced."""
+    step = float(spec.params.get("step", 40.0))
+    ys, xs = distort._region_slices(spec, luma.shape)
+    out = luma.copy()
+    patch = out[ys, xs]
+    h, w = patch.shape
+    for y0 in range(0, h - 7, 8):
+        for x0 in range(0, w - 7, 8):
+            coeffs = scipy.fft.dctn(patch[y0:y0 + 8, x0:x0 + 8], type=2, norm="ortho")
+            levels = np.sign(coeffs) * np.floor(np.abs(coeffs) / step + 0.5)
+            patch[y0:y0 + 8, x0:x0 + 8] = np.clip(
+                scipy.fft.idctn(levels * step, type=2, norm="ortho"), 0.0, 255.0)
+    return out
+
+
+@pytest.mark.parametrize("shape,region,step", [
+    ((8, 8), None, 40.0), ((9, 17), None, 40.0), ((64, 64), None, 13.7),
+    ((99, 70), None, 60.0), ((37, 45), None, 5.0), ((10, 100), None, 40.0),
+    ((48, 64), (3, 5, 20, 30), 40.0), ((48, 64), (0, 0, 7, 64), 40.0),
+    ((40, 40), (8, 8, 24, 17), 25.0),
+])
+def test_block_quantize_matches_per_block_loop(shape, region, step):
+    luma = np.random.RandomState(11).rand(*shape) * 255.0
+    spec = DistortionSpec(kind="block_quantize", params={"step": step}, region=region)
+    got = distort._block_quantize(luma, spec)
+    assert got.tobytes() == _reference_block_quantize(luma, spec).tobytes()
 
 
 def test_apply_all_chains():

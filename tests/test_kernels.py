@@ -2,21 +2,20 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stereoqa.errors import KernelTooLarge, ParamError, TooSmall
 from stereoqa.kernels import (
     convolve2d,
-    dct2,
     dct2_stack,
-    dct3_stereo,
+    dct3_stereo_stack,
     downsample2,
     gaussian_kernel,
     gaussian_smooth,
     halving_chain,
-    idct2,
-    idct3_stereo,
+    idct2_stack,
     sobel_gradient,
 )
 from stereoqa.rng import SeededRng
@@ -75,19 +74,14 @@ def test_halving_chain():
 
 def test_dct2_round_trip():
     rng = SeededRng(1)
-    block = rng.uniform(64).reshape(8, 8) * 255
-    assert np.abs(idct2(dct2(block)) - block).max() < 1e-9
+    block = rng.uniform(64).reshape(1, 8, 8) * 255
+    assert np.abs(idct2_stack(dct2_stack(block)) - block).max() < 1e-9
 
 
 def test_dct2_energy_preserved():
     rng = SeededRng(2)
-    block = rng.uniform(16).reshape(4, 4)
-    assert (dct2(block) ** 2).sum() == pytest.approx((block ** 2).sum())
-
-
-def test_dct2_rejects_odd_sizes():
-    with pytest.raises(ParamError):
-        dct2(np.zeros((6, 6)))
+    block = rng.uniform(16).reshape(1, 4, 4)
+    assert (dct2_stack(block) ** 2).sum() == pytest.approx((block ** 2).sum())
 
 
 def test_dct2_stack_matches_single():
@@ -95,22 +89,21 @@ def test_dct2_stack_matches_single():
     blocks = rng.uniform(3 * 64).reshape(3, 8, 8)
     stacked = dct2_stack(blocks)
     for i in range(3):
-        assert np.allclose(stacked[i], dct2(blocks[i]))
+        assert np.allclose(stacked[i], scipy.fft.dctn(blocks[i], type=2, norm="ortho"))
 
 
 def test_dct3_round_trip():
-    rng = SeededRng(4)
-    pair = rng.uniform(32).reshape(4, 4, 2)
-    coeffs = dct3_stereo(pair)
-    assert coeffs.shape == (4, 4, 2)
-    assert np.abs(idct3_stereo(coeffs) - pair).max() < 1e-9
+    # the transform as a 32 x 32 matrix: row i is the image of basis pair i,
+    # so orthonormality means its transpose is its inverse
+    m = dct3_stereo_stack(np.eye(32).reshape(32, 4, 4, 2)).reshape(32, 32)
+    assert np.abs(m.T @ m - np.eye(32)).max() < 1e-12
 
 
 def test_dct3_view_axis_is_sum_difference():
-    pair = np.zeros((4, 4, 2))
+    pair = np.zeros((1, 4, 4, 2))
     pair[..., 0] = 6.0
     pair[..., 1] = 2.0
-    coeffs = dct3_stereo(pair)
+    coeffs = dct3_stereo_stack(pair)[0]
     # dc across views: (a+b)/sqrt(2) then 2-d dc gain of 4
     assert coeffs[0, 0, 0] == pytest.approx(8.0 / math.sqrt(2) * 4)
     assert coeffs[0, 0, 1] == pytest.approx(4.0 / math.sqrt(2) * 4)

@@ -93,6 +93,21 @@ def test_no_saliency_is_exactly_uniform(module, name):
     assert plain.flags == uniform.flags
 
 
+@pytest.mark.parametrize("module,name", REGISTRY, ids=[n for _, n in REGISTRY])
+def test_all_zero_saliency_map_is_degenerate(module, name):
+    reference = module == "stereoqa.fr"
+    fn = (FR_METRICS if reference else NR_METRICS)[name]
+    seq = make_seq(81, frames=3, size=64, block=8)
+    args = (seq, seq) if reference else (seq,)
+    cfg = None if reference else NrMetricConfig(qa3d_history=2)
+    maps = {slot: [DisparityMap(np.zeros((64, 64))) for _ in range(3)]
+            for slot in NEEDS_DISPARITY.get(name, ())}
+    s_series = uniform_series(seq)
+    s_series[1] = SaliencyMap(np.zeros((64, 64)))
+    with pytest.raises(DegenerateSaliency, match="frame 1"):
+        fn(*args, s_series=s_series, cfg=cfg, **maps)
+
+
 @pytest.mark.parametrize("name", ["psnr_s", "gbim_s"])
 def test_raw_array_saliency_is_param_error(name):
     seq = make_seq(71, frames=2, size=32)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import stereoqa.nr as nr
 from stereoqa.disparity import DisparityMap
@@ -11,10 +14,11 @@ from stereoqa.errors import (
     NoEdges,
     ParamError,
 )
+from stereoqa.kernels import sobel_gradient
 from stereoqa.nr import NR_METRICS, NrMetricConfig
 from stereoqa.saliency import SaliencyMap, uniform_series
 
-from conftest import flat_seq, make_seq
+from conftest import flat_seq, make_seq, seq_from_lumas
 
 
 def _flat_disparity(seq, value=0.0):
@@ -95,6 +99,93 @@ def test_block_farias_detects_blocking():
     blocked = apply(seq, DistortionSpec(kind="block_quantize",
                                         params={"step": 80.0}))
     assert nr.block_farias_s(blocked).score > nr.block_farias_s(seq).score
+
+
+def _reference_edge_widths(luma, threshold_frac):
+    """The per-edge-pixel loop that nr._edge_widths replaced, as (y, x, width)
+    tuples."""
+    grad = sobel_gradient(luma)
+    mag = grad["magnitude"]
+    gmax = mag.max()
+    if gmax <= 0.0:
+        return []
+    thr = threshold_frac * gmax
+    gx, gy = grad["gx"], grad["gy"]
+    out = []
+    h, w = luma.shape
+    for y, x in zip(*np.nonzero(mag > thr)):
+        if abs(gx[y, x]) >= abs(gy[y, x]):
+            line, pos, extent, slope = luma[y, :], x, w, gx[y, x]
+        else:
+            line, pos, extent, slope = luma[:, x], y, h, gy[y, x]
+        up = slope >= 0
+        p1 = pos
+        while p1 > 0 and (line[p1 - 1] < line[p1] if up else line[p1 - 1] > line[p1]):
+            p1 -= 1
+        p2 = pos
+        while p2 < extent - 1 and (line[p2 + 1] > line[p2] if up else line[p2 + 1] < line[p2]):
+            p2 += 1
+        out.append((int(y), int(x), float(p2 - p1)))
+    return out
+
+
+def _reference_sadaka(luma, s, cfg):
+    """The region loop that sadaka_s replaced, for one view."""
+    h, w = luma.shape
+    edges = _reference_edge_widths(luma, cfg.farias_edge_threshold)
+    beta = cfg.sadaka_beta
+    s_total = s.sum()
+    r = cfg.sadaka_region
+    total = 0.0
+    for y0 in range(0, h, r):
+        for x0 in range(0, w, r):
+            y1, x1 = min(y0 + r, h), min(x0 + r, w)
+            in_region = [wd for y, x, wd in edges if y0 <= y < y1 and x0 <= x < x1]
+            if not in_region:
+                continue
+            region = luma[y0:y1, x0:x1]
+            contrast = region.max() - region.min()
+            w_jnb = (cfg.sadaka_jnb_wide if contrast <= cfg.sadaka_contrast_threshold
+                     else cfg.sadaka_jnb_narrow)
+            d_r = np.sum(np.abs(np.asarray(in_region) / w_jnb) ** beta) ** (1.0 / beta)
+            weight = (s[y0:y1, x0:x1].sum() / s_total) ** beta
+            total += d_r * weight
+    return total ** (-1.0 / beta)
+
+
+@settings(max_examples=200, deadline=None)
+@given(luma=hnp.arrays(np.int64, st.tuples(st.integers(3, 40), st.integers(3, 40)),
+                       elements=st.integers(0, 3)),
+       threshold_frac=st.sampled_from([0.0, 0.1, 0.5]))
+def test_edge_widths_match_reference_loop(luma, threshold_frac):
+    # few luma levels give plateaus and both slopes along rows and columns
+    luma = luma.astype(np.float64)
+    ys, xs, widths = nr._edge_widths(luma, threshold_frac)
+    assert widths.dtype == np.float64
+    got = list(zip(ys.tolist(), xs.tolist(), widths.tolist()))
+    assert got == _reference_edge_widths(luma, threshold_frac)
+
+
+@pytest.mark.parametrize("shape,region", [
+    ((64, 64), 64), ((100, 132), 64), ((70, 45), 16), ((33, 97), 8),
+], ids=["64x64", "100x132", "70x45-region16", "33x97-region8"])
+def test_sadaka_matches_reference_loop(shape, region):
+    rng = np.random.RandomState(7)
+    lumas = []
+    for _ in range(2):
+        luma = np.kron(rng.rand(shape[0] // 4 + 1, shape[1] // 4 + 1) * 255.0,
+                       np.ones((4, 4)))[:shape[0], :shape[1]]
+        luma[:, : shape[1] // 2] *= 0.15  # low-contrast regions take the wide JNB
+        lumas.append(luma)
+    seq = seq_from_lumas(lumas, [np.roll(x, 3, axis=1) for x in lumas])
+    s = rng.rand(*shape)
+    s[: shape[0] // 3, :] = 0.0
+    cfg = NrMetricConfig(sadaka_region=region)
+    report = nr.sadaka_s(seq, s_series=[SaliencyMap(s)] * 2, cfg=cfg)
+    for t, frame in enumerate(seq.frames):
+        want = 0.5 * (_reference_sadaka(frame.left.luma, s, cfg)
+                      + _reference_sadaka(frame.right.luma, s, cfg))
+        assert report.frame_scores[t] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_sadaka_blur_lowers_sharpness():

@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import stereoqa.saliency as saliency
-from stereoqa.disparity import estimate_disparity_series
-from stereoqa.errors import DegenerateSaliency, DimensionMismatch
+from stereoqa.disparity import DisparityMap, estimate_disparity_series
+from stereoqa.errors import (DegenerateSaliency, DimensionMismatch, ParamError,
+                             SequenceLengthError)
 from stereoqa.saliency import (
     SaliencyMap,
     VamConfig,
@@ -131,6 +132,18 @@ def test_baseline_vam_uses_disparity_channel():
     with_depth = baseline_vam(seq, disparity_series=d)
     without = baseline_vam(seq)
     assert not np.allclose(with_depth[0].values, without[0].values)
+
+
+@pytest.mark.parametrize("bad,error", [
+    (lambda d: [DisparityMap(np.zeros((80, 80)))] * 2, DimensionMismatch),
+    (lambda d: d[:1], SequenceLengthError),
+    (lambda d: [m.values for m in d], ParamError),
+], ids=["wrong-shape", "short-series", "raw-arrays"])
+def test_baseline_vam_checks_disparity_series(bad, error):
+    seq = make_seq(29, frames=2, size=64)
+    d = [DisparityMap(np.full((64, 64), 3.0)) for _ in range(2)]
+    with pytest.raises(error):
+        baseline_vam(seq, disparity_series=bad(d))
 
 
 def test_vam_config_weights_default():
