@@ -28,6 +28,10 @@ from .stats import MosTable, SubjectiveTable, emit_report, performance, \
     screen_and_mos, si_ti
 
 
+# disparity maps are stored on the unit scale: pgm value * scale = disparity
+_DISPARITY_SCALE = DisparityConfig().search_range
+
+
 def _load_config(path, cls):
     if path is None:
         return cls()
@@ -65,13 +69,10 @@ def _resolve_saliency(mode: str, seq):
 
 
 def _resolve_disparity(source: str, seq):
-    cfg = DisparityConfig()
     if source.startswith("dir:"):
-        maps = load_map_series(source[4:], {"width": seq.width,
-                                            "height": seq.height,
-                                            "count": len(seq)})
-        return [DisparityMap(values=m * cfg.search_range, block=cfg.block,
-                             search_range=cfg.search_range) for m in maps]
+        expected = {"width": seq.width, "height": seq.height, "count": len(seq)}
+        return [DisparityMap(m * _DISPARITY_SCALE)
+                for m in load_map_series(source[4:], expected)]
     if source != "estimate":
         raise StereoQaError(f"unknown disparity source {source!r}")
     return estimate_disparity_series(seq)
@@ -121,21 +122,16 @@ def _cmd_saliency(args) -> int:
     if args.disparity != "none":
         d_series = _resolve_disparity(args.disparity, seq)
     maps = baseline_vam(seq, disparity_series=d_series, cfg=cfg)
-    save_map_series([m.values for m in maps], args.out)
-    _write_manifest(os.path.join(args.out, "saliency"), args,
-                    [os.path.join(args.out, f"{i:06d}.pgm")
-                     for i in range(len(maps))])
+    paths = save_map_series([m.values for m in maps], args.out)
+    _write_manifest(os.path.join(args.out, "saliency"), args, paths)
     return 0
 
 
 def _cmd_disparity(args) -> int:
     seq = load_sequence(SequenceDescriptor.from_json(args.input))
     maps = _resolve_disparity("estimate", seq)
-    # stored on the unit scale: raw pgm value * search_range = disparity
-    save_map_series([m.values / m.search_range for m in maps], args.out)
-    _write_manifest(os.path.join(args.out, "disparity"), args,
-                    [os.path.join(args.out, f"{i:06d}.pgm")
-                     for i in range(len(maps))])
+    paths = save_map_series([m.values / _DISPARITY_SCALE for m in maps], args.out)
+    _write_manifest(os.path.join(args.out, "disparity"), args, paths)
     return 0
 
 

@@ -30,8 +30,6 @@ class DisparityConfig:
 @dataclass
 class DisparityMap:
     values: np.ndarray
-    block: int = 8
-    search_range: int = 32
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -81,7 +79,7 @@ def estimate_disparity(pair: StereoFrame, cfg: DisparityConfig | None = None) ->
     x_cover = np.searchsorted(x_anchors, np.arange(w), side="right") - 1
     out = best[y_cover[:, None], x_cover[None, :]].astype(np.float64)
     out = scipy.ndimage.median_filter(out, size=3, mode="nearest")
-    return DisparityMap(out, block=cfg.block, search_range=cfg.search_range)
+    return DisparityMap(out)
 
 
 def estimate_disparity_series(seq, cfg: DisparityConfig | None = None) -> list[DisparityMap]:

@@ -62,6 +62,8 @@ class FrMetricConfig:
             raise ParamError("MS-SSIM exponents must sum to 1 within 1e-3")
         if np.asarray(self.csf_mask).shape != (4, 4):
             raise ParamError("CSF mask must be 4x4")
+        if self.hv3d_block < 1 or self.flosim_patch < 1:
+            raise ParamError("hv3d_block and flosim_patch must be >= 1")
 
 
 FR_METRICS: dict = {}
@@ -74,23 +76,28 @@ def _views(c):
     return [(getattr(c.ref, v).luma, getattr(c.dist, v).luma) for v in VIEWS]
 
 
-def _raw_moments(x, y, window):
+def _raw_moments(x, y, mean):
+    """Means, variances and covariance of x and y under the local mean ``mean``."""
     # Unclamped moments: identical inputs then give a ssim map of exactly 1.
-    mu_x = convolve2d(x, window)
-    mu_y = convolve2d(y, window)
-    var_x = convolve2d(x * x, window) - mu_x * mu_x
-    var_y = convolve2d(y * y, window) - mu_y * mu_y
-    cov = convolve2d(x * y, window) - mu_x * mu_y
+    mu_x = mean(x)
+    mu_y = mean(y)
+    var_x = mean(x * x) - mu_x * mu_x
+    var_y = mean(y * y) - mu_y * mu_y
+    cov = mean(x * y) - mu_x * mu_y
     return mu_x, mu_y, var_x, var_y, cov
 
 
-def _ssim_map(x, y, cfg: FrMetricConfig) -> np.ndarray:
-    window = gaussian_kernel(cfg.ssim_window, cfg.ssim_sigma)
-    mu_x, mu_y, var_x, var_y, cov = _raw_moments(x, y, window)
+def _ssim(moments, cfg: FrMetricConfig):
+    mu_x, mu_y, var_x, var_y, cov = moments
     c1, c2 = cfg.ssim_c1, cfg.ssim_c2
     num = (2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)
     den = (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
     return num / den
+
+
+def _ssim_map(x, y, cfg: FrMetricConfig) -> np.ndarray:
+    window = gaussian_kernel(cfg.ssim_window, cfg.ssim_sigma)
+    return _ssim(_raw_moments(x, y, lambda a: convolve2d(a, window)), cfg)
 
 
 def _psnr_from_mse(mse: float, cap: float) -> float:
@@ -132,7 +139,8 @@ def _msssim_frame(x: np.ndarray, y: np.ndarray, s: np.ndarray,
     c1, c2 = cfg.ssim_c1, cfg.ssim_c2
     score = 1.0
     for m, s_m in enumerate(s_levels):
-        mu_x, mu_y, var_x, var_y, cov = _raw_moments(x, y, window)
+        mu_x, mu_y, var_x, var_y, cov = _raw_moments(
+            x, y, lambda a: convolve2d(a, window))
         cs_map = (2.0 * cov + c2) / (var_x + var_y + c2)
         cs = max(weighted_spatial_mean(cs_map, s_m), 0.0)
         if m == scales - 1:
@@ -169,7 +177,7 @@ def _vif_frame(x: np.ndarray, y: np.ndarray, s: np.ndarray,
         if k > 1:
             x = convolve2d(x, window)[::2, ::2]
             y = convolve2d(y, window)[::2, ::2]
-        _, _, var_x, var_y, cov = _raw_moments(x, y, window)
+        _, _, var_x, var_y, cov = _raw_moments(x, y, lambda a: convolve2d(a, window))
         var_x = np.maximum(var_x, 0.0)
         var_y = np.maximum(var_y, 0.0)
         g = np.where(var_x > 1e-10, cov / np.where(var_x > 1e-10, var_x, 1.0), 0.0)
@@ -315,14 +323,7 @@ def mj3d_s(c, cfg):
 
 def _global_ssim(x: np.ndarray, y: np.ndarray, cfg: FrMetricConfig) -> np.ndarray:
     """SSIM of each whole block of the (n, b, b) stacks x and y."""
-    axes = (-2, -1)
-    mu_x, mu_y = x.mean(axis=axes), y.mean(axis=axes)
-    var_x = (x * x).mean(axis=axes) - mu_x * mu_x
-    var_y = (y * y).mean(axis=axes) - mu_y * mu_y
-    cov = (x * y).mean(axis=axes) - mu_x * mu_y
-    c1, c2 = cfg.ssim_c1, cfg.ssim_c2
-    return (((2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2))
-            / ((mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)))
+    return _ssim(_raw_moments(x, y, lambda a: a.mean(axis=(-2, -1))), cfg)
 
 
 @_fr("higher_better", needs=("d_ref", "d_dist"), over="frame")

@@ -7,6 +7,7 @@ are uncompressed so loading is bit-exact and needs no external decoders.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import re
@@ -29,7 +30,6 @@ from .errors import (
 )
 
 PIXEL_FORMATS = ("yuv420p8", "yuv444p8", "gray8")
-_DESCRIPTOR_FIELDS = ("left", "right", "width", "height", "fps", "frames")
 
 
 def read_json(path: str):
@@ -91,7 +91,6 @@ class StereoFrame:
 class StereoSequence:
     frames: list[StereoFrame]
     fps: float = 30.0
-    name: str = "sequence"
 
     def __post_init__(self):
         if not self.frames:
@@ -133,19 +132,15 @@ class SequenceDescriptor:
             raise DescriptorMismatch(f"unknown pixel format {self.format!r}")
 
     def frame_bytes(self) -> int:
-        y = self.width * self.height
-        if self.format == "gray8":
-            return y
-        if self.format == "yuv420p8":
-            return y + 2 * ((self.width // 2) * (self.height // 2))
-        return 3 * y  # yuv444p8
+        return sum(h * w for h, w in _planes(self))
 
     @classmethod
     def from_json(cls, path: str) -> "SequenceDescriptor":
         data = read_json(path)
         if not isinstance(data, dict):
             raise MalformedJson(f"{path}: descriptor must be a JSON object")
-        missing = [k for k in _DESCRIPTOR_FIELDS if k not in data]
+        missing = [f.name for f in dataclasses.fields(cls)
+                   if f.default is dataclasses.MISSING and f.name not in data]
         if missing:
             raise MalformedJson(f"{path}: descriptor lacks {', '.join(missing)}")
         base = os.path.dirname(os.path.abspath(path))
@@ -158,18 +153,19 @@ class SequenceDescriptor:
             raise MalformedJson(f"{path}: {exc}") from exc
 
     def to_json(self, path: str) -> None:
-        data = {
-            "left": self.left,
-            "right": self.right,
-            "width": self.width,
-            "height": self.height,
-            "fps": self.fps,
-            "frames": self.frames,
-            "format": self.format,
-        }
         with open(path, "w") as fh:
-            json.dump(data, fh, indent=2)
+            json.dump(dataclasses.asdict(self), fh, indent=2)
             fh.write("\n")
+
+
+def _planes(desc: SequenceDescriptor) -> list[tuple[int, int]]:
+    """(height, width) of each plane of one frame, in file order: luma, then
+    the u and v chroma planes of the yuv formats."""
+    luma = (desc.height, desc.width)
+    if desc.format == "gray8":
+        return [luma]
+    chroma = (desc.height // 2, desc.width // 2) if desc.format == "yuv420p8" else luma
+    return [luma, chroma, chroma]
 
 
 def _read_view(path: str, desc: SequenceDescriptor) -> bytes:
@@ -186,23 +182,15 @@ def _read_view(path: str, desc: SequenceDescriptor) -> bytes:
 
 
 def _split_frame(buf: bytes, offset: int, desc: SequenceDescriptor) -> Frame:
-    w, h = desc.width, desc.height
-    y = np.frombuffer(buf, np.uint8, w * h, offset).reshape(h, w).astype(np.float64)
-    if desc.format == "gray8":
-        return Frame(y)
-    if desc.format == "yuv420p8":
-        cw, ch = w // 2, h // 2
-        u = np.frombuffer(buf, np.uint8, cw * ch, offset + w * h)
-        v = np.frombuffer(buf, np.uint8, cw * ch, offset + w * h + cw * ch)
-        return Frame(y, u.reshape(ch, cw).astype(np.float64),
-                     v.reshape(ch, cw).astype(np.float64))
-    u = np.frombuffer(buf, np.uint8, w * h, offset + w * h)
-    v = np.frombuffer(buf, np.uint8, w * h, offset + 2 * w * h)
-    return Frame(y, u.reshape(h, w).astype(np.float64),
-                 v.reshape(h, w).astype(np.float64))
+    planes = []
+    for h, w in _planes(desc):
+        plane = np.frombuffer(buf, np.uint8, h * w, offset).reshape(h, w)
+        planes.append(plane.astype(np.float64))
+        offset += h * w
+    return Frame(*planes)
 
 
-def load_sequence(desc: SequenceDescriptor, name: str | None = None) -> StereoSequence:
+def load_sequence(desc: SequenceDescriptor) -> StereoSequence:
     """Load a stereo pair of raw planar streams described by ``desc``."""
     if desc.frames == 0:
         raise EmptySequence("descriptor declares zero frames")
@@ -213,8 +201,7 @@ def load_sequence(desc: SequenceDescriptor, name: str | None = None) -> StereoSe
     for i in range(desc.frames):
         frames.append(StereoFrame(_split_frame(left_buf, i * step, desc),
                                   _split_frame(right_buf, i * step, desc), i))
-    return StereoSequence(frames, fps=desc.fps,
-                          name=name or os.path.basename(desc.left))
+    return StereoSequence(frames, fps=desc.fps)
 
 
 def _plane_bytes(plane: np.ndarray) -> bytes:
@@ -222,28 +209,31 @@ def _plane_bytes(plane: np.ndarray) -> bytes:
     return q.astype(np.uint8).tobytes()
 
 
+def _frame_planes(frame: Frame, desc: SequenceDescriptor) -> list[np.ndarray]:
+    """The planes ``desc`` stores of ``frame``; missing chroma is a flat 128."""
+    planes = []
+    for plane, shape in zip((frame.luma, frame.chroma_u, frame.chroma_v), _planes(desc)):
+        plane = np.full(shape, 128.0) if plane is None else plane
+        if plane.shape != shape:
+            raise DimensionMismatch(f"{desc.format} plane {plane.shape} does not match {shape}")
+        planes.append(plane)
+    return planes
+
+
 def save_sequence(seq: StereoSequence, left_path: str, right_path: str,
                   format: str = "gray8") -> SequenceDescriptor:
     """Write both views as raw planar streams and return their descriptor."""
-    if format not in PIXEL_FORMATS:
-        raise DescriptorMismatch(f"unknown pixel format {format!r}")
-    for view, path in (("left", left_path), ("right", right_path)):
-        with open(path, "wb") as fh:
-            for fr in seq.frames:
-                frame = getattr(fr, view)
-                fh.write(_plane_bytes(frame.luma))
-                if format == "yuv420p8":
-                    ch, cw = seq.height // 2, seq.width // 2
-                    for c in (frame.chroma_u, frame.chroma_v):
-                        plane = c if c is not None else np.full((ch, cw), 128.0)
-                        fh.write(_plane_bytes(plane))
-                elif format == "yuv444p8":
-                    for c in (frame.chroma_u, frame.chroma_v):
-                        plane = c if c is not None else np.full(frame.luma.shape, 128.0)
-                        fh.write(_plane_bytes(plane))
-    return SequenceDescriptor(left=left_path, right=right_path,
+    desc = SequenceDescriptor(left=left_path, right=right_path,
                               width=seq.width, height=seq.height, fps=seq.fps,
                               frames=len(seq), format=format)
+    # every plane is checked before the first byte is written
+    views = [(path, [p for fr in seq.frames for p in _frame_planes(getattr(fr, view), desc)])
+             for view, path in (("left", left_path), ("right", right_path))]
+    for path, planes in views:
+        with open(path, "wb") as fh:
+            for plane in planes:
+                fh.write(_plane_bytes(plane))
+    return desc
 
 
 _PGM_TOKEN = re.compile(rb"^\s*(?:#[^\n]*\n\s*)*(\S+)")
@@ -269,12 +259,16 @@ def read_pgm(path: str) -> np.ndarray:
     tokens, pos = _pgm_tokens(buf, 4)
     if tokens[0] != b"P5":
         raise IoError(f"{path}: not a binary PGM (P5)")
+    if not all(t.isdigit() for t in tokens[1:]):
+        raise IoError(f"{path}: PGM header fields must be decimal integers")
     width, height, maxval = (int(t) for t in tokens[1:])
+    if width < 1 or height < 1 or not 1 <= maxval <= 65535:
+        raise IoError(f"{path}: PGM size {width}x{height} or maxval {maxval} out of range")
     pos += 1  # single whitespace after maxval
-    if maxval < 256:
-        data = np.frombuffer(buf, np.uint8, width * height, pos)
-    else:
-        data = np.frombuffer(buf, ">u2", width * height, pos)
+    dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
+    if len(buf) - pos < width * height * dtype.itemsize:
+        raise IoError(f"{path}: truncated PGM payload")
+    data = np.frombuffer(buf, dtype, width * height, pos)
     return data.reshape(height, width).astype(np.float64) / maxval
 
 
@@ -326,7 +320,11 @@ def _maps(series, kind, n: int, shape, name: str) -> list:
     return [m.values for m in series]
 
 
-def save_map_series(maps, dir_path: str) -> None:
+def save_map_series(maps, dir_path: str) -> list[str]:
+    """Write maps as 000000.pgm... in ``dir_path``; returns the paths written."""
     os.makedirs(dir_path, exist_ok=True)
+    paths = []
     for i, m in enumerate(maps):
-        save_frame_pgm(np.asarray(m, dtype=np.float64), os.path.join(dir_path, map_name(i)))
+        paths.append(os.path.join(dir_path, map_name(i)))
+        save_frame_pgm(m, paths[-1])
+    return paths

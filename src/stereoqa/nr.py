@@ -50,6 +50,13 @@ class NrMetricConfig:
             raise ParamError("disparity threshold must be >= 0")
         if self.gbim_masking not in ("neutral", "luminance"):
             raise ParamError("gbim_masking must be 'neutral' or 'luminance'")
+        for name in ("gbim_grid", "nrpbm_probe", "sadaka_region", "aqi_bins"):
+            if getattr(self, name) < 1:
+                raise ParamError(f"{name} must be >= 1")
+        if self.sadaka_beta <= 0:
+            raise ParamError("sadaka_beta must be > 0")
+        if not self.aqi_directions or not set(self.aqi_directions) <= {0, 45, 90, 135}:
+            raise ParamError("aqi_directions must be a non-empty subset of 0, 45, 90, 135")
 
 
 NR_METRICS: dict = {}

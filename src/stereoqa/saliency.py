@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disparity import DisparityMap
-from .errors import DegenerateSaliency, DimensionMismatch, MapSeriesGap, NumericError
+from .errors import DegenerateSaliency, DimensionMismatch, NumericError
 from .kernels import downsample2, gaussian_smooth
 from .media import StereoSequence, _maps, load_map_series
 
@@ -92,8 +92,6 @@ def load_external_saliency(dir_path: str, seq: StereoSequence) -> list[SaliencyM
     """PGM series matching the sequence, min-max normalized per frame."""
     maps = load_map_series(dir_path, {"width": seq.width, "height": seq.height,
                                       "count": len(seq)})
-    if len(maps) != len(seq):
-        raise MapSeriesGap("map count does not match sequence length")
     return [normalize_map(m, "external") for m in maps]
 
 

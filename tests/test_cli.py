@@ -130,6 +130,24 @@ def test_bad_config_exit_1(desc_path, tmp_path, capsys, text):
                          "--config", str(cfg)]), capsys)
 
 
+def test_bad_nr_config_value_exit_1(desc_path, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"sadaka_region": 0}))
+    _assert_exit_1(main(["score-nr", "--metric", "sadaka_s", "--dist", desc_path,
+                         "--out", str(tmp_path / "r.json"), "--config", str(cfg)]),
+                   capsys)
+
+
+def test_truncated_saliency_pgm_exit_1(desc_path, tmp_path, capsys):
+    maps = str(tmp_path / "maps")
+    paths = save_map_series([np.full((64, 64), 0.5)] * 2, maps)
+    with open(paths[1], "r+b") as fh:
+        fh.truncate(os.path.getsize(paths[1]) - 1)
+    _assert_exit_1(main(["score-nr", "--metric", "gbim_s", "--dist", desc_path,
+                         "--out", str(tmp_path / "r.json"), "--saliency", f"dir:{maps}"]),
+                   capsys)
+
+
 def test_none_and_uniform_saliency_agree(desc_path, tmp_path):
     a = str(tmp_path / "none.json")
     b = str(tmp_path / "uniform.json")

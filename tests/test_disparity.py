@@ -46,7 +46,7 @@ def test_disparity_values_within_search_range():
     seq = make_seq(37, frames=2, size=64)
     for d in estimate_disparity_series(seq):
         assert d.values.min() >= 0
-        assert d.values.max() <= d.search_range
+        assert d.values.max() <= DisparityConfig().search_range
 
 
 def test_frame_too_narrow():
@@ -64,8 +64,7 @@ def test_config_validation():
 
 
 def test_disparity_to_depth_orientation():
-    d = DisparityMap(values=np.array([[0.0, 16.0], [32.0, 8.0]]),
-                     block=8, search_range=32)
+    d = DisparityMap(values=np.array([[0.0, 16.0], [32.0, 8.0]]))
     depth = disparity_to_depth(d.values)
     # larger disparity is nearer, so it maps to smaller depth
     assert depth[0, 0] == 1.0
@@ -73,7 +72,7 @@ def test_disparity_to_depth_orientation():
 
 
 def test_disparity_to_depth_flat():
-    d = DisparityMap(values=np.full((4, 4), 5.0), block=8, search_range=32)
+    d = DisparityMap(values=np.full((4, 4), 5.0))
     assert np.allclose(disparity_to_depth(d.values), 0.5)
 
 

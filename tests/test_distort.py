@@ -102,12 +102,17 @@ def test_block_quantize_idempotent():
     assert np.abs(twice.frames[0].left.luma - once.frames[0].left.luma).max() < 1e-6
 
 
-def test_block_quantize_rounds_half_away_from_zero():
-    seq = flat_seq(100.0, frames=1, size=16)
-    # dc of a flat 8x8 block is 8*value; with step = dc the level rounds to 1
-    spec = DistortionSpec(kind="block_quantize", params={"step": 1600.0})
-    out = apply(seq, spec)
-    assert np.allclose(out.frames[0].left.luma, 200.0)
+def test_block_quantize_rounds_half_away_from_zero(monkeypatch):
+    # coefficients of exactly +-0.5, +-1.5 and +-2.5 steps, and an inverse
+    # transform that only lifts the levels into [0, 255]
+    halves = np.resize([0.5, -0.5, 1.5, -1.5, 2.5, -2.5], 64).reshape(8, 8)
+    monkeypatch.setattr(distort, "dct2_stack", lambda blocks: np.broadcast_to(
+        halves, blocks.shape) * 2.0)
+    monkeypatch.setattr(distort, "idct2_stack", lambda coeffs: coeffs + 100.0)
+    out = apply(flat_seq(0.0, frames=1, size=16),
+                DistortionSpec(kind="block_quantize", params={"step": 2.0}))
+    expected = 100.0 + 2.0 * np.resize([1, -1, 2, -2, 3, -3], 64).reshape(8, 8)
+    assert np.array_equal(out.frames[0].left.luma, np.tile(expected, (2, 2)))
 
 
 def _reference_block_quantize(luma, spec):

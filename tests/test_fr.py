@@ -9,6 +9,7 @@ from stereoqa.distort import DistortionSpec, apply
 from stereoqa.errors import (
     DisparityRequired,
     NeedsTemporalContext,
+    ParamError,
     SequenceLengthError,
     TooSmall,
 )
@@ -132,6 +133,14 @@ def test_vif_decreases_with_noise_level():
 def test_msssim_weight_validation():
     with pytest.raises(Exception):
         FrMetricConfig(msssim_exponents=(0.5, 0.2))
+
+
+@pytest.mark.parametrize("override", [
+    {"hv3d_block": 0}, {"hv3d_block": -8}, {"flosim_patch": 0},
+], ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items()))
+def test_config_rejects_bad_sizes(override):
+    with pytest.raises(ParamError):
+        FrMetricConfig(**override)
 
 
 def test_phvs_noise_sensitivity():

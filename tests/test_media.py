@@ -1,18 +1,25 @@
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stereoqa.errors import (
     DescriptorMismatch,
+    DimensionMismatch,
     IoError,
     MapSeriesGap,
     MapShapeError,
     RangeError,
 )
 from stereoqa.media import (
+    PIXEL_FORMATS,
     Frame,
     SequenceDescriptor,
+    StereoFrame,
+    StereoSequence,
     load_map_series,
     load_sequence,
     map_name,
@@ -137,3 +144,83 @@ def test_yuv420_round_trip(tmp_path):
     assert back.frames[0].left.chroma_u is not None
     assert back.frames[0].left.chroma_u[0, 0] == 64.0
     assert back.frames[0].left.chroma_v[0, 0] == 192.0
+
+
+@pytest.mark.parametrize("header,payload", [
+    (b"P5\n8 8\n255\n", bytes(63)),
+    (b"P5\n4 4\n65535\n", bytes(31)),
+    (b"P5\n8 8x\n255\n", bytes(64)),
+    (b"P5\n8.0 8\n255\n", bytes(64)),
+    (b"P5\n-4 8\n255\n", bytes(64)),
+    (b"P5\n8 0\n255\n", bytes(64)),
+    (b"P5\n8 8\n0\n", bytes(64)),
+    (b"P5\n8 8\n65536\n", bytes(256)),
+], ids=["truncated-8bit", "truncated-16bit", "non-integer", "decimal-point",
+        "negative-width", "zero-height", "maxval-0", "maxval-65536"])
+def test_read_pgm_rejects_bad_file(tmp_path, header, payload):
+    path = tmp_path / "m.pgm"
+    path.write_bytes(header + payload)
+    with pytest.raises(IoError):
+        read_pgm(str(path))
+
+
+def test_save_map_series_returns_paths(tmp_path):
+    d = str(tmp_path / "maps")
+    paths = save_map_series([np.zeros((8, 8))] * 2, d)
+    assert paths == [os.path.join(d, map_name(i)) for i in range(2)]
+    assert all(os.path.isfile(p) for p in paths)
+
+
+def test_save_sequence_rejects_wrong_chroma_plane(tmp_path):
+    seq = make_seq(5, frames=2, size=64)
+    for sf in seq.frames:
+        for view in (sf.left, sf.right):
+            view.luma = view.luma[:, :50]
+            view.chroma_u = np.full((33, 25), 64.0)
+            view.chroma_v = np.full((33, 25), 192.0)
+    left, right = tmp_path / "l.raw", tmp_path / "r.raw"
+    with pytest.raises(DimensionMismatch):
+        save_sequence(seq, str(left), str(right), format="yuv420p8")
+    assert not left.exists() and not right.exists()
+
+
+_CHROMA_SHAPE = {"gray8": None,
+                 "yuv420p8": lambda h, w: (h // 2, w // 2),
+                 "yuv444p8": lambda h, w: (h, w)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(fmt=st.sampled_from(PIXEL_FORMATS), height=st.integers(8, 37),
+       width=st.integers(8, 37), frames=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_sequence_round_trip_every_format(fmt, height, width, frames, seed):
+    rng = np.random.default_rng(seed)
+
+    def plane(shape):
+        return rng.integers(0, 256, shape).astype(np.float64)
+
+    def frame():
+        chroma = _CHROMA_SHAPE[fmt]
+        if chroma is None:
+            return Frame(plane((height, width)))
+        shape = chroma(height, width)
+        return Frame(plane((height, width)), plane(shape), plane(shape))
+
+    seq = StereoSequence([StereoFrame(frame(), frame(), i) for i in range(frames)],
+                         fps=24.0)
+    with tempfile.TemporaryDirectory() as d:
+        desc = save_sequence(seq, os.path.join(d, "l.raw"), os.path.join(d, "r.raw"),
+                             format=fmt)
+        desc.to_json(os.path.join(d, "desc.json"))
+        loaded = SequenceDescriptor.from_json(os.path.join(d, "desc.json"))
+        assert loaded == desc
+        back = load_sequence(loaded)
+    assert len(back) == frames and back.fps == 24.0
+    for a, b in zip(seq.frames, back.frames):
+        for view in ("left", "right"):
+            for name in ("luma", "chroma_u", "chroma_v"):
+                pa, pb = getattr(getattr(a, view), name), getattr(getattr(b, view), name)
+                if pa is None:
+                    assert pb is None
+                else:
+                    assert np.array_equal(pa, pb)

@@ -266,6 +266,22 @@ def test_config_validation():
         NrMetricConfig(gbim_masking="other")
 
 
+@pytest.mark.parametrize("override", [
+    {"gbim_grid": 0}, {"nrpbm_probe": 0}, {"sadaka_region": 0},
+    {"sadaka_beta": 0.0}, {"sadaka_beta": -1.0}, {"aqi_bins": 0},
+    {"aqi_directions": (0, 30)}, {"aqi_directions": ()},
+], ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items()))
+def test_config_rejects_bad_sizes(override):
+    with pytest.raises(ParamError):
+        NrMetricConfig(**override)
+
+
+def test_config_accepts_smallest_sizes():
+    cfg = NrMetricConfig(gbim_grid=1, nrpbm_probe=1, sadaka_region=1, aqi_bins=1,
+                         aqi_directions=(45,))
+    assert cfg.aqi_directions == (45,)
+
+
 def test_every_registered_metric_runs():
     seq = make_seq(72, frames=12, size=64, block=8)
     s = uniform_series(seq)
