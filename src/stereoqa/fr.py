@@ -20,6 +20,7 @@ from .kernels import (
     dct3_stereo_stack,
     downsample2,
     gaussian_kernel,
+    gaussian_smooth,
     halving_chain,
     idct2_stack,
     sobel_gradient,
@@ -64,6 +65,14 @@ class FrMetricConfig:
             raise ParamError("CSF mask must be 4x4")
         if self.hv3d_block < 1 or self.flosim_patch < 1:
             raise ParamError("hv3d_block and flosim_patch must be >= 1")
+        for name in ("ssim_window", "vif_scales"):
+            value = getattr(self, name)
+            integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            if not integer or value < 1:
+                raise ParamError(f"{name} must be an integer >= 1, got {value!r}")
+        for name in ("ssim_sigma", "vif_sigma_n_sq"):
+            if not getattr(self, name) > 0:
+                raise ParamError(f"{name} must be > 0")
 
 
 FR_METRICS: dict = {}
@@ -96,8 +105,13 @@ def _ssim(moments, cfg: FrMetricConfig):
 
 
 def _ssim_map(x, y, cfg: FrMetricConfig) -> np.ndarray:
-    window = gaussian_kernel(cfg.ssim_window, cfg.ssim_sigma)
-    return _ssim(_raw_moments(x, y, lambda a: convolve2d(a, window)), cfg)
+    return _ssim(_raw_moments(
+        x, y, lambda a: gaussian_smooth(a, cfg.ssim_window, cfg.ssim_sigma)), cfg)
+
+
+# hv3d_s/flosim3d_s amplify reordered round-off past 1e-12; ROADMAP item 1 deletes this
+def _smooth_2d(image: np.ndarray, size: int, sigma: float) -> np.ndarray:
+    return convolve2d(image, gaussian_kernel(size, sigma))
 
 
 def _psnr_from_mse(mse: float, cap: float) -> float:
@@ -128,19 +142,22 @@ def _msssim_scales(height: int, width: int, cfg: FrMetricConfig) -> int:
 
 
 def _msssim_frame(x: np.ndarray, y: np.ndarray, s: np.ndarray,
-                  cfg: FrMetricConfig) -> float:
+                  cfg: FrMetricConfig, smooth=None) -> float:
+    """MS-SSIM of x and y pooled by s.  ``smooth(image, size, sigma)`` is the
+    local mean window; None means this module's gaussian_smooth, looked up
+    at each call."""
+    smooth = smooth or gaussian_smooth
     scales = _msssim_scales(x.shape[0], x.shape[1], cfg)
     if scales < 2:
         raise TooSmall("image supports fewer than 2 MS-SSIM scales")
     weights = np.asarray(cfg.msssim_exponents[:scales])
     weights = weights / weights.sum()
     s_levels = build_saliency_pyramid(s, scales)
-    window = gaussian_kernel(cfg.ssim_window, cfg.ssim_sigma)
     c1, c2 = cfg.ssim_c1, cfg.ssim_c2
     score = 1.0
     for m, s_m in enumerate(s_levels):
         mu_x, mu_y, var_x, var_y, cov = _raw_moments(
-            x, y, lambda a: convolve2d(a, window))
+            x, y, lambda a: smooth(a, cfg.ssim_window, cfg.ssim_sigma))
         cs_map = (2.0 * cov + c2) / (var_x + var_y + c2)
         cs = max(weighted_spatial_mean(cs_map, s_m), 0.0)
         if m == scales - 1:
@@ -164,7 +181,10 @@ def msssim_s(c, cfg):
 
 
 def _vif_frame(x: np.ndarray, y: np.ndarray, s: np.ndarray,
-               cfg: FrMetricConfig) -> float:
+               cfg: FrMetricConfig, smooth=None) -> float:
+    """Pixel-domain VIF of x and y pooled by s; ``smooth`` as in
+    _msssim_frame."""
+    smooth = smooth or gaussian_smooth
     if min(x.shape) < 32:
         raise TooSmall("VIF needs at least 32 pixels per side")
     s_levels = build_saliency_pyramid(s, cfg.vif_scales)
@@ -173,11 +193,14 @@ def _vif_frame(x: np.ndarray, y: np.ndarray, s: np.ndarray,
     den_total = 0.0
     for k, w in enumerate(s_levels, start=1):
         size = 2 ** (cfg.vif_scales - k + 1) + 1
-        window = gaussian_kernel(size, size / 5.0)
+
+        def mean(a):
+            return smooth(a, size, size / 5.0)
+
         if k > 1:
-            x = convolve2d(x, window)[::2, ::2]
-            y = convolve2d(y, window)[::2, ::2]
-        _, _, var_x, var_y, cov = _raw_moments(x, y, lambda a: convolve2d(a, window))
+            x = mean(x)[::2, ::2]
+            y = mean(y)[::2, ::2]
+        _, _, var_x, var_y, cov = _raw_moments(x, y, mean)
         var_x = np.maximum(var_x, 0.0)
         var_y = np.maximum(var_y, 0.0)
         g = np.where(var_x > 1e-10, cov / np.where(var_x > 1e-10, var_x, 1.0), 0.0)
@@ -346,7 +369,7 @@ def hv3d_s(c, cfg):
     weights = _block_weights(c.s, anchors, b)
     # term1 raises DegenerateSaliency on zero block weight, so term3 may divide
     term1 = weighted_spatial_mean(_global_ssim(rec_ref, rec_dist, cfg), weights)
-    term2 = _vif_frame(dr, dd, c.s, cfg)
+    term2 = _vif_frame(dr, dd, c.s, cfg, _smooth_2d)
     sigma = np.var(_gather_blocks(dr, anchors, b), axis=(1, 2))
     max_sigma = sigma.max()
     if max_sigma <= 0.0:
@@ -392,12 +415,12 @@ def flosim3d_s(c, cfg):
                                 - _patch_features(dist_diff, cfg.flosim_patch))
                          .sum(axis=1).mean())
             q_s = 1.0 - _msssim_frame(getattr(ref_t, view).luma,
-                                      getattr(dist_t, view).luma, s, cfg)
+                                      getattr(dist_t, view).luma, s, cfg, _smooth_2d)
             total += q_s * q_fl
         flow_scores.append(0.5 * total)
         depth_ref = disparity_to_depth(c.d_ref[t]) * 255.0
         depth_dist = disparity_to_depth(c.d_dist[t]) * 255.0
-        q_d = 1.0 - _msssim_frame(depth_ref, depth_dist, s, cfg)
+        q_d = 1.0 - _msssim_frame(depth_ref, depth_dist, s, cfg, _smooth_2d)
         depth_scores.append(q_d)  # the shared map serves both view depths
     q_d_mean = float(np.mean(depth_scores))
     return [f * q_d_mean for f in flow_scores]

@@ -50,7 +50,14 @@ def gaussian_kernel(size: int, sigma: float) -> Kernel2D:
         raise ParamError("sigma must be > 0")
     offs = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
     g = np.exp(-(offs[:, None] ** 2 + offs[None, :] ** 2) / (2.0 * sigma**2))
+    _check_taps(g, size, sigma)
     return Kernel2D(g / g.sum())
+
+
+def _check_taps(g: np.ndarray, size: int, sigma: float) -> None:
+    # an even size has no tap at offset 0, so a tiny sigma underflows them all
+    if not g.sum() > 0:
+        raise ParamError(f"sigma {sigma} too small for a size-{size} kernel")
 
 
 def convolve2d(image: np.ndarray, kernel: Kernel2D) -> np.ndarray:
@@ -69,6 +76,12 @@ def gaussian_smooth(image: np.ndarray, size: int, sigma: float) -> np.ndarray:
 
     The taps use gaussian_kernel's offsets, so even sizes keep its origin;
     results agree with the 2-D convolution to rounding (about 1e-13).
+
+    Callers: the VAM smoothing of ``saliency.baseline_vam``; the SSIM window
+    of ``fr`` (``ssim_s``, ``ddl1_s``, ``oq_s``, ``ciq_s``); the MS-SSIM moments
+    of ``msssim_s`` and ``mj3d_s``; the VIF moments and scale-change low-pass
+    of ``vif_s``.  ``hv3d_s``, ``flosim3d_s``, the NR windows and the
+    distortion blur still use convolve2d.
     """
     image = np.asarray(image, dtype=np.float64)
     if size < 1:
@@ -81,6 +94,7 @@ def gaussian_smooth(image: np.ndarray, size: int, sigma: float) -> np.ndarray:
         )
     offs = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
     g = np.exp(-offs**2 / (2.0 * sigma**2))
+    _check_taps(g, size, sigma)
     g /= g.sum()
     low = scipy.ndimage.convolve1d(image, g, axis=0, mode="nearest")
     return scipy.ndimage.convolve1d(low, g, axis=1, mode="nearest")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NeedsTemporalContext, NoEdges, ParamError
+from .errors import NeedsTemporalContext, NoEdges, NumericError, ParamError, TooSmall
 from .kernels import Kernel2D, convolve2d, sobel_gradient
 from .metric import registrar
 from .saliency import weighted_spatial_mean
@@ -76,6 +76,8 @@ def gbim_s(luma, s, cfg):
     average inter-pixel difference.  Lower is better."""
     h, w = luma.shape
     g = cfg.gbim_grid
+    if g >= h or g >= w:
+        raise TooSmall(f"gbim_grid {g} leaves no block boundary in a {h}x{w} frame")
     if cfg.gbim_masking == "luminance":
         mask = 1.0 / (1.0 + _local_std(luma, 3) / 32.0)
     else:
@@ -216,14 +218,20 @@ def sadaka_s(luma, s, cfg):
     contrast = _region_reduce(np.maximum, luma, r) - _region_reduce(np.minimum, luma, r)
     w_jnb = np.where(contrast <= cfg.sadaka_contrast_threshold,
                      cfg.sadaka_jnb_wide, cfg.sadaka_jnb_narrow)
-    # a region without edge pixels has d_r = 0 and adds nothing
-    d_r = np.bincount(region, np.abs(widths / w_jnb[region]) ** beta,
-                      contrast.size) ** (1.0 / beta)
-    weight = (_region_reduce(np.add, s, r) / s.sum()) ** beta
-    total = (d_r * weight).sum()
+    # a small beta takes the powers out of the float range; checked below
+    with np.errstate(all="ignore"):
+        # a region without edge pixels has d_r = 0 and adds nothing
+        d_r = np.bincount(region, np.abs(widths / w_jnb[region]) ** beta,
+                          contrast.size) ** (1.0 / beta)
+        weight = (_region_reduce(np.add, s, r) / s.sum()) ** beta
+        total = (d_r * weight).sum()
+        score = total ** (-1.0 / beta)
     if total <= 0.0:
         raise NoEdges("no edge energy after pooling")
-    return total ** (-1.0 / beta)
+    if not 0.0 < score < np.inf:
+        raise NumericError(f"sadaka_beta {beta} is too small: the powers of the "
+                           "pooled edge energy leave the float range")
+    return score
 
 
 @_nr("higher_better", over="frame")

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.ndimage
 
 from stereoqa import SeededRng
+from stereoqa.kernels import gaussian_kernel
 from stereoqa.media import Frame, StereoFrame, StereoSequence
 
 
@@ -42,6 +44,13 @@ def seq_from_lumas(lumas_left, lumas_right=None):
                                right=Frame(luma=np.asarray(r, dtype=np.float64)),
                                index=i))
     return StereoSequence(frames=out, fps=25.0)
+
+
+def smooth_2d(values, size, sigma):
+    """gaussian_smooth as the full 2-D Gaussian convolution: the reference
+    for every window that runs as two 1-D passes."""
+    return scipy.ndimage.convolve(values, gaussian_kernel(size, sigma).taps,
+                                  mode="nearest")
 
 
 @pytest.fixture

@@ -130,6 +130,14 @@ def test_bad_config_exit_1(desc_path, tmp_path, capsys, text):
                          "--config", str(cfg)]), capsys)
 
 
+def test_bad_fr_config_value_exit_1(desc_path, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"vif_scales": 1.5}))
+    _assert_exit_1(main(["score-fr", "--metric", "vif_s", "--ref", desc_path,
+                         "--dist", desc_path, "--out", str(tmp_path / "r.json"),
+                         "--config", str(cfg)]), capsys)
+
+
 def test_bad_nr_config_value_exit_1(desc_path, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"sadaka_region": 0}))

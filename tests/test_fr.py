@@ -18,7 +18,7 @@ from stereoqa.kernels import dct3_stereo_stack, sobel_gradient
 from stereoqa.rng import SeededRng
 from stereoqa.saliency import SaliencyMap, uniform_series
 
-from conftest import flat_seq, make_seq, seq_from_lumas
+from conftest import flat_seq, make_seq, seq_from_lumas, smooth_2d
 
 
 def _flat_disparity(seq, value=0.0):
@@ -137,6 +137,10 @@ def test_msssim_weight_validation():
 
 @pytest.mark.parametrize("override", [
     {"hv3d_block": 0}, {"hv3d_block": -8}, {"flosim_patch": 0},
+    {"ssim_window": 0}, {"ssim_window": 11.0}, {"ssim_window": True},
+    {"vif_scales": 0}, {"vif_scales": -1}, {"vif_scales": 1.5},
+    {"ssim_sigma": 0.0}, {"ssim_sigma": -1.5},
+    {"vif_sigma_n_sq": 0.0}, {"vif_sigma_n_sq": -2.0},
 ], ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items()))
 def test_config_rejects_bad_sizes(override):
     with pytest.raises(ParamError):
@@ -159,6 +163,62 @@ def test_every_registered_metric_runs():
         assert np.isfinite(rep.score), metric
         assert rep.orientation in ("higher_better", "lower_better", "composite")
 
+
+# SSIM, MS-SSIM and VIF windows on luma run as two 1-D passes; hv3d_s and
+# flosim3d_s keep the 2-D window.
+_SEPARABLE = ("ssim_s", "ddl1_s", "oq_s", "ciq_s", "msssim_s", "mj3d_s", "vif_s")
+_WINDOW_2D = ("hv3d_s", "flosim3d_s")
+
+
+def _window_inputs(h, w, frames=1, salient=True):
+    """Integer luma, its AWGN copy, integer disparity 0..8 and saliency."""
+    rng = SeededRng(h * 1000 + w)
+
+    def planes(scale):
+        return [np.floor(rng.uniform(h * w).reshape(h, w) * scale) for _ in range(frames)]
+
+    ref = seq_from_lumas(planes(256.0), planes(256.0))
+    dist = apply(ref, DistortionSpec(kind="awgn", params={"variance": 0.005}, seed=7))
+    maps = {slot: [DisparityMap(d) for d in planes(9.0)] for slot in ("d_ref", "d_dist")}
+    maps["s_series"] = [SaliencyMap(rng.uniform(h * w).reshape(h, w))
+                        for _ in range(frames)] if salient else None
+    return ref, dist, maps
+
+
+def _score(metric, ref, dist, maps):
+    slots = FR_NEEDS_DISPARITY.get(metric, ()) + ("s_series",)
+    return FR_METRICS[metric](ref, dist, **{slot: maps[slot] for slot in slots})
+
+
+@pytest.mark.parametrize("salient", [False, True], ids=["plain", "salient"])
+@pytest.mark.parametrize("h, w", [(64, 64), (72, 96), (100, 132), (33, 97)])
+@pytest.mark.parametrize("metric", _SEPARABLE)
+def test_separable_windows_match_2d(metric, h, w, salient, monkeypatch):
+    ref, dist, maps = _window_inputs(h, w, salient=salient)
+    got = _score(metric, ref, dist, maps)
+    monkeypatch.setattr(fr, "gaussian_smooth", smooth_2d)
+    want = _score(metric, ref, dist, maps)
+    np.testing.assert_allclose(got.frame_scores, want.frame_scores, rtol=1e-12, atol=0)
+
+
+class _Called(Exception):
+    pass
+
+
+@pytest.mark.parametrize("metric", _SEPARABLE + _WINDOW_2D)
+def test_window_split(metric, monkeypatch):
+    ref, dist, maps = _window_inputs(64, 64, frames=2)
+    want = _score(metric, ref, dist, maps)
+
+    def refuse(*args):
+        raise _Called
+
+    monkeypatch.setattr(fr, "gaussian_smooth", refuse)
+    if metric in _WINDOW_2D:
+        assert _score(metric, ref, dist, maps).frame_scores == want.frame_scores
+    else:
+        with pytest.raises(_Called):
+            _score(metric, ref, dist, maps)
 
 
 # Per-block loop references for the block helpers, at a size whose height and

@@ -185,3 +185,8 @@ def test_gaussian_smooth_checks_like_convolve2d():
         gaussian_smooth(np.zeros((8, 12)), 9, 1.0)
     with pytest.raises(ParamError):
         gaussian_smooth(np.zeros((8, 8)), 3, 0.0)
+    # every tap of an even window underflows
+    with pytest.raises(ParamError):
+        gaussian_smooth(np.zeros((8, 8)), 4, 0.01)
+    with pytest.raises(ParamError):
+        gaussian_kernel(4, 0.01)

@@ -12,11 +12,13 @@ from stereoqa.errors import (
     DisparityRequired,
     NeedsTemporalContext,
     NoEdges,
+    NumericError,
     ParamError,
+    TooSmall,
 )
 from stereoqa.kernels import sobel_gradient
 from stereoqa.nr import NR_METRICS, NrMetricConfig
-from stereoqa.saliency import SaliencyMap, uniform_series
+from stereoqa.saliency import SaliencyMap, baseline_vam, uniform_series
 
 from conftest import flat_seq, make_seq, seq_from_lumas
 
@@ -45,6 +47,14 @@ def test_gbim_masking_modes_differ():
     neutral = nr.gbim_s(seq).score
     masked = nr.gbim_s(seq, cfg=NrMetricConfig(gbim_masking="luminance")).score
     assert masked < neutral
+
+
+@pytest.mark.parametrize("h, w, grid", [(64, 64, 65), (64, 64, 64), (32, 64, 40)])
+def test_gbim_grid_without_boundary_is_too_small(h, w, grid):
+    rng = np.random.default_rng(0)
+    seq = seq_from_lumas([rng.uniform(0, 255, (h, w))])
+    with pytest.raises(TooSmall, match=f"gbim_grid {grid} .* {h}x{w}"):
+        nr.gbim_s(seq, cfg=NrMetricConfig(gbim_grid=grid))
 
 
 def test_nrpbm_flat_frame_zero():
@@ -193,6 +203,16 @@ def test_sadaka_blur_lowers_sharpness():
     blurred = apply(seq, DistortionSpec(kind="gaussian_blur",
                                         params={"size": 7, "sigma": 2.0}))
     assert nr.sadaka_s(blurred).score < nr.sadaka_s(seq).score
+
+
+@pytest.mark.parametrize("beta", [0.01, 0.05, 0.1])
+def test_sadaka_small_beta_is_numeric_error(beta):
+    seq = apply(make_seq(1, frames=2, size=64),
+                DistortionSpec(kind="awgn", params={"variance": 1e-3}, seed=1))
+    s = baseline_vam(seq)
+    assert np.isfinite(nr.sadaka_s(seq, s_series=s).score)
+    with pytest.raises(NumericError, match="sadaka_beta"):
+        nr.sadaka_s(seq, s_series=s, cfg=NrMetricConfig(sadaka_beta=beta))
 
 
 def test_vqsm_flat_is_constant_term():

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.ndimage
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -19,11 +18,10 @@ from stereoqa.saliency import (
     uniform_series,
     weighted_spatial_mean,
 )
-from stereoqa.kernels import gaussian_kernel
 from stereoqa.media import Frame, StereoFrame, StereoSequence, save_map_series
 from stereoqa.rng import SeededRng
 
-from conftest import make_seq
+from conftest import make_seq, smooth_2d
 
 
 def test_weighted_mean_hand_value():
@@ -157,12 +155,6 @@ def test_saliency_map_rejects_negative():
         SaliencyMap(np.array([[-1.0, 0.0], [0.0, 1.0]]), "external")
 
 
-def _smooth_2d(values, size, sigma):
-    """The full 2-D Gaussian convolution that the VAM smoothing replaced."""
-    return scipy.ndimage.convolve(values, gaussian_kernel(size, sigma).taps,
-                                  mode="nearest")
-
-
 def _seq_with_chroma(seed, frames, h, w):
     rng = SeededRng(seed)
     out = []
@@ -186,7 +178,7 @@ def _seq_with_chroma(seed, frames, h, w):
 ], ids=["64x64-yuv", "64x64-gray", "100x132-yuv", "10x12-even-window"])
 def test_baseline_vam_matches_2d_smoothing(seq, monkeypatch):
     got = baseline_vam(seq)
-    monkeypatch.setattr(saliency, "gaussian_smooth", _smooth_2d)
+    monkeypatch.setattr(saliency, "gaussian_smooth", smooth_2d)
     want = baseline_vam(seq)
     for g, r in zip(got, want):
         np.testing.assert_allclose(g.values, r.values, rtol=0,
