@@ -43,6 +43,12 @@ def read_json(path: str):
         raise MalformedJson(f"{path}: not valid JSON ({exc})") from exc
 
 
+def _check_8bit_range(name: str, plane: np.ndarray) -> None:
+    # written so that a NaN sample fails the test too
+    if plane.size and not (plane.min() >= 0.0 and plane.max() <= 255.0):
+        raise RangeError(f"{name} samples outside [0, 255]")
+
+
 @dataclass
 class Frame:
     """Single-view frame: luma always, 8-bit-range chroma optional."""
@@ -60,10 +66,13 @@ class Frame:
             raise DimensionMismatch(f"frame too small: {w}x{h} (minimum 8x8)")
         if not np.all(np.isfinite(self.luma)):
             raise NumericError("non-finite luma samples")
+        _check_8bit_range("luma", self.luma)
         for name in ("chroma_u", "chroma_v"):
             c = getattr(self, name)
             if c is not None:
-                setattr(self, name, np.asarray(c, dtype=np.float64))
+                c = np.asarray(c, dtype=np.float64)
+                _check_8bit_range(name, c)
+                setattr(self, name, c)
 
     @property
     def height(self) -> int:

@@ -70,14 +70,20 @@ def _local_std(image: np.ndarray, size: int) -> np.ndarray:
     return np.sqrt(np.maximum(convolve2d(image * image, box) - mu * mu, 0.0))
 
 
+def _block_boundaries(shape, g):
+    """Row and column indices at which a g-grid block starts, first block
+    excluded; TooSmall when either axis has none."""
+    h, w = shape
+    if g >= h or g >= w:
+        raise TooSmall(f"gbim_grid {g} leaves no block boundary in a {h}x{w} frame")
+    return np.arange(g, h, g), np.arange(g, w, g)
+
+
 @_nr("lower_better")
 def gbim_s(luma, s, cfg):
     """Block-edge impairment: 8-grid boundary differences over the frame's
     average inter-pixel difference.  Lower is better."""
-    h, w = luma.shape
-    g = cfg.gbim_grid
-    if g >= h or g >= w:
-        raise TooSmall(f"gbim_grid {g} leaves no block boundary in a {h}x{w} frame")
+    rows, cols = _block_boundaries(luma.shape, cfg.gbim_grid)
     if cfg.gbim_masking == "luminance":
         mask = 1.0 / (1.0 + _local_std(luma, 3) / 32.0)
     else:
@@ -87,8 +93,6 @@ def gbim_s(luma, s, cfg):
     e = (dh.sum() + dv.sum()) / (dh.size + dv.size)
     if e <= 0.0:
         return 0.0
-    cols = np.arange(g, w, g)
-    rows = np.arange(g, h, g)
     diff_h = np.abs(luma[:, cols] - luma[:, cols - 1])
     w_h = 0.5 * (mask[:, cols] + mask[:, cols - 1])
     s_h = 0.5 * (s[:, cols] + s[:, cols - 1])
@@ -180,22 +184,20 @@ def block_farias_s(luma, s, cfg):
     1/(H*W); lower is better.  An axis with no weighted luma difference adds
     0.0, so a flat frame, or one whose saliency weights no luma difference,
     scores 0.0 (the driver has already rejected an all-zero map)."""
-    h, w = luma.shape
-    g = cfg.gbim_grid
+    rows, cols = _block_boundaries(luma.shape, cfg.gbim_grid)
+    rows, cols = rows - 1, cols - 1  # difference index i-1 sits between pixels i-1, i
     total = 0.0
     dv = np.abs(luma[1:, :] - luma[:-1, :])
     sv = 0.5 * (s[1:, :] + s[:-1, :])
-    rows = np.arange(g, h, g) - 1  # difference index i-1 sits between rows i-1, i
     den = (dv * sv).sum()
     if den > 0:
         total += (dv[rows, :] * sv[rows, :]).sum() / den
     dh = np.abs(luma[:, 1:] - luma[:, :-1])
     sh = 0.5 * (s[:, 1:] + s[:, :-1])
-    cols = np.arange(g, w, g) - 1
     den = (dh * sh).sum()
     if den > 0:
         total += (dh[:, cols] * sh[:, cols]).sum() / den
-    return total / (h * w)
+    return total / luma.size
 
 
 def _region_reduce(ufunc, image: np.ndarray, r: int) -> np.ndarray:

@@ -7,7 +7,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.optimize
 
 from .errors import (
     DimensionMismatch,
@@ -219,14 +218,106 @@ def outlier_ratio(objective, mos, per_item_std) -> float:
 
 def _logistic(params, x):
     b1, b2, b3, b4 = params
-    return b1 + (b2 - b1) / (1.0 + np.exp(-(x - b3) / b4))
+    # a saturated fit overflows exp to inf, which maps to b1 exactly
+    with np.errstate(over="ignore"):
+        return b1 + (b2 - b1) / (1.0 + np.exp(-(x - b3) / b4))
+
+
+class _MaxFev(Exception):
+    """The counted cost of `_nelder_mead` has spent its `maxfev` calls."""
+
+
+def _nelder_mead(cost, x0, maxfev, xatol, fatol):
+    """Minimise `cost` by Nelder & Mead's (1965) simplex descent.
+
+    Takes exactly the steps of scipy 1.17.1's ``minimize(cost, x0,
+    method="Nelder-Mead")`` with the options ``maxfev``, ``xatol`` and
+    ``fatol`` and its defaults otherwise, on vertices held as tuples of
+    Python floats: coefficients rho=1, chi=2, psi=sigma=0.5; the same initial
+    simplex, centroid sum order, `np.argsort` order of tied values and NaN
+    handling; a cost call past `maxfev` ends the step where it stands.
+    `cost` gets each vertex as a tuple.  Returns (x, fun, nfev, success).
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    n = len(x0)
+    x0 = tuple(float(v) for v in x0)
+    sim = [x0] + [x0[:k] + ((1 + 0.05) * v if v != 0 else 0.00025,) + x0[k + 1:]
+                  for k, v in enumerate(x0)]
+    fsim = [np.inf] * (n + 1)
+    nfev = 0
+
+    def f(v):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _MaxFev
+        nfev += 1
+        return float(cost(v))
+
+    def by_value():
+        order = np.argsort(np.array(fsim))
+        return [sim[i] for i in order], [fsim[i] for i in order]
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _MaxFev:
+        pass
+    # scipy sorts twice here; an unstable argsort may reorder ties again
+    sim, fsim = by_value()
+    sim, fsim = by_value()
+    while nfev < maxfev:
+        best = sim[0]
+        # all(), unlike max(), fails on a NaN distance as np.max does
+        if (all(abs(a - b) <= xatol for v in sim[1:] for a, b in zip(v, best))
+                and all(abs(fsim[0] - g) <= fatol for g in fsim[1:])):
+            break
+        try:
+            # column sums in row order, as np.add.reduce(axis=0); not sum(),
+            # which compensates its float sums from Python 3.12 on
+            total = best
+            for v in sim[1:-1]:
+                total = [a + b for a, b in zip(total, v)]
+            xbar = [a / n for a in total]
+            worst = sim[-1]
+            xr = tuple((1 + rho) * c - rho * w for c, w in zip(xbar, worst))
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = tuple((1 + rho * chi) * c - rho * chi * w for c, w in zip(xbar, worst))
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    xc = tuple((1 + psi * rho) * c - psi * rho * w for c, w in zip(xbar, worst))
+                    fxc = f(xc)
+                    accept = fxc <= fxr
+                else:
+                    xc = tuple((1 - psi) * c + psi * w for c, w in zip(xbar, worst))
+                    fxc = f(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    # a vertex moves before its cost call, so an abort leaves
+                    # it with its old cost
+                    for j in range(1, n + 1):
+                        sim[j] = tuple(b + sigma * (a - b) for a, b in zip(sim[j], best))
+                        fsim[j] = f(sim[j])
+        except _MaxFev:
+            pass
+        sim, fsim = by_value()
+    return sim[0], float(np.min(fsim)), nfev, nfev < maxfev
 
 
 def logistic_fit(objective, mos, max_evals: int = 2000):
     """Fit the 4-parameter logistic MOS mapping by Nelder-Mead descent.
 
-    Returns (mapped series, params, flags).  Non-convergence falls back to
-    the raw series with a flag instead of failing the evaluation.
+    The descent is `_nelder_mead`, whose steps, and so whose fits, match
+    scipy's Nelder-Mead; it lives in the package so that no process pays
+    for importing ``scipy.optimize``.  Returns (mapped series, params,
+    flags).  Non-convergence falls back to the raw series with a flag
+    instead of failing the evaluation.
     """
     x, y = _aligned(objective, mos)
     if y.std() <= 0:
@@ -243,13 +334,11 @@ def logistic_fit(objective, mos, max_evals: int = 2000):
             return np.inf
         return float(((_logistic(p, x) - y) ** 2).sum())
 
-    res = scipy.optimize.minimize(cost, init, method="Nelder-Mead",
-                                  options={"maxfev": max_evals, "xatol": 1e-8,
-                                           "fatol": 1e-10})
-    if not res.success and res.fun > cost(init):
+    best, fun, _, success = _nelder_mead(cost, init, max_evals, xatol=1e-8, fatol=1e-10)
+    if not success and fun > cost(init):
         return x.copy(), None, ["fit_did_not_converge"]
-    params = tuple(float(v) for v in res.x)
-    return _logistic(res.x, x), params, []
+    params = tuple(best)
+    return _logistic(params, x), params, []
 
 
 def performance(objective, mos, per_item_std=None, use_logistic: bool = False) -> PerfReport:

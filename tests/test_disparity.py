@@ -111,9 +111,10 @@ def _integer_pair(h, w, seed):
     """Integer-valued luma, as read from 8-bit files.  The right view is the
     left one shifted by 0..12 px in patches that do not line up with the
     block grid, plus noise, so the SAD minimum varies across the frame and
-    across the clamped last row and column of blocks."""
+    across the clamped last row and column of blocks.  Both views stay in
+    [0, 255]: left in [8, 247], noise in [-8, 7]."""
     rng = SeededRng(seed)
-    left = np.floor(rng.uniform(h * w).reshape(h, w) * 256.0)
+    left = 8.0 + np.floor(rng.uniform(h * w).reshape(h, w) * 240.0)
     noise = np.floor(rng.uniform(h * w).reshape(h, w) * 16.0)
     y, x = np.mgrid[0:h, 0:w]
     shift = (y // 11 + x // 13) % 7 * 2

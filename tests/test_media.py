@@ -37,6 +37,23 @@ def test_frame_rejects_tiny_planes():
         Frame(luma=np.zeros((4, 4)))
 
 
+@pytest.mark.parametrize("plane, value", [
+    ("luma", -0.5), ("luma", 255.5), ("chroma_u", 256.0), ("chroma_v", -1.0),
+    ("chroma_u", np.nan),
+])
+def test_frame_rejects_samples_outside_8bit_range(plane, value):
+    planes = {name: np.full((8, 8), 128.0) for name in ("luma", "chroma_u", "chroma_v")}
+    planes[plane][3, 5] = value
+    with pytest.raises(RangeError, match=plane):
+        Frame(**planes)
+
+
+def test_frame_accepts_range_ends():
+    ends = np.tile([0.0, 255.0], (8, 4))
+    frame = Frame(luma=ends, chroma_u=ends[:4, :4], chroma_v=ends[:4, :4])
+    assert frame.luma.min() == 0.0 and frame.luma.max() == 255.0
+
+
 def test_sequence_round_trip_gray8(tmp_path, tiny_seq):
     left = str(tmp_path / "l.raw")
     right = str(tmp_path / "r.raw")

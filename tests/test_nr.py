@@ -14,6 +14,7 @@ from stereoqa.errors import (
     NoEdges,
     NumericError,
     ParamError,
+    RangeError,
     TooSmall,
 )
 from stereoqa.kernels import sobel_gradient
@@ -49,12 +50,24 @@ def test_gbim_masking_modes_differ():
     assert masked < neutral
 
 
-@pytest.mark.parametrize("h, w, grid", [(64, 64, 65), (64, 64, 64), (32, 64, 40)])
+_NO_BOUNDARY = [(64, 64, 65), (64, 64, 64), (32, 64, 40)]
+
+
+@pytest.mark.parametrize("h, w, grid", _NO_BOUNDARY)
 def test_gbim_grid_without_boundary_is_too_small(h, w, grid):
     rng = np.random.default_rng(0)
     seq = seq_from_lumas([rng.uniform(0, 255, (h, w))])
     with pytest.raises(TooSmall, match=f"gbim_grid {grid} .* {h}x{w}"):
         nr.gbim_s(seq, cfg=NrMetricConfig(gbim_grid=grid))
+
+
+@pytest.mark.parametrize("h, w, grid", _NO_BOUNDARY + [(64, 32, 40)])
+def test_block_farias_grid_without_boundary_is_too_small(h, w, grid):
+    # one axis with a boundary is not enough, as for gbim_s
+    rng = np.random.default_rng(0)
+    seq = seq_from_lumas([rng.uniform(0, 255, (h, w))])
+    with pytest.raises(TooSmall, match=f"gbim_grid {grid} .* {h}x{w}"):
+        nr.block_farias_s(seq, cfg=NrMetricConfig(gbim_grid=grid))
 
 
 def test_nrpbm_flat_frame_zero():
@@ -233,6 +246,13 @@ def test_aqi_rotation_symmetric_directions():
     a = seq_from_lumas([luma])
     b = seq_from_lumas([luma.T.copy()])
     assert nr.aqi_s(a).score == pytest.approx(nr.aqi_s(b).score, rel=1e-9)
+
+
+def test_aqi_rejects_luma_above_255():
+    # such a frame used to score 0.0: its histogram over 0..255 is empty
+    rng = np.random.default_rng(0)
+    with pytest.raises(RangeError, match="luma"):
+        nr.aqi_s(seq_from_lumas([rng.uniform(300, 350, (32, 32))]))
 
 
 def test_qa3d_needs_history():

@@ -1,11 +1,17 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import stereoqa
+import stereoqa.stats as stats
 from stereoqa.errors import (
     DimensionMismatch,
     EmptyReport,
@@ -158,6 +164,128 @@ def test_logistic_constant_mos():
     mapped, params, flags = logistic_fit(x, np.full(10, 50.0))
     assert np.allclose(mapped, 50.0)
     assert flags
+
+
+def test_logistic_saturated_fit_is_quiet():
+    # the fit saturates into a step, so exp overflows; the result is the
+    # one scipy's Nelder-Mead gave, and no RuntimeWarning is raised
+    x = np.array([3.201140439070261e-06, 3.1827398624903897e-06, 4.7980524481828026e-06])
+    y = np.array([48.757733333333334, 80.77706666666667, 31.40713333333333])
+    mapped, params, flags = logistic_fit(x, y)
+    assert mapped.tolist() == [48.75773333368166, 80.77706666682525, 31.407133333376485]
+    assert params == (31.407133333376485, 272.5909605147757, 3.1619306193689874e-06,
+                      -1.5332661720958284e-08)
+    assert flags == []
+
+
+def _logistic_problem(rng, n, tied=False, cut=False):
+    """(cost, x0, maxfev) of the descent that logistic_fit runs on a random
+    series, captured from logistic_fit itself."""
+    if tied:
+        x = rng.integers(0, 3, n) * 10.0 ** rng.uniform(-6, 2)
+        x[:2] = [0.0, 1.0]
+    else:
+        x = rng.uniform(0, 1, n) * 10.0 ** rng.uniform(-6, 2)
+    y = rng.uniform(0, 100, n)
+    calls = []
+    real = stats._nelder_mead
+
+    def spy(cost, x0, maxfev, xatol, fatol):
+        calls.append((cost, np.array(x0), maxfev))
+        return real(cost, x0, maxfev, xatol, fatol)
+
+    stats._nelder_mead = spy
+    try:
+        logistic_fit(x, y, max_evals=int(rng.integers(5, 150)) if cut else 2000)
+    finally:
+        stats._nelder_mead = real
+    (problem,) = calls
+    return problem
+
+
+def _inf_wall(rng):
+    # a quadratic whose minimum lies beyond a wall of inf
+    c = rng.uniform(-1, 1, 3)
+    wall = c[0] - rng.uniform(0.1, 1.0)
+
+    def cost(p):
+        q = np.asarray(p)
+        return np.inf if q[0] > wall else float(((q - c) ** 2).sum())
+    return cost, rng.uniform(-2, 2, 3), 600
+
+
+def _nan_region(rng):
+    # NaN beyond q[0] = 0, where the starting simplex puts one vertex
+    d = int(rng.integers(2, 5))
+    c = rng.uniform(-1, 1, d - 1)
+
+    def cost(p):
+        q = np.asarray(p)
+        return np.nan if q[0] > 0 else float(((q[1:] - c) ** 2).sum())
+    x0 = np.concatenate([[0.0], rng.uniform(-1, 1, d - 1)])
+    return cost, x0, 400
+
+
+def _plateau(rng, cut=False):
+    # piecewise constant: ties in every simplex, shrinks until xatol holds;
+    # a small maxfev often ends the run in the middle of a shrink
+    k = rng.uniform(0.5, 4)
+
+    def cost(p):
+        return float(np.floor(np.abs(np.asarray(p)).sum() * k))
+    return cost, rng.uniform(-3, 3, 4), int(rng.integers(10, 100)) if cut else 800
+
+
+def _quadratic(rng):
+    # a convex quadratic; zero entries start the simplex with the 0.00025 step
+    d = int(rng.integers(2, 6))
+    a = rng.normal(size=(d, d))
+    h = a @ a.T + d * np.eye(d)
+    c = rng.uniform(-1, 1, d)
+    x0 = rng.uniform(-2, 2, d) * (rng.uniform(size=d) > 0.3)
+    x0[0] = -0.0
+
+    def cost(p):
+        e = np.asarray(p) - c
+        return float(e @ h @ e)
+    return cost, x0, 2000
+
+
+_PROBLEMS = {
+    "logistic_n3": lambda rng: _logistic_problem(rng, 3),
+    "logistic_n3_cut": lambda rng: _logistic_problem(rng, 3, cut=True),
+    "logistic_tied": lambda rng: _logistic_problem(rng, int(rng.integers(4, 12)), tied=True),
+    "inf_wall": _inf_wall,
+    "nan_region": _nan_region,
+    "plateau": _plateau,
+    "plateau_cut": lambda rng: _plateau(rng, cut=True),
+    "quadratic": _quadratic,
+}
+
+
+@pytest.mark.parametrize("family", sorted(_PROBLEMS))
+def test_nelder_mead_takes_scipys_steps(family):
+    """_nelder_mead gives scipy's result bit for bit: x, fun, nfev, success."""
+    for seed in range(16):
+        cost, x0, maxfev = _PROBLEMS[family](np.random.default_rng(seed))
+        x, fun, nfev, success = stats._nelder_mead(cost, x0, maxfev, 1e-8, 1e-10)
+        with np.errstate(invalid="ignore"):  # scipy's inf - inf in its stop test
+            ref = scipy.optimize.minimize(cost, x0, method="Nelder-Mead",
+                                          options={"maxfev": maxfev, "xatol": 1e-8,
+                                                   "fatol": 1e-10})
+        got = (np.array(x).tobytes(), np.float64(fun).tobytes(), nfev, success)
+        want = (ref.x.tobytes(), np.float64(ref.fun).tobytes(), ref.nfev, ref.success)
+        assert got == want, f"{family} seed {seed}"
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    src = os.path.dirname(os.path.dirname(stereoqa.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import stereoqa.cli, sys; print('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_performance_report_fields():
