@@ -16,11 +16,11 @@ import numpy as np
 
 from . import __version__
 from .disparity import DisparityConfig, DisparityMap, estimate_disparity_series
-from .distort import apply_all, spec_from_dict
+from .distort import DistortionSpec, apply_all
 from .errors import MalformedJson, ParamError, StereoQaError
 from .fr import FR_METRICS, FR_NEEDS_DISPARITY, FrMetricConfig
-from .media import SequenceDescriptor, load_map_series, load_sequence, \
-    read_json, save_map_series, save_sequence
+from .media import SequenceDescriptor, _fits, decode, load_map_series, \
+    load_sequence, read_json, save_map_series, save_sequence
 from .nr import NR_METRICS, NR_NEEDS_DISPARITY, NrMetricConfig
 from .saliency import VamConfig, baseline_vam, load_external_saliency, \
     uniform_series
@@ -33,13 +33,7 @@ _DISPARITY_SCALE = DisparityConfig().search_range
 
 
 def _load_config(path, cls):
-    if path is None:
-        return cls()
-    data = read_json(path)
-    try:
-        return cls(**data)
-    except TypeError as exc:
-        raise MalformedJson(f"{path}: {exc}") from exc
+    return cls() if path is None else decode(cls, read_json(path), path)
 
 
 def _write_manifest(out_path: str, args: argparse.Namespace, outputs) -> None:
@@ -139,7 +133,8 @@ def _cmd_distort(args) -> int:
     desc = SequenceDescriptor.from_json(args.input)
     seq = load_sequence(desc)
     raw = read_json(args.spec)
-    specs = [spec_from_dict(d) for d in (raw if isinstance(raw, list) else [raw])]
+    specs = [decode(DistortionSpec, d, args.spec)
+             for d in (raw if isinstance(raw, list) else [raw])]
     out_seq = apply_all(seq, specs)
     os.makedirs(args.out, exist_ok=True)
     left = os.path.join(args.out, "left.raw")
@@ -165,11 +160,11 @@ def _cmd_evaluate(args) -> int:
         if item_id not in item_pos:
             raise ParamError(f"item {item_id!r} is not in {args.scores}")
         rep = read_json(path)
-        try:
-            key = (rep["metric"], rep["saliency_mode"])
-            score = float(rep["score"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedJson(f"{path}: not a metric report ({exc!r})") from exc
+        if not (isinstance(rep, dict) and _fits(rep.get("metric"), "str")
+                and _fits(rep.get("saliency_mode"), "str") and _fits(rep.get("score"), "float")):
+            raise MalformedJson(f"{path}: not a metric report (metric and saliency_mode "
+                                "must be strings, score a number)")
+        key, score = (rep["metric"], rep["saliency_mode"]), float(rep["score"])
         scores = groups.setdefault(key, {})
         if item_id in scores:
             raise ParamError(f"item {item_id!r} has two reports for {key[0]} "
@@ -276,10 +271,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except StereoQaError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except OSError as exc:
+    except (StereoQaError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -11,42 +11,44 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParamError, RangeError
+from .errors import KernelTooLarge, ParamError, RangeError
 from .kernels import convolve2d, dct2_stack, gaussian_kernel, idct2_stack
-from .media import Frame, StereoFrame, StereoSequence
+from .media import Frame, StereoFrame, StereoSequence, _check_numbers, _fits
 from .rng import SeededRng
 
-KINDS = ("awgn", "gaussian_blur", "intensity_shift", "block_quantize")
 TARGETS = ("both_views", "left_only", "right_only")
 
 
 @dataclass
 class DistortionSpec:
     kind: str
-    params: dict = field(default_factory=dict)
+    params: dict = field(default_factory=dict)  # filled from the kind's defaults
     seed: int = 0
     target: str = "both_views"
     region: tuple | None = None  # (y0, x0, height, width)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in _DISTORTIONS:
             raise ParamError(f"unknown distortion kind {self.kind!r}")
         if self.target not in TARGETS:
             raise ParamError(f"unknown target {self.target!r}")
         if self.region is not None:
+            _check_numbers("region (y0, x0, height, width)", self.region, (4,))
             self.region = tuple(int(v) for v in self.region)
-            if len(self.region) != 4 or self.region[2] <= 0 or self.region[3] <= 0:
-                raise ParamError("region must be (y0, x0, height, width)")
-        if self.kind == "awgn":
-            var = self.params.get("variance")
-            if var is None or var < 0:
-                raise ParamError("awgn needs a non-negative 'variance'")
-        if self.kind == "gaussian_blur":
-            if self.params.get("sigma", 4.0) <= 0:
-                raise ParamError("blur sigma must be positive")
-        if self.kind == "block_quantize":
-            if self.params.get("step", 40.0) <= 0:
-                raise ParamError("quantizer step must be positive")
+            if self.region[2] <= 0 or self.region[3] <= 0:
+                raise ParamError("region height and width must be positive")
+        defaults = _DISTORTIONS[self.kind][1]
+        self.params = {**defaults, **self.params}
+        for name, value in self.params.items():
+            if name not in defaults:
+                raise ParamError(f"unknown {self.kind} parameter {name!r}")
+            if not _fits(value, "float"):
+                raise ParamError(f"{self.kind} needs a number for {name!r}, not {value!r:.40}")
+        if self.params.get("variance", 0.0) < 0:
+            raise ParamError("awgn needs a non-negative 'variance'")
+        for name in ("sigma", "step"):
+            if self.params.get(name, 1.0) <= 0:
+                raise ParamError(f"{self.kind} {name} must be positive")
 
 
 def _region_slices(spec: DistortionSpec, shape):
@@ -58,50 +60,46 @@ def _region_slices(spec: DistortionSpec, shape):
     return slice(y0, y0 + h), slice(x0, x0 + w)
 
 
-def _awgn(luma: np.ndarray, spec: DistortionSpec, stream_seed: int) -> np.ndarray:
-    ys, xs = _region_slices(spec, luma.shape)
-    patch = luma[ys, xs]
+def _awgn(luma: np.ndarray, region, params: dict, stream_seed: int) -> np.ndarray:
+    patch = luma[region]
     # variance is quoted on the unit intensity scale; convert to 8-bit units
-    sigma = 255.0 * float(np.sqrt(spec.params["variance"]))
-    rng = SeededRng(stream_seed)
-    noise = rng.normals(patch.size, 0.0, sigma).reshape(patch.shape)
-    out = luma.copy()
-    out[ys, xs] = np.clip(patch + noise, 0.0, 255.0)
-    return out
+    sigma = 255.0 * float(np.sqrt(params["variance"]))
+    return patch + SeededRng(stream_seed).normals(patch.size, 0.0, sigma).reshape(patch.shape)
 
 
-def _gaussian_blur(luma: np.ndarray, spec: DistortionSpec) -> np.ndarray:
-    size = int(spec.params.get("size", 4))
-    sigma = float(spec.params.get("sigma", 4.0))
-    blurred = convolve2d(luma, gaussian_kernel(size, sigma))
-    ys, xs = _region_slices(spec, luma.shape)
-    out = luma.copy()
-    out[ys, xs] = np.clip(blurred[ys, xs], 0.0, 255.0)
-    return out
+def _gaussian_blur(luma: np.ndarray, region, params: dict, stream_seed: int) -> np.ndarray:
+    size = int(params["size"])
+    if size > min(luma.shape):
+        raise KernelTooLarge(f"blur size {size} exceeds the {luma.shape} frame")
+    return convolve2d(luma, gaussian_kernel(size, float(params["sigma"])))[region]
 
 
-def _intensity_shift(luma: np.ndarray, spec: DistortionSpec) -> np.ndarray:
-    delta = float(spec.params.get("delta", 20.0))
-    ys, xs = _region_slices(spec, luma.shape)
-    out = luma.copy()
-    out[ys, xs] = np.clip(out[ys, xs] + delta, 0.0, 255.0)
-    return out
+def _intensity_shift(luma: np.ndarray, region, params: dict, stream_seed: int) -> np.ndarray:
+    return luma[region] + float(params["delta"])
 
 
-def _block_quantize(luma: np.ndarray, spec: DistortionSpec) -> np.ndarray:
-    step = float(spec.params.get("step", 40.0))
-    ys, xs = _region_slices(spec, luma.shape)
-    out = luma.copy()
-    patch = out[ys, xs]
+def _block_quantize(luma: np.ndarray, region, params: dict, stream_seed: int) -> np.ndarray:
+    step = float(params["step"])
+    patch = luma[region].copy()
     h, w = patch.shape[0] // 8 * 8, patch.shape[1] // 8 * 8
     # the whole 8x8 blocks as an (h/8, w/8, 8, 8) stack; the ragged border stays
     blocks = patch[:h, :w].reshape(h // 8, 8, w // 8, 8).swapaxes(1, 2)
     coeffs = dct2_stack(blocks)
     # round half away from zero so the mapping has no even bias
     levels = np.sign(coeffs) * np.floor(np.abs(coeffs) / step + 0.5)
-    quantized = np.clip(idct2_stack(levels * step), 0.0, 255.0)
-    patch[:h, :w] = quantized.swapaxes(1, 2).reshape(h, w)
-    return out
+    patch[:h, :w] = idct2_stack(levels * step).swapaxes(1, 2).reshape(h, w)
+    return patch
+
+
+# kind: (function(luma, region, params, stream seed) -> the region's new
+# values before clipping, parameter defaults, None where the recipe must
+# give the value); only the noise draws from the stream seed
+_DISTORTIONS = {
+    "awgn": (_awgn, {"variance": None}),
+    "gaussian_blur": (_gaussian_blur, {"size": 4, "sigma": 4.0}),
+    "intensity_shift": (_intensity_shift, {"delta": 20.0}),
+    "block_quantize": (_block_quantize, {"step": 40.0}),
+}
 
 
 def apply(seq: StereoSequence, spec: DistortionSpec) -> StereoSequence:
@@ -117,15 +115,11 @@ def apply(seq: StereoSequence, spec: DistortionSpec) -> StereoSequence:
             if not wanted:
                 views[name] = frame
                 continue
-            luma = frame.luma
-            if spec.kind == "awgn":
-                luma = _awgn(luma, spec, spec.seed + 2 * t + v)
-            elif spec.kind == "gaussian_blur":
-                luma = _gaussian_blur(luma, spec)
-            elif spec.kind == "intensity_shift":
-                luma = _intensity_shift(luma, spec)
-            else:
-                luma = _block_quantize(luma, spec)
+            region = _region_slices(spec, frame.luma.shape)
+            values = _DISTORTIONS[spec.kind][0](frame.luma, region, spec.params,
+                                                spec.seed + 2 * t + v)
+            luma = frame.luma.copy()
+            luma[region] = np.clip(values, 0.0, 255.0)
             views[name] = Frame(luma=luma, chroma_u=frame.chroma_u,
                                 chroma_v=frame.chroma_v)
         frames.append(StereoFrame(left=views["left"], right=views["right"],
@@ -137,17 +131,3 @@ def apply_all(seq: StereoSequence, specs) -> StereoSequence:
     for spec in specs:
         seq = apply(seq, spec)
     return seq
-
-
-def spec_from_dict(d: dict) -> DistortionSpec:
-    known = {"kind", "params", "seed", "target", "region"}
-    extra = set(d) - known
-    if extra:
-        raise ParamError(f"unknown distortion fields: {sorted(extra)}")
-    return DistortionSpec(
-        kind=d.get("kind", ""),
-        params=dict(d.get("params", {})),
-        seed=int(d.get("seed", 0)),
-        target=d.get("target", "both_views"),
-        region=tuple(d["region"]) if d.get("region") is not None else None,
-    )

@@ -25,7 +25,7 @@ from .kernels import (
     idct2_stack,
     sobel_gradient,
 )
-from .media import StereoFrame
+from .media import StereoFrame, _check_numbers
 from .metric import VIEWS, registrar
 from .saliency import build_saliency_pyramid, weighted_spatial_mean
 
@@ -59,16 +59,13 @@ class FrMetricConfig:
     flosim_patch: int = 8
 
     def __post_init__(self):
+        _check_numbers("msssim_exponents", self.msssim_exponents, (5,))
         if abs(sum(self.msssim_exponents) - 1.0) > 1e-3:
             raise ParamError("MS-SSIM exponents must sum to 1 within 1e-3")
-        if np.asarray(self.csf_mask).shape != (4, 4):
-            raise ParamError("CSF mask must be 4x4")
-        if self.hv3d_block < 1 or self.flosim_patch < 1:
-            raise ParamError("hv3d_block and flosim_patch must be >= 1")
-        for name in ("ssim_window", "vif_scales"):
+        _check_numbers("csf_mask", self.csf_mask, (4, 4))
+        for name in ("ssim_window", "vif_scales", "hv3d_block", "flosim_patch"):
             value = getattr(self, name)
-            integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-            if not integer or value < 1:
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
                 raise ParamError(f"{name} must be an integer >= 1, got {value!r}")
         for name in ("ssim_sigma", "vif_sigma_n_sq"):
             if not getattr(self, name) > 0:
@@ -133,23 +130,20 @@ def ssim_s(x, y, s, cfg):
     return weighted_spatial_mean(_ssim_map(x, y, cfg), s)
 
 
-def _msssim_scales(height: int, width: int, cfg: FrMetricConfig) -> int:
-    m = 1
-    chain = halving_chain(height, width, 5)
-    while m < 5 and min(chain[m]) >= cfg.ssim_window:
-        m += 1
-    return m
-
-
 def _msssim_frame(x: np.ndarray, y: np.ndarray, s: np.ndarray,
-                  cfg: FrMetricConfig, smooth=None) -> float:
-    """MS-SSIM of x and y pooled by s.  ``smooth(image, size, sigma)`` is the
+                  cfg: FrMetricConfig, flags: list, smooth=None) -> float:
+    """MS-SSIM of x and y pooled by s; fewer than 5 scales adds the flag
+    ``scales_reduced:N`` to ``flags``.  ``smooth(image, size, sigma)`` is the
     local mean window; None means this module's gaussian_smooth, looked up
     at each call."""
     smooth = smooth or gaussian_smooth
-    scales = _msssim_scales(x.shape[0], x.shape[1], cfg)
+    # the first level, and each later one whose sides hold the window (the
+    # chain shrinks, so these lead it)
+    scales = 1 + sum(min(hw) >= cfg.ssim_window for hw in halving_chain(*x.shape, 5)[1:])
     if scales < 2:
         raise TooSmall("image supports fewer than 2 MS-SSIM scales")
+    if scales < 5:
+        flags.append(f"scales_reduced:{scales}")
     weights = np.asarray(cfg.msssim_exponents[:scales])
     weights = weights / weights.sum()
     s_levels = build_saliency_pyramid(s, scales)
@@ -173,10 +167,7 @@ def _msssim_frame(x: np.ndarray, y: np.ndarray, s: np.ndarray,
 @_fr("higher_better", over="frame")
 def msssim_s(c, cfg):
     """Multi-scale SSIM with per-scale saliency pyramids, averaged over views."""
-    scales = _msssim_scales(*c.ref.left.luma.shape, cfg)
-    if scales < 5:
-        c.flags.append(f"scales_reduced:{scales}")
-    vals = [_msssim_frame(x, y, c.s, cfg) for x, y in _views(c)]
+    vals = [_msssim_frame(x, y, c.s, cfg, c.flags) for x, y in _views(c)]
     return 0.5 * (vals[0] + vals[1])
 
 
@@ -341,7 +332,7 @@ def mj3d_s(c, cfg):
     """Multi-scale SSIM of the cyclopean views."""
     ci_ref = _cyclopean(c.ref, c.d_ref)
     ci_dist = _cyclopean(c.dist, c.d_dist)
-    return _msssim_frame(ci_ref, ci_dist, c.s, cfg)
+    return _msssim_frame(ci_ref, ci_dist, c.s, cfg, c.flags)
 
 
 def _global_ssim(x: np.ndarray, y: np.ndarray, cfg: FrMetricConfig) -> np.ndarray:
@@ -415,12 +406,13 @@ def flosim3d_s(c, cfg):
                                 - _patch_features(dist_diff, cfg.flosim_patch))
                          .sum(axis=1).mean())
             q_s = 1.0 - _msssim_frame(getattr(ref_t, view).luma,
-                                      getattr(dist_t, view).luma, s, cfg, _smooth_2d)
+                                      getattr(dist_t, view).luma, s, cfg, c.flags,
+                                      _smooth_2d)
             total += q_s * q_fl
         flow_scores.append(0.5 * total)
         depth_ref = disparity_to_depth(c.d_ref[t]) * 255.0
         depth_dist = disparity_to_depth(c.d_dist[t]) * 255.0
-        q_d = 1.0 - _msssim_frame(depth_ref, depth_dist, s, cfg, _smooth_2d)
+        q_d = 1.0 - _msssim_frame(depth_ref, depth_dist, s, cfg, c.flags, _smooth_2d)
         depth_scores.append(q_d)  # the shared map serves both view depths
     q_d_mean = float(np.mean(depth_scores))
     return [f * q_d_mean for f in flow_scores]

@@ -11,6 +11,7 @@ import dataclasses
 import json
 import os
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,15 +33,70 @@ from .errors import (
 PIXEL_FORMATS = ("yuv420p8", "yuv444p8", "gray8")
 
 
+def _finite(text: str, kind=float):
+    if not abs(value := kind(text)) <= sys.float_info.max:  # NaN fails too
+        raise ValueError(f"{text[:24]} is not a finite number")
+    return value
+
+
 def read_json(path: str):
-    """Parsed JSON file; a missing file is IoError, bad JSON MalformedJson."""
+    """Parsed JSON file; a missing file is IoError, bad JSON or a number
+    outside the float range (NaN and Infinity too) MalformedJson."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_float=_finite, parse_constant=_finite,
+                             parse_int=lambda text: _finite(text, int))
     except FileNotFoundError as exc:
         raise IoError(f"file not found: {path}") from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise MalformedJson(f"{path}: not valid JSON ({exc})") from exc
+
+
+# the JSON values that fill a dataclass field, by its annotation
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "dict": dict,
+               "tuple": list, "None": type(None)}
+
+
+def _fits(value, annotation: str) -> bool:
+    """Whether a JSON value fills a field annotated ``annotation`` ("float",
+    "tuple | None", ...); a bool is no number, and a tuple is an array of
+    numbers or of arrays of numbers."""
+    kinds = tuple(_JSON_TYPES[a] for a in annotation.split(" | "))
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        return False
+    return not isinstance(value, list) or all(
+        _fits(v, "float") or isinstance(v, list) and all(_fits(u, "float") for u in v)
+        for v in value)
+
+
+def decode(cls, data, where: str):
+    """The dataclass ``cls`` built from the JSON value ``data``, arrays as
+    tuples.  MalformedJson, naming ``where``, unless ``data`` is an object
+    that holds every field without a default, no other key, and values that
+    fit their fields' annotated types (``_fits``)."""
+    if not isinstance(data, dict):
+        raise MalformedJson(f"{where}: expected a JSON object, not {data!r:.40}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    for name, f in fields.items():
+        if name not in data and f.default is f.default_factory is dataclasses.MISSING:
+            raise MalformedJson(f"{where}: missing field {name!r}")
+    for name, value in data.items():
+        if name not in fields:
+            raise MalformedJson(f"{where}: unknown field {name!r}")
+        if not _fits(value, fields[name].type):
+            raise MalformedJson(f"{where}: {name} must be {fields[name].type}, not {value!r:.40}")
+    return cls(**{name: tuple(tuple(v) if isinstance(v, list) else v for v in value)
+                  if isinstance(value, list) else value for name, value in data.items()})
+
+
+def _check_numbers(name: str, value, shape) -> None:
+    """ParamError unless ``value`` is an array of numbers of ``shape``."""
+    try:
+        if np.asarray(value, dtype=np.float64).shape == shape:
+            return
+    except (TypeError, ValueError):
+        pass
+    raise ParamError(f"{name} must be numbers of shape {shape}")
 
 
 def _check_8bit_range(name: str, plane: np.ndarray) -> None:
@@ -139,27 +195,19 @@ class SequenceDescriptor:
     def __post_init__(self):
         if self.format not in PIXEL_FORMATS:
             raise DescriptorMismatch(f"unknown pixel format {self.format!r}")
+        if self.width < 1 or self.height < 1:
+            raise DescriptorMismatch(f"frame size {self.width}x{self.height} is not positive")
 
     def frame_bytes(self) -> int:
         return sum(h * w for h, w in _planes(self))
 
     @classmethod
     def from_json(cls, path: str) -> "SequenceDescriptor":
-        data = read_json(path)
-        if not isinstance(data, dict):
-            raise MalformedJson(f"{path}: descriptor must be a JSON object")
-        missing = [f.name for f in dataclasses.fields(cls)
-                   if f.default is dataclasses.MISSING and f.name not in data]
-        if missing:
-            raise MalformedJson(f"{path}: descriptor lacks {', '.join(missing)}")
+        """The descriptor at ``path``; stream paths are relative to its directory."""
+        desc = decode(cls, read_json(path), path)
         base = os.path.dirname(os.path.abspath(path))
-        for key in ("left", "right"):
-            if not os.path.isabs(data[key]):
-                data[key] = os.path.join(base, data[key])
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise MalformedJson(f"{path}: {exc}") from exc
+        desc.left, desc.right = os.path.join(base, desc.left), os.path.join(base, desc.right)
+        return desc
 
     def to_json(self, path: str) -> None:
         with open(path, "w") as fh:
@@ -268,8 +316,8 @@ def read_pgm(path: str) -> np.ndarray:
     tokens, pos = _pgm_tokens(buf, 4)
     if tokens[0] != b"P5":
         raise IoError(f"{path}: not a binary PGM (P5)")
-    if not all(t.isdigit() for t in tokens[1:]):
-        raise IoError(f"{path}: PGM header fields must be decimal integers")
+    if not all(t.isdigit() and len(t) < 10 for t in tokens[1:]):
+        raise IoError(f"{path}: PGM header fields must be decimal integers below 10**9")
     width, height, maxval = (int(t) for t in tokens[1:])
     if width < 1 or height < 1 or not 1 <= maxval <= 65535:
         raise IoError(f"{path}: PGM size {width}x{height} or maxval {maxval} out of range")
@@ -278,6 +326,8 @@ def read_pgm(path: str) -> np.ndarray:
     if len(buf) - pos < width * height * dtype.itemsize:
         raise IoError(f"{path}: truncated PGM payload")
     data = np.frombuffer(buf, dtype, width * height, pos)
+    if data.max() > maxval:
+        raise IoError(f"{path}: PGM sample above maxval {maxval}")
     return data.reshape(height, width).astype(np.float64) / maxval
 
 

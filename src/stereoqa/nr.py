@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import NeedsTemporalContext, NoEdges, NumericError, ParamError, TooSmall
 from .kernels import Kernel2D, convolve2d, sobel_gradient
+from .media import _check_numbers
 from .metric import registrar
 from .saliency import weighted_spatial_mean
 
@@ -44,13 +45,12 @@ class NrMetricConfig:
     nospdm_lambda: float = 0.5
 
     def __post_init__(self):
-        if self.qa3d_history < 1:
-            raise ParamError("history window must be >= 1")
+        _check_numbers("vqsm_alphas", self.vqsm_alphas, (5,))
         if self.qa3d_threshold < 0:
             raise ParamError("disparity threshold must be >= 0")
         if self.gbim_masking not in ("neutral", "luminance"):
             raise ParamError("gbim_masking must be 'neutral' or 'luminance'")
-        for name in ("gbim_grid", "nrpbm_probe", "sadaka_region", "aqi_bins"):
+        for name in ("gbim_grid", "nrpbm_probe", "sadaka_region", "aqi_bins", "qa3d_history"):
             if getattr(self, name) < 1:
                 raise ParamError(f"{name} must be >= 1")
         if self.sadaka_beta <= 0:
@@ -70,12 +70,12 @@ def _local_std(image: np.ndarray, size: int) -> np.ndarray:
     return np.sqrt(np.maximum(convolve2d(image * image, box) - mu * mu, 0.0))
 
 
-def _block_boundaries(shape, g):
+def _block_boundaries(shape, g, grid="gbim_grid"):
     """Row and column indices at which a g-grid block starts, first block
-    excluded; TooSmall when either axis has none."""
+    excluded; TooSmall, naming ``grid``, when either axis has none."""
     h, w = shape
     if g >= h or g >= w:
-        raise TooSmall(f"gbim_grid {g} leaves no block boundary in a {h}x{w} frame")
+        raise TooSmall(f"{grid} {g} leaves no block boundary in a {h}x{w} frame")
     return np.arange(g, h, g), np.arange(g, w, g)
 
 
@@ -299,22 +299,19 @@ def qa3d_s(c, cfg):
 
 
 def _qjpeg(luma: np.ndarray, s: np.ndarray, cfg: NrMetricConfig):
-    g = 8
+    rows, cols = _block_boundaries(luma.shape, 8, "the JPEG grid")
     b = a = z = 0.0  # each the mean of its horizontal and vertical value
     for axis in (1, 0):
         d = np.diff(luma, axis=axis)
+        b_mask = np.zeros(d.shape, bool)  # differences across a block boundary
         if axis == 1:
             sw = 0.5 * (s[:, 1:] + s[:, :-1])
-            boundary = (np.arange(d.shape[1]) + 1) % g == 0
-            b_mask = np.zeros(d.shape, bool)
-            b_mask[:, boundary] = True
+            b_mask[:, cols - 1] = True
             crossings = (d[:, 1:] * d[:, :-1]) < 0
             zw = s[:, 1:-1]
         else:
             sw = 0.5 * (s[1:, :] + s[:-1, :])
-            boundary = (np.arange(d.shape[0]) + 1) % g == 0
-            b_mask = np.zeros(d.shape, bool)
-            b_mask[boundary, :] = True
+            b_mask[rows - 1, :] = True
             crossings = (d[1:, :] * d[:-1, :]) < 0
             zw = s[1:-1, :]
         ad = np.abs(d)

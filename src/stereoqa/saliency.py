@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disparity import DisparityMap
-from .errors import DegenerateSaliency, DimensionMismatch, NumericError
+from .errors import DegenerateSaliency, DimensionMismatch, NumericError, ParamError
 from .kernels import downsample2, gaussian_smooth
 from .media import StereoSequence, _maps, load_map_series
 
@@ -52,6 +52,11 @@ class VamConfig:
         weights = (self.w_intensity, self.w_color, self.w_motion, self.w_depth)
         if any(w < 0 for w in weights) or sum(weights) <= 0:
             raise NumericError("channel weights must be >= 0 with positive sum")
+        if not all(isinstance(p, (tuple, list)) and len(p) == 2
+                   and all(isinstance(v, int) for v in p) and 0 <= p[0] < p[1]
+                   for p in self.center_surround_pairs):
+            raise ParamError("center_surround_pairs must hold integer (c, s) level "
+                             "pairs with 0 <= c < s")
 
 
 def weighted_spatial_mean(f: np.ndarray, w: np.ndarray) -> float:

@@ -178,17 +178,9 @@ def pearson_cc(x, y) -> float:
 
 
 def _midranks(x: np.ndarray) -> np.ndarray:
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.size, dtype=np.float64)
-    sx = x[order]
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks, ties sharing the mean rank of their group."""
+    _, group, counts = np.unique(x, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[group]
 
 
 def spearman_cc(x, y) -> float:
@@ -316,8 +308,8 @@ def logistic_fit(objective, mos, max_evals: int = 2000):
     The descent is `_nelder_mead`, whose steps, and so whose fits, match
     scipy's Nelder-Mead; it lives in the package so that no process pays
     for importing ``scipy.optimize``.  Returns (mapped series, params,
-    flags).  Non-convergence falls back to the raw series with a flag
-    instead of failing the evaluation.
+    flags).  A descent that stops at ``max_evals`` keeps its fitted mapping
+    and is flagged ``fit_did_not_converge``.
     """
     x, y = _aligned(objective, mos)
     if y.std() <= 0:
@@ -334,11 +326,9 @@ def logistic_fit(objective, mos, max_evals: int = 2000):
             return np.inf
         return float(((_logistic(p, x) - y) ** 2).sum())
 
-    best, fun, _, success = _nelder_mead(cost, init, max_evals, xatol=1e-8, fatol=1e-10)
-    if not success and fun > cost(init):
-        return x.copy(), None, ["fit_did_not_converge"]
+    best, _, _, success = _nelder_mead(cost, init, max_evals, xatol=1e-8, fatol=1e-10)
     params = tuple(best)
-    return _logistic(params, x), params, []
+    return _logistic(params, x), params, [] if success else ["fit_did_not_converge"]
 
 
 def performance(objective, mos, per_item_std=None, use_logistic: bool = False) -> PerfReport:
@@ -363,18 +353,10 @@ def performance(objective, mos, per_item_std=None, use_logistic: bool = False) -
 
 def si_ti(seq: StereoSequence) -> dict:
     """Spatial and temporal information of the left view, max over frames."""
-    flags = []
-    si = 0.0
-    for sf in seq.frames:
-        si = max(si, float(np.std(sobel_gradient(sf.left.luma)["magnitude"])))
-    if len(seq) < 2:
-        ti = 0.0
-        flags.append("ti_undefined_single_frame")
-    else:
-        ti = 0.0
-        for a, b in zip(seq.frames[:-1], seq.frames[1:]):
-            ti = max(ti, float(np.std(b.left.luma - a.left.luma)))
-    return {"si": si, "ti": ti, "flags": flags}
+    si = max(float(np.std(sobel_gradient(sf.left.luma)["magnitude"])) for sf in seq.frames)
+    ti = max((float(np.std(b.left.luma - a.left.luma))
+              for a, b in zip(seq.frames, seq.frames[1:])), default=0.0)
+    return {"si": si, "ti": ti, "flags": [] if len(seq) > 1 else ["ti_undefined_single_frame"]}
 
 
 _COLUMNS = ("metric", "saliency_mode", "distortion", "pcc", "scc", "rmse", "or", "n")

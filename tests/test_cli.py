@@ -108,11 +108,18 @@ def _assert_exit_1(code, capsys):
     assert "Traceback" not in err
 
 
+def _with(key, value):
+    return lambda text: json.dumps({**json.loads(text), key: value})
+
+
 @pytest.mark.parametrize("mangle", [
     lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "left"}),
-    lambda text: json.dumps({**json.loads(text), "colour": "blue"}),
+    _with("colour", "blue"),
     lambda text: text[:-5],
-], ids=["missing-field", "unknown-field", "malformed-json"])
+    _with("width", "64"), _with("height", 64.0), _with("fps", "x"), _with("left", 5),
+    lambda text: json.dumps({**json.loads(text), "width": -64, "height": -64}),
+], ids=["missing-field", "unknown-field", "malformed-json", "width-string",
+        "height-float", "fps-string", "left-number", "size-negative"])
 def test_bad_descriptor_exit_1(desc_path, tmp_path, capsys, mangle):
     with open(desc_path) as fh:
         bad = tmp_path / "bad.json"
@@ -120,14 +127,47 @@ def test_bad_descriptor_exit_1(desc_path, tmp_path, capsys, mangle):
     _assert_exit_1(main(["info", "--in", str(bad)]), capsys)
 
 
-@pytest.mark.parametrize("text", ["{psnr_cap: 60}", '{"psnr_kap": 60.0}'],
-                         ids=["malformed-json", "unknown-key"])
-def test_bad_config_exit_1(desc_path, tmp_path, capsys, text):
+@pytest.mark.parametrize("command,metric,text", [
+    pytest.param("score-fr", "psnr_s", "{psnr_cap: 60}", id="malformed-json"),
+    pytest.param("score-fr", "psnr_s", '{"psnr_kap": 60.0}', id="unknown-key"),
+    pytest.param("score-fr", "psnr_s", '{"psnr_cap": "x"}', id="psnr_cap-string"),
+    pytest.param("score-fr", "oq_s", '{"oq_a": "x"}', id="oq_a-string"),
+    pytest.param("score-fr", "hv3d_s", '{"hv3d_block": 7.5}', id="hv3d_block-float"),
+    pytest.param("score-nr", "blur_farias_s", '{"farias_edge_threshold": "x"}',
+                 id="farias_edge_threshold-string"),
+    pytest.param("score-nr", "sadaka_s", '{"sadaka_region": 8.5}', id="sadaka_region-float"),
+    pytest.param("score-nr", "gbim_s", '{"gbim_grid": 8.5}', id="gbim_grid-float"),
+    pytest.param("score-nr", "vqsm_s", '{"vqsm_alphas": [1, 2]}', id="vqsm_alphas-short"),
+    pytest.param("saliency", None, '{"motion_sigma": "2"}', id="motion_sigma-string"),
+    pytest.param("saliency", None, '{"center_surround_pairs": [[2]]}',
+                 id="center_surround_pairs-single-level"),
+])
+def test_bad_config_exit_1(desc_path, tmp_path, capsys, command, metric, text):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
-    _assert_exit_1(main(["score-fr", "--metric", "psnr_s", "--ref", desc_path,
-                         "--dist", desc_path, "--out", str(tmp_path / "r.json"),
+    inputs = {"score-fr": ["--metric", metric, "--ref", desc_path, "--dist", desc_path],
+              "score-nr": ["--metric", metric, "--dist", desc_path],
+              "saliency": ["--in", desc_path]}[command]
+    _assert_exit_1(main([command, *inputs, "--out", str(tmp_path / "out"),
                          "--config", str(cfg)]), capsys)
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "awgn", "params": {"variance": "0.1"}},
+    {"kind": "awgn", "params": [1]},
+    {"kind": "awgn", "params": {"variance": 0.1}, "seed": "x"},
+    {"kind": "awgn", "params": {"variance": 0.1}, "region": 5},
+    5,
+    {"kind": "intensity_shift", "params": {"delta": "x"}},
+    {"kind": "gaussian_blur", "params": {"sigm": 1.0}},
+], ids=["variance-string", "params-list", "seed-string", "region-number", "bare-number",
+        "delta-string", "blur-unknown-param"])
+def test_bad_spec_exit_1(desc_path, tmp_path, capsys, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    _assert_exit_1(main(["distort", "--in", desc_path, "--spec", str(path),
+                         "--out", str(tmp_path / "out")]), capsys)
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_fr_config_value_exit_1(desc_path, tmp_path, capsys):
@@ -304,6 +344,14 @@ def _without(mapping, key):
     pytest.param(_COLUMNS, {}, _without(_REPORT, "score"), ("a",), "rep.json",
                  id="report-without-score"),
     pytest.param(_COLUMNS, {}, [_REPORT], ("a",), "rep.json", id="report-is-list"),
+    pytest.param(_COLUMNS, {}, {**_REPORT, "metric": ["psnr_s"]}, ("a",), "rep.json",
+                 id="report-metric-list"),
+    pytest.param(_COLUMNS, {}, {**_REPORT, "saliency_mode": {}}, ("a",), "rep.json",
+                 id="report-mode-object"),
+    pytest.param(_COLUMNS, {}, {**_REPORT, "score": True}, ("a",), "rep.json",
+                 id="report-score-true"),
+    pytest.param(_COLUMNS, {}, {**_REPORT, "score": float("nan")}, ("a",), "rep.json",
+                 id="report-score-nan"),
 ])
 def test_bad_evaluate_input_exit_1(tmp_path, capsys, columns, first_row, report,
                                    items, fragment):

@@ -5,10 +5,11 @@ import pytest
 import scipy.fft
 
 from stereoqa import distort
-from stereoqa.distort import DistortionSpec, apply, apply_all, spec_from_dict
-from stereoqa.errors import ParamError, RangeError
+from stereoqa.distort import DistortionSpec, apply, apply_all
+from stereoqa.errors import KernelTooLarge, MalformedJson, ParamError, RangeError
+from stereoqa.media import decode
 
-from conftest import flat_seq, make_seq
+from conftest import flat_seq, make_seq, seq_from_lumas
 
 
 def test_spec_validation():
@@ -92,6 +93,13 @@ def test_blur_reduces_variance():
     assert out.frames[0].left.luma.var() < seq.frames[0].left.luma.var()
 
 
+def test_blur_wider_than_the_frame_fails_before_building_its_kernel():
+    # a 10**12-tap kernel would need terabytes; the size check comes first
+    with pytest.raises(KernelTooLarge):
+        apply(make_seq(87, frames=1, size=32),
+              DistortionSpec(kind="gaussian_blur", params={"size": 10**12}))
+
+
 def test_block_quantize_idempotent():
     seq = make_seq(85, frames=1, size=64)
     spec = DistortionSpec(kind="block_quantize", params={"step": 60.0})
@@ -140,7 +148,7 @@ def _reference_block_quantize(luma, spec):
 def test_block_quantize_matches_per_block_loop(shape, region, step):
     luma = np.random.RandomState(11).rand(*shape) * 255.0
     spec = DistortionSpec(kind="block_quantize", params={"step": step}, region=region)
-    got = distort._block_quantize(luma, spec)
+    got = apply(seq_from_lumas([luma]), spec).frames[0].left.luma
     assert got.tobytes() == _reference_block_quantize(luma, spec).tobytes()
 
 
@@ -153,11 +161,12 @@ def test_apply_all_chains():
     assert not np.array_equal(out.frames[0].left.luma, seq.frames[0].left.luma)
 
 
-def test_spec_from_dict_round_trip():
-    spec = spec_from_dict({"kind": "awgn", "params": {"variance": 0.02},
-                           "seed": 7, "target": "right_only",
-                           "region": [0, 0, 8, 8]})
+def test_decode_spec_round_trip():
+    spec = decode(DistortionSpec, {"kind": "awgn", "params": {"variance": 0.02},
+                                   "seed": 7, "target": "right_only",
+                                   "region": [0, 0, 8, 8]}, "spec")
     assert spec.kind == "awgn"
     assert spec.region == (0, 0, 8, 8)
-    with pytest.raises(ParamError):
-        spec_from_dict({"kind": "awgn", "params": {"variance": 0.1}, "extra": 1})
+    with pytest.raises(MalformedJson):
+        decode(DistortionSpec, {"kind": "awgn", "params": {"variance": 0.1}, "extra": 1},
+               "spec")

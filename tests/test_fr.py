@@ -71,6 +71,17 @@ def test_flosim_needs_two_frames():
         fr.flosim3d_s(a, a, d_ref=_flat_disparity(a), d_dist=_flat_disparity(a))
 
 
+@pytest.mark.parametrize("metric", ["msssim_s", "mj3d_s", "flosim3d_s"])
+def test_msssim_metrics_flag_reduced_scales(metric):
+    # a 64-px frame holds the 11-px window at 3 of the 5 MS-SSIM scales
+    ref = make_seq(1, frames=2, size=64, block=8)
+    dist = apply(ref, DistortionSpec(kind="awgn", params={"variance": 0.01}, seed=1))
+    report = FR_METRICS[metric](ref, dist, **_disparity_kwargs(metric, ref, dist))
+    assert report.flags == ["scales_reduced:3"]
+    big = make_seq(1, frames=2, size=176)  # 176 / 2**4 = 11: all 5 scales
+    assert FR_METRICS[metric](big, big, **_disparity_kwargs(metric, big, big)).flags == []
+
+
 def test_cyclopean_fuse_zero_disparity_is_average():
     seq = make_seq(43, frames=1, size=32)
     pair = seq.frames[0]

@@ -70,6 +70,15 @@ def test_block_farias_grid_without_boundary_is_too_small(h, w, grid):
         nr.block_farias_s(seq, cfg=NrMetricConfig(gbim_grid=grid))
 
 
+@pytest.mark.parametrize("h, w", [(8, 8), (8, 64), (64, 8)])
+def test_nospdm_frame_without_boundary_is_too_small(h, w):
+    # an 8-px side leaves the fixed 8-px JPEG grid no boundary on that axis
+    rng = np.random.default_rng(0)
+    seq = seq_from_lumas([rng.uniform(0, 255, (h, w))])
+    with pytest.raises(TooSmall, match=f"JPEG grid 8 .* {h}x{w}"):
+        nr.nospdm_s(seq, s_series=uniform_series(seq))
+
+
 def test_nrpbm_flat_frame_zero():
     seq = flat_seq(90.0, frames=1, size=32)
     assert nr.nrpbm_s(seq).score == 0.0

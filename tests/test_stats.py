@@ -178,15 +178,20 @@ def test_logistic_saturated_fit_is_quiet():
     assert flags == []
 
 
-def _logistic_problem(rng, n, tied=False, cut=False):
-    """(cost, x0, maxfev) of the descent that logistic_fit runs on a random
-    series, captured from logistic_fit itself."""
+def _logistic_series(rng, n, tied=False):
+    """A random (objective, mos) series of n items."""
     if tied:
         x = rng.integers(0, 3, n) * 10.0 ** rng.uniform(-6, 2)
         x[:2] = [0.0, 1.0]
     else:
         x = rng.uniform(0, 1, n) * 10.0 ** rng.uniform(-6, 2)
-    y = rng.uniform(0, 100, n)
+    return x, rng.uniform(0, 100, n)
+
+
+def _logistic_problem(rng, n, tied=False, cut=False):
+    """(cost, x0, maxfev) of the descent that logistic_fit runs on a random
+    series, captured from logistic_fit itself."""
+    x, y = _logistic_series(rng, n, tied)
     calls = []
     real = stats._nelder_mead
 
@@ -276,6 +281,17 @@ def test_nelder_mead_takes_scipys_steps(family):
         got = (np.array(x).tobytes(), np.float64(fun).tobytes(), nfev, success)
         want = (ref.x.tobytes(), np.float64(ref.fun).tobytes(), ref.nfev, ref.success)
         assert got == want, f"{family} seed {seed}"
+
+
+@pytest.mark.parametrize("seed, converged", [(0, True), (2, False), (14, False)])
+def test_logistic_fit_flags_a_descent_cut_off_by_max_evals(seed, converged):
+    # seeds 2 and 14 of the logistic_n3 family stop at 2000 evaluations
+    cost, x0, maxfev = _logistic_problem(np.random.default_rng(seed), 3)
+    assert stats._nelder_mead(cost, x0, maxfev, 1e-8, 1e-10)[3] == converged
+    x, y = _logistic_series(np.random.default_rng(seed), 3)
+    mapped, params, flags = logistic_fit(x, y)
+    assert flags == ([] if converged else ["fit_did_not_converge"])
+    assert mapped.tobytes() == stats._logistic(params, x).tobytes()
 
 
 def test_cli_import_leaves_out_scipy_optimize():
