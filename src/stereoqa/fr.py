@@ -1,9 +1,12 @@
 """Full-reference stereo quality metrics, each with optional saliency pooling.
 
-Every metric pools local values with weighted_spatial_mean, so passing a
-constant saliency series reproduces the base (unweighted) metric.  Saliency
-for FR scoring comes from the reference pair; temporal pooling is the plain
-mean over frames.  Each metric is a formula run by the driver in ``metric``.
+Metrics pool local values with weighted_spatial_mean; the VIF terms of
+``vif_s`` and ``hv3d_s`` weight their numerator and denominator sums with the
+saliency pyramid instead.  Either way a constant saliency series reproduces
+the base (unweighted) metric.  Views are averaged by ``metric.view_mean``
+(``ddl1_s`` adds them).  Saliency for FR scoring comes from the reference
+pair; temporal pooling is the plain mean over frames.  Each metric is a
+formula run by the driver in ``metric``.
 """
 
 from __future__ import annotations
@@ -13,20 +16,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disparity import disparity_to_depth
-from .errors import NeedsTemporalContext, ParamError, TooSmall
+from .errors import KernelTooLarge, NeedsTemporalContext, ParamError, TooSmall
 from .kernels import (
     convolve2d,
-    dct2_stack,
     dct3_stereo_stack,
     downsample2,
     gaussian_kernel,
     gaussian_smooth,
     halving_chain,
-    idct2_stack,
     sobel_gradient,
 )
 from .media import StereoFrame, _check_numbers
-from .metric import VIEWS, registrar
+from .metric import registrar, view_mean
 from .saliency import build_saliency_pyramid, weighted_spatial_mean
 
 MSSSIM_EXPONENTS = (0.0448, 0.2856, 0.3001, 0.2363, 0.1333)
@@ -75,11 +76,6 @@ class FrMetricConfig:
 FR_METRICS: dict = {}
 FR_NEEDS_DISPARITY: dict = {}
 _fr = registrar(FR_METRICS, FR_NEEDS_DISPARITY, FrMetricConfig, reference=True)
-
-
-def _views(c):
-    """(reference, distorted) luma of each view of a frame context."""
-    return [(getattr(c.ref, v).luma, getattr(c.dist, v).luma) for v in VIEWS]
 
 
 def _raw_moments(x, y, mean):
@@ -167,8 +163,7 @@ def _msssim_frame(x: np.ndarray, y: np.ndarray, s: np.ndarray,
 @_fr("higher_better", over="frame")
 def msssim_s(c, cfg):
     """Multi-scale SSIM with per-scale saliency pyramids, averaged over views."""
-    vals = [_msssim_frame(x, y, c.s, cfg, c.flags) for x, y in _views(c)]
-    return 0.5 * (vals[0] + vals[1])
+    return view_mean(lambda x, y: _msssim_frame(x, y, c.s, cfg, c.flags), c.ref, c.dist)
 
 
 def _vif_frame(x: np.ndarray, y: np.ndarray, s: np.ndarray,
@@ -178,6 +173,9 @@ def _vif_frame(x: np.ndarray, y: np.ndarray, s: np.ndarray,
     smooth = smooth or gaussian_smooth
     if min(x.shape) < 32:
         raise TooSmall("VIF needs at least 32 pixels per side")
+    if 2 ** cfg.vif_scales + 1 > min(x.shape):  # the first, widest window, before any is built
+        raise KernelTooLarge(f"vif_scales {cfg.vif_scales}: the first VIF window "
+                             f"(2**{cfg.vif_scales} + 1) is wider than the {x.shape} frame")
     s_levels = build_saliency_pyramid(s, cfg.vif_scales)
     sigma_n_sq = cfg.vif_sigma_n_sq
     num_total = 0.0
@@ -221,8 +219,8 @@ def ddl1_s(c, cfg):
     """
     dr, dd = c.d_ref, c.d_dist
     factor = np.clip(1.0 - np.sqrt(np.abs(dr * dr - dd * dd)) / 255.0, 0.0, 1.0)
-    return sum(weighted_spatial_mean(_ssim_map(x, y, cfg) * factor, c.s)
-               for x, y in _views(c))
+    return 2.0 * view_mean(
+        lambda x, y: weighted_spatial_mean(_ssim_map(x, y, cfg) * factor, c.s), c.ref, c.dist)
 
 
 @_fr("composite", needs=("d_ref", "d_dist"), over="frame")
@@ -232,8 +230,8 @@ def oq_s(c, cfg):
     Orientation is composite: the two terms move in opposite directions and
     the published combination constants are unavailable.
     """
-    iq = 0.5 * sum(weighted_spatial_mean(_ssim_map(x, y, cfg), c.s)
-                   for x, y in _views(c))
+    iq = view_mean(lambda x, y: weighted_spatial_mean(_ssim_map(x, y, cfg), c.s),
+                   c.ref, c.dist)
     dq = weighted_spatial_mean(np.abs(c.d_ref - c.d_dist), c.s)
     iq_d = np.power(iq, cfg.oq_d)
     return (cfg.oq_a * iq_d + cfg.oq_b * np.power(dq, cfg.oq_e)
@@ -288,17 +286,17 @@ def _block_weights(s: np.ndarray, anchors: np.ndarray, size: int) -> np.ndarray:
 
 def _structure_errors(ref_t: StereoFrame, dist_t: StereoFrame, d_values: np.ndarray,
                       cfg: FrMetricConfig):
-    """Per 4x4 block: CSF-masked squared difference of 3D-DCT coefficients."""
+    """Per 4x4 block: CSF-masked squared difference of 3D-DCT coefficients,
+    taken as the 3D-DCT of the block differences (the DCT is linear)."""
     h, w = ref_t.left.luma.shape
     anchors = _block_grid(h, w, 4)
     matched = _matched_anchors(anchors, d_values, 4, w)
 
-    def coefficients(frame: StereoFrame) -> np.ndarray:
-        return dct3_stereo_stack(np.stack([
-            _gather_blocks(frame.left.luma, anchors, 4),
-            _gather_blocks(frame.right.luma, matched, 4)], axis=-1))
+    def block_pairs(frame: StereoFrame) -> np.ndarray:
+        return np.stack([_gather_blocks(frame.left.luma, anchors, 4),
+                         _gather_blocks(frame.right.luma, matched, 4)], axis=-1)
 
-    diff = coefficients(ref_t) - coefficients(dist_t)
+    diff = dct3_stereo_stack(block_pairs(ref_t) - block_pairs(dist_t))
     csf = np.asarray(cfg.csf_mask, dtype=np.float64)[None, :, :, None]
     errors = np.mean((diff * csf) ** 2, axis=(1, 2, 3))
     return anchors, errors
@@ -350,10 +348,10 @@ def hv3d_s(c, cfg):
     dr, dd = c.d_ref, c.d_dist
 
     def fused_blocks(frame: StereoFrame, d_values: np.ndarray) -> np.ndarray:
+        # fused in pixels: the inverse of the mean of the two blocks' orthonormal DCTs
         matched = _matched_anchors(anchors, d_values, b, w)
-        return idct2_stack(0.5 * (
-            dct2_stack(_gather_blocks(frame.left.luma, anchors, b))
-            + dct2_stack(_gather_blocks(frame.right.luma, matched, b))))
+        return 0.5 * (_gather_blocks(frame.left.luma, anchors, b)
+                      + _gather_blocks(frame.right.luma, matched, b))
 
     rec_ref = fused_blocks(c.ref, dr)
     rec_dist = fused_blocks(c.dist, dd)
@@ -396,20 +394,15 @@ def flosim3d_s(c, cfg):
     depth_scores = []
     for t in range(1, len(c.ref)):
         s = c.s[t]
-        ref_t, ref_p = c.ref.frames[t], c.ref.frames[t - 1]
-        dist_t, dist_p = c.dist.frames[t], c.dist.frames[t - 1]
-        total = 0.0
-        for view in VIEWS:
-            ref_diff = getattr(ref_t, view).luma - getattr(ref_p, view).luma
-            dist_diff = getattr(dist_t, view).luma - getattr(dist_p, view).luma
-            q_fl = float(np.abs(_patch_features(ref_diff, cfg.flosim_patch)
-                                - _patch_features(dist_diff, cfg.flosim_patch))
+
+        def flow(ref_t, ref_p, dist_t, dist_p):
+            q_fl = float(np.abs(_patch_features(ref_t - ref_p, cfg.flosim_patch)
+                                - _patch_features(dist_t - dist_p, cfg.flosim_patch))
                          .sum(axis=1).mean())
-            q_s = 1.0 - _msssim_frame(getattr(ref_t, view).luma,
-                                      getattr(dist_t, view).luma, s, cfg, c.flags,
-                                      _smooth_2d)
-            total += q_s * q_fl
-        flow_scores.append(0.5 * total)
+            return (1.0 - _msssim_frame(ref_t, dist_t, s, cfg, c.flags, _smooth_2d)) * q_fl
+
+        flow_scores.append(view_mean(flow, c.ref.frames[t], c.ref.frames[t - 1],
+                                     c.dist.frames[t], c.dist.frames[t - 1]))
         depth_ref = disparity_to_depth(c.d_ref[t]) * 255.0
         depth_dist = disparity_to_depth(c.d_dist[t]) * 255.0
         q_d = 1.0 - _msssim_frame(depth_ref, depth_dist, s, cfg, c.flags, _smooth_2d)

@@ -6,7 +6,7 @@ default config, validation, the frame and view loops, the saliency mode,
 flags and the report.
 
 - ``"view"``: ``formula(x, y, s, cfg)`` (FR) or ``formula(luma, s, cfg)``
-  (NR) scores one view; the frame score is ``0.5 * (left + right)``.
+  (NR) scores one view; the frame score is ``view_mean`` of it.
 - ``"frame"``: ``formula(c, cfg)`` scores one stereo frame from a context
   with ``ref``/``dist`` (StereoFrame; ``ref`` is None for NR), ``s``,
   ``d_ref``, ``d_dist`` and the report's ``flags`` list.
@@ -17,6 +17,9 @@ flags and the report.
 saliency.  Disparity maps arrive as float64 arrays.  The driver checks every
 map series once (count, ``SaliencyMap``/``DisparityMap`` elements, frame
 shape) and rejects an all-zero saliency map, so formulas never re-check them.
+
+``view_mean`` owns the view rule, frame score = ``0.5 * (left + right)``;
+``"frame"`` and ``"sequence"`` formulas that score views call it too.
 """
 
 from __future__ import annotations
@@ -32,7 +35,11 @@ from .media import _maps
 from .report import make_report
 from .saliency import SaliencyMap
 
-VIEWS = ("left", "right")
+
+def view_mean(f, *frames) -> float:
+    """``0.5 * (f(*left lumas) + f(*right lumas))`` of the stereo frames
+    ``frames``, left view first."""
+    return 0.5 * (f(*(q.left.luma for q in frames)) + f(*(q.right.luma for q in frames)))
 
 
 def _run(formula, orientation, needs, over, ref, dist, s_series, maps, cfg):
@@ -65,11 +72,8 @@ def _run(formula, orientation, needs, over, ref, dist, s_series, maps, cfg):
             for t in range(n)]
     else:
         seqs = (dist,) if ref is None else (ref, dist)
-        scores = []
-        for t in range(n):
-            vals = [formula(*(getattr(q.frames[t], view).luma for q in seqs), s[t], cfg)
-                    for view in VIEWS]
-            scores.append(0.5 * (vals[0] + vals[1]))
+        scores = [view_mean(lambda *lumas: formula(*lumas, s[t], cfg),
+                            *(q.frames[t] for q in seqs)) for t in range(n)]
     mode = "none" if s_series is None else s_series[0].source
     return make_report(formula.__name__, scores, orientation, mode, cfg,
                        list(dict.fromkeys(flags)))

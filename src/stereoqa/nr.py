@@ -1,8 +1,11 @@
 """No-reference metrics over the distorted sequence alone.
 
-Saliency here comes from the distorted pair (no reference exists).  Each
-metric averages the two views per frame and pools frames by the plain mean;
-orientation is recorded per metric because sign conventions differ.
+Saliency here comes from the distorted pair (no reference exists).  The
+metrics average the two views per frame with ``metric.view_mean`` (``nospdm_s``
+weights them, ``qa3d_s`` compares them) and pool frames by the plain mean;
+orientation is recorded per metric because sign conventions differ.  Every
+pixel-pair table (differences, pair-mean weights, zero crossings) is built
+from ``_pairs``.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import numpy as np
 from .errors import NeedsTemporalContext, NoEdges, NumericError, ParamError, TooSmall
 from .kernels import Kernel2D, convolve2d, sobel_gradient
 from .media import _check_numbers
-from .metric import registrar
+from .metric import registrar, view_mean
 from .saliency import weighted_spatial_mean
 
 
@@ -70,45 +73,51 @@ def _local_std(image: np.ndarray, size: int) -> np.ndarray:
     return np.sqrt(np.maximum(convolve2d(image * image, box) - mu * mu, 0.0))
 
 
-def _block_boundaries(shape, g, grid="gbim_grid"):
-    """Row and column indices at which a g-grid block starts, first block
-    excluded; TooSmall, naming ``grid``, when either axis has none."""
-    h, w = shape
-    if g >= h or g >= w:
-        raise TooSmall(f"{grid} {g} leaves no block boundary in a {h}x{w} frame")
-    return np.arange(g, h, g), np.arange(g, w, g)
+def _pairs(a: np.ndarray, axis: int):
+    """(later, earlier) pixel of each adjacent pair of ``a`` along ``axis``;
+    index i of both holds the pair (i, i + 1)."""
+    lead = (slice(None),) * axis
+    return a[lead + (np.s_[1:],)], a[lead + (np.s_[:-1],)]
+
+
+def _boundary_pairs(shape, g, grid="gbim_grid"):
+    """Per axis, the index into a ``_pairs`` table along that axis of the
+    pairs that straddle a g-grid block boundary; TooSmall, naming ``grid``,
+    when either axis has none."""
+    if g >= min(shape):
+        raise TooSmall(f"{grid} {g} leaves no block boundary in a {shape[0]}x{shape[1]} frame")
+    return [(slice(None),) * axis + (np.arange(g - 1, n - 1, g),)
+            for axis, n in enumerate(shape)]
 
 
 @_nr("lower_better")
 def gbim_s(luma, s, cfg):
     """Block-edge impairment: 8-grid boundary differences over the frame's
     average inter-pixel difference.  Lower is better."""
-    rows, cols = _block_boundaries(luma.shape, cfg.gbim_grid)
+    at = _boundary_pairs(luma.shape, cfg.gbim_grid)
     if cfg.gbim_masking == "luminance":
         mask = 1.0 / (1.0 + _local_std(luma, 3) / 32.0)
     else:
         mask = np.ones_like(luma)
-    dh = np.abs(luma[:, 1:] - luma[:, :-1])
-    dv = np.abs(luma[1:, :] - luma[:-1, :])
-    e = (dh.sum() + dv.sum()) / (dh.size + dv.size)
+    diffs = {axis: np.abs(np.subtract(*_pairs(luma, axis))) for axis in (1, 0)}
+    e = sum(d.sum() for d in diffs.values()) / sum(d.size for d in diffs.values())
     if e <= 0.0:
         return 0.0
-    diff_h = np.abs(luma[:, cols] - luma[:, cols - 1])
-    w_h = 0.5 * (mask[:, cols] + mask[:, cols - 1])
-    s_h = 0.5 * (s[:, cols] + s[:, cols - 1])
-    diff_v = np.abs(luma[rows, :] - luma[rows - 1, :])
-    w_v = 0.5 * (mask[rows, :] + mask[rows - 1, :])
-    s_v = 0.5 * (s[rows, :] + s[rows - 1, :])
-    m_h = weighted_spatial_mean(w_h * diff_h, s_h)
-    m_v = weighted_spatial_mean(w_v * diff_v, s_v)
-    return (m_h + m_v) / (2.0 * e)
+    total = 0.0
+    for axis, d in diffs.items():
+        w = 0.5 * np.add(*_pairs(mask, axis))
+        sw = 0.5 * np.add(*_pairs(s, axis))
+        total += weighted_spatial_mean(w[at[axis]] * d[at[axis]], sw[at[axis]])
+    return total / (2.0 * e)
 
 
 def _probe(n: int, axis: int) -> Kernel2D:
-    # 1 x n (or n x 1) box probe embedded in an n x n kernel for convolve2d
+    # box probe of n pixels along `axis`, embedded in an n x n kernel for convolve2d
+    line = [n // 2, n // 2]
+    line[axis] = slice(None)
     taps = np.zeros((n, n))
-    taps[n // 2, :] = 1.0 / n
-    return Kernel2D(taps if axis == 1 else taps.T)
+    taps[tuple(line)] = 1.0 / n
+    return Kernel2D(taps)
 
 
 @_nr("lower_better")
@@ -121,13 +130,10 @@ def nrpbm_s(luma, s, cfg):
     ratios = []
     for axis in (1, 0):
         blurred = convolve2d(luma, _probe(n, axis))
-        df = np.abs(np.diff(luma, axis=axis))
-        db = np.abs(np.diff(blurred, axis=axis))
+        df = np.abs(np.subtract(*_pairs(luma, axis)))
+        db = np.abs(np.subtract(*_pairs(blurred, axis)))
         dv = np.maximum(df - db, 0.0)
-        if axis == 1:
-            sw = 0.5 * (s[:, 1:] + s[:, :-1])
-        else:
-            sw = 0.5 * (s[1:, :] + s[:-1, :])
+        sw = 0.5 * np.add(*_pairs(s, axis))
         denom = (df * sw).sum()
         ratios.append((dv * sw).sum() / denom if denom > 0 else None)
     if all(r is None for r in ratios):
@@ -184,19 +190,14 @@ def block_farias_s(luma, s, cfg):
     1/(H*W); lower is better.  An axis with no weighted luma difference adds
     0.0, so a flat frame, or one whose saliency weights no luma difference,
     scores 0.0 (the driver has already rejected an all-zero map)."""
-    rows, cols = _block_boundaries(luma.shape, cfg.gbim_grid)
-    rows, cols = rows - 1, cols - 1  # difference index i-1 sits between pixels i-1, i
+    at = _boundary_pairs(luma.shape, cfg.gbim_grid)
     total = 0.0
-    dv = np.abs(luma[1:, :] - luma[:-1, :])
-    sv = 0.5 * (s[1:, :] + s[:-1, :])
-    den = (dv * sv).sum()
-    if den > 0:
-        total += (dv[rows, :] * sv[rows, :]).sum() / den
-    dh = np.abs(luma[:, 1:] - luma[:, :-1])
-    sh = 0.5 * (s[:, 1:] + s[:, :-1])
-    den = (dh * sh).sum()
-    if den > 0:
-        total += (dh[:, cols] * sh[:, cols]).sum() / den
+    for axis in (1, 0):
+        d = np.abs(np.subtract(*_pairs(luma, axis)))
+        sw = 0.5 * np.add(*_pairs(s, axis))
+        den = (d * sw).sum()
+        if den > 0:
+            total += (d[at[axis]] * sw[at[axis]]).sum() / den
     return total / luma.size
 
 
@@ -243,12 +244,13 @@ def vqsm_s(c, cfg):
     smoothness, higher better."""
     a1, a2, a3, a4, a5 = cfg.vqsm_alphas
     s_bar = convolve2d(c.s, Kernel2D(np.full((5, 5), 1.0 / 25.0)))
-    vals = []
-    for luma in (c.dist.left.luma, c.dist.right.luma):
+
+    def view(luma):
         q_sh = weighted_spatial_mean(sobel_gradient(luma)["magnitude"], c.s)
         q_sm = weighted_spatial_mean(_local_std(luma, 5), s_bar)
-        vals.append(a1 * q_sh**2 + a2 * q_sh + a3 * q_sm**2 + a4 * q_sm + a5)
-    return 0.5 * (vals[0] + vals[1])
+        return a1 * q_sh**2 + a2 * q_sh + a3 * q_sm**2 + a4 * q_sm + a5
+
+    return view_mean(view, c.dist)
 
 
 _AQI_STEPS = {0: (0, 1), 45: (-1, 1), 90: (1, 0), 135: (1, 1)}
@@ -299,21 +301,15 @@ def qa3d_s(c, cfg):
 
 
 def _qjpeg(luma: np.ndarray, s: np.ndarray, cfg: NrMetricConfig):
-    rows, cols = _block_boundaries(luma.shape, 8, "the JPEG grid")
+    at = _boundary_pairs(luma.shape, 8, "the JPEG grid")
     b = a = z = 0.0  # each the mean of its horizontal and vertical value
     for axis in (1, 0):
-        d = np.diff(luma, axis=axis)
+        d = np.subtract(*_pairs(luma, axis))
+        sw = 0.5 * np.add(*_pairs(s, axis))
         b_mask = np.zeros(d.shape, bool)  # differences across a block boundary
-        if axis == 1:
-            sw = 0.5 * (s[:, 1:] + s[:, :-1])
-            b_mask[:, cols - 1] = True
-            crossings = (d[:, 1:] * d[:, :-1]) < 0
-            zw = s[:, 1:-1]
-        else:
-            sw = 0.5 * (s[1:, :] + s[:-1, :])
-            b_mask[rows - 1, :] = True
-            crossings = (d[1:, :] * d[:-1, :]) < 0
-            zw = s[1:-1, :]
+        b_mask[at[axis]] = True
+        crossings = np.multiply(*_pairs(d, axis)) < 0
+        zw = _pairs(_pairs(s, axis)[0], axis)[1]  # the pixel between two differences
         ad = np.abs(d)
         b += 0.5 * weighted_spatial_mean(ad[b_mask], sw[b_mask])
         a += 0.5 * weighted_spatial_mean(ad[~b_mask], sw[~b_mask])

@@ -55,6 +55,9 @@ class SubjectiveTable:
                 except (TypeError, ValueError) as exc:
                     raise MalformedCsv(f"{path}: line {reader.line_num}: score "
                                        f"{row['score']!r} is not a number") from exc
+                if not np.isfinite(ratings[key]):
+                    raise RangeError(f"{path}: line {reader.line_num}: score "
+                                     f"{row['score']!r} is not finite")
         items = sorted({item for item, _ in ratings})
         subjects = sorted({subj for _, subj in ratings})
         scores = np.full((len(items), len(subjects)), np.nan)

@@ -178,6 +178,18 @@ def test_bad_fr_config_value_exit_1(desc_path, tmp_path, capsys):
                          "--config", str(cfg)]), capsys)
 
 
+@pytest.mark.parametrize("metric", ["vif_s", "hv3d_s"])
+def test_vif_window_wider_than_frame_exit_1(desc_path, tmp_path, capsys, metric):
+    # the first window, 2**1000000 + 1 pixels, is rejected before it is built
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"vif_scales": 1000000}))
+    code = main(["score-fr", "--metric", metric, "--ref", desc_path, "--dist", desc_path,
+                 "--out", str(tmp_path / "r.json"), "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: ") and "vif_scales 1000000" in err
+    assert "Traceback" not in err
+
+
 def test_bad_nr_config_value_exit_1(desc_path, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"sadaka_region": 0}))
@@ -336,6 +348,8 @@ def _without(mapping, key):
                  id="non-numeric-score"),
     pytest.param(_COLUMNS, {"subject_id": "s1"}, _REPORT, ("a",), "line 3",
                  id="repeated-rating"),
+    *(pytest.param(_COLUMNS, {"score": score}, _REPORT, ("a",), "line 2",
+                   id=f"score-{score}") for score in ("inf", "-inf", "nan")),
     pytest.param(_COLUMNS, {}, _REPORT, ("a", "b", "a"), "'a'", id="repeated-item"),
     pytest.param(_COLUMNS, {}, _without(_REPORT, "saliency_mode"), ("a",), "rep.json",
                  id="report-without-mode"),
