@@ -8,7 +8,6 @@ output so the run can be replayed byte for byte.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -20,7 +19,7 @@ from .distort import DistortionSpec, apply_all
 from .errors import MalformedJson, ParamError, StereoQaError
 from .fr import FR_METRICS, FR_NEEDS_DISPARITY, FrMetricConfig
 from .media import SequenceDescriptor, _fits, decode, load_map_series, \
-    load_sequence, read_json, save_map_series, save_sequence
+    load_sequence, read_json, save_map_series, save_sequence, write_json
 from .nr import NR_METRICS, NR_NEEDS_DISPARITY, NrMetricConfig
 from .saliency import VamConfig, baseline_vam, load_external_saliency, \
     uniform_series
@@ -37,17 +36,14 @@ def _load_config(path, cls):
 
 
 def _write_manifest(out_path: str, args: argparse.Namespace, outputs) -> None:
-    manifest = {
-        "tool": "stereoqa",
-        "version": __version__,
+    write_json(out_path + ".manifest.json", {  # every key in sorted order
         "command": args.command,
         "options": {k: v for k, v in sorted(vars(args).items())
                     if k not in ("command", "func")},
         "outputs": sorted(outputs),
-    }
-    with open(out_path + ".manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        "tool": "stereoqa",
+        "version": __version__,
+    })
 
 
 def _resolve_saliency(mode: str, seq):
@@ -137,11 +133,9 @@ def _cmd_distort(args) -> int:
              for d in (raw if isinstance(raw, list) else [raw])]
     out_seq = apply_all(seq, specs)
     os.makedirs(args.out, exist_ok=True)
-    left = os.path.join(args.out, "left.raw")
-    right = os.path.join(args.out, "right.raw")
+    left, right = (os.path.join(args.out, f"{view}.raw") for view in ("left", "right"))
     desc = save_sequence(out_seq, left, right, format=desc.format)
     desc_path = os.path.join(args.out, "descriptor.json")
-    desc.left, desc.right = "left.raw", "right.raw"
     desc.to_json(desc_path)
     _write_manifest(desc_path, args, [left, right, desc_path])
     return 0
@@ -150,6 +144,8 @@ def _cmd_distort(args) -> int:
 def _cmd_evaluate(args) -> int:
     table = SubjectiveTable.from_csv(args.scores)
     mos_table: MosTable = screen_and_mos(table)
+    for flag in mos_table.flags + [f"rejected subject {s}" for s in mos_table.rejected_subjects]:
+        sys.stderr.write(f"{args.scores}: {flag}\n")
     item_pos = {item: i for i, item in enumerate(mos_table.items)}
     groups = {}
     for pair in args.objective:
@@ -177,6 +173,8 @@ def _cmd_evaluate(args) -> int:
         perf = performance(objective, mos_table.mos[idx],
                            per_item_std=mos_table.std[idx],
                            use_logistic=args.logistic)
+        for flag in perf.flags:
+            sys.stderr.write(f"{metric} (saliency {mode}): {flag}\n")
         rows.append((metric, mode, args.label, perf))
     emit_report(rows, args.out, fmt=args.format)
     _write_manifest(args.out, args, [args.out])

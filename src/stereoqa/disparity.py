@@ -12,7 +12,7 @@ import numpy as np
 import scipy.ndimage
 
 from .errors import ParamError
-from .media import StereoFrame
+from .media import StereoFrame, _check_int
 
 
 @dataclass
@@ -21,10 +21,8 @@ class DisparityConfig:
     search_range: int = 32
 
     def __post_init__(self):
-        if self.block < 4:
-            raise ParamError("block size must be >= 4")
-        if self.search_range < 1:
-            raise ParamError("search range must be >= 1")
+        _check_int("block", self.block, 4)
+        _check_int("search_range", self.search_range, 1)
 
 
 @dataclass

@@ -26,7 +26,7 @@ from .kernels import (
     halving_chain,
     sobel_gradient,
 )
-from .media import StereoFrame, _check_numbers
+from .media import StereoFrame, _check_int, _check_numbers
 from .metric import registrar, view_mean
 from .saliency import build_saliency_pyramid, weighted_spatial_mean
 
@@ -65,9 +65,7 @@ class FrMetricConfig:
             raise ParamError("MS-SSIM exponents must sum to 1 within 1e-3")
         _check_numbers("csf_mask", self.csf_mask, (4, 4))
         for name in ("ssim_window", "vif_scales", "hv3d_block", "flosim_patch"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
-                raise ParamError(f"{name} must be an integer >= 1, got {value!r}")
+            _check_int(name, getattr(self, name), 1)
         for name in ("ssim_sigma", "vif_sigma_n_sq"):
             if not getattr(self, name) > 0:
                 raise ParamError(f"{name} must be > 0")

@@ -52,6 +52,17 @@ def read_json(path: str):
         raise MalformedJson(f"{path}: not valid JSON ({exc})") from exc
 
 
+def write_json(path: str, value) -> None:
+    """Write ``value`` to ``path`` as strict JSON, indented by 2, plus one newline; a
+    NaN or infinity raises NumericError, naming ``path``, before the file is opened."""
+    try:
+        text = json.dumps(value, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"{path}: {exc}") from exc
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
+
+
 # the JSON values that fill a dataclass field, by its annotation
 _JSON_TYPES = {"int": int, "float": (int, float), "str": str, "dict": dict,
                "tuple": list, "None": type(None)}
@@ -97,6 +108,12 @@ def _check_numbers(name: str, value, shape) -> None:
     except (TypeError, ValueError):
         pass
     raise ParamError(f"{name} must be numbers of shape {shape}")
+
+
+def _check_int(name: str, value, minimum: int) -> None:
+    """ParamError unless ``value`` is an integer, not a bool, >= ``minimum``."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < minimum:
+        raise ParamError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def _check_8bit_range(name: str, plane: np.ndarray) -> None:
@@ -160,8 +177,8 @@ class StereoSequence:
     def __post_init__(self):
         if not self.frames:
             raise EmptySequence("sequence has no frames")
-        if self.fps <= 0:
-            raise RangeError("fps must be > 0")
+        if not 0 < self.fps <= sys.float_info.max:  # NaN fails too
+            raise RangeError(f"fps must be finite and > 0, got {self.fps!r}")
         shape = self.frames[0].left.luma.shape
         for i, fr in enumerate(self.frames):
             if fr.left.luma.shape != shape:
@@ -210,9 +227,10 @@ class SequenceDescriptor:
         return desc
 
     def to_json(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(dataclasses.asdict(self), fh, indent=2)
-            fh.write("\n")
+        """Write to ``path``, stream paths relative to its directory (as ``from_json``)."""
+        base = os.path.dirname(os.path.abspath(path))
+        write_json(path, dataclasses.asdict(self) | {
+            view: os.path.relpath(getattr(self, view), base) for view in ("left", "right")})
 
 
 def _planes(desc: SequenceDescriptor) -> list[tuple[int, int]]:

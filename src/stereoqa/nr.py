@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NeedsTemporalContext, NoEdges, NumericError, ParamError, TooSmall
+from .errors import KernelTooLarge, NeedsTemporalContext, NoEdges, NumericError, ParamError, \
+    TooSmall
 from .kernels import Kernel2D, convolve2d, sobel_gradient
-from .media import _check_numbers
+from .media import _check_int, _check_numbers
 from .metric import registrar, view_mean
 from .saliency import weighted_spatial_mean
 
@@ -54,8 +55,7 @@ class NrMetricConfig:
         if self.gbim_masking not in ("neutral", "luminance"):
             raise ParamError("gbim_masking must be 'neutral' or 'luminance'")
         for name in ("gbim_grid", "nrpbm_probe", "sadaka_region", "aqi_bins", "qa3d_history"):
-            if getattr(self, name) < 1:
-                raise ParamError(f"{name} must be >= 1")
+            _check_int(name, getattr(self, name), 1)
         if self.sadaka_beta <= 0:
             raise ParamError("sadaka_beta must be > 0")
         if not self.aqi_directions or not set(self.aqi_directions) <= {0, 45, 90, 135}:
@@ -127,6 +127,8 @@ def nrpbm_s(luma, s, cfg):
     saliency weights no luma difference (the driver has already rejected an
     all-zero map)."""
     n = cfg.nrpbm_probe
+    if n > min(luma.shape):  # before _probe builds its n x n kernel
+        raise KernelTooLarge(f"nrpbm_probe {n} is wider than the {luma.shape} frame")
     ratios = []
     for axis in (1, 0):
         blurred = convolve2d(luma, _probe(n, axis))

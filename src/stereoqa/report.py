@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError
+from .media import write_json
 
 
 def config_fingerprint(cfg) -> str:
@@ -28,29 +29,16 @@ def config_fingerprint(cfg) -> str:
 
 @dataclass
 class MetricReport:
-    metric: str
-    frame_scores: list[float]
+    metric: str  # fields in the key order of the JSON that save_json writes
     score: float
+    frame_scores: list[float]
     orientation: str  # higher_better | lower_better | composite
     saliency_mode: str
     config_fingerprint: str
     flags: list[str] = dataclasses.field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "metric": self.metric,
-            "score": self.score,
-            "frame_scores": list(self.frame_scores),
-            "orientation": self.orientation,
-            "saliency_mode": self.saliency_mode,
-            "config_fingerprint": self.config_fingerprint,
-            "flags": list(self.flags),
-        }
-
     def save_json(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+        write_json(path, dataclasses.asdict(self))
 
     def save_frame_csv(self, path: str) -> None:
         with open(path, "w") as fh:

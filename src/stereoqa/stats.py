@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +17,7 @@ from .errors import (
     UndefinedCorrelation,
 )
 from .kernels import sobel_gradient
-from .media import StereoSequence
+from .media import StereoSequence, write_json
 
 
 @dataclass
@@ -392,8 +391,6 @@ def emit_report(rows, path, fmt: str = "csv") -> None:
             writer.writeheader()
             writer.writerows(records)
     elif fmt == "json":
-        with open(path, "w") as fh:
-            json.dump({"columns": list(_COLUMNS), "rows": records}, fh, indent=2)
-            fh.write("\n")
+        write_json(path, {"columns": list(_COLUMNS), "rows": records})
     else:
         raise ParamError(f"unknown report format {fmt!r}")

@@ -1,13 +1,15 @@
 import json
 import os
+import pathlib
 
 import numpy as np
 import pytest
 
+from stereoqa import stats
 from stereoqa.cli import main
 from stereoqa.distort import DistortionSpec, apply
 from stereoqa.fr import FR_METRICS
-from stereoqa.media import SequenceDescriptor, load_sequence, save_map_series, \
+from stereoqa.media import SequenceDescriptor, load_sequence, read_json, save_map_series, \
     save_sequence
 from stereoqa.nr import NR_METRICS
 
@@ -190,6 +192,17 @@ def test_vif_window_wider_than_frame_exit_1(desc_path, tmp_path, capsys, metric)
     assert "Traceback" not in err
 
 
+def test_nrpbm_probe_wider_than_frame_exit_1(desc_path, tmp_path, capsys):
+    # the 1000000 x 1000000 probe kernel is rejected before it is built
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"nrpbm_probe": 1000000}))
+    code = main(["score-nr", "--metric", "nrpbm_s", "--dist", desc_path,
+                 "--out", str(tmp_path / "r.json"), "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error: ") and "nrpbm_probe 1000000" in err
+    assert "Traceback" not in err
+
+
 def test_bad_nr_config_value_exit_1(desc_path, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"sadaka_region": 0}))
@@ -329,6 +342,108 @@ def test_evaluate_pipeline(tmp_path):
         text = fh.read()
     assert "psnr_s,none" in text
     assert "1.0000" in text  # perfectly linear objective
+
+
+def _study(tmp_path, ratings):
+    """``evaluate`` arguments for items a-d rated ``ratings[item]`` (one score
+    per subject) and psnr_s reports linear in the first rating."""
+    scores_csv = tmp_path / "scores.csv"
+    scores_csv.write_text("item_id,subject_id,score\n" + "".join(
+        f"{item},s{j},{r}\n" for item, row in ratings.items() for j, r in enumerate(row)))
+    pairs = []
+    for item, row in ratings.items():
+        path = tmp_path / f"rep_{item}.json"
+        path.write_text(json.dumps({"metric": "psnr_s", "saliency_mode": "none",
+                                    "score": 20.0 + row[0] / 2.0}))
+        pairs.append(f"{item}={path}")
+    return ["evaluate", "--scores", str(scores_csv), "--objective", *pairs,
+            "--out", str(tmp_path / "perf.csv")]
+
+
+def test_evaluate_reports_skipped_screening(tmp_path, capsys):
+    argv = _study(tmp_path, {"a": (80, 81), "b": (60, 62), "c": (40, 41), "d": (20, 24)})
+    assert main(argv) == 0
+    assert f"{tmp_path / 'scores.csv'}: screening_skipped\n" in capsys.readouterr().err
+
+
+def test_evaluate_reports_rejected_subjects(tmp_path, capsys):
+    # s7 rates 7 below, then 7 above, the others: one-sided extremes that cancel
+    spread = (-3, -2, -1, 0, 0, 1, 2)
+    ratings = {item: tuple(m + b for b in spread) + (m + (7 if k % 2 else -7),)
+               for k, (item, m) in enumerate(zip("abcd", (40, 50, 60, 70)))}
+    assert main(_study(tmp_path, ratings)) == 0
+    err = capsys.readouterr().err
+    assert err == f"{tmp_path / 'scores.csv'}: rejected subject s7\n"
+
+
+def test_evaluate_reports_unconverged_fit(tmp_path, capsys, monkeypatch):
+    descent = stats._nelder_mead
+    monkeypatch.setattr(stats, "_nelder_mead", lambda cost, x0, maxfev, **kw:
+                        descent(cost, x0, 5, **kw))
+    ratings = {"a": (80, 81, 79), "b": (60, 62, 61), "c": (40, 41, 43), "d": (20, 24, 22)}
+    argv = _study(tmp_path, ratings)
+    assert main([*argv, "--logistic"]) == 0
+    assert capsys.readouterr().err == "psnr_s (saliency none): fit_did_not_converge\n"
+    with open(argv[-1]) as fh:
+        table = fh.read()
+    monkeypatch.undo()
+    assert main([*argv, "--logistic"]) == 0
+    assert capsys.readouterr().err == ""
+    with open(argv[-1]) as fh:
+        assert fh.read() != table  # the flag is on stderr only, the fit differs
+
+
+@pytest.mark.parametrize("fmt", ["gray8", "yuv420p8"])
+def test_every_json_output_reads_back(tmp_path, monkeypatch, fmt):
+    """Every JSON file the commands write, manifests included, is the strict
+    JSON that ``read_json`` loads, in ``write_json``'s layout; descriptors
+    load from another working directory."""
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("ref")
+    save_sequence(make_seq(105, frames=2, size=64), "ref/l.raw", "ref/r.raw",
+                  format=fmt).to_json("ref/desc.json")
+    runs = [["saliency", "--in", "ref/desc.json", "--out", "sal"],
+            ["disparity", "--in", "ref/desc.json", "--out", "disp"]]
+    for i, variance in enumerate((0.002, 0.01, 0.05)):
+        spec = [{"kind": "awgn", "params": {"variance": variance}, "seed": i},
+                {"kind": "intensity_shift"}]
+        with open(f"spec{i}.json", "w") as fh:
+            json.dump(spec, fh)
+        runs += [["distort", "--in", "ref/desc.json", "--spec", f"spec{i}.json",
+                  "--out", f"dist{i}"],
+                 ["score-fr", "--metric", "ssim_s", "--ref", "ref/desc.json",
+                  "--dist", f"dist{i}/descriptor.json", "--saliency", "dir:sal",
+                  "--disparity-ref", "dir:disp", "--out", f"fr{i}.json",
+                  "--frame-csv", f"fr{i}.csv"]]
+    runs += [["score-nr", "--metric", "gbim_s", "--dist", "dist0/descriptor.json",
+              "--out", "nr.json"]]
+    with open("scores.csv", "w") as fh:
+        fh.write("item_id,subject_id,score\n")
+        fh.writelines(f"{item},s{j},{m + j}\n" for item, m in zip("abc", (70, 50, 30))
+                      for j in range(3))
+    runs += [["evaluate", "--scores", "scores.csv", "--objective",
+              *(f"{item}=fr{i}.json" for i, item in enumerate("abc")),
+              "--out", "perf.json", "--format", "json", "--logistic"]]
+    for argv in runs:
+        assert main(argv) == 0, argv
+    outputs = ["ref/desc.json", "sal/saliency.manifest.json",
+               "disp/disparity.manifest.json", "nr.json", "nr.json.manifest.json",
+               "perf.json", "perf.json.manifest.json"]
+    for i in range(3):
+        outputs += [f"dist{i}/descriptor.json", f"dist{i}/descriptor.json.manifest.json",
+                    f"fr{i}.json", f"fr{i}.json.manifest.json"]
+    written = {str(p) for p in pathlib.Path(".").rglob("*.json")
+               if not p.name.startswith("spec")}
+    assert written == set(outputs)
+    for path in outputs:
+        with open(path) as fh:
+            assert fh.read() == json.dumps(read_json(path), indent=2) + "\n", path
+    assert read_json("dist0/descriptor.json")["left"] == "left.raw"
+    os.mkdir("elsewhere")
+    monkeypatch.chdir("elsewhere")
+    for path in ["ref/desc.json"] + [f"dist{i}/descriptor.json" for i in range(3)]:
+        seq = load_sequence(SequenceDescriptor.from_json(os.path.join("..", path)))
+        assert (len(seq), seq.width, seq.height) == (2, 64, 64)
 
 
 _REPORT = {"metric": "psnr_s", "saliency_mode": "none", "score": 30.0}

@@ -1,5 +1,6 @@
-"""The JSON input contract: read_json, media.decode and the five classes
-built from JSON, plus random-byte fuzzing of every file reader."""
+"""The JSON contract: read_json, write_json, media.decode and the five
+classes built from JSON, the integer-field rule of the configs, plus
+random-byte fuzzing of every file reader."""
 
 import dataclasses
 import json
@@ -11,11 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stereoqa.disparity import DisparityConfig
 from stereoqa.distort import DistortionSpec
-from stereoqa.errors import IoError, MalformedJson, ParamError, StereoQaError
+from stereoqa.errors import IoError, MalformedJson, NumericError, ParamError, StereoQaError
 from stereoqa.fr import FrMetricConfig
 from stereoqa.media import _JSON_TYPES, SequenceDescriptor, decode, read_json, read_pgm, \
-    save_frame_pgm
+    save_frame_pgm, write_json
 from stereoqa.nr import NrMetricConfig
 from stereoqa.saliency import VamConfig
 
@@ -144,6 +146,56 @@ def test_read_json_keeps_numbers_as_written(tmp_path):
     assert read_json(str(path)) == [1, 1.0, -0.0, 1e308, 123456789012345678901234567890,
                                     5e-324]
     assert [type(v) for v in read_json(str(path))[:2]] == [int, float]
+
+
+def test_write_json_reads_back_as_written(tmp_path):
+    value = {"b": [1, 1.0, -0.0, 5e-324, 1e308], "a": {"s": "x", "n": None, "t": True}}
+    path = tmp_path / "out.json"
+    write_json(str(path), value)
+    assert read_json(str(path)) == value
+    assert path.read_text() == json.dumps(value, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("number", [float("nan"), float("inf"), -float("inf")])
+def test_write_json_refuses_what_read_json_refuses(tmp_path, number):
+    path = tmp_path / "out.json"
+    with pytest.raises(NumericError, match="out.json"):
+        write_json(str(path), {"score": 1.0, "frame_scores": [0.5, number]})
+    assert not path.exists()
+
+
+# (class, integer field, smallest value) of every integer field of a config
+_INT_FIELDS = [
+    *((FrMetricConfig, name, 1)
+      for name in ("ssim_window", "vif_scales", "hv3d_block", "flosim_patch")),
+    *((NrMetricConfig, name, 1)
+      for name in ("gbim_grid", "nrpbm_probe", "sadaka_region", "aqi_bins", "qa3d_history")),
+    (DisparityConfig, "block", 4),
+    (DisparityConfig, "search_range", 1),
+]
+_INT_IDS = [f"{cls.__name__}.{name}" for cls, name, _ in _INT_FIELDS]
+
+
+def test_int_fields_cover_every_integer_config_field():
+    listed = {(cls, name) for cls, name, _ in _INT_FIELDS}
+    for cls in (FrMetricConfig, NrMetricConfig, DisparityConfig):
+        for f in dataclasses.fields(cls):
+            assert (f.type == "int") == ((cls, f.name) in listed), (cls.__name__, f.name)
+
+
+@pytest.mark.parametrize("cls,name,minimum", _INT_FIELDS, ids=_INT_IDS)
+@pytest.mark.parametrize("bad", ["below", "float", "fraction", "bool", "str"])
+def test_config_integer_fields_take_only_integers(cls, name, minimum, bad):
+    default = getattr(cls(), name)
+    value = {"below": minimum - 1, "float": float(default), "fraction": default + 0.5,
+             "bool": True, "str": str(default)}[bad]
+    with pytest.raises(ParamError, match=f"{name} must be an integer >= {minimum}"):
+        cls(**{name: value})
+
+
+@pytest.mark.parametrize("cls,name,minimum", _INT_FIELDS, ids=_INT_IDS)
+def test_config_integer_fields_take_numpy_integers_from_the_minimum(cls, name, minimum):
+    assert getattr(cls(**{name: np.int64(minimum)}), name) == minimum
 
 
 def test_read_json_rejects_deep_nesting(tmp_path):

@@ -23,6 +23,7 @@ from stereoqa.media import (
     load_map_series,
     load_sequence,
     map_name,
+    read_json,
     read_pgm,
     save_frame_pgm,
     save_map_series,
@@ -83,12 +84,34 @@ def test_descriptor_json_round_trip(tmp_path, tiny_seq):
 
 def test_descriptor_relative_paths(tmp_path, tiny_seq):
     desc = save_sequence(tiny_seq, str(tmp_path / "l.raw"), str(tmp_path / "r.raw"))
-    desc.left, desc.right = "l.raw", "r.raw"
     path = str(tmp_path / "desc.json")
     desc.to_json(path)
+    written = read_json(path)
+    assert (written["left"], written["right"]) == ("l.raw", "r.raw")
     loaded = SequenceDescriptor.from_json(path)
     assert os.path.isabs(loaded.left)
     load_sequence(loaded)
+
+
+def test_descriptor_written_with_cwd_relative_paths_loads_elsewhere(tmp_path, tiny_seq,
+                                                                    monkeypatch):
+    # stream paths relative to the working directory are written relative to
+    # the descriptor, so it loads from any working directory
+    monkeypatch.chdir(tmp_path)
+    os.makedirs("out/sub")
+    save_sequence(tiny_seq, "out/l.raw", "out/sub/r.raw").to_json("out/desc.json")
+    written = read_json("out/desc.json")
+    assert (written["left"], written["right"]) == ("l.raw", os.path.join("sub", "r.raw"))
+    os.makedirs("elsewhere")
+    monkeypatch.chdir("elsewhere")
+    back = load_sequence(SequenceDescriptor.from_json("../out/desc.json"))
+    assert len(back) == len(tiny_seq)
+
+
+@pytest.mark.parametrize("fps", [float("inf"), float("nan"), -float("inf"), 0.0, -1.0])
+def test_sequence_rejects_fps_that_is_not_finite_and_positive(tiny_seq, fps):
+    with pytest.raises(RangeError, match="fps"):
+        StereoSequence(tiny_seq.frames, fps=fps)
 
 
 def test_descriptor_unknown_format():
