@@ -12,7 +12,7 @@ import numpy as np
 import scipy.ndimage
 
 from .errors import ParamError
-from .media import StereoFrame, _check_int
+from .media import StereoFrame, _check_int, _check_range
 
 
 @dataclass
@@ -31,8 +31,7 @@ class DisparityMap:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        if not np.all(np.isfinite(self.values)):
-            raise ParamError("non-finite disparity values")
+        _check_range("disparity", self.values)
 
     @property
     def shape(self):

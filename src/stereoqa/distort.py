@@ -11,9 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import KernelTooLarge, ParamError, RangeError
-from .kernels import convolve2d, dct2_stack, gaussian_kernel, idct2_stack
-from .media import Frame, StereoFrame, StereoSequence, _check_numbers, _fits
+from .errors import ParamError, RangeError
+from .kernels import _check_window, convolve2d, dct2_stack, gaussian_kernel, idct2_stack
+from .media import Frame, StereoFrame, StereoSequence, _check_int, _check_numbers, _fits
 from .rng import SeededRng
 
 TARGETS = ("both_views", "left_only", "right_only")
@@ -34,9 +34,10 @@ class DistortionSpec:
             raise ParamError(f"unknown target {self.target!r}")
         if self.region is not None:
             _check_numbers("region (y0, x0, height, width)", self.region, (4,))
-            self.region = tuple(int(v) for v in self.region)
-            if self.region[2] <= 0 or self.region[3] <= 0:
-                raise ParamError("region height and width must be positive")
+            for name, value, minimum in zip(("y0", "x0", "height", "width"), self.region,
+                                            (0, 0, 1, 1)):
+                _check_int(f"region {name}", value, minimum)
+            self.region = tuple(self.region)
         defaults = _DISTORTIONS[self.kind][1]
         self.params = {**defaults, **self.params}
         for name, value in self.params.items():
@@ -55,7 +56,7 @@ def _region_slices(spec: DistortionSpec, shape):
     if spec.region is None:
         return slice(None), slice(None)
     y0, x0, h, w = spec.region
-    if y0 < 0 or x0 < 0 or y0 + h > shape[0] or x0 + w > shape[1]:
+    if y0 + h > shape[0] or x0 + w > shape[1]:
         raise RangeError("region falls outside the frame")
     return slice(y0, y0 + h), slice(x0, x0 + w)
 
@@ -69,8 +70,7 @@ def _awgn(luma: np.ndarray, region, params: dict, stream_seed: int) -> np.ndarra
 
 def _gaussian_blur(luma: np.ndarray, region, params: dict, stream_seed: int) -> np.ndarray:
     size = int(params["size"])
-    if size > min(luma.shape):
-        raise KernelTooLarge(f"blur size {size} exceeds the {luma.shape} frame")
+    _check_window(size, luma.shape, f"blur size {size}")
     return convolve2d(luma, gaussian_kernel(size, float(params["sigma"])))[region]
 
 
@@ -122,8 +122,7 @@ def apply(seq: StereoSequence, spec: DistortionSpec) -> StereoSequence:
             luma[region] = np.clip(values, 0.0, 255.0)
             views[name] = Frame(luma=luma, chroma_u=frame.chroma_u,
                                 chroma_v=frame.chroma_v)
-        frames.append(StereoFrame(left=views["left"], right=views["right"],
-                                  index=sf.index))
+        frames.append(StereoFrame(left=views["left"], right=views["right"]))
     return StereoSequence(frames=frames, fps=seq.fps)
 
 

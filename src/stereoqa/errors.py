@@ -34,11 +34,11 @@ class MalformedCsv(StereoQaError):
 
 
 class RangeError(StereoQaError):
-    """A sample value lies outside the documented range."""
+    """A value is not finite or lies outside its documented range."""
 
 
 class KernelTooLarge(StereoQaError):
-    """Convolution kernel exceeds the image size."""
+    """A window is wider than the frame it runs over."""
 
 
 class ParamError(StereoQaError):

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disparity import disparity_to_depth
-from .errors import KernelTooLarge, NeedsTemporalContext, ParamError, TooSmall
+from .errors import NeedsTemporalContext, ParamError, TooSmall
 from .kernels import (
+    _check_window,
     convolve2d,
     dct3_stereo_stack,
     downsample2,
@@ -100,7 +101,7 @@ def _ssim_map(x, y, cfg: FrMetricConfig) -> np.ndarray:
         x, y, lambda a: gaussian_smooth(a, cfg.ssim_window, cfg.ssim_sigma)), cfg)
 
 
-# hv3d_s/flosim3d_s amplify reordered round-off past 1e-12; ROADMAP item 1 deletes this
+# hv3d_s/flosim3d_s amplify reordered round-off past 1e-12; ROADMAP item 2 deletes this
 def _smooth_2d(image: np.ndarray, size: int, sigma: float) -> np.ndarray:
     return convolve2d(image, gaussian_kernel(size, sigma))
 
@@ -171,9 +172,8 @@ def _vif_frame(x: np.ndarray, y: np.ndarray, s: np.ndarray,
     smooth = smooth or gaussian_smooth
     if min(x.shape) < 32:
         raise TooSmall("VIF needs at least 32 pixels per side")
-    if 2 ** cfg.vif_scales + 1 > min(x.shape):  # the first, widest window, before any is built
-        raise KernelTooLarge(f"vif_scales {cfg.vif_scales}: the first VIF window "
-                             f"(2**{cfg.vif_scales} + 1) is wider than the {x.shape} frame")
+    _check_window(2 ** cfg.vif_scales + 1, x.shape,  # the first, widest window
+                  f"vif_scales {cfg.vif_scales}: the first VIF window (2**{cfg.vif_scales} + 1)")
     s_levels = build_saliency_pyramid(s, cfg.vif_scales)
     sigma_n_sq = cfg.vif_sigma_n_sq
     num_total = 0.0

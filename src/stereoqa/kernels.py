@@ -60,15 +60,19 @@ def _check_taps(g: np.ndarray, size: int, sigma: float) -> None:
         raise ParamError(f"sigma {sigma} too small for a size-{size} kernel")
 
 
+def _check_window(size: int, shape, what: str) -> None:
+    """KernelTooLarge unless a size x size window fits a frame of ``shape``;
+    callers check before they build any taps.  ``what`` names the window,
+    already formatted: ``size`` may have more digits than ``str`` allows."""
+    if size > min(shape):
+        raise KernelTooLarge(f"{what} is wider than the {shape} frame")
+
+
 def convolve2d(image: np.ndarray, kernel: Kernel2D) -> np.ndarray:
     """Same-size 2-D convolution with replicated borders."""
     image = np.asarray(image, dtype=np.float64)
-    k = kernel.taps
-    if k.shape[0] > image.shape[0] or k.shape[1] > image.shape[1]:
-        raise KernelTooLarge(
-            f"kernel {k.shape} larger than image {image.shape}"
-        )
-    return scipy.ndimage.convolve(image, k, mode="nearest")
+    _check_window(kernel.size, image.shape, f"kernel {kernel.taps.shape}")
+    return scipy.ndimage.convolve(image, kernel.taps, mode="nearest")
 
 
 def gaussian_smooth(image: np.ndarray, size: int, sigma: float) -> np.ndarray:
@@ -88,10 +92,7 @@ def gaussian_smooth(image: np.ndarray, size: int, sigma: float) -> np.ndarray:
         raise ParamError("kernel size must be >= 1")
     if sigma <= 0:
         raise ParamError("sigma must be > 0")
-    if size > image.shape[0] or size > image.shape[1]:
-        raise KernelTooLarge(
-            f"kernel {(size, size)} larger than image {image.shape}"
-        )
+    _check_window(size, image.shape, f"smoothing size {size}")
     offs = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
     g = np.exp(-offs**2 / (2.0 * sigma**2))
     _check_taps(g, size, sigma)

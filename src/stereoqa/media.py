@@ -116,10 +116,12 @@ def _check_int(name: str, value, minimum: int) -> None:
         raise ParamError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
-def _check_8bit_range(name: str, plane: np.ndarray) -> None:
-    # written so that a NaN sample fails the test too
-    if plane.size and not (plane.min() >= 0.0 and plane.max() <= 255.0):
-        raise RangeError(f"{name} samples outside [0, 255]")
+def _check_range(name: str, a: np.ndarray, lo: float = -np.inf, hi: float = np.inf) -> None:
+    """RangeError, naming ``name``, unless ``a`` has values and every one is
+    finite and in [lo, hi]; one min and one max decide, and a NaN fails both."""
+    if not (a.size and max(lo, -sys.float_info.max) <= a.min()
+            and a.max() <= min(hi, sys.float_info.max)):
+        raise RangeError(f"{name} needs finite values in [{lo:g}, {hi:g}]")
 
 
 @dataclass
@@ -137,14 +139,12 @@ class Frame:
         h, w = self.luma.shape
         if h < 8 or w < 8:
             raise DimensionMismatch(f"frame too small: {w}x{h} (minimum 8x8)")
-        if not np.all(np.isfinite(self.luma)):
-            raise NumericError("non-finite luma samples")
-        _check_8bit_range("luma", self.luma)
+        _check_range("luma", self.luma, 0.0, 255.0)
         for name in ("chroma_u", "chroma_v"):
             c = getattr(self, name)
             if c is not None:
                 c = np.asarray(c, dtype=np.float64)
-                _check_8bit_range(name, c)
+                _check_range(name, c, 0.0, 255.0)
                 setattr(self, name, c)
 
     @property
@@ -160,13 +160,15 @@ class Frame:
 class StereoFrame:
     left: Frame
     right: Frame
-    index: int = 0
 
     def __post_init__(self):
         if self.left.luma.shape != self.right.luma.shape:
             raise DimensionMismatch("left/right dimensions differ")
-        if self.index < 0:
-            raise RangeError("frame index must be >= 0")
+
+
+def _check_fps(fps: float) -> None:
+    if not 0 < fps <= sys.float_info.max:  # NaN fails too
+        raise RangeError(f"fps must be finite and > 0, got {fps!r}")
 
 
 @dataclass
@@ -177,13 +179,10 @@ class StereoSequence:
     def __post_init__(self):
         if not self.frames:
             raise EmptySequence("sequence has no frames")
-        if not 0 < self.fps <= sys.float_info.max:  # NaN fails too
-            raise RangeError(f"fps must be finite and > 0, got {self.fps!r}")
+        _check_fps(self.fps)
         shape = self.frames[0].left.luma.shape
-        for i, fr in enumerate(self.frames):
-            if fr.left.luma.shape != shape:
-                raise DimensionMismatch("all frames must share dimensions")
-            fr.index = i
+        if any(fr.left.luma.shape != shape for fr in self.frames):
+            raise DimensionMismatch("all frames must share dimensions")
 
     def __len__(self) -> int:
         return len(self.frames)
@@ -212,8 +211,9 @@ class SequenceDescriptor:
     def __post_init__(self):
         if self.format not in PIXEL_FORMATS:
             raise DescriptorMismatch(f"unknown pixel format {self.format!r}")
-        if self.width < 1 or self.height < 1:
-            raise DescriptorMismatch(f"frame size {self.width}x{self.height} is not positive")
+        for name in ("width", "height", "frames"):
+            _check_int(name, getattr(self, name), 1)
+        _check_fps(self.fps)
 
     def frame_bytes(self) -> int:
         return sum(h * w for h, w in _planes(self))
@@ -267,16 +267,12 @@ def _split_frame(buf: bytes, offset: int, desc: SequenceDescriptor) -> Frame:
 
 def load_sequence(desc: SequenceDescriptor) -> StereoSequence:
     """Load a stereo pair of raw planar streams described by ``desc``."""
-    if desc.frames == 0:
-        raise EmptySequence("descriptor declares zero frames")
     left_buf = _read_view(desc.left, desc)
     right_buf = _read_view(desc.right, desc)
     step = desc.frame_bytes()
-    frames = []
-    for i in range(desc.frames):
-        frames.append(StereoFrame(_split_frame(left_buf, i * step, desc),
-                                  _split_frame(right_buf, i * step, desc), i))
-    return StereoSequence(frames, fps=desc.fps)
+    return StereoSequence([StereoFrame(_split_frame(left_buf, i * step, desc),
+                                       _split_frame(right_buf, i * step, desc))
+                           for i in range(desc.frames)], fps=desc.fps)
 
 
 def _plane_bytes(plane: np.ndarray) -> bytes:
@@ -352,10 +348,7 @@ def read_pgm(path: str) -> np.ndarray:
 def save_frame_pgm(values: np.ndarray, path: str) -> None:
     """Write a [0, 1] map as an 8-bit binary PGM (round, ties up)."""
     values = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(values)):
-        raise RangeError("non-finite map values")
-    if values.min() < 0.0 or values.max() > 1.0:
-        raise RangeError("map values outside [0, 1]")
+    _check_range("map", values, 0.0, 1.0)
     h, w = values.shape
     payload = np.floor(values * 255.0 + 0.5).astype(np.uint8)
     with open(path, "wb") as fh:

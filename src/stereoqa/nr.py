@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import KernelTooLarge, NeedsTemporalContext, NoEdges, NumericError, ParamError, \
-    TooSmall
-from .kernels import Kernel2D, convolve2d, sobel_gradient
+from .errors import NeedsTemporalContext, NoEdges, NumericError, ParamError, TooSmall
+from .kernels import Kernel2D, _check_window, convolve2d, sobel_gradient
 from .media import _check_int, _check_numbers
 from .metric import registrar, view_mean
 from .saliency import weighted_spatial_mean
@@ -127,8 +126,7 @@ def nrpbm_s(luma, s, cfg):
     saliency weights no luma difference (the driver has already rejected an
     all-zero map)."""
     n = cfg.nrpbm_probe
-    if n > min(luma.shape):  # before _probe builds its n x n kernel
-        raise KernelTooLarge(f"nrpbm_probe {n} is wider than the {luma.shape} frame")
+    _check_window(n, luma.shape, f"nrpbm_probe {n}")  # before _probe builds its kernel
     ratios = []
     for axis in (1, 0):
         blurred = convolve2d(luma, _probe(n, axis))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParamError
+from .media import _check_int
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -27,7 +28,11 @@ class SeededRng:
     """SplitMix64 stream with cached Box-Muller spare."""
 
     def __init__(self, seed: int):
-        self._seed = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+        # every seed its own stream: no reduction modulo 2**64
+        _check_int("seed", seed, 0)
+        if seed >= 2**64:
+            raise ParamError(f"seed must be below 2**64, got {seed}")
+        self._seed = np.uint64(seed)
         self._count = 0
         self._spare: float | None = None
 

@@ -14,7 +14,7 @@ import numpy as np
 from .disparity import DisparityMap
 from .errors import DegenerateSaliency, DimensionMismatch, NumericError, ParamError
 from .kernels import downsample2, gaussian_smooth
-from .media import StereoSequence, _maps, load_map_series
+from .media import StereoSequence, _check_range, _maps, load_map_series
 
 FLAT_GUARD = 1e-12
 
@@ -26,10 +26,7 @@ class SaliencyMap:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        if not np.all(np.isfinite(self.values)):
-            raise NumericError("non-finite saliency values")
-        if self.values.min() < 0:
-            raise NumericError("negative saliency values")
+        _check_range("saliency", self.values, 0.0)
 
     @property
     def shape(self):

@@ -12,7 +12,7 @@ def make_seq(seed, frames=4, size=64, block=None):
     constant on block x block cells so there are genuine step edges."""
     rng = SeededRng(seed)
     out = []
-    for i in range(frames):
+    for _ in range(frames):
         views = []
         for _ in range(2):
             if block:
@@ -22,16 +22,16 @@ def make_seq(seed, frames=4, size=64, block=None):
             else:
                 luma = rng.uniform(size * size).reshape(size, size) * 255.0
             views.append(Frame(luma=luma))
-        out.append(StereoFrame(left=views[0], right=views[1], index=i))
+        out.append(StereoFrame(left=views[0], right=views[1]))
     return StereoSequence(frames=out, fps=25.0)
 
 
 def flat_seq(value=128.0, frames=4, size=64):
     out = []
-    for i in range(frames):
+    for _ in range(frames):
         luma = np.full((size, size), float(value))
         out.append(StereoFrame(left=Frame(luma=luma.copy()),
-                               right=Frame(luma=luma.copy()), index=i))
+                               right=Frame(luma=luma.copy())))
     return StereoSequence(frames=out, fps=25.0)
 
 
@@ -39,10 +39,9 @@ def seq_from_lumas(lumas_left, lumas_right=None):
     if lumas_right is None:
         lumas_right = lumas_left
     out = []
-    for i, (l, r) in enumerate(zip(lumas_left, lumas_right)):
+    for l, r in zip(lumas_left, lumas_right):
         out.append(StereoFrame(left=Frame(luma=np.asarray(l, dtype=np.float64)),
-                               right=Frame(luma=np.asarray(r, dtype=np.float64)),
-                               index=i))
+                               right=Frame(luma=np.asarray(r, dtype=np.float64))))
     return StereoSequence(frames=out, fps=25.0)
 
 

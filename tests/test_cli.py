@@ -110,23 +110,34 @@ def _assert_exit_1(code, capsys):
     assert "Traceback" not in err
 
 
+def _assert_one_error_line(capsys, fragment):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and fragment in err, err
+
+
 def _with(key, value):
     return lambda text: json.dumps({**json.loads(text), key: value})
 
 
-@pytest.mark.parametrize("mangle", [
-    lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "left"}),
-    _with("colour", "blue"),
-    lambda text: text[:-5],
-    _with("width", "64"), _with("height", 64.0), _with("fps", "x"), _with("left", 5),
-    lambda text: json.dumps({**json.loads(text), "width": -64, "height": -64}),
+@pytest.mark.parametrize("mangle, field", [
+    (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "left"}),
+     "left"),
+    (_with("colour", "blue"), "colour"),
+    (lambda text: text[:-5], "not valid JSON"),
+    (_with("width", "64"), "width"), (_with("height", 64.0), "height"),
+    (_with("fps", "x"), "fps"), (_with("left", 5), "left"),
+    (lambda text: json.dumps({**json.loads(text), "width": -64, "height": -64}), "width"),
+    (_with("frames", 0), "frames"), (_with("frames", -2), "frames"),
+    (_with("fps", 0), "fps"), (_with("fps", -1), "fps"),
 ], ids=["missing-field", "unknown-field", "malformed-json", "width-string",
-        "height-float", "fps-string", "left-number", "size-negative"])
-def test_bad_descriptor_exit_1(desc_path, tmp_path, capsys, mangle):
+        "height-float", "fps-string", "left-number", "size-negative", "frames-0",
+        "frames-negative", "fps-0", "fps-negative"])
+def test_bad_descriptor_exit_1(desc_path, tmp_path, capsys, mangle, field):
     with open(desc_path) as fh:
         bad = tmp_path / "bad.json"
         bad.write_text(mangle(fh.read()))
-    _assert_exit_1(main(["info", "--in", str(bad)]), capsys)
+    assert main(["info", "--in", str(bad)]) == 1
+    _assert_one_error_line(capsys, field)
 
 
 @pytest.mark.parametrize("command,metric,text", [
@@ -154,21 +165,27 @@ def test_bad_config_exit_1(desc_path, tmp_path, capsys, command, metric, text):
                          "--config", str(cfg)]), capsys)
 
 
-@pytest.mark.parametrize("spec", [
-    {"kind": "awgn", "params": {"variance": "0.1"}},
-    {"kind": "awgn", "params": [1]},
-    {"kind": "awgn", "params": {"variance": 0.1}, "seed": "x"},
-    {"kind": "awgn", "params": {"variance": 0.1}, "region": 5},
-    5,
-    {"kind": "intensity_shift", "params": {"delta": "x"}},
-    {"kind": "gaussian_blur", "params": {"sigm": 1.0}},
+@pytest.mark.parametrize("spec, field", [
+    ({"kind": "awgn", "params": {"variance": "0.1"}}, "variance"),
+    ({"kind": "awgn", "params": [1]}, "params"),
+    ({"kind": "awgn", "params": {"variance": 0.1}, "seed": "x"}, "seed"),
+    ({"kind": "awgn", "params": {"variance": 0.1}, "region": 5}, "region"),
+    (5, "JSON object"),
+    ({"kind": "intensity_shift", "params": {"delta": "x"}}, "delta"),
+    ({"kind": "gaussian_blur", "params": {"sigm": 1.0}}, "sigm"),
+    ({"kind": "awgn", "params": {"variance": 0.1}, "seed": 2**70}, "seed"),
+    ({"kind": "awgn", "params": {"variance": 0.1}, "seed": -1}, "seed"),
+    ({"kind": "awgn", "params": {"variance": 0.1}, "region": [0.5, 0, 10.9, 10]}, "region"),
+    ({"kind": "awgn", "params": {"variance": 0.1}, "region": [True, 0, 10, 10]}, "region"),
 ], ids=["variance-string", "params-list", "seed-string", "region-number", "bare-number",
-        "delta-string", "blur-unknown-param"])
-def test_bad_spec_exit_1(desc_path, tmp_path, capsys, spec):
+        "delta-string", "blur-unknown-param", "seed-2**70", "seed-negative",
+        "region-fractional", "region-bool"])
+def test_bad_spec_exit_1(desc_path, tmp_path, capsys, spec, field):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
-    _assert_exit_1(main(["distort", "--in", desc_path, "--spec", str(path),
-                         "--out", str(tmp_path / "out")]), capsys)
+    assert main(["distort", "--in", desc_path, "--spec", str(path),
+                 "--out", str(tmp_path / "out")]) == 1
+    _assert_one_error_line(capsys, field)
     assert not (tmp_path / "out").exists()
 
 

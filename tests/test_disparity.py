@@ -24,7 +24,7 @@ def _pair_with_shift(shift, size=64, seed=31):
     right = np.empty_like(left)
     right[:, :size - shift] = left[:, shift:]
     right[:, size - shift:] = left[:, size - shift:]
-    return StereoFrame(left=Frame(luma=left), right=Frame(luma=right), index=0)
+    return StereoFrame(left=Frame(luma=left), right=Frame(luma=right))
 
 
 def test_known_shift_recovered():
@@ -37,7 +37,7 @@ def test_known_shift_recovered():
 def test_tie_breaks_to_smallest():
     # flat images make every candidate an exact tie
     pair = StereoFrame(left=Frame(luma=np.full((64, 64), 50.0)),
-                       right=Frame(luma=np.full((64, 64), 50.0)), index=0)
+                       right=Frame(luma=np.full((64, 64), 50.0)))
     d = estimate_disparity(pair)
     assert np.all(d.values == 0)
 
@@ -51,7 +51,7 @@ def test_disparity_values_within_search_range():
 
 def test_frame_too_narrow():
     pair = StereoFrame(left=Frame(luma=np.zeros((16, 16))),
-                       right=Frame(luma=np.zeros((16, 16))), index=0)
+                       right=Frame(luma=np.zeros((16, 16))))
     with pytest.raises(ParamError):
         estimate_disparity(pair)
 
@@ -119,7 +119,7 @@ def _integer_pair(h, w, seed):
     y, x = np.mgrid[0:h, 0:w]
     shift = (y // 11 + x // 13) % 7 * 2
     right = left[y, np.minimum(x + shift, w - 1)] + noise - 8.0
-    return StereoFrame(left=Frame(luma=left), right=Frame(luma=right), index=0)
+    return StereoFrame(left=Frame(luma=left), right=Frame(luma=right))
 
 
 @pytest.mark.parametrize("h, w, cfg", [
@@ -140,7 +140,7 @@ def test_matches_reference_loop(h, w, cfg):
 
 def test_flat_frame_matches_reference_loop():
     flat = np.full((100, 132), 77.0)
-    pair = StereoFrame(left=Frame(luma=flat), right=Frame(luma=flat.copy()), index=0)
+    pair = StereoFrame(left=Frame(luma=flat), right=Frame(luma=flat.copy()))
     d = estimate_disparity(pair)
     assert np.array_equal(d.values, _reference_disparity(pair))
     assert np.all(d.values == 0)

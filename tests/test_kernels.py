@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +8,11 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stereoqa import fr, nr
+from stereoqa.distort import DistortionSpec, apply
 from stereoqa.errors import KernelTooLarge, ParamError, TooSmall
 from stereoqa.kernels import (
+    Kernel2D,
     convolve2d,
     dct2_stack,
     dct3_stereo_stack,
@@ -19,6 +24,8 @@ from stereoqa.kernels import (
     sobel_gradient,
 )
 from stereoqa.rng import SeededRng
+
+from conftest import make_seq
 
 
 def test_gaussian_kernel_normalized():
@@ -45,11 +52,6 @@ def test_convolve_replicates_borders():
     out = convolve2d(image, k)
     # the replicated left edge keeps contributing to column 0
     assert out[4, 0] > out[4, 1] > out[4, 2]
-
-
-def test_convolve_kernel_too_large():
-    with pytest.raises(KernelTooLarge):
-        convolve2d(np.zeros((8, 8)), gaussian_kernel(11, 2.0))
 
 
 def test_downsample_dims_ceil():
@@ -156,6 +158,15 @@ class TestSeededRng:
     def test_distinct_seeds_distinct_streams(self):
         assert not np.array_equal(SeededRng(1).next_u64(4), SeededRng(2).next_u64(4))
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70, 1.0, True, "1"])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # reducing modulo 2**64 made 2**70 replay seed 0 and -1 replay 2**64 - 1
+        with pytest.raises(ParamError, match="seed"):
+            SeededRng(seed)
+
+    def test_seed_range_ends_accepted(self):
+        assert SeededRng(0).next_u64(1) != SeededRng(2**64 - 1).next_u64(1)
+
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=2**63), st.integers(1, 64))
@@ -190,3 +201,27 @@ def test_gaussian_smooth_checks_like_convolve2d():
         gaussian_smooth(np.zeros((8, 8)), 4, 0.01)
     with pytest.raises(ParamError):
         gaussian_kernel(4, 0.01)
+
+
+_SEQ = make_seq(88, frames=1, size=64)
+_IMAGE = _SEQ.frames[0].left.luma
+
+
+@pytest.mark.parametrize("call, field", [
+    (lambda: convolve2d(_IMAGE, Kernel2D(np.ones((65, 65)))), "kernel (65, 65)"),
+    (lambda: gaussian_smooth(_IMAGE, 10**12, 1.0), "smoothing size 1000000000000"),
+    (lambda: fr.vif_s(_SEQ, _SEQ, cfg=fr.FrMetricConfig(vif_scales=10**6)), "vif_scales 1000000"),
+    (lambda: nr.nrpbm_s(_SEQ, cfg=nr.NrMetricConfig(nrpbm_probe=10**12)),
+     "nrpbm_probe 1000000000000"),
+    (lambda: apply(_SEQ, DistortionSpec(kind="gaussian_blur", params={"size": 10**12})),
+     "blur size 1000000000000"),
+], ids=["convolve2d", "gaussian_smooth", "vif_s", "nrpbm_s", "gaussian_blur"])
+def test_window_wider_than_the_frame_fails_before_its_taps_are_built(call, field):
+    tracemalloc.start()
+    try:
+        with pytest.raises(KernelTooLarge, match=re.escape(field)):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

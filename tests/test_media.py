@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stereoqa.disparity import DisparityMap
 from stereoqa.errors import (
     DescriptorMismatch,
     DimensionMismatch,
     IoError,
     MapSeriesGap,
     MapShapeError,
+    ParamError,
     RangeError,
 )
 from stereoqa.media import (
@@ -29,6 +31,7 @@ from stereoqa.media import (
     save_map_series,
     save_sequence,
 )
+from stereoqa.saliency import SaliencyMap
 
 from conftest import make_seq
 
@@ -40,13 +43,43 @@ def test_frame_rejects_tiny_planes():
 
 @pytest.mark.parametrize("plane, value", [
     ("luma", -0.5), ("luma", 255.5), ("chroma_u", 256.0), ("chroma_v", -1.0),
-    ("chroma_u", np.nan),
+    ("chroma_u", np.nan), ("luma", np.nan), ("luma", np.inf), ("luma", -np.inf),
 ])
 def test_frame_rejects_samples_outside_8bit_range(plane, value):
     planes = {name: np.full((8, 8), 128.0) for name in ("luma", "chroma_u", "chroma_v")}
     planes[plane][3, 5] = value
     with pytest.raises(RangeError, match=plane):
         Frame(**planes)
+
+
+def _with_sample(value, fill):
+    values = np.full((8, 8), fill)
+    values[3, 5] = value
+    return values
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: SaliencyMap(_with_sample(np.nan, 0.5)), "saliency"),
+    (lambda: SaliencyMap(_with_sample(-0.5, 0.5)), "saliency"),
+    (lambda: DisparityMap(_with_sample(np.inf, 3.0)), "disparity"),
+    (lambda: DisparityMap(_with_sample(np.nan, 3.0)), "disparity"),
+], ids=["saliency-nan", "saliency-negative", "disparity-inf", "disparity-nan"])
+def test_maps_reject_values_outside_their_range(build, name):
+    with pytest.raises(RangeError, match=name):
+        build()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_pgm_writer_rejects_values_outside_the_unit_range(tmp_path, value):
+    path = tmp_path / "m.pgm"
+    with pytest.raises(RangeError, match="map"):
+        save_frame_pgm(_with_sample(value, 0.5), str(path))
+    assert not path.exists()
+
+
+def test_disparity_accepts_any_finite_value():
+    values = _with_sample(-1e300, 1e300)
+    assert np.array_equal(DisparityMap(values).values, values)
 
 
 def test_frame_accepts_range_ends():
@@ -112,6 +145,20 @@ def test_descriptor_written_with_cwd_relative_paths_loads_elsewhere(tmp_path, ti
 def test_sequence_rejects_fps_that_is_not_finite_and_positive(tiny_seq, fps):
     with pytest.raises(RangeError, match="fps"):
         StereoSequence(tiny_seq.frames, fps=fps)
+
+
+_DESCRIPTOR = dict(left="a", right="b", width=16, height=16, fps=25.0, frames=1)
+
+
+@pytest.mark.parametrize("field, value, error", [
+    ("width", 64.5, ParamError), ("height", 0, ParamError), ("width", True, ParamError),
+    ("frames", 0, ParamError), ("frames", -2, ParamError), ("frames", 2.0, ParamError),
+    ("fps", float("nan"), RangeError), ("fps", 0.0, RangeError), ("fps", -1, RangeError),
+    ("fps", float("inf"), RangeError),
+])
+def test_descriptor_checks_its_fields_when_built(field, value, error):
+    with pytest.raises(error, match=field):
+        SequenceDescriptor(**{**_DESCRIPTOR, field: value})
 
 
 def test_descriptor_unknown_format():
@@ -246,7 +293,7 @@ def test_sequence_round_trip_every_format(fmt, height, width, frames, seed):
         shape = chroma(height, width)
         return Frame(plane((height, width)), plane(shape), plane(shape))
 
-    seq = StereoSequence([StereoFrame(frame(), frame(), i) for i in range(frames)],
+    seq = StereoSequence([StereoFrame(frame(), frame()) for _ in range(frames)],
                          fps=24.0)
     with tempfile.TemporaryDirectory() as d:
         desc = save_sequence(seq, os.path.join(d, "l.raw"), os.path.join(d, "r.raw"),

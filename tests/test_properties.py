@@ -59,7 +59,7 @@ def _lumas(rng, shape, frames, content):
 
 def _seq(lumas):
     return StereoSequence(frames=[
-        StereoFrame(left=Frame(luma=lumas[2 * t]), right=Frame(luma=lumas[2 * t + 1]), index=t)
+        StereoFrame(left=Frame(luma=lumas[2 * t]), right=Frame(luma=lumas[2 * t + 1]))
         for t in range(len(lumas) // 2)], fps=25.0)
 
 

@@ -158,14 +158,14 @@ def test_saliency_map_rejects_negative():
 def _seq_with_chroma(seed, frames, h, w):
     rng = SeededRng(seed)
     out = []
-    for i in range(frames):
+    for _ in range(frames):
         views = []
         for _ in range(2):
             luma = np.floor(rng.uniform(h * w).reshape(h, w) * 256.0)
             u, v = (np.floor(rng.uniform(h * w // 4).reshape(h // 2, w // 2) * 256.0)
                     for _ in range(2))
             views.append(Frame(luma=luma, chroma_u=u, chroma_v=v))
-        out.append(StereoFrame(left=views[0], right=views[1], index=i))
+        out.append(StereoFrame(left=views[0], right=views[1]))
     return StereoSequence(frames=out, fps=25.0)
 
 
