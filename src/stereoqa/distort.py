@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ParamError, RangeError
 from .kernels import _check_window, convolve2d, dct2_stack, gaussian_kernel, idct2_stack
 from .media import Frame, StereoFrame, StereoSequence, _check_int, _check_numbers, _fits
-from .rng import SeededRng
+from .rng import SeededRng, _check_seed
 
 TARGETS = ("both_views", "left_only", "right_only")
 
@@ -32,6 +32,7 @@ class DistortionSpec:
             raise ParamError(f"unknown distortion kind {self.kind!r}")
         if self.target not in TARGETS:
             raise ParamError(f"unknown target {self.target!r}")
+        _check_seed(self.seed)
         if self.region is not None:
             _check_numbers("region (y0, x0, height, width)", self.region, (4,))
             for name, value, minimum in zip(("y0", "x0", "height", "width"), self.region,
@@ -45,6 +46,8 @@ class DistortionSpec:
                 raise ParamError(f"unknown {self.kind} parameter {name!r}")
             if not _fits(value, "float"):
                 raise ParamError(f"{self.kind} needs a number for {name!r}, not {value!r:.40}")
+        if "size" in self.params:
+            _check_int(f"{self.kind} size", self.params["size"], 1)
         if self.params.get("variance", 0.0) < 0:
             raise ParamError("awgn needs a non-negative 'variance'")
         for name in ("sigma", "step"):
@@ -69,7 +72,7 @@ def _awgn(luma: np.ndarray, region, params: dict, stream_seed: int) -> np.ndarra
 
 
 def _gaussian_blur(luma: np.ndarray, region, params: dict, stream_seed: int) -> np.ndarray:
-    size = int(params["size"])
+    size = params["size"]
     _check_window(size, luma.shape, f"blur size {size}")
     return convolve2d(luma, gaussian_kernel(size, float(params["sigma"])))[region]
 
@@ -105,6 +108,12 @@ _DISTORTIONS = {
 def apply(seq: StereoSequence, spec: DistortionSpec) -> StereoSequence:
     """Return a new sequence with the distortion applied to the targeted
     views; the input is never modified."""
+    # awgn draws frame t, view v from stream seed + 2t + v; check the last
+    # one here, so that the error names the seed the spec gave
+    if spec.kind == "awgn" and spec.seed + 2 * len(seq) - 1 >= 2**64:
+        raise ParamError(f"seed {spec.seed} is too large for {len(seq)} frames: awgn "
+                         "draws from stream seeds up to seed + 2 * frames - 1, "
+                         "which must be below 2**64")
     frames = []
     for t, sf in enumerate(seq.frames):
         views = {}

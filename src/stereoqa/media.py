@@ -28,6 +28,7 @@ from .errors import (
     ParamError,
     RangeError,
     SequenceLengthError,
+    StereoQaError,
 )
 
 PIXEL_FORMATS = ("yuv420p8", "yuv444p8", "gray8")
@@ -84,7 +85,8 @@ def decode(cls, data, where: str):
     """The dataclass ``cls`` built from the JSON value ``data``, arrays as
     tuples.  MalformedJson, naming ``where``, unless ``data`` is an object
     that holds every field without a default, no other key, and values that
-    fit their fields' annotated types (``_fits``)."""
+    fit their fields' annotated types (``_fits``).  An error the dataclass
+    raises on its values keeps its class and gains the ``where`` prefix."""
     if not isinstance(data, dict):
         raise MalformedJson(f"{where}: expected a JSON object, not {data!r:.40}")
     fields = {f.name: f for f in dataclasses.fields(cls)}
@@ -96,8 +98,11 @@ def decode(cls, data, where: str):
             raise MalformedJson(f"{where}: unknown field {name!r}")
         if not _fits(value, fields[name].type):
             raise MalformedJson(f"{where}: {name} must be {fields[name].type}, not {value!r:.40}")
-    return cls(**{name: tuple(tuple(v) if isinstance(v, list) else v for v in value)
-                  if isinstance(value, list) else value for name, value in data.items()})
+    try:
+        return cls(**{name: tuple(tuple(v) if isinstance(v, list) else v for v in value)
+                      if isinstance(value, list) else value for name, value in data.items()})
+    except StereoQaError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
 
 
 def _check_numbers(name: str, value, shape) -> None:
@@ -275,9 +280,10 @@ def load_sequence(desc: SequenceDescriptor) -> StereoSequence:
                            for i in range(desc.frames)], fps=desc.fps)
 
 
-def _plane_bytes(plane: np.ndarray) -> bytes:
-    q = np.floor(np.clip(plane, 0.0, 255.0) + 0.5)  # round, ties up
-    return q.astype(np.uint8).tobytes()
+def _samples8(plane: np.ndarray) -> np.ndarray:
+    """The 8-bit samples a stored stream holds for ``plane``: clipped to
+    [0, 255] and rounded half up."""
+    return np.floor(np.clip(plane, 0.0, 255.0) + 0.5).astype(np.uint8)
 
 
 def _frame_planes(frame: Frame, desc: SequenceDescriptor) -> list[np.ndarray]:
@@ -303,7 +309,7 @@ def save_sequence(seq: StereoSequence, left_path: str, right_path: str,
     for path, planes in views:
         with open(path, "wb") as fh:
             for plane in planes:
-                fh.write(_plane_bytes(plane))
+                fh.write(_samples8(plane).tobytes())
     return desc
 
 

@@ -24,14 +24,19 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
+def _check_seed(seed) -> None:
+    """ParamError unless ``seed`` is an integer in [0, 2**64): every seed is
+    its own stream, with no reduction modulo 2**64."""
+    _check_int("seed", seed, 0)
+    if seed >= 2**64:
+        raise ParamError(f"seed must be below 2**64, got {seed}")
+
+
 class SeededRng:
     """SplitMix64 stream with cached Box-Muller spare."""
 
     def __init__(self, seed: int):
-        # every seed its own stream: no reduction modulo 2**64
-        _check_int("seed", seed, 0)
-        if seed >= 2**64:
-            raise ParamError(f"seed must be below 2**64, got {seed}")
+        _check_seed(seed)
         self._seed = np.uint64(seed)
         self._count = 0
         self._spare: float | None = None

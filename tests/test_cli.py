@@ -110,9 +110,10 @@ def _assert_exit_1(code, capsys):
     assert "Traceback" not in err
 
 
-def _assert_one_error_line(capsys, fragment):
+def _assert_one_error_line(capsys, *fragments):
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and fragment in err, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert all(fragment in err for fragment in fragments), err
 
 
 def _with(key, value):
@@ -137,7 +138,7 @@ def test_bad_descriptor_exit_1(desc_path, tmp_path, capsys, mangle, field):
         bad = tmp_path / "bad.json"
         bad.write_text(mangle(fh.read()))
     assert main(["info", "--in", str(bad)]) == 1
-    _assert_one_error_line(capsys, field)
+    _assert_one_error_line(capsys, field, str(bad))
 
 
 @pytest.mark.parametrize("command,metric,text", [
@@ -177,15 +178,17 @@ def test_bad_config_exit_1(desc_path, tmp_path, capsys, command, metric, text):
     ({"kind": "awgn", "params": {"variance": 0.1}, "seed": -1}, "seed"),
     ({"kind": "awgn", "params": {"variance": 0.1}, "region": [0.5, 0, 10.9, 10]}, "region"),
     ({"kind": "awgn", "params": {"variance": 0.1}, "region": [True, 0, 10, 10]}, "region"),
+    ({"kind": "gaussian_blur", "params": {"size": 4.7}}, "size"),
+    ({"kind": "gaussian_blur", "params": {"size": True}}, "size"),
 ], ids=["variance-string", "params-list", "seed-string", "region-number", "bare-number",
         "delta-string", "blur-unknown-param", "seed-2**70", "seed-negative",
-        "region-fractional", "region-bool"])
+        "region-fractional", "region-bool", "blur-size-fractional", "blur-size-bool"])
 def test_bad_spec_exit_1(desc_path, tmp_path, capsys, spec, field):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     assert main(["distort", "--in", desc_path, "--spec", str(path),
                  "--out", str(tmp_path / "out")]) == 1
-    _assert_one_error_line(capsys, field)
+    _assert_one_error_line(capsys, field, str(path))
     assert not (tmp_path / "out").exists()
 
 

@@ -5,12 +5,13 @@ import scipy.ndimage
 from stereoqa.disparity import (
     DisparityConfig,
     DisparityMap,
+    _median3x3,
     disparity_to_depth,
     estimate_disparity,
     estimate_disparity_series,
 )
 from stereoqa.errors import ParamError
-from stereoqa.media import Frame, StereoFrame
+from stereoqa.media import Frame, StereoFrame, load_sequence, save_sequence
 from stereoqa.rng import SeededRng
 
 from conftest import make_seq
@@ -144,3 +145,25 @@ def test_flat_frame_matches_reference_loop():
     d = estimate_disparity(pair)
     assert np.array_equal(d.values, _reference_disparity(pair))
     assert np.all(d.values == 0)
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (9, 13), (33, 97), (270, 480)])
+@pytest.mark.parametrize("dtype, low, top", [(np.uint8, 0, 33), (np.uint16, 0, 1000),
+                                             (np.uint8, 7, 8)], ids=["u8", "u16", "flat"])
+def test_median_network_matches_scipy(shape, dtype, low, top):
+    rng = np.random.RandomState(shape[0] * 1000 + shape[1])
+    m = rng.randint(low, top, shape).astype(dtype)
+    assert np.array_equal(_median3x3(m), scipy.ndimage.median_filter(m, size=3, mode="nearest"))
+
+
+def test_same_map_after_a_stream_round_trip(tmp_path):
+    """Matching runs on the 8-bit samples a stream stores, so non-integral
+    luma gives the map its saved and reloaded sequence gives.  Unrelated
+    views leave near-ties that matching on the raw floats resolves otherwise."""
+    seq = make_seq(37, frames=1, size=72)
+    desc = save_sequence(seq, str(tmp_path / "l.raw"), str(tmp_path / "r.raw"))
+    stored = load_sequence(desc).frames[0]
+    assert not np.array_equal(stored.left.luma, seq.frames[0].left.luma)
+    for cfg in (None, DisparityConfig(block=4, search_range=9)):
+        assert np.array_equal(estimate_disparity(seq.frames[0], cfg).values,
+                              estimate_disparity(stored, cfg).values)

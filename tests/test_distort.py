@@ -23,6 +23,25 @@ def test_spec_validation():
         DistortionSpec(kind="gaussian_blur", params={"sigma": -1.0})
 
 
+@pytest.mark.parametrize("size", [4.7, 4.0, True, 0, -3])
+def test_blur_size_must_be_a_positive_integer(size):
+    # a fractional size used to be truncated silently
+    with pytest.raises(ParamError, match="size"):
+        DistortionSpec(kind="gaussian_blur", params={"size": size})
+
+
+def test_awgn_last_stream_seed_below_2_64():
+    spec = DistortionSpec(kind="awgn", params={"variance": 0.01}, seed=2**64 - 1)
+    # the error names the spec's seed and the frame count, not seed + 1
+    with pytest.raises(ParamError, match=f"seed {2**64 - 1} .* 1 frames") as info:
+        apply(flat_seq(frames=1, size=16), spec)
+    assert str(2**64) not in str(info.value)
+    # 2**64 - 4 + 2 * 2 - 1 = 2**64 - 1 is the last seed the generator takes
+    spec = DistortionSpec(kind="awgn", params={"variance": 0.01}, seed=2**64 - 4)
+    out = apply(flat_seq(frames=2, size=16), spec)
+    assert not np.array_equal(out.frames[1].right.luma, out.frames[1].left.luma)
+
+
 def test_input_not_mutated():
     seq = make_seq(81, frames=2, size=32)
     before = seq.frames[0].left.luma.copy()

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.fft
+import scipy.ndimage
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -62,6 +63,16 @@ def test_downsample_dims_ceil():
 def test_downsample_constant_preserved():
     out = downsample2(np.full((16, 16), 42.0))
     assert np.allclose(out, 42.0)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 5), (33, 97), (270, 480), (271, 481)])
+def test_downsample_matches_full_passes(shape):
+    # the reference filters every row and column, then decimates
+    image = np.random.RandomState(5).rand(*shape) * 255.0
+    taps = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
+    low = scipy.ndimage.correlate1d(image, taps, axis=0, mode="nearest")
+    low = scipy.ndimage.correlate1d(low, taps, axis=1, mode="nearest")
+    assert np.array_equal(downsample2(image), low[::2, ::2])
 
 
 def test_downsample_too_small():
