@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .disparity import DisparityConfig, DisparityMap, estimate_disparity_series
-from .distort import DistortionSpec, apply_all
+from .distort import DistortionSpec, apply
 from .errors import MalformedJson, ParamError, StereoQaError
 from .fr import FR_METRICS, FR_NEEDS_DISPARITY, FrMetricConfig
 from .media import SequenceDescriptor, _fits, decode, load_map_series, \
@@ -129,12 +129,17 @@ def _cmd_distort(args) -> int:
     desc = SequenceDescriptor.from_json(args.input)
     seq = load_sequence(desc)
     raw = read_json(args.spec)
-    specs = [decode(DistortionSpec, d, args.spec)
-             for d in (raw if isinstance(raw, list) else [raw])]
-    out_seq = apply_all(seq, specs)
+    entries = ([(f"{args.spec}[{i}]", d) for i, d in enumerate(raw)]
+               if isinstance(raw, list) else [(args.spec, raw)])
+    specs = [(where, decode(DistortionSpec, d, where)) for where, d in entries]
+    for where, spec in specs:
+        try:
+            seq = apply(seq, spec)
+        except StereoQaError as exc:  # the checks that need the frames, e.g. the region's
+            raise type(exc)(f"{where}: {exc}") from exc
     os.makedirs(args.out, exist_ok=True)
     left, right = (os.path.join(args.out, f"{view}.raw") for view in ("left", "right"))
-    desc = save_sequence(out_seq, left, right, format=desc.format)
+    desc = save_sequence(seq, left, right, format=desc.format)
     desc_path = os.path.join(args.out, "descriptor.json")
     desc.to_json(desc_path)
     _write_manifest(desc_path, args, [left, right, desc_path])

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParamError, RangeError
+from .errors import ParamError, RangeError, numeric_errors
 from .kernels import _check_window, convolve2d, dct2_stack, gaussian_kernel, idct2_stack
 from .media import Frame, StereoFrame, StereoSequence, _check_int, _check_numbers, _fits
 from .rng import SeededRng, _check_seed
@@ -125,8 +125,9 @@ def apply(seq: StereoSequence, spec: DistortionSpec) -> StereoSequence:
                 views[name] = frame
                 continue
             region = _region_slices(spec, frame.luma.shape)
-            values = _DISTORTIONS[spec.kind][0](frame.luma, region, spec.params,
-                                                spec.seed + 2 * t + v)
+            with numeric_errors(spec.kind):
+                values = _DISTORTIONS[spec.kind][0](frame.luma, region, spec.params,
+                                                    spec.seed + 2 * t + v)
             luma = frame.luma.copy()
             luma[region] = np.clip(values, 0.0, 255.0)
             views[name] = Frame(luma=luma, chroma_u=frame.chroma_u,

@@ -1,5 +1,9 @@
 """Exception types shared across the toolkit."""
 
+import contextlib
+
+import numpy as np
+
 
 class StereoQaError(Exception):
     """Base class for every error raised by this package."""
@@ -63,6 +67,19 @@ class DegenerateSaliency(StereoQaError):
 
 class NumericError(StereoQaError):
     """Non-finite values where finite values are required."""
+
+
+@contextlib.contextmanager
+def numeric_errors(what: str):
+    """Run the block with numpy's overflow, division-by-zero and invalid
+    operation raised as NumericError naming ``what``, not left as a warning
+    and an infinity or NaN; a config constant far outside its working range
+    ends there.  Underflow stays quiet."""
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        try:
+            yield
+        except FloatingPointError as exc:
+            raise NumericError(f"{what}: {exc}") from exc
 
 
 class DisparityRequired(StereoQaError):

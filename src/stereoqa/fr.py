@@ -28,7 +28,7 @@ from .kernels import (
     sobel_gradient,
 )
 from .media import StereoFrame, _check_int, _check_numbers
-from .metric import registrar, view_mean
+from .metric import _power, registrar, view_mean
 from .saliency import build_saliency_pyramid, weighted_spatial_mean
 
 MSSSIM_EXPONENTS = (0.0448, 0.2856, 0.3001, 0.2363, 0.1333)
@@ -363,9 +363,9 @@ def hv3d_s(c, cfg):
         term3 = 1.0
     else:
         term3 = float((sigma * weights).sum() / (weights.sum() * max_sigma))
-    return (max(term1, 0.0) ** cfg.hv3d_beta1
-            * max(term2, 0.0) ** cfg.hv3d_beta2
-            * term3 ** cfg.hv3d_beta3)
+    return (_power(max(term1, 0.0), cfg, "hv3d_beta1")
+            * _power(max(term2, 0.0), cfg, "hv3d_beta2")
+            * _power(term3, cfg, "hv3d_beta3"))
 
 
 def _patch_features(image: np.ndarray, patch: int) -> np.ndarray:

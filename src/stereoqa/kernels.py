@@ -25,39 +25,35 @@ class Kernel2D:
 
     taps: np.ndarray
 
-    def __post_init__(self):
-        self.taps = np.asarray(self.taps, dtype=np.float64)
-        if self.taps.ndim != 2 or self.taps.shape[0] != self.taps.shape[1]:
-            raise ParamError("kernel must be square")
-        if self.taps.shape[0] < 1:
-            raise ParamError("kernel must be at least 1x1")
-        if not np.all(np.isfinite(self.taps)):
-            raise ParamError("non-finite kernel taps")
 
-    @property
-    def size(self) -> int:
-        return self.taps.shape[0]
+def _gaussian_taps(size: int, sigma: float, dims: int) -> np.ndarray:
+    """Sampled Gaussian over ``dims`` axes of ``size`` samples centered at
+    (size-1)/2, exp(-r**2 / (2 * sigma**2)) normalized to sum 1, where r**2
+    sums the squared offsets; even sizes use half-integer offsets (e.g.
+    -1.5..+1.5 for size 4).  Every Gaussian window is checked here:
+    ParamError unless size >= 1, sigma > 0, 2 * sigma**2 is finite and some
+    tap survives underflow."""
+    if size < 1:
+        raise ParamError("kernel size must be >= 1")
+    if not sigma > 0:
+        raise ParamError("sigma must be > 0")
+    offs = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
+    r_sq = offs**2 if dims == 1 else offs[:, None] ** 2 + offs[None, :] ** 2
+    # a numpy float: 2 * sigma**2 overflows to inf, not OverflowError, or underflows to 0
+    with np.errstate(all="ignore"):
+        two_sigma_sq = 2.0 * np.float64(sigma) ** 2
+        g = np.exp(-r_sq / two_sigma_sq)
+    if two_sigma_sq == np.inf:
+        raise ParamError(f"sigma {sigma} too large for a size-{size} window")
+    # an even size has no tap at offset 0, so a tiny sigma underflows them all
+    if not g.sum() > 0:
+        raise ParamError(f"sigma {sigma} too small for a size-{size} window")
+    return g / g.sum()
 
 
 def gaussian_kernel(size: int, sigma: float) -> Kernel2D:
-    """Sampled Gaussian on a size x size grid centered at (size-1)/2, sum 1.
-
-    Even sizes use half-integer offsets (e.g. -1.5..+1.5 for size 4).
-    """
-    if size < 1:
-        raise ParamError("kernel size must be >= 1")
-    if sigma <= 0:
-        raise ParamError("sigma must be > 0")
-    offs = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
-    g = np.exp(-(offs[:, None] ** 2 + offs[None, :] ** 2) / (2.0 * sigma**2))
-    _check_taps(g, size, sigma)
-    return Kernel2D(g / g.sum())
-
-
-def _check_taps(g: np.ndarray, size: int, sigma: float) -> None:
-    # an even size has no tap at offset 0, so a tiny sigma underflows them all
-    if not g.sum() > 0:
-        raise ParamError(f"sigma {sigma} too small for a size-{size} kernel")
+    """Sampled Gaussian on a size x size grid, sum 1 (see _gaussian_taps)."""
+    return Kernel2D(_gaussian_taps(size, sigma, 2))
 
 
 def _check_window(size: int, shape, what: str) -> None:
@@ -71,7 +67,7 @@ def _check_window(size: int, shape, what: str) -> None:
 def convolve2d(image: np.ndarray, kernel: Kernel2D) -> np.ndarray:
     """Same-size 2-D convolution with replicated borders."""
     image = np.asarray(image, dtype=np.float64)
-    _check_window(kernel.size, image.shape, f"kernel {kernel.taps.shape}")
+    _check_window(kernel.taps.shape[0], image.shape, f"kernel {kernel.taps.shape}")
     return scipy.ndimage.convolve(image, kernel.taps, mode="nearest")
 
 
@@ -88,15 +84,8 @@ def gaussian_smooth(image: np.ndarray, size: int, sigma: float) -> np.ndarray:
     distortion blur still use convolve2d.
     """
     image = np.asarray(image, dtype=np.float64)
-    if size < 1:
-        raise ParamError("kernel size must be >= 1")
-    if sigma <= 0:
-        raise ParamError("sigma must be > 0")
     _check_window(size, image.shape, f"smoothing size {size}")
-    offs = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
-    g = np.exp(-offs**2 / (2.0 * sigma**2))
-    _check_taps(g, size, sigma)
-    g /= g.sum()
+    g = _gaussian_taps(size, sigma, 1)
     low = scipy.ndimage.convolve1d(image, g, axis=0, mode="nearest")
     return scipy.ndimage.convolve1d(low, g, axis=1, mode="nearest")
 

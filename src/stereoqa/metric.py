@@ -30,7 +30,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .disparity import DisparityMap
-from .errors import DegenerateSaliency, DimensionMismatch, DisparityRequired, SequenceLengthError
+from .errors import DegenerateSaliency, DimensionMismatch, DisparityRequired, \
+    SequenceLengthError, numeric_errors
 from .media import _maps
 from .report import make_report
 from .saliency import SaliencyMap
@@ -40,6 +41,14 @@ def view_mean(f, *frames) -> float:
     """``0.5 * (f(*left lumas) + f(*right lumas))`` of the stereo frames
     ``frames``, left view first."""
     return 0.5 * (f(*(q.left.luma for q in frames)) + f(*(q.right.luma for q in frames)))
+
+
+def _power(base: float, cfg, field: str) -> float:
+    """``base ** cfg.<field>`` as a numpy float, so that a power outside the
+    float range raises NumericError naming the field and its value."""
+    exponent = getattr(cfg, field)
+    with numeric_errors(f"{field} {exponent}"):
+        return np.float64(base) ** exponent
 
 
 def _run(formula, orientation, needs, over, ref, dist, s_series, maps, cfg):
@@ -63,20 +72,21 @@ def _run(formula, orientation, needs, over, ref, dist, s_series, maps, cfg):
             raise DisparityRequired(f"this metric needs disparity maps ({slot})")
         d[slot] = _maps(maps[slot], DisparityMap, n, shape, slot)
     flags = []
-    if over == "sequence":
-        scores = formula(SimpleNamespace(ref=ref, dist=dist, s=s, flags=flags, **d), cfg)
-    elif over == "frame":
-        scores = [formula(SimpleNamespace(
-            ref=None if ref is None else ref.frames[t], dist=dist.frames[t], s=s[t],
-            flags=flags, d_ref=d["d_ref"][t], d_dist=d["d_dist"][t]), cfg)
-            for t in range(n)]
-    else:
-        seqs = (dist,) if ref is None else (ref, dist)
-        scores = [view_mean(lambda *lumas: formula(*lumas, s[t], cfg),
-                            *(q.frames[t] for q in seqs)) for t in range(n)]
-    mode = "none" if s_series is None else s_series[0].source
-    return make_report(formula.__name__, scores, orientation, mode, cfg,
-                       list(dict.fromkeys(flags)))
+    with numeric_errors(formula.__name__):
+        if over == "sequence":
+            scores = formula(SimpleNamespace(ref=ref, dist=dist, s=s, flags=flags, **d), cfg)
+        elif over == "frame":
+            scores = [formula(SimpleNamespace(
+                ref=None if ref is None else ref.frames[t], dist=dist.frames[t], s=s[t],
+                flags=flags, d_ref=d["d_ref"][t], d_dist=d["d_dist"][t]), cfg)
+                for t in range(n)]
+        else:
+            seqs = (dist,) if ref is None else (ref, dist)
+            scores = [view_mean(lambda *lumas: formula(*lumas, s[t], cfg),
+                                *(q.frames[t] for q in seqs)) for t in range(n)]
+        mode = "none" if s_series is None else s_series[0].source
+        return make_report(formula.__name__, scores, orientation, mode, cfg,
+                           list(dict.fromkeys(flags)))
 
 
 def registrar(registry: dict, needs_table: dict, config_cls, reference: bool):

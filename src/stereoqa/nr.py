@@ -17,7 +17,7 @@ import numpy as np
 from .errors import NeedsTemporalContext, NoEdges, NumericError, ParamError, TooSmall
 from .kernels import Kernel2D, _check_window, convolve2d, sobel_gradient
 from .media import _check_int, _check_numbers
-from .metric import registrar, view_mean
+from .metric import _power, registrar, view_mean
 from .saliency import weighted_spatial_mean
 
 
@@ -221,7 +221,7 @@ def sadaka_s(luma, s, cfg):
     contrast = _region_reduce(np.maximum, luma, r) - _region_reduce(np.minimum, luma, r)
     w_jnb = np.where(contrast <= cfg.sadaka_contrast_threshold,
                      cfg.sadaka_jnb_wide, cfg.sadaka_jnb_narrow)
-    # a small beta takes the powers out of the float range; checked below
+    # a small or large beta takes the powers out of the float range; checked below
     with np.errstate(all="ignore"):
         # a region without edge pixels has d_r = 0 and adds nothing
         d_r = np.bincount(region, np.abs(widths / w_jnb[region]) ** beta,
@@ -232,8 +232,8 @@ def sadaka_s(luma, s, cfg):
     if total <= 0.0:
         raise NoEdges("no edge energy after pooling")
     if not 0.0 < score < np.inf:
-        raise NumericError(f"sadaka_beta {beta} is too small: the powers of the "
-                           "pooled edge energy leave the float range")
+        raise NumericError(f"sadaka_beta {beta} takes the powers of the pooled edge "
+                           "energy out of the float range")
     return score
 
 
@@ -316,8 +316,8 @@ def _qjpeg(luma: np.ndarray, s: np.ndarray, cfg: NrMetricConfig):
         z += 0.5 * weighted_spatial_mean(crossings.astype(float), zw)
     if b <= 0.0 or a <= 0.0 or z <= 0.0:
         return cfg.nospdm_alpha, True  # degenerate signal, power terms dropped
-    q = (cfg.nospdm_alpha + cfg.nospdm_beta
-         * b**cfg.nospdm_gamma1 * a**cfg.nospdm_gamma2 * z**cfg.nospdm_gamma3)
+    q = (cfg.nospdm_alpha + cfg.nospdm_beta * _power(b, cfg, "nospdm_gamma1")
+         * _power(a, cfg, "nospdm_gamma2") * _power(z, cfg, "nospdm_gamma3"))
     return q, False
 
 

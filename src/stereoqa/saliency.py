@@ -125,10 +125,10 @@ def _center_surround(channel: np.ndarray, pairs) -> np.ndarray:
 
 
 def _smooth(values: np.ndarray, sigma: float) -> np.ndarray:
-    if sigma <= 0:
-        return values
-    size = min(2 * int(np.ceil(3 * sigma)) + 1, min(values.shape))
-    if size < 3:
+    side = min(values.shape)
+    # the window is capped at the side, so sigma is too: int() never sees inf
+    size = min(2 * int(np.ceil(3 * np.clip(sigma, 0, side))) + 1, side)
+    if size < 3:  # sigma <= 0 too
         return values
     return gaussian_smooth(values, size, sigma)
 

@@ -5,13 +5,15 @@ import pathlib
 import numpy as np
 import pytest
 
-from stereoqa import stats
-from stereoqa.cli import main
+from stereoqa import fr, nr, stats
+from stereoqa.cli import _DISPARITY_SCALE, main
+from stereoqa.disparity import DisparityMap
 from stereoqa.distort import DistortionSpec, apply
 from stereoqa.fr import FR_METRICS
-from stereoqa.media import SequenceDescriptor, load_sequence, read_json, save_map_series, \
-    save_sequence
+from stereoqa.media import SequenceDescriptor, load_map_series, load_sequence, read_json, \
+    save_map_series, save_sequence
 from stereoqa.nr import NR_METRICS
+from stereoqa.saliency import baseline_vam
 
 from conftest import make_seq
 
@@ -141,29 +143,46 @@ def test_bad_descriptor_exit_1(desc_path, tmp_path, capsys, mangle, field):
     _assert_one_error_line(capsys, field, str(bad))
 
 
-@pytest.mark.parametrize("command,metric,text", [
-    pytest.param("score-fr", "psnr_s", "{psnr_cap: 60}", id="malformed-json"),
-    pytest.param("score-fr", "psnr_s", '{"psnr_kap": 60.0}', id="unknown-key"),
-    pytest.param("score-fr", "psnr_s", '{"psnr_cap": "x"}', id="psnr_cap-string"),
-    pytest.param("score-fr", "oq_s", '{"oq_a": "x"}', id="oq_a-string"),
-    pytest.param("score-fr", "hv3d_s", '{"hv3d_block": 7.5}', id="hv3d_block-float"),
+@pytest.mark.parametrize("command,metric,text,fragment", [
+    pytest.param("score-fr", "psnr_s", "{psnr_cap: 60}", "not valid JSON", id="malformed-json"),
+    pytest.param("score-fr", "psnr_s", '{"psnr_kap": 60.0}', "psnr_kap", id="unknown-key"),
+    pytest.param("score-fr", "psnr_s", '{"psnr_cap": "x"}', "psnr_cap", id="psnr_cap-string"),
+    pytest.param("score-fr", "oq_s", '{"oq_a": "x"}', "oq_a", id="oq_a-string"),
+    pytest.param("score-fr", "hv3d_s", '{"hv3d_block": 7.5}', "hv3d_block",
+                 id="hv3d_block-float"),
     pytest.param("score-nr", "blur_farias_s", '{"farias_edge_threshold": "x"}',
-                 id="farias_edge_threshold-string"),
-    pytest.param("score-nr", "sadaka_s", '{"sadaka_region": 8.5}', id="sadaka_region-float"),
-    pytest.param("score-nr", "gbim_s", '{"gbim_grid": 8.5}', id="gbim_grid-float"),
-    pytest.param("score-nr", "vqsm_s", '{"vqsm_alphas": [1, 2]}', id="vqsm_alphas-short"),
-    pytest.param("saliency", None, '{"motion_sigma": "2"}', id="motion_sigma-string"),
+                 "farias_edge_threshold", id="farias_edge_threshold-string"),
+    pytest.param("score-nr", "sadaka_s", '{"sadaka_region": 8.5}', "sadaka_region",
+                 id="sadaka_region-float"),
+    pytest.param("score-nr", "gbim_s", '{"gbim_grid": 8.5}', "gbim_grid", id="gbim_grid-float"),
+    pytest.param("score-nr", "vqsm_s", '{"vqsm_alphas": [1, 2]}', "vqsm_alphas",
+                 id="vqsm_alphas-short"),
+    pytest.param("saliency", None, '{"motion_sigma": "2"}', "motion_sigma",
+                 id="motion_sigma-string"),
     pytest.param("saliency", None, '{"center_surround_pairs": [[2]]}',
-                 id="center_surround_pairs-single-level"),
+                 "center_surround_pairs", id="center_surround_pairs-single-level"),
+    # a sigma whose 2 * sigma**2 overflows, and powers that leave the float range
+    *(pytest.param("score-fr", metric, '{"ssim_sigma": 1e200}', "sigma 1e+200 too large",
+                   id=f"{metric}-ssim_sigma-1e200")
+      for metric in ("ssim_s", "ddl1_s", "oq_s", "ciq_s", "msssim_s", "mj3d_s", "flosim3d_s")),
+    *(pytest.param("saliency", None, f'{{"{field}": 1e308}}', "sigma 1e+308 too large",
+                   id=f"{field}-1e308") for field in ("smooth_sigma", "motion_sigma")),
+    pytest.param("score-fr", "hv3d_s", '{"hv3d_beta3": -1e10}', "hv3d_beta3 -10000000000.0",
+                 id="hv3d_beta3-negative"),
+    pytest.param("score-nr", "nospdm_s", '{"nospdm_gamma1": 1e10}',
+                 "nospdm_gamma1 10000000000.0", id="nospdm_gamma1-1e10"),
+    pytest.param("score-nr", "sadaka_s", '{"sadaka_beta": 1e10}', "sadaka_beta 10000000000.0",
+                 id="sadaka_beta-1e10"),
 ])
-def test_bad_config_exit_1(desc_path, tmp_path, capsys, command, metric, text):
+def test_bad_config_exit_1(desc_path, tmp_path, capsys, command, metric, text, fragment):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(text)
     inputs = {"score-fr": ["--metric", metric, "--ref", desc_path, "--dist", desc_path],
               "score-nr": ["--metric", metric, "--dist", desc_path],
               "saliency": ["--in", desc_path]}[command]
-    _assert_exit_1(main([command, *inputs, "--out", str(tmp_path / "out"),
-                         "--config", str(cfg)]), capsys)
+    assert main([command, *inputs, "--out", str(tmp_path / "out"),
+                 "--config", str(cfg)]) == 1
+    _assert_one_error_line(capsys, fragment)
 
 
 @pytest.mark.parametrize("spec, field", [
@@ -180,15 +199,26 @@ def test_bad_config_exit_1(desc_path, tmp_path, capsys, command, metric, text):
     ({"kind": "awgn", "params": {"variance": 0.1}, "region": [True, 0, 10, 10]}, "region"),
     ({"kind": "gaussian_blur", "params": {"size": 4.7}}, "size"),
     ({"kind": "gaussian_blur", "params": {"size": True}}, "size"),
+    ({"kind": "gaussian_blur", "params": {"size": 7, "sigma": 1e200}}, "sigma 1e+200 too large"),
+    # checks that need the frames: the input has 2 frames of 64 x 64
+    ({"kind": "awgn", "params": {"variance": 0.1}, "seed": 2**64 - 1}, "seed"),
+    ({"kind": "awgn", "params": {"variance": 0.1}, "region": [60, 0, 10, 10]}, "region"),
+    ({"kind": "gaussian_blur", "params": {"size": 65}}, "blur size 65"),
+    ([{"kind": "intensity_shift"}, {"kind": "gaussian_blur", "params": {"size": 65}}],
+     "spec.json[1]: blur size 65"),
+    ([{"kind": "intensity_shift"}, {"kind": "gaussian_blur", "params": {"size": 0}}],
+     "spec.json[1]: gaussian_blur size"),
 ], ids=["variance-string", "params-list", "seed-string", "region-number", "bare-number",
         "delta-string", "blur-unknown-param", "seed-2**70", "seed-negative",
-        "region-fractional", "region-bool", "blur-size-fractional", "blur-size-bool"])
+        "region-fractional", "region-bool", "blur-size-fractional", "blur-size-bool",
+        "blur-sigma-1e200", "seed-last-stream-2**64", "region-outside-frame",
+        "blur-wider-than-frame", "list-blur-wider-than-frame", "list-blur-size-0"])
 def test_bad_spec_exit_1(desc_path, tmp_path, capsys, spec, field):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     assert main(["distort", "--in", desc_path, "--spec", str(path),
                  "--out", str(tmp_path / "out")]) == 1
-    _assert_one_error_line(capsys, field, str(path))
+    _assert_one_error_line(capsys, field, f"error: {path}")
     assert not (tmp_path / "out").exists()
 
 
@@ -282,6 +312,53 @@ def test_disparity_command(desc_path, tmp_path):
     out_dir = str(tmp_path / "disp")
     assert main(["disparity", "--in", desc_path, "--out", out_dir]) == 0
     assert os.path.exists(os.path.join(out_dir, "000001.pgm"))
+
+
+def test_disparity_maps_read_back_as_dir_sources(tmp_path):
+    """Maps the disparity command writes feed ``dir:`` disparity sources,
+    read back on the disparity scale, in scoring and in saliency."""
+    ref = make_seq(106, frames=2, size=64)
+    dist = apply(ref, DistortionSpec(kind="awgn", params={"variance": 0.005}, seed=2))
+    paths = {"ref": _write_fixture(tmp_path, "ref", ref),
+             "dist": _write_fixture(tmp_path, "dist", dist)}
+    ref, dist = (load_sequence(SequenceDescriptor.from_json(p)) for p in paths.values())
+    maps = {}
+    for name, path in paths.items():
+        out = str(tmp_path / f"d_{name}")
+        assert main(["disparity", "--in", path, "--out", out]) == 0
+        maps[name] = [DisparityMap(m * _DISPARITY_SCALE)
+                      for m in load_map_series(out, {"width": 64, "height": 64, "count": 2})]
+    assert main(["score-fr", "--metric", "hv3d_s", "--ref", paths["ref"],
+                 "--dist", paths["dist"], "--disparity-ref", f"dir:{tmp_path / 'd_ref'}",
+                 "--disparity-dist", f"dir:{tmp_path / 'd_dist'}",
+                 "--out", str(tmp_path / "fr.json")]) == 0
+    want = fr.hv3d_s(ref, dist, d_ref=maps["ref"], d_dist=maps["dist"]).score
+    assert read_json(str(tmp_path / "fr.json"))["score"] == want
+    cfg = tmp_path / "nr.json"
+    cfg.write_text(json.dumps({"qa3d_history": 1}))
+    assert main(["score-nr", "--metric", "qa3d_s", "--dist", paths["dist"],
+                 "--disparity", f"dir:{tmp_path / 'd_dist'}", "--config", str(cfg),
+                 "--out", str(tmp_path / "nr.json")]) == 0
+    want = nr.qa3d_s(dist, d_dist=maps["dist"], cfg=nr.NrMetricConfig(qa3d_history=1)).score
+    assert read_json(str(tmp_path / "nr.json"))["score"] == want
+    saliency = {}
+    for source in ("none", "estimate", f"dir:{tmp_path / 'd_ref'}"):
+        out = str(tmp_path / f"sal{len(saliency)}")
+        assert main(["saliency", "--in", paths["ref"], "--disparity", source,
+                     "--out", out]) == 0
+        saliency[source] = load_map_series(out, {"width": 64, "height": 64, "count": 2})
+    save_map_series([m.values for m in baseline_vam(ref, disparity_series=maps["ref"])],
+                    str(tmp_path / "want"))
+    want = load_map_series(str(tmp_path / "want"), {"width": 64, "height": 64, "count": 2})
+    assert np.array_equal(saliency[f"dir:{tmp_path / 'd_ref'}"], want)
+    assert not np.array_equal(saliency["estimate"], saliency["none"])
+
+
+def test_evaluate_objective_without_equals_exit_2(tmp_path, capsys):
+    argv = _study(tmp_path, {"a": (80, 81), "b": (60, 62), "c": (40, 41)})
+    argv[argv.index("--objective") + 1] = "a"
+    assert main(argv) == 2
+    assert "item_id=report.json" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["disparity", "distort"])

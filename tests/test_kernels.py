@@ -46,6 +46,20 @@ def test_gaussian_kernel_bad_sigma():
         gaussian_kernel(3, 0.0)
 
 
+@pytest.mark.parametrize("size, sigma", [(3, 0.8), (4, 4.0), (11, 1.5), (7, 1.0 + 2**-27)])
+def test_gaussian_windows_keep_their_formulas(size, sigma):
+    # the 2-D taps are not the outer product of the 1-D ones; both stay as written
+    offs = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
+    g2 = np.exp(-(offs[:, None] ** 2 + offs[None, :] ** 2) / (2.0 * sigma**2))
+    assert np.array_equal(gaussian_kernel(size, sigma).taps, g2 / g2.sum())
+    g1 = np.exp(-offs**2 / (2.0 * sigma**2))
+    g1 /= g1.sum()
+    image = SeededRng(size).uniform(24 * 20).reshape(24, 20) * 255.0
+    want = scipy.ndimage.convolve1d(image, g1, axis=0, mode="nearest")
+    want = scipy.ndimage.convolve1d(want, g1, axis=1, mode="nearest")
+    assert np.array_equal(gaussian_smooth(image, size, sigma), want)
+
+
 def test_convolve_replicates_borders():
     image = np.zeros((8, 8))
     image[:, 0] = 10.0
@@ -212,6 +226,12 @@ def test_gaussian_smooth_checks_like_convolve2d():
         gaussian_smooth(np.zeros((8, 8)), 4, 0.01)
     with pytest.raises(ParamError):
         gaussian_kernel(4, 0.01)
+    # 2 * sigma**2 overflows: a Python float raises there, a numpy float warns
+    for sigma in (1e200, np.float64(1e200), np.inf):
+        with pytest.raises(ParamError, match="too large for a size-7 window"):
+            gaussian_smooth(np.zeros((8, 8)), 7, sigma)
+        with pytest.raises(ParamError, match="too large for a size-7 window"):
+            gaussian_kernel(7, sigma)
 
 
 _SEQ = make_seq(88, frames=1, size=64)
