@@ -9,7 +9,7 @@ from .disparity import (
     estimate_disparity,
     estimate_disparity_series,
 )
-from .distort import DistortionSpec, apply, apply_all
+from .distort import DistortionSpec, apply
 from .fr import FR_METRICS, FrMetricConfig
 from .media import (
     Frame,

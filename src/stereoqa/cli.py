@@ -16,7 +16,7 @@ import numpy as np
 from . import __version__
 from .disparity import DisparityConfig, DisparityMap, estimate_disparity_series
 from .distort import DistortionSpec, apply
-from .errors import MalformedJson, ParamError, StereoQaError
+from .errors import MalformedJson, ParamError, StereoQaError, prefixed_errors
 from .fr import FR_METRICS, FR_NEEDS_DISPARITY, FrMetricConfig
 from .media import SequenceDescriptor, _fits, decode, load_map_series, \
     load_sequence, read_json, save_map_series, save_sequence, write_json
@@ -94,7 +94,8 @@ def _cmd_score(args) -> int:
     disparity = {slot: _resolve_disparity(sources[slot],
                                           seqs[0] if slot == "d_ref" else seqs[-1])
                  for slot in needs.get(metric, ())}
-    report = metrics[metric](*seqs, s_series=s_series, cfg=cfg, **disparity)
+    with prefixed_errors(args.config):  # None without --config
+        report = metrics[metric](*seqs, s_series=s_series, cfg=cfg, **disparity)
     report.save_json(args.out)
     outputs = [args.out]
     if args.frame_csv:
@@ -111,7 +112,8 @@ def _cmd_saliency(args) -> int:
     d_series = None
     if args.disparity != "none":
         d_series = _resolve_disparity(args.disparity, seq)
-    maps = baseline_vam(seq, disparity_series=d_series, cfg=cfg)
+    with prefixed_errors(args.config):  # None without --config
+        maps = baseline_vam(seq, disparity_series=d_series, cfg=cfg)
     paths = save_map_series([m.values for m in maps], args.out)
     _write_manifest(os.path.join(args.out, "saliency"), args, paths)
     return 0
@@ -133,10 +135,8 @@ def _cmd_distort(args) -> int:
                if isinstance(raw, list) else [(args.spec, raw)])
     specs = [(where, decode(DistortionSpec, d, where)) for where, d in entries]
     for where, spec in specs:
-        try:
+        with prefixed_errors(where):  # the checks that need the frames, e.g. the region's
             seq = apply(seq, spec)
-        except StereoQaError as exc:  # the checks that need the frames, e.g. the region's
-            raise type(exc)(f"{where}: {exc}") from exc
     os.makedirs(args.out, exist_ok=True)
     left, right = (os.path.join(args.out, f"{view}.raw") for view in ("left", "right"))
     desc = save_sequence(seq, left, right, format=desc.format)

@@ -134,9 +134,3 @@ def apply(seq: StereoSequence, spec: DistortionSpec) -> StereoSequence:
                                 chroma_v=frame.chroma_v)
         frames.append(StereoFrame(left=views["left"], right=views["right"]))
     return StereoSequence(frames=frames, fps=seq.fps)
-
-
-def apply_all(seq: StereoSequence, specs) -> StereoSequence:
-    for spec in specs:
-        seq = apply(seq, spec)
-    return seq

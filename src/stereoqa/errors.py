@@ -82,6 +82,18 @@ def numeric_errors(what: str):
             raise NumericError(f"{what}: {exc}") from exc
 
 
+@contextlib.contextmanager
+def prefixed_errors(where: str | None):
+    """Run the block with any StereoQaError it raises re-raised with the same
+    class and the prefix ``where: `` naming the input in use; None adds none."""
+    try:
+        yield
+    except StereoQaError as exc:
+        if where is None:
+            raise
+        raise type(exc)(f"{where}: {exc}") from exc
+
+
 class DisparityRequired(StereoQaError):
     """The metric needs disparity maps and none were supplied."""
 

@@ -21,10 +21,9 @@ from .kernels import (
     _check_window,
     convolve2d,
     dct3_stereo_stack,
-    downsample2,
     gaussian_kernel,
     gaussian_smooth,
-    halving_chain,
+    pyramid,
     sobel_gradient,
 )
 from .media import StereoFrame, _check_int, _check_numbers
@@ -132,9 +131,10 @@ def _msssim_frame(x: np.ndarray, y: np.ndarray, s: np.ndarray,
     local mean window; None means this module's gaussian_smooth, looked up
     at each call."""
     smooth = smooth or gaussian_smooth
+    x_levels = pyramid(x, 5)
     # the first level, and each later one whose sides hold the window (the
-    # chain shrinks, so these lead it)
-    scales = 1 + sum(min(hw) >= cfg.ssim_window for hw in halving_chain(*x.shape, 5)[1:])
+    # levels shrink, so these lead them)
+    scales = 1 + sum(min(level.shape) >= cfg.ssim_window for level in x_levels[1:])
     if scales < 2:
         raise TooSmall("image supports fewer than 2 MS-SSIM scales")
     if scales < 5:
@@ -144,18 +144,15 @@ def _msssim_frame(x: np.ndarray, y: np.ndarray, s: np.ndarray,
     s_levels = build_saliency_pyramid(s, scales)
     c1, c2 = cfg.ssim_c1, cfg.ssim_c2
     score = 1.0
-    for m, s_m in enumerate(s_levels):
+    for m, (x_m, y_m, s_m) in enumerate(zip(x_levels, pyramid(y, scales), s_levels)):
         mu_x, mu_y, var_x, var_y, cov = _raw_moments(
-            x, y, lambda a: smooth(a, cfg.ssim_window, cfg.ssim_sigma))
+            x_m, y_m, lambda a: smooth(a, cfg.ssim_window, cfg.ssim_sigma))
         cs_map = (2.0 * cov + c2) / (var_x + var_y + c2)
-        cs = max(weighted_spatial_mean(cs_map, s_m), 0.0)
-        if m == scales - 1:
+        term = max(weighted_spatial_mean(cs_map, s_m), 0.0) ** weights[m]
+        if m == scales - 1:  # luminance enters at the coarsest scale only
             l_map = (2.0 * mu_x * mu_y + c1) / (mu_x * mu_x + mu_y * mu_y + c1)
-            lum = max(weighted_spatial_mean(l_map, s_m), 0.0)
-            score *= lum ** weights[m] * cs ** weights[m]
-        else:
-            score *= cs ** weights[m]
-            x, y = downsample2(x), downsample2(y)
+            term *= max(weighted_spatial_mean(l_map, s_m), 0.0) ** weights[m]
+        score *= term
     return float(score)
 
 

@@ -76,12 +76,6 @@ def gaussian_smooth(image: np.ndarray, size: int, sigma: float) -> np.ndarray:
 
     The taps use gaussian_kernel's offsets, so even sizes keep its origin;
     results agree with the 2-D convolution to rounding (about 1e-13).
-
-    Callers: the VAM smoothing of ``saliency.baseline_vam``; the SSIM window
-    of ``fr`` (``ssim_s``, ``ddl1_s``, ``oq_s``, ``ciq_s``); the MS-SSIM moments
-    of ``msssim_s`` and ``mj3d_s``; the VIF moments and scale-change low-pass
-    of ``vif_s``.  ``hv3d_s``, ``flosim3d_s``, the NR windows and the
-    distortion blur still use convolve2d.
     """
     image = np.asarray(image, dtype=np.float64)
     _check_window(size, image.shape, f"smoothing size {size}")
@@ -106,13 +100,14 @@ def downsample2(image: np.ndarray) -> np.ndarray:
     return scipy.ndimage.correlate1d(low, _BINOMIAL5, axis=1, mode="nearest")[:, ::2]
 
 
-def halving_chain(height: int, width: int, levels: int) -> list[tuple[int, int]]:
-    """Shape of each pyramid level produced by repeated downsample2."""
-    dims = [(height, width)]
-    for _ in range(levels - 1):
-        h, w = dims[-1]
-        dims.append(((h + 1) // 2, (w + 1) // 2))
-    return dims
+def pyramid(image: np.ndarray, levels: int) -> list[np.ndarray]:
+    """``image`` and up to ``levels - 1`` repeated downsample2 halvings of it,
+    stopping at the first level with a side of 1.  The one rule for how many
+    levels a frame has: image, saliency and VAM pyramids all come from here."""
+    pyr = [image]
+    while len(pyr) < levels and min(pyr[-1].shape) > 1:
+        pyr.append(downsample2(pyr[-1]))
+    return pyr
 
 
 def dct2_stack(blocks: np.ndarray) -> np.ndarray:

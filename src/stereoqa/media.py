@@ -28,7 +28,7 @@ from .errors import (
     ParamError,
     RangeError,
     SequenceLengthError,
-    StereoQaError,
+    prefixed_errors,
 )
 
 PIXEL_FORMATS = ("yuv420p8", "yuv444p8", "gray8")
@@ -98,11 +98,9 @@ def decode(cls, data, where: str):
             raise MalformedJson(f"{where}: unknown field {name!r}")
         if not _fits(value, fields[name].type):
             raise MalformedJson(f"{where}: {name} must be {fields[name].type}, not {value!r:.40}")
-    try:
+    with prefixed_errors(where):
         return cls(**{name: tuple(tuple(v) if isinstance(v, list) else v for v in value)
                       if isinstance(value, list) else value for name, value in data.items()})
-    except StereoQaError as exc:
-        raise type(exc)(f"{where}: {exc}") from exc
 
 
 def _check_numbers(name: str, value, shape) -> None:

@@ -52,10 +52,15 @@ def make_report(metric: str, frame_scores, orientation: str, saliency_mode: str,
     frame_scores = [float(s) for s in frame_scores]
     if not np.all(np.isfinite(frame_scores)):
         raise NumericError(f"{metric}: non-finite frame score")
+    with np.errstate(over="ignore"):
+        score = np.mean(frame_scores)
+    if np.isinf(score):  # the sum overflowed: divide exactly by 2**k >= n first
+        scale = 2.0 ** np.ceil(np.log2(len(frame_scores)))
+        score = np.mean(np.divide(frame_scores, scale)) * scale
     return MetricReport(
         metric=metric,
         frame_scores=frame_scores,
-        score=float(np.mean(frame_scores)),
+        score=float(score),
         orientation=orientation,
         saliency_mode=saliency_mode,
         config_fingerprint=config_fingerprint(cfg),

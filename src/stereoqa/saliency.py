@@ -13,7 +13,7 @@ import numpy as np
 
 from .disparity import DisparityMap
 from .errors import DegenerateSaliency, DimensionMismatch, NumericError, ParamError
-from .kernels import downsample2, gaussian_smooth
+from .kernels import gaussian_smooth, pyramid
 from .media import StereoSequence, _check_range, _maps, load_map_series
 
 FLAT_GUARD = 1e-12
@@ -80,9 +80,9 @@ def normalize_map(raw: np.ndarray, source: str = "external") -> SaliencyMap:
 
 
 def build_saliency_pyramid(values: np.ndarray, levels: int) -> list[np.ndarray]:
-    """`levels` repeated downsample2 levels of a weight array (the first is
-    `values`), each re-normalized; their shapes follow kernels.halving_chain."""
-    return [normalize_map(level).values for level in _gauss_pyramid(values, levels - 1)]
+    """kernels.pyramid(values, levels) of a weight array, each level
+    re-normalized; so it stops where the image pyramid of that shape does."""
+    return [normalize_map(level).values for level in pyramid(values, levels)]
 
 
 def uniform_series(seq: StereoSequence) -> list[SaliencyMap]:
@@ -97,15 +97,6 @@ def load_external_saliency(dir_path: str, seq: StereoSequence) -> list[SaliencyM
     return [normalize_map(m, "external") for m in maps]
 
 
-def _gauss_pyramid(image: np.ndarray, levels: int) -> list[np.ndarray]:
-    pyr = [image]
-    for _ in range(levels):
-        if min(pyr[-1].shape) < 2:
-            break
-        pyr.append(downsample2(pyr[-1]))
-    return pyr
-
-
 def _upsample_to(small: np.ndarray, shape) -> np.ndarray:
     fy = -(-shape[0] // small.shape[0])
     fx = -(-shape[1] // small.shape[1])
@@ -115,7 +106,7 @@ def _upsample_to(small: np.ndarray, shape) -> np.ndarray:
 
 def _center_surround(channel: np.ndarray, pairs) -> np.ndarray:
     max_level = max((s for _, s in pairs), default=0)
-    pyr = _gauss_pyramid(channel, max_level)
+    pyr = pyramid(channel, max_level + 1)
     acc = np.zeros_like(channel)
     for c, s in pairs:
         if s >= len(pyr):

@@ -10,8 +10,8 @@ from stereoqa.cli import _DISPARITY_SCALE, main
 from stereoqa.disparity import DisparityMap
 from stereoqa.distort import DistortionSpec, apply
 from stereoqa.fr import FR_METRICS
-from stereoqa.media import SequenceDescriptor, load_map_series, load_sequence, read_json, \
-    save_map_series, save_sequence
+from stereoqa.media import SequenceDescriptor, decode, load_map_series, load_sequence, \
+    read_json, save_map_series, save_sequence
 from stereoqa.nr import NR_METRICS
 from stereoqa.saliency import baseline_vam
 
@@ -167,6 +167,8 @@ def test_bad_descriptor_exit_1(desc_path, tmp_path, capsys, mangle, field):
       for metric in ("ssim_s", "ddl1_s", "oq_s", "ciq_s", "msssim_s", "mj3d_s", "flosim3d_s")),
     *(pytest.param("saliency", None, f'{{"{field}": 1e308}}', "sigma 1e+308 too large",
                    id=f"{field}-1e308") for field in ("smooth_sigma", "motion_sigma")),
+    pytest.param("score-fr", "ssim_s", '{"ssim_c1": 1e308}', "ssim_s: overflow",
+                 id="ssim_c1-1e308"),
     pytest.param("score-fr", "hv3d_s", '{"hv3d_beta3": -1e10}', "hv3d_beta3 -10000000000.0",
                  id="hv3d_beta3-negative"),
     pytest.param("score-nr", "nospdm_s", '{"nospdm_gamma1": 1e10}',
@@ -182,7 +184,10 @@ def test_bad_config_exit_1(desc_path, tmp_path, capsys, command, metric, text, f
               "saliency": ["--in", desc_path]}[command]
     assert main([command, *inputs, "--out", str(tmp_path / "out"),
                  "--config", str(cfg)]) == 1
-    _assert_one_error_line(capsys, fragment)
+    err = capsys.readouterr().err
+    # the line names the config file, whether decode or the run rejects the value
+    assert err.startswith(f"error: {cfg}: ") and err.count("\n") == 1, err
+    assert fragment in err, err
 
 
 @pytest.mark.parametrize("spec, field", [
@@ -413,6 +418,24 @@ def test_distort_command(desc_path, tmp_path):
     assert code == 0
     with open(rep) as fh:
         assert json.load(fh)["score"] < 100.0
+
+
+def test_distort_list_spec_applies_each_entry_in_order(desc_path, tmp_path):
+    entries = [{"kind": "gaussian_blur"}, {"kind": "awgn", "params": {"variance": 0.01},
+                                           "seed": 5, "target": "left_only"},
+               {"kind": "intensity_shift", "params": {"delta": -7.0}, "region": [3, 5, 20, 30]}]
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(entries))
+    out_dir = tmp_path / "chained"
+    assert main(["distort", "--in", desc_path, "--spec", str(spec_path),
+                 "--out", str(out_dir)]) == 0
+    want = load_sequence(SequenceDescriptor.from_json(desc_path))
+    for i, entry in enumerate(entries):
+        want = apply(want, decode(DistortionSpec, entry, f"entry {i}"))
+    # both go through the same 8-bit writer
+    save_sequence(want, str(tmp_path / "left.raw"), str(tmp_path / "right.raw"))
+    for name in ("left.raw", "right.raw"):
+        assert (out_dir / name).read_bytes() == (tmp_path / name).read_bytes(), name
 
 
 def test_evaluate_pipeline(tmp_path):

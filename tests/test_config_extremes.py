@@ -93,3 +93,15 @@ def test_extreme_values_end_finite_or_in_a_stereoqa_error(build, runs):
             if not np.all(np.isfinite(values)):
                 failures.append(f"{label} at {value}: non-finite values")
     assert not failures, failures
+
+
+@pytest.mark.parametrize("metric, field, value", [
+    ("oq_s", "oq_a", 1e308), ("phvs3d_s", "psnr_cap", -1e308), ("phsd_s", "psnr_cap", -1e308),
+])
+def test_finite_frame_scores_near_the_float_limit_have_a_finite_mean(metric, field, value):
+    # identical inputs put every frame score at the value, so a plain sum overflows
+    maps = {slot: _MAPS["d_ref"] for slot in fr.FR_NEEDS_DISPARITY[metric]}
+    report = fr.FR_METRICS[metric](_REF, _REF, cfg=fr.FrMetricConfig(**{field: value}),
+                                   **maps)
+    assert report.frame_scores == [value, value]
+    assert report.score == value

@@ -5,7 +5,7 @@ import pytest
 import scipy.fft
 
 from stereoqa import distort
-from stereoqa.distort import DistortionSpec, apply, apply_all
+from stereoqa.distort import DistortionSpec, apply
 from stereoqa.errors import MalformedJson, ParamError, RangeError
 from stereoqa.media import decode
 
@@ -178,15 +178,6 @@ def test_block_quantize_matches_per_block_loop(shape, region, step):
     spec = DistortionSpec(kind="block_quantize", params={"step": step}, region=region)
     got = apply(seq_from_lumas([luma]), spec).frames[0].left.luma
     assert got.tobytes() == _reference_block_quantize(luma, spec).tobytes()
-
-
-def test_apply_all_chains():
-    seq = make_seq(86, frames=1, size=32)
-    out = apply_all(seq, [
-        DistortionSpec(kind="gaussian_blur"),
-        DistortionSpec(kind="intensity_shift", params={"delta": 5.0}),
-    ])
-    assert not np.array_equal(out.frames[0].left.luma, seq.frames[0].left.luma)
 
 
 def test_decode_spec_round_trip():

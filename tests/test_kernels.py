@@ -20,8 +20,8 @@ from stereoqa.kernels import (
     downsample2,
     gaussian_kernel,
     gaussian_smooth,
-    halving_chain,
     idct2_stack,
+    pyramid,
     sobel_gradient,
 )
 from stereoqa.rng import SeededRng
@@ -94,9 +94,17 @@ def test_downsample_too_small():
         downsample2(np.zeros((1, 8)))
 
 
-def test_halving_chain():
-    assert halving_chain(64, 64, 3) == [(64, 64), (32, 32), (16, 16)]
-    assert halving_chain(7, 9, 2) == [(7, 9), (4, 5)]
+def test_pyramid_levels():
+    assert [p.shape for p in pyramid(np.zeros((64, 64)), 3)] == [(64, 64), (32, 32), (16, 16)]
+    assert [p.shape for p in pyramid(np.zeros((7, 9)), 2)] == [(7, 9), (4, 5)]
+    # a side of 1 ends the pyramid early instead of failing in downsample2
+    assert [p.shape for p in pyramid(np.zeros((8, 40)), 5)] == [(8, 40), (4, 20), (2, 10),
+                                                               (1, 5)]
+    image = np.random.RandomState(3).rand(33, 97)
+    levels = pyramid(image, 4)
+    assert levels[0] is image
+    for big, small in zip(levels, levels[1:]):
+        assert np.array_equal(small, downsample2(big))
 
 
 def test_dct2_round_trip():

@@ -115,6 +115,33 @@ def test_metric_invariants_at_awkward_sizes(metric, shape, frames, content, dist
         assert math.isclose(base, weighted, rel_tol=1e-9, abs_tol=1e-12), (base, weighted)
 
 
+@pytest.mark.parametrize("shape", [(8, 8), (40, 9)])
+@pytest.mark.parametrize("metric", ["msssim_s", "mj3d_s", "flosim3d_s"])
+def test_msssim_metrics_with_a_one_pixel_window(metric, shape):
+    """Every level holds a 1-pixel window, so the pyramid's own end, a side of
+    1, sets how many MS-SSIM scales there are."""
+    cfg = FrMetricConfig(ssim_window=1)
+    rng = SeededRng(17)
+    ref = _seq(_lumas(rng, shape, 2, "noise"))
+    dist = apply(ref, _DISTORTIONS[0])
+    d = [DisparityMap(np.rint(rng.uniform(shape[0] * shape[1]) * 6.0).reshape(shape))
+         for _ in range(2)]
+    d_flat = [DisparityMap(np.full(shape, 2.0))] * 2
+    sparse = [SaliencyMap(np.where(rng.uniform(shape[0] * shape[1]) < 0.5, 0.0, 1.0)
+                          .reshape(shape)) for _ in range(2)]
+    constant = [SaliencyMap(np.full(shape, 0.7))] * 2
+
+    def run(s_series, pair=(ref, dist), maps=(d, d)):
+        return _score(lambda: FR_METRICS[metric](*pair, d_ref=maps[0], d_dist=maps[1],
+                                                 s_series=s_series, cfg=cfg))
+
+    assert run(None, (ref, ref), (d_flat, d_flat)) == _PERFECT[metric]
+    assert isinstance(run(sparse), float)
+    base, weighted = run(None), run(constant)
+    assert isinstance(base, float)
+    assert math.isclose(base, weighted, rel_tol=1e-9, abs_tol=1e-12), (base, weighted)
+
+
 @pytest.mark.xfail(strict=True, reason="the VIF gain cut-off, var_x > 1e-10, is absolute: "
                    "the 2-D window leaves round-off residue below it on a flat map, so the "
                    "disparity VIF of two identical flat maps is 0, not 1")
