@@ -102,7 +102,7 @@ def _cmd_score(args) -> int:
         report.save_frame_csv(args.frame_csv)
         outputs.append(args.frame_csv)
     _write_manifest(args.out, args, outputs)
-    sys.stderr.write(f"{metric}: {report.score:.6f} ({report.orientation})\n")
+    sys.stderr.write(f"{metric}: {report.score:.6g} ({report.orientation})\n")
     return 0
 
 

@@ -96,6 +96,7 @@ def _ssim(moments, cfg: FrMetricConfig):
 
 
 def _ssim_map(x, y, cfg: FrMetricConfig) -> np.ndarray:
+    _check_window(cfg.ssim_window, x.shape, f"ssim_window {cfg.ssim_window}")
     return _ssim(_raw_moments(
         x, y, lambda a: gaussian_smooth(a, cfg.ssim_window, cfg.ssim_sigma)), cfg)
 
@@ -131,6 +132,7 @@ def _msssim_frame(x: np.ndarray, y: np.ndarray, s: np.ndarray,
     local mean window; None means this module's gaussian_smooth, looked up
     at each call."""
     smooth = smooth or gaussian_smooth
+    _check_window(cfg.ssim_window, x.shape, f"ssim_window {cfg.ssim_window}")
     x_levels = pyramid(x, 5)
     # the first level, and each later one whose sides hold the window (the
     # levels shrink, so these lead them)

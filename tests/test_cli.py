@@ -1,18 +1,23 @@
 import json
 import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import stereoqa
 from stereoqa import fr, nr, stats
 from stereoqa.cli import _DISPARITY_SCALE, main
 from stereoqa.disparity import DisparityMap
 from stereoqa.distort import DistortionSpec, apply
 from stereoqa.fr import FR_METRICS
-from stereoqa.media import SequenceDescriptor, decode, load_map_series, load_sequence, \
+from stereoqa.media import Frame, SequenceDescriptor, StereoFrame, StereoSequence, decode, \
+    load_map_series, load_sequence, \
     read_json, save_map_series, save_sequence
 from stereoqa.nr import NR_METRICS
+from stereoqa.rng import SeededRng
 from stereoqa.saliency import baseline_vam
 
 from conftest import make_seq
@@ -169,6 +174,10 @@ def test_bad_descriptor_exit_1(desc_path, tmp_path, capsys, mangle, field):
                    id=f"{field}-1e308") for field in ("smooth_sigma", "motion_sigma")),
     pytest.param("score-fr", "ssim_s", '{"ssim_c1": 1e308}', "ssim_s: overflow",
                  id="ssim_c1-1e308"),
+    # the window check names the field it reads
+    *(pytest.param("score-fr", metric, '{"ssim_window": 65}',
+                   "ssim_window 65 is wider than the (64, 64) frame", id=f"{metric}-ssim_window-65")
+      for metric in ("ssim_s", "msssim_s")),
     pytest.param("score-fr", "hv3d_s", '{"hv3d_beta3": -1e10}', "hv3d_beta3 -10000000000.0",
                  id="hv3d_beta3-negative"),
     pytest.param("score-nr", "nospdm_s", '{"nospdm_gamma1": 1e10}',
@@ -188,6 +197,72 @@ def test_bad_config_exit_1(desc_path, tmp_path, capsys, command, metric, text, f
     # the line names the config file, whether decode or the run rejects the value
     assert err.startswith(f"error: {cfg}: ") and err.count("\n") == 1, err
     assert fragment in err, err
+
+
+@pytest.mark.parametrize("metric", ["oq_s", "ssim_s", "msssim_s"])
+def test_default_window_error_names_its_field(tmp_path, capsys, metric):
+    # the config never sets ssim_window; the error names that field, not a
+    # "smoothing size"
+    lumas = SeededRng(9).uniform(2 * 8 * 40).reshape(2, 8, 40) * 255.0
+    seq = StereoSequence(frames=[StereoFrame(left=Frame(luma=lumas[0]),
+                                             right=Frame(luma=lumas[1]))], fps=25.0)
+    desc = _write_fixture(tmp_path, "thin", seq)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"oq_b": 0.5}))
+    assert main(["score-fr", "--metric", metric, "--ref", desc, "--dist", desc,
+                 "--out", str(tmp_path / "r.json"), "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {cfg}: ssim_window 11 is wider than the (8, 40) frame\n", err
+
+
+def test_score_line_length_is_bounded(desc_path, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"oq_a": 1e308}))
+    out = tmp_path / "r.json"
+    assert main(["score-fr", "--metric", "oq_s", "--ref", desc_path, "--dist", desc_path,
+                 "--out", str(out), "--config", str(cfg)]) == 0
+    err = capsys.readouterr().err
+    score = read_json(str(out))["score"]
+    assert abs(score) > 1e300
+    assert err == f"oq_s: {score:.6g} (composite)\n", err
+    assert len(err) < 40
+
+
+_SCORE_RUN = """
+import os, sys
+if sys.argv[1] == "one-cpu":  # before stereoqa reads the CPUs it may use
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from stereoqa import kernels
+from stereoqa.cli import main
+print(kernels._WORKERS)
+for metric in ("hv3d_s", "flosim3d_s", "vif_s"):
+    assert main(["score-fr", "--metric", metric, "--ref", sys.argv[2], "--dist", sys.argv[3],
+                 "--saliency", "baseline", "--out",
+                 os.path.join(sys.argv[4], metric + ".json")]) == 0
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="needs sched_getaffinity")
+def test_one_cpu_reports_equal_the_default_run(tmp_path):
+    # 128 x 128 frames: the 2-D windows, the VIF windows and the VAM split by
+    # rows in the default run, and run whole on one CPU
+    ref = make_seq(107, frames=2, size=128)
+    dist = apply(ref, DistortionSpec(kind="awgn", params={"variance": 0.005}, seed=6))
+    ref_path = _write_fixture(tmp_path, "ref", ref)
+    dist_path = _write_fixture(tmp_path, "dist", dist)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(stereoqa.__file__)))
+    workers = {}
+    for run in ("default", "one-cpu"):
+        (tmp_path / run).mkdir()
+        out = subprocess.run([sys.executable, "-c", _SCORE_RUN, run, ref_path, dist_path,
+                              str(tmp_path / run)],
+                             env=env, capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        workers[run] = int(out.stdout)
+    assert workers == {"default": len(os.sched_getaffinity(0)), "one-cpu": 1}
+    for metric in ("hv3d_s", "flosim3d_s", "vif_s"):
+        default = (tmp_path / "default" / f"{metric}.json").read_bytes()
+        assert (tmp_path / "one-cpu" / f"{metric}.json").read_bytes() == default, metric
 
 
 @pytest.mark.parametrize("spec, field", [

@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -9,7 +12,8 @@ import scipy.ndimage
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stereoqa import fr, nr
+import stereoqa
+from stereoqa import fr, kernels, nr
 from stereoqa.distort import DistortionSpec, apply
 from stereoqa.errors import KernelTooLarge, ParamError, TooSmall
 from stereoqa.kernels import (
@@ -79,14 +83,17 @@ def test_downsample_constant_preserved():
     assert np.allclose(out, 42.0)
 
 
+def _downsample_direct(x):
+    # filters every row and column, then decimates
+    taps = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
+    low = scipy.ndimage.correlate1d(x, taps, axis=0, mode="nearest")
+    return scipy.ndimage.correlate1d(low, taps, axis=1, mode="nearest")[::2, ::2]
+
+
 @pytest.mark.parametrize("shape", [(2, 2), (3, 5), (33, 97), (270, 480), (271, 481)])
 def test_downsample_matches_full_passes(shape):
-    # the reference filters every row and column, then decimates
     image = np.random.RandomState(5).rand(*shape) * 255.0
-    taps = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
-    low = scipy.ndimage.correlate1d(image, taps, axis=0, mode="nearest")
-    low = scipy.ndimage.correlate1d(low, taps, axis=1, mode="nearest")
-    assert np.array_equal(downsample2(image), low[::2, ::2])
+    assert np.array_equal(downsample2(image), _downsample_direct(image))
 
 
 def test_downsample_too_small():
@@ -264,3 +271,132 @@ def test_window_wider_than_the_frame_fails_before_its_taps_are_built(call, field
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+# Row strips (kernels._by_rows): a split call equals the one scipy.ndimage call.
+
+def _convolve_case(name, kernel):
+    return pytest.param(lambda x: convolve2d(x, kernel),
+                        lambda x: scipy.ndimage.convolve(x, kernel.taps, mode="nearest"),
+                        kernel.taps.shape[0], id=name)
+
+
+def _smooth_case(size, sigma):
+    g = kernels._gaussian_taps(size, sigma, 1)
+
+    def direct(x):
+        low = scipy.ndimage.convolve1d(x, g, axis=0, mode="nearest")
+        return scipy.ndimage.convolve1d(low, g, axis=1, mode="nearest")
+
+    return pytest.param(lambda x: gaussian_smooth(x, size, sigma), direct, size,
+                        id=f"smooth-{size}")
+
+
+def _sobel_direct(x):
+    sobel_x = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
+    gx = scipy.ndimage.correlate(x, sobel_x, mode="nearest")
+    gy = scipy.ndimage.correlate(x, sobel_x.T, mode="nearest")
+    return gx, gy, np.sqrt(gx * gx + gy * gy)
+
+
+_STRIP_CASES = [
+    *(_convolve_case(f"gaussian-{n}", gaussian_kernel(n, n / 5.0)) for n in (3, 5, 9, 11, 17, 53)),
+    *(_smooth_case(n, n / 5.0) for n in (3, 5, 9, 11, 17, 53)),
+    _convolve_case("blur-4", gaussian_kernel(4, 4.0)),  # even: origin shifts by one
+    _smooth_case(4, 4.0),
+    _convolve_case("nr-box-5", Kernel2D(np.full((5, 5), 1.0 / 25.0))),
+    *(_convolve_case(f"probe-axis{axis}", nr._probe(7, axis)) for axis in (0, 1)),
+    *(_convolve_case(f"aqi-{d}", nr._aqi_kernel(d)) for d in (0, 45, 90, 135)),
+    pytest.param(downsample2, _downsample_direct, 2, id="downsample2"),
+    pytest.param(lambda x: tuple(sobel_gradient(x)[k] for k in ("gx", "gy", "magnitude")),
+                 _sobel_direct, 3, id="sobel_gradient"),
+]
+
+
+def _strip_images():
+    rng = SeededRng(17)
+    images = [rng.uniform(h * w).reshape(h, w) * 255.0
+              for h, w in ((33, 97), (40, 9), (7, 13), (55, 60), (61, 57), (2, 5))]
+    # strided views, as VIF passes its halved levels
+    images += [(rng.uniform(h * w).reshape(h, w) * 255.0)[::2, ::2]
+               for h, w in ((66, 194), (111, 121))]
+    return images
+
+
+_STRIP_IMAGES = _strip_images()
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4])
+@pytest.mark.parametrize("call, direct, side", _STRIP_CASES)
+def test_row_strips_equal_one_scipy_call(monkeypatch, workers, call, direct, side):
+    # odd heights, and strips shorter than their halo (55 rows in 4 strips
+    # under a 53-tap window, 7 rows in 4 strips under 3 to 7 taps)
+    monkeypatch.setattr(kernels, "_WORKERS", workers)
+    monkeypatch.setattr(kernels, "_SPLIT_WORK", 0)
+    submitted = []
+    executor = kernels._executor
+    monkeypatch.setattr(kernels, "_executor", lambda: submitted.append(1) or executor())
+    checked = 0
+    for image in _STRIP_IMAGES:
+        if min(image.shape) >= side:
+            got, want = call(image), direct(image)
+            assert np.array_equal(got, want), image.shape
+            checked += 1
+    assert checked and submitted
+
+
+@pytest.mark.parametrize("workers, split_work", [(1, 0), (4, kernels._SPLIT_WORK)])
+def test_one_worker_or_small_work_runs_whole(monkeypatch, workers, split_work):
+    # one usable CPU (taskset -c 0), or a call below the threshold: no strips
+    monkeypatch.setattr(kernels, "_WORKERS", workers)
+    monkeypatch.setattr(kernels, "_SPLIT_WORK", split_work)
+    monkeypatch.setattr(kernels, "_executor", lambda: pytest.fail("split a whole call"))
+    image = _STRIP_IMAGES[0]
+    assert np.array_equal(convolve2d(image, gaussian_kernel(3, 0.6)),
+                          scipy.ndimage.convolve(image, gaussian_kernel(3, 0.6).taps,
+                                                 mode="nearest"))
+    downsample2(image)
+    sobel_gradient(image)
+    gaussian_smooth(image, 3, 0.6)
+
+
+def test_workers_fall_back_to_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert kernels._usable_cpus() == (os.cpu_count() or 1)
+
+
+_FORK_CHILD = """
+import os, signal, sys, time, warnings
+import numpy as np
+from stereoqa import kernels
+
+kernels._WORKERS, kernels._SPLIT_WORK = 2, 0
+image = np.random.default_rng(0).random((64, 64))
+want = kernels.gaussian_smooth(image, 5, 1.0)  # starts the pool's thread
+assert kernels._pool is not None
+warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
+pid = os.fork()
+if pid == 0:
+    ok = np.array_equal(kernels.gaussian_smooth(image, 5, 1.0), want)
+    os._exit(0 if ok else 1)
+deadline = time.monotonic() + 20.0
+while time.monotonic() < deadline:
+    done, status = os.waitpid(pid, os.WNOHANG)
+    if done:
+        sys.exit(os.waitstatus_to_exitcode(status))
+    time.sleep(0.05)
+os.kill(pid, signal.SIGKILL)
+os.waitpid(pid, 0)
+sys.exit("the forked child did not finish its split call")
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_splits_on_a_new_pool():
+    # the inherited pool has no threads in the child; a split call there
+    # would wait forever without the at-fork reset
+    src = os.path.dirname(os.path.dirname(stereoqa.__file__))
+    out = subprocess.run([sys.executable, "-c", _FORK_CHILD],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
