@@ -2,8 +2,10 @@
 
 Border policy is edge replication everywhere so every metric sees the same
 boundary behavior.  DCTs are orthonormal (type II) so Parseval holds exactly.
-The filters run on row strips over the CPUs the process may use (_by_rows),
-with results bit-identical to one whole call.
+Every filter runs through _by_rows: a frame of _SPLIT_PIXELS pixels or more
+is cut into row strips over the CPUs the process may use, a smaller one is one
+strip on the calling thread, and either way the result is bit-identical to one
+whole scipy.ndimage call.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 import scipy.fft
@@ -33,12 +34,13 @@ def _usable_cpus() -> int:
 
 
 # Strips of one filter call run on this many threads, the calling one
-# included; 1 (e.g. under ``taskset -c 0``) runs every call whole.
+# included; 1 (e.g. under ``taskset -c 0``) runs every call as one strip.
 _WORKERS = _usable_cpus()
-# Multiply-adds (taps x input pixels) below which a call runs whole.  On 2
-# vCPUs handing a strip to the pool costs about 0.1-0.2 ms, and a split call
-# was faster from about 0.3-0.7 million multiply-adds up.
-_SPLIT_WORK = 400_000
+# Pixels from which a frame is split, whatever the taps.  On 2 vCPUs, with
+# every filter call of one pass of each benchmark workload timed whole and
+# split, this rule gave the total filter time of a multiply-add threshold to
+# within 1.3 % either way (see README, "Performance").
+_SPLIT_PIXELS = 2**14
 _pool = None
 _pool_lock = threading.Lock()
 
@@ -62,33 +64,24 @@ def _executor() -> ThreadPoolExecutor:
         return _pool
 
 
-def _by_rows(fn, image: np.ndarray, halo: int, taps: int, step: int = 1,
-             then=None) -> np.ndarray:
-    """Every ``step``-th row of ``fn(image, output=...)``, passed through
-    ``then(rows, output=...)`` when given.
+def _by_rows(filt, image: np.ndarray, taps: np.ndarray, step: int = 1) -> np.ndarray:
+    """Every ``step``-th row of ``image`` filtered by the scipy.ndimage
+    ``filt`` with ``taps`` and replicated borders.
 
-    ``fn`` is a scipy.ndimage filter with replicated borders that reaches
-    fewer than ``halo`` rows up or down; ``then`` filters along rows only.
-    Both run on row strips of ``image``, each with ``halo`` rows on either
-    side (fewer only at the frame's edge), and each strip keeps its own rows,
-    so every kept pixel sees the same taps in the same order as in one whole
-    call: the result is bit-identical.  A call of fewer than _SPLIT_WORK
-    multiply-adds (``taps`` per input pixel) runs whole on the calling
-    thread; a larger one runs _WORKERS strips at once, one on the calling
-    thread.  Pool threads run only these scipy calls, and every output and
-    scratch array is allocated here, on the calling thread."""
+    2-D taps run as one ``filt`` call; 1-D taps run down the columns, then
+    along the kept rows.  The image is cut into row strips, each with
+    ``taps.shape[0] // 2 + 1`` rows of halo on either side (fewer only at the
+    frame's edge), and each strip keeps its own rows, so every kept pixel
+    sees the same taps in the same order as in one whole call: the result is
+    bit-identical.  An image of _SPLIT_PIXELS pixels or more is _WORKERS
+    strips run at once, one on the calling thread; a smaller one is one strip
+    on the calling thread.  Pool threads run only these scipy calls, and
+    every output and scratch array is allocated here, on the calling
+    thread."""
+    halo = taps.shape[0] // 2 + 1
     rows = (image.shape[0] + step - 1) // step
     out = np.empty((rows, *image.shape[1:]))
-    n = min(_WORKERS, rows) if taps * image.size >= _SPLIT_WORK else 1
-    if n == 1:  # the whole image as one call
-        if then is None:
-            fn(image, output=out)
-        else:
-            whole = np.empty(image.shape)
-            fn(image, output=whole)
-            then(whole[::step], output=out)
-        return out
-
+    n = min(_WORKERS, rows) if image.size >= _SPLIT_PIXELS else 1
     cuts = [rows * k // n for k in range(n + 1)]
     strips = []
     for o0, o1 in zip(cuts, cuts[1:]):
@@ -98,11 +91,12 @@ def _by_rows(fn, image: np.ndarray, halo: int, taps: int, step: int = 1,
                        slice(o0 * step - s0, (o1 - 1) * step - s0 + 1, step), out[o0:o1]))
 
     def run(strip, scratch, own, target):
-        fn(strip, output=scratch)
-        if then is None:
+        if taps.ndim == 2:
+            filt(strip, taps, output=scratch, mode="nearest")
             target[...] = scratch[own]
         else:
-            then(scratch[own], output=target)
+            filt(strip, taps, axis=0, output=scratch, mode="nearest")
+            filt(scratch[own], taps, axis=1, output=target, mode="nearest")
 
     futures = [_executor().submit(run, *strip) for strip in strips[1:]]
     run(*strips[0])
@@ -113,7 +107,8 @@ def _by_rows(fn, image: np.ndarray, halo: int, taps: int, step: int = 1,
 
 @dataclass
 class Kernel2D:
-    """K x K tap array; even K is allowed for the literal size-4 blur."""
+    """2-D tap array: K x K, or one line of taps for the nrpbm_s probe; an
+    even side is allowed for the literal size-4 blur."""
 
     taps: np.ndarray
 
@@ -160,9 +155,8 @@ def convolve2d(image: np.ndarray, kernel: Kernel2D) -> np.ndarray:
     """Same-size 2-D convolution with replicated borders."""
     image = np.asarray(image, dtype=np.float64)
     taps = kernel.taps
-    _check_window(taps.shape[0], image.shape, f"kernel {taps.shape}")
-    return _by_rows(partial(scipy.ndimage.convolve, weights=taps, mode="nearest"),
-                    image, taps.shape[0] // 2 + 1, np.count_nonzero(taps))
+    _check_window(max(taps.shape), image.shape, f"kernel {taps.shape}")
+    return _by_rows(scipy.ndimage.convolve, image, taps)
 
 
 def gaussian_smooth(image: np.ndarray, size: int, sigma: float) -> np.ndarray:
@@ -173,11 +167,7 @@ def gaussian_smooth(image: np.ndarray, size: int, sigma: float) -> np.ndarray:
     """
     image = np.asarray(image, dtype=np.float64)
     _check_window(size, image.shape, f"smoothing size {size}")
-    g = _gaussian_taps(size, sigma, 1)
-    return _by_rows(partial(scipy.ndimage.convolve1d, weights=g, axis=0, mode="nearest"),
-                    image, size // 2 + 1, 2 * size,
-                    then=partial(scipy.ndimage.convolve1d, weights=g, axis=1,
-                                 mode="nearest"))
+    return _by_rows(scipy.ndimage.convolve1d, image, _gaussian_taps(size, sigma, 1))
 
 
 def downsample2(image: np.ndarray) -> np.ndarray:
@@ -190,11 +180,7 @@ def downsample2(image: np.ndarray) -> np.ndarray:
     image = np.asarray(image, dtype=np.float64)
     if image.shape[0] < 2 or image.shape[1] < 2:
         raise TooSmall(f"cannot halve image of shape {image.shape}")
-    binomial = partial(scipy.ndimage.correlate1d, weights=_BINOMIAL5, mode="nearest")
-    # about 7 multiply-adds per input pixel: 5 on every row, 5 more on every second
-    low = _by_rows(partial(binomial, axis=0), image, _BINOMIAL5.size // 2 + 1, 7,
-                   step=2, then=partial(binomial, axis=1))
-    return low[:, ::2]
+    return _by_rows(scipy.ndimage.correlate1d, image, _BINOMIAL5, step=2)[:, ::2]
 
 
 def pyramid(image: np.ndarray, levels: int) -> list[np.ndarray]:
@@ -236,7 +222,5 @@ def sobel_gradient(image: np.ndarray) -> dict:
     image = np.asarray(image, dtype=np.float64)
     if image.shape[0] < 3 or image.shape[1] < 3:
         raise TooSmall("needs at least a 3x3 image")
-    gx, gy = (_by_rows(partial(scipy.ndimage.correlate, weights=taps, mode="nearest"),
-                       image, taps.shape[0] // 2 + 1, np.count_nonzero(taps))
-              for taps in (_SOBEL_X, _SOBEL_Y))
+    gx, gy = (_by_rows(scipy.ndimage.correlate, image, taps) for taps in (_SOBEL_X, _SOBEL_Y))
     return {"gx": gx, "gy": gy, "magnitude": np.sqrt(gx * gx + gy * gy)}

@@ -279,8 +279,8 @@ def load_sequence(desc: SequenceDescriptor) -> StereoSequence:
 
 
 def _samples8(plane: np.ndarray) -> np.ndarray:
-    """The 8-bit samples a stored stream holds for ``plane``: clipped to
-    [0, 255] and rounded half up."""
+    """The 8-bit samples stored for ``plane`` in streams and PGM maps:
+    clipped to [0, 255] and rounded half up."""
     return np.floor(np.clip(plane, 0.0, 255.0) + 0.5).astype(np.uint8)
 
 
@@ -354,10 +354,9 @@ def save_frame_pgm(values: np.ndarray, path: str) -> None:
     values = np.asarray(values, dtype=np.float64)
     _check_range("map", values, 0.0, 1.0)
     h, w = values.shape
-    payload = np.floor(values * 255.0 + 0.5).astype(np.uint8)
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode())
-        fh.write(payload.tobytes())
+        fh.write(_samples8(values * 255.0).tobytes())
 
 
 def map_name(index: int) -> str:

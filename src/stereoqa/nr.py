@@ -111,12 +111,10 @@ def gbim_s(luma, s, cfg):
 
 
 def _probe(n: int, axis: int) -> Kernel2D:
-    # box probe of n pixels along `axis`, embedded in an n x n kernel for convolve2d
-    line = [n // 2, n // 2]
-    line[axis] = slice(None)
-    taps = np.zeros((n, n))
-    taps[tuple(line)] = 1.0 / n
-    return Kernel2D(taps)
+    # box probe of n pixels along `axis`: a 1 x n or n x 1 window
+    shape = [1, 1]
+    shape[axis] = n
+    return Kernel2D(np.full(shape, 1.0 / n))
 
 
 @_nr("lower_better")

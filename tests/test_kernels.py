@@ -255,13 +255,15 @@ _IMAGE = _SEQ.frames[0].left.luma
 
 @pytest.mark.parametrize("call, field", [
     (lambda: convolve2d(_IMAGE, Kernel2D(np.ones((65, 65)))), "kernel (65, 65)"),
+    (lambda: convolve2d(_IMAGE, Kernel2D(np.ones((1, 65)))), "kernel (1, 65)"),
     (lambda: gaussian_smooth(_IMAGE, 10**12, 1.0), "smoothing size 1000000000000"),
     (lambda: fr.vif_s(_SEQ, _SEQ, cfg=fr.FrMetricConfig(vif_scales=10**6)), "vif_scales 1000000"),
     (lambda: nr.nrpbm_s(_SEQ, cfg=nr.NrMetricConfig(nrpbm_probe=10**12)),
      "nrpbm_probe 1000000000000"),
     (lambda: apply(_SEQ, DistortionSpec(kind="gaussian_blur", params={"size": 10**12})),
      "blur size 1000000000000"),
-], ids=["convolve2d", "gaussian_smooth", "vif_s", "nrpbm_s", "gaussian_blur"])
+], ids=["convolve2d", "convolve2d-line", "gaussian_smooth", "vif_s", "nrpbm_s",
+        "gaussian_blur"])
 def test_window_wider_than_the_frame_fails_before_its_taps_are_built(call, field):
     tracemalloc.start()
     try:
@@ -278,7 +280,7 @@ def test_window_wider_than_the_frame_fails_before_its_taps_are_built(call, field
 def _convolve_case(name, kernel):
     return pytest.param(lambda x: convolve2d(x, kernel),
                         lambda x: scipy.ndimage.convolve(x, kernel.taps, mode="nearest"),
-                        kernel.taps.shape[0], id=name)
+                        max(kernel.taps.shape), id=name)
 
 
 def _smooth_case(size, sigma):
@@ -332,7 +334,7 @@ def test_row_strips_equal_one_scipy_call(monkeypatch, workers, call, direct, sid
     # odd heights, and strips shorter than their halo (55 rows in 4 strips
     # under a 53-tap window, 7 rows in 4 strips under 3 to 7 taps)
     monkeypatch.setattr(kernels, "_WORKERS", workers)
-    monkeypatch.setattr(kernels, "_SPLIT_WORK", 0)
+    monkeypatch.setattr(kernels, "_SPLIT_PIXELS", 0)
     submitted = []
     executor = kernels._executor
     monkeypatch.setattr(kernels, "_executor", lambda: submitted.append(1) or executor())
@@ -345,11 +347,12 @@ def test_row_strips_equal_one_scipy_call(monkeypatch, workers, call, direct, sid
     assert checked and submitted
 
 
-@pytest.mark.parametrize("workers, split_work", [(1, 0), (4, kernels._SPLIT_WORK)])
-def test_one_worker_or_small_work_runs_whole(monkeypatch, workers, split_work):
-    # one usable CPU (taskset -c 0), or a call below the threshold: no strips
+@pytest.mark.parametrize("workers, split_pixels", [(1, 0), (4, kernels._SPLIT_PIXELS)])
+def test_one_worker_or_small_work_runs_whole(monkeypatch, workers, split_pixels):
+    # one usable CPU (taskset -c 0), or a frame below the threshold: no strips,
+    # however many taps (121 on 60 x 80 was split by a multiply-add count)
     monkeypatch.setattr(kernels, "_WORKERS", workers)
-    monkeypatch.setattr(kernels, "_SPLIT_WORK", split_work)
+    monkeypatch.setattr(kernels, "_SPLIT_PIXELS", split_pixels)
     monkeypatch.setattr(kernels, "_executor", lambda: pytest.fail("split a whole call"))
     image = _STRIP_IMAGES[0]
     assert np.array_equal(convolve2d(image, gaussian_kernel(3, 0.6)),
@@ -358,6 +361,22 @@ def test_one_worker_or_small_work_runs_whole(monkeypatch, workers, split_work):
     downsample2(image)
     sobel_gradient(image)
     gaussian_smooth(image, 3, 0.6)
+    wide = gaussian_kernel(11, 1.5)
+    frame = SeededRng(60).uniform(60 * 80).reshape(60, 80) * 255.0
+    assert np.array_equal(convolve2d(frame, wide),
+                          scipy.ndimage.convolve(frame, wide.taps, mode="nearest"))
+
+
+def test_large_frames_split_at_the_default_threshold(monkeypatch):
+    # a frame this size splits whatever the taps; a multiply-add count of
+    # 7 per pixel ran this downsample2 whole
+    monkeypatch.setattr(kernels, "_WORKERS", 2)
+    submitted = []
+    executor = kernels._executor
+    monkeypatch.setattr(kernels, "_executor", lambda: submitted.append(1) or executor())
+    image = SeededRng(135).uniform(135 * 240).reshape(135, 240) * 255.0
+    assert np.array_equal(downsample2(image), _downsample_direct(image))
+    assert submitted
 
 
 def test_workers_fall_back_to_the_cpu_count(monkeypatch):
@@ -370,7 +389,7 @@ import os, signal, sys, time, warnings
 import numpy as np
 from stereoqa import kernels
 
-kernels._WORKERS, kernels._SPLIT_WORK = 2, 0
+kernels._WORKERS, kernels._SPLIT_PIXELS = 2, 0
 image = np.random.default_rng(0).random((64, 64))
 want = kernels.gaussian_smooth(image, 5, 1.0)  # starts the pool's thread
 assert kernels._pool is not None

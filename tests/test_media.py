@@ -99,12 +99,24 @@ def test_sequence_round_trip_gray8(tmp_path, tiny_seq):
         assert np.abs(a.right.luma - b.right.luma).max() <= 0.5
 
 
-def test_save_rounds_half_up(tmp_path):
+def _stream_sample(tmp_path):
     seq = make_seq(5, frames=1, size=8)
     seq.frames[0].left.luma[:] = 10.5
     desc = save_sequence(seq, str(tmp_path / "l.raw"), str(tmp_path / "r.raw"))
-    back = load_sequence(desc)
-    assert back.frames[0].left.luma[0, 0] == 11.0
+    return load_sequence(desc).frames[0].left.luma[0, 0]
+
+
+def _pgm_sample(tmp_path):
+    path = tmp_path / "m.pgm"
+    save_frame_pgm(np.full((4, 4), 0.5), str(path))
+    return path.read_bytes()[-1]
+
+
+@pytest.mark.parametrize("write, want", [(_stream_sample, 11), (_pgm_sample, 128)],
+                         ids=["stream", "pgm"])
+def test_save_rounds_half_up(tmp_path, write, want):
+    # 10.5 and 0.5 * 255 = 127.5 both round up
+    assert write(tmp_path) == want
 
 
 def test_descriptor_json_round_trip(tmp_path, tiny_seq):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.ndimage
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -17,7 +18,7 @@ from stereoqa.errors import (
     RangeError,
     TooSmall,
 )
-from stereoqa.kernels import sobel_gradient
+from stereoqa.kernels import convolve2d, sobel_gradient
 from stereoqa.nr import NR_METRICS, NrMetricConfig
 from stereoqa.saliency import SaliencyMap, baseline_vam, uniform_series
 
@@ -82,6 +83,21 @@ def test_nospdm_frame_without_boundary_is_too_small(h, w):
 def test_nrpbm_flat_frame_zero():
     seq = flat_seq(90.0, frames=1, size=32)
     assert nr.nrpbm_s(seq).score == 0.0
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 9])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_nrpbm_probe_equals_its_square_kernel(n, axis):
+    # the probe was an n x n kernel that is zero off its center line
+    square = np.zeros((n, n))
+    line = [n // 2, n // 2]
+    line[axis] = slice(None)
+    square[tuple(line)] = 1.0 / n
+    rng = np.random.RandomState(n)
+    for shape in ((9, 9), (17, 23), (40, 9), (64, 64)):
+        image = rng.rand(*shape) * 255.0
+        assert np.array_equal(convolve2d(image, nr._probe(n, axis)),
+                              scipy.ndimage.convolve(image, square, mode="nearest")), shape
 
 
 def test_nrpbm_blur_raises_score():
