@@ -8,6 +8,8 @@ output so the run can be replayed byte for byte.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import os
 import sys
 
@@ -29,6 +31,27 @@ from .stats import MosTable, SubjectiveTable, emit_report, performance, \
 
 # disparity maps are stored on the unit scale: pgm value * scale = disparity
 _DISPARITY_SCALE = DisparityConfig().search_range
+# glibc mallopt parameters, and the largest mmap threshold it takes on 64-bit
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_MAX = 32 * 2**20
+_TRIM_THRESHOLD = 256 * 2**20
+
+
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Let glibc keep freed heap mapped, so that the frame-sized float64
+    temporaries of the next filter or metric reuse pages that are already
+    faulted in: arrays below 32 MiB come from the heap, and the heap is
+    trimmed only when 256 MiB or more is free at its top.  Runs once per
+    process, from main only, so importing stereoqa leaves the host's
+    allocator alone; without glibc's mallopt it does nothing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no C library handle
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
 def _load_config(path, cls):
@@ -267,6 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _keep_freed_memory()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

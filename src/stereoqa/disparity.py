@@ -99,7 +99,7 @@ def estimate_disparity(pair: StereoFrame, cfg: DisparityConfig | None = None) ->
     # each pixel takes the last block in anchor order that covers it
     y_cover = np.searchsorted(y_anchors, np.arange(h), side="right") - 1
     x_cover = np.searchsorted(x_anchors, np.arange(w), side="right") - 1
-    return DisparityMap(_median3x3(best[y_cover[:, None], x_cover[None, :]]))
+    return DisparityMap(_median3x3(best[y_cover][:, x_cover]))
 
 
 def estimate_disparity_series(seq, cfg: DisparityConfig | None = None) -> list[DisparityMap]:

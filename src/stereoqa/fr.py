@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .disparity import disparity_to_depth
 from .errors import NeedsTemporalContext, ParamError, TooSmall
@@ -254,10 +255,7 @@ def ciq_s(c, cfg):
 
 def _gather_blocks(image: np.ndarray, anchors: np.ndarray, size: int) -> np.ndarray:
     """(n, size, size) blocks of `image` at the (n, 2) array of (y0, x0)."""
-    offs = np.arange(size)
-    rows = anchors[:, 0, None, None] + offs[:, None]
-    cols = anchors[:, 1, None, None] + offs
-    return image[rows, cols]
+    return sliding_window_view(image, (size, size))[anchors[:, 0], anchors[:, 1]]
 
 
 def _block_grid(h: int, w: int, size: int) -> np.ndarray:

@@ -17,6 +17,7 @@ from .kernels import gaussian_smooth, pyramid
 from .media import StereoSequence, _check_range, _maps, load_map_series
 
 FLAT_GUARD = 1e-12
+_SUBNORMAL_SCALE = 2.0**-1000
 
 
 @dataclass
@@ -65,6 +66,11 @@ def weighted_spatial_mean(f: np.ndarray, w: np.ndarray) -> float:
     total = w.sum()
     if total <= 0:
         raise DegenerateSaliency("saliency weights sum to zero")
+    if total < _SUBNORMAL_SCALE and np.abs(w).max() < _SUBNORMAL_SCALE:
+        # f * w rounds subnormal weights away; scaling by a power of two is
+        # exact and leaves the ratio as it is
+        w = w / _SUBNORMAL_SCALE
+        total = w.sum()
     return float((f * w).sum() / total)
 
 
@@ -97,21 +103,48 @@ def load_external_saliency(dir_path: str, seq: StereoSequence) -> list[SaliencyM
     return [normalize_map(m, "external") for m in maps]
 
 
+def _repeat(n: int, size: int) -> int:
+    """How many times _upsample_to repeats each of ``n`` samples to fill ``size``."""
+    return -(-size // n)
+
+
+def _upsample_at(small: np.ndarray, shape, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Rows ``ys`` and columns ``xs`` of _upsample_to(small, shape): two 1-D takes."""
+    (h, w), (height, width) = small.shape, shape
+    return small[ys // _repeat(h, height)][:, xs // _repeat(w, width)]
+
+
 def _upsample_to(small: np.ndarray, shape) -> np.ndarray:
-    fy = -(-shape[0] // small.shape[0])
-    fx = -(-shape[1] // small.shape[1])
-    big = np.repeat(np.repeat(small, fy, axis=0), fx, axis=1)
-    return big[: shape[0], : shape[1]]
+    """``small`` with each sample repeated ceil(H / h) times down and
+    ceil(W / w) times across, cropped to ``shape`` (H, W)."""
+    return _upsample_at(small, shape, np.arange(shape[0]), np.arange(shape[1]))
 
 
-def _center_surround(channel: np.ndarray, pairs) -> np.ndarray:
-    max_level = max((s for _, s in pairs), default=0)
-    pyr = pyramid(channel, max_level + 1)
-    acc = np.zeros_like(channel)
+def _run_grid(shape, level_shapes):
+    """``(firsts, runs)``, each a (rows, columns) pair: the first pixel of
+    each run of pixels on which _upsample_to repeats one sample of every
+    level in ``level_shapes``, and the run that holds each pixel.  A map
+    that reads those levels only through _upsample_to equals
+    ``grid[ry][:, rx]``, where ``grid`` is its values at the firsts."""
+    firsts, runs = [], []
+    for axis, size in enumerate(shape):
+        starts = np.unique(np.concatenate(
+            [[0]] + [np.arange(0, size, _repeat(level[axis], size)) for level in level_shapes]))
+        firsts.append(starts)
+        runs.append(np.searchsorted(starts, np.arange(size), side="right") - 1)
+    return firsts, runs
+
+
+def _center_surround(pyr, pairs, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Sum over the (c, s) ``pairs`` of |up(pyr[c]) - up(pyr[s])|, where up
+    is _upsample_to the shape of ``pyr[0]``, at rows ``ys`` and columns
+    ``xs`` only: the firsts of the run grid of those levels (see _run_grid),
+    so each cell takes the samples, and so the value, of every pixel of its
+    run.  Every s is below ``len(pyr)``."""
+    shape = pyr[0].shape
+    acc = np.zeros((len(ys), len(xs)))
     for c, s in pairs:
-        if s >= len(pyr):
-            continue
-        acc += np.abs(_upsample_to(pyr[c], channel.shape) - _upsample_to(pyr[s], channel.shape))
+        acc += np.abs(_upsample_at(pyr[c], shape, ys, xs) - _upsample_at(pyr[s], shape, ys, xs))
     return acc
 
 
@@ -137,24 +170,31 @@ def baseline_vam(seq: StereoSequence, disparity_series=None,
     if disparity_series is not None:
         w_depth = cfg.w_depth
         d_series = _maps(disparity_series, DisparityMap, len(seq), shape, "disparity_series")
+    levels = max((s for _, s in cfg.center_surround_pairs), default=0) + 1
     maps = []
     prev_luma = None
     for t, frame in enumerate(seq.frames):
         luma = frame.left.luma
-        f_int = _center_surround(luma, cfg.center_surround_pairs)
-        f_col = np.zeros(shape)
+        pyr = pyramid(luma, levels)
+        pairs = [(c, s) for c, s in cfg.center_surround_pairs if s < len(pyr)]
+        # every channel's pyramid has the level shapes of the luma's
+        firsts, (ry, rx) = _run_grid(shape, [pyr[level].shape for pair in pairs for level in pair])
+        f_int = _center_surround(pyr, pairs, *firsts)
+        f_col = np.zeros(f_int.shape)
         if frame.left.chroma_u is not None:
             for chroma in (frame.left.chroma_u, frame.left.chroma_v):
                 opp = _upsample_to(np.abs(chroma - 128.0), shape)
-                f_col += _center_surround(opp, cfg.center_surround_pairs)
+                f_col += _center_surround(pyramid(opp, levels), pairs, *firsts)
         if prev_luma is None:
             f_mot = np.zeros(shape)
         else:
             f_mot = _smooth(np.abs(luma - prev_luma), cfg.motion_sigma)
         prev_luma = luma
-        combined = (cfg.w_intensity * normalize_map(f_int).values
-                    + cfg.w_color * normalize_map(f_col).values
-                    + cfg.w_motion * normalize_map(f_mot).values)
+        # on the grid: normalize_map sees every cell in the frame, so the
+        # same min and max; then one expansion, and the rest at full size
+        fused = (cfg.w_intensity * normalize_map(f_int).values
+                 + cfg.w_color * normalize_map(f_col).values)
+        combined = fused[ry][:, rx] + cfg.w_motion * normalize_map(f_mot).values
         if w_depth > 0:
             combined = combined + w_depth * normalize_map(d_series[t]).values
         maps.append(normalize_map(_smooth(combined, smooth_sigma), "baseline"))

@@ -1,3 +1,4 @@
+import ctypes
 import json
 import os
 import pathlib
@@ -263,6 +264,44 @@ def test_one_cpu_reports_equal_the_default_run(tmp_path):
     for metric in ("hv3d_s", "flosim3d_s", "vif_s"):
         default = (tmp_path / "default" / f"{metric}.json").read_bytes()
         assert (tmp_path / "one-cpu" / f"{metric}.json").read_bytes() == default, metric
+
+
+_FAULT_RUN = """
+import resource
+import numpy as np
+from stereoqa import cli
+assert cli._keep_freed_memory.cache_info().currsize == 0  # not at import
+assert cli.main(["info"]) == 2  # a usage error, after the set-up
+assert cli._keep_freed_memory.cache_info().currsize == 1
+
+def rounds(n):  # six frame-sized temporaries per round, as a metric makes them
+    for _ in range(n):
+        arrays = [np.ones((270, 480)) for _ in range(6)]
+        del arrays
+
+rounds(1)  # the first round faults the heap in
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+rounds(20)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def _has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="needs glibc mallopt")
+def test_main_keeps_freed_memory():
+    # without the set-up, glibc unmaps or trims each freed 1 MB array and
+    # faults it in again: about 30,000 minor faults over these 20 rounds
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(stereoqa.__file__)))
+    out = subprocess.run([sys.executable, "-c", _FAULT_RUN], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout) < 100
 
 
 @pytest.mark.parametrize("spec, field", [

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -61,6 +61,9 @@ def test_weighted_mean_constant_reduces_to_mean(f, c):
     hnp.arrays(np.float64, (5, 5), elements=st.floats(-50, 50)),
     hnp.arrays(np.float64, (5, 5), elements=st.floats(0, 10)),
 )
+# subnormal weights: 1.5 * 5e-324 rounds to 1e-323, so the mean was 2.0
+@example(np.full((5, 5), 1.5), np.full((5, 5), 5e-324))
+@example(np.full((5, 5), 1.5), np.where(np.eye(5) > 0, 5e-324, 0.0))
 def test_weighted_mean_bounded_by_extremes(f, s):
     if s.sum() <= 0:
         return
@@ -183,3 +186,96 @@ def test_baseline_vam_matches_2d_smoothing(seq, monkeypatch):
     for g, r in zip(got, want):
         np.testing.assert_allclose(g.values, r.values, rtol=0,
                                    atol=1e-12 * np.abs(r.values).max())
+
+
+def _upsample_by_repeat(small, shape):
+    fy = -(-shape[0] // small.shape[0])
+    fx = -(-shape[1] // small.shape[1])
+    big = np.repeat(np.repeat(small, fy, axis=0), fx, axis=1)
+    return big[: shape[0], : shape[1]]
+
+
+def _center_surround_full(channel, pairs):
+    pyr = saliency.pyramid(channel, max((s for _, s in pairs), default=0) + 1)
+    acc = np.zeros_like(channel)
+    for c, s in pairs:
+        if s >= len(pyr):
+            continue
+        acc += np.abs(_upsample_by_repeat(pyr[c], channel.shape)
+                      - _upsample_by_repeat(pyr[s], channel.shape))
+    return acc
+
+
+def vam_full_frame(seq, disparity_series=None, cfg=None):
+    """baseline_vam with every channel upsampled to the frame and subtracted
+    there: the reference for the VAM that works on its run grid."""
+    cfg = cfg or VamConfig()
+    shape = (seq.height, seq.width)
+    smooth_sigma = cfg.smooth_sigma if cfg.smooth_sigma is not None else min(shape) / 32.0
+    maps = []
+    prev_luma = None
+    for t, frame in enumerate(seq.frames):
+        luma = frame.left.luma
+        f_int = _center_surround_full(luma, cfg.center_surround_pairs)
+        f_col = np.zeros(shape)
+        if frame.left.chroma_u is not None:
+            for chroma in (frame.left.chroma_u, frame.left.chroma_v):
+                opp = _upsample_by_repeat(np.abs(chroma - 128.0), shape)
+                f_col += _center_surround_full(opp, cfg.center_surround_pairs)
+        if prev_luma is None:
+            f_mot = np.zeros(shape)
+        else:
+            f_mot = saliency._smooth(np.abs(luma - prev_luma), cfg.motion_sigma)
+        prev_luma = luma
+        combined = (cfg.w_intensity * normalize_map(f_int).values
+                    + cfg.w_color * normalize_map(f_col).values
+                    + cfg.w_motion * normalize_map(f_mot).values)
+        if disparity_series is not None:
+            combined = combined + cfg.w_depth * normalize_map(disparity_series[t].values).values
+        maps.append(normalize_map(saliency._smooth(combined, smooth_sigma), "baseline"))
+    return maps
+
+
+def _seq_in_format(seed, h, w, fmt, frames=2):
+    rng = SeededRng(seed)
+    chroma = {"gray8": None, "yuv420": (h // 2, w // 2), "yuv444": (h, w)}[fmt]
+    out = []
+    for _ in range(frames):
+        views = []
+        for _ in range(2):
+            luma = np.floor(rng.uniform(h * w).reshape(h, w) * 256.0)
+            u = v = None
+            if chroma:
+                u, v = (np.floor(rng.uniform(chroma[0] * chroma[1]).reshape(chroma) * 256.0)
+                        for _ in range(2))
+            views.append(Frame(luma=luma, chroma_u=u, chroma_v=v))
+        out.append(StereoFrame(left=views[0], right=views[1]))
+    return StereoSequence(frames=out, fps=25.0)
+
+
+@pytest.mark.parametrize("pairs", [None, ((0, 1),), (), ((1, 9),), ((0, 2), (1, 4), (3, 7))],
+                         ids=["default", "0-1", "none", "1-9", "three"])
+@pytest.mark.parametrize("fmt", ["gray8", "yuv420", "yuv444"])
+@pytest.mark.parametrize("h, w", [(8, 8), (9, 8), (8, 9), (8, 40), (17, 23), (33, 97),
+                                  (40, 11), (64, 64), (71, 130), (270, 480)])
+def test_baseline_vam_equals_full_frame_channels(h, w, fmt, pairs):
+    # (1, 9) is past the pyramid's depth at every size but 270x480; the
+    # yuv444 cases also carry a depth channel
+    seq = _seq_in_format(h * 1000 + w, h, w, fmt)
+    cfg = VamConfig() if pairs is None else VamConfig(center_surround_pairs=pairs)
+    d = None
+    if fmt == "yuv444":
+        d = [DisparityMap(np.floor(SeededRng(w).uniform(h * w).reshape(h, w) * 20.0))
+             for _ in range(2)]
+    got = baseline_vam(seq, disparity_series=d, cfg=cfg)
+    want = vam_full_frame(seq, disparity_series=d, cfg=cfg)
+    assert len(got) == len(want) == 2
+    for g, r in zip(got, want):
+        assert np.array_equal(g.values, r.values)
+
+
+def test_upsample_to_repeats_each_sample():
+    small = np.arange(20.0).reshape(4, 5)
+    for shape in ((4, 5), (7, 9), (8, 10), (9, 11), (12, 30)):
+        assert np.array_equal(saliency._upsample_to(small, shape),
+                              _upsample_by_repeat(small, shape))
