@@ -72,7 +72,7 @@ def estimate_disparity(pair: StereoFrame, cfg: DisparityConfig | None = None) ->
     block in row-major order sets the pixels.
     """
     cfg = cfg or DisparityConfig()
-    h, w = pair.left.luma.shape
+    h, w = pair.left.shape
     if h < cfg.block or w < cfg.block:
         raise ParamError("frame smaller than the matching block")
     if w < cfg.search_range + cfg.block:
@@ -83,7 +83,7 @@ def estimate_disparity(pair: StereoFrame, cfg: DisparityConfig | None = None) ->
     rows = y_anchors[:, None] + offs
     cols = x_anchors[:, None] + offs
     # the rows of every block row, (y blocks, block, w), in 8-bit samples
-    left, right = (_samples8(f.luma).astype(np.int16)[rows] for f in (pair.left, pair.right))
+    left, right = (_samples8(f.planes[0]).astype(np.int16)[rows] for f in (pair.left, pair.right))
     # one |L - shift(R, d)| plane per candidate d, summed over every block at
     # once: int32 column sums (at most 255 * block) and int64 block totals
     costs = np.empty((cfg.search_range + 1, len(y_anchors), len(x_anchors)), np.int64)

@@ -124,13 +124,13 @@ def apply(seq: StereoSequence, spec: DistortionSpec) -> StereoSequence:
             if not wanted:
                 views[name] = frame
                 continue
-            region = _region_slices(spec, frame.luma.shape)
+            region = _region_slices(spec, frame.shape)
+            luma = frame.luma
             with numeric_errors(spec.kind):
-                values = _DISTORTIONS[spec.kind][0](frame.luma, region, spec.params,
+                values = _DISTORTIONS[spec.kind][0](luma, region, spec.params,
                                                     spec.seed + 2 * t + v)
-            luma = frame.luma.copy()
+            luma = luma.copy()
             luma[region] = np.clip(values, 0.0, 255.0)
-            views[name] = Frame(luma=luma, chroma_u=frame.chroma_u,
-                                chroma_v=frame.chroma_v)
+            views[name] = Frame(luma, *frame.planes[1:])
         frames.append(StereoFrame(left=views["left"], right=views["right"]))
     return StereoSequence(frames=frames, fps=seq.fps)

@@ -99,12 +99,12 @@ def _ssim(moments, cfg: FrMetricConfig):
 def _ssim_map(x, y, cfg: FrMetricConfig) -> np.ndarray:
     _check_window(cfg.ssim_window, x.shape, f"ssim_window {cfg.ssim_window}")
     return _ssim(_raw_moments(
-        x, y, lambda a: gaussian_smooth(a, cfg.ssim_window, cfg.ssim_sigma)), cfg)
+        x, y, lambda a: gaussian_smooth(a, cfg.ssim_window, cfg.ssim_sigma, "ssim_sigma")), cfg)
 
 
 # hv3d_s/flosim3d_s amplify reordered round-off past 1e-12; ROADMAP item 2 deletes this
-def _smooth_2d(image: np.ndarray, size: int, sigma: float) -> np.ndarray:
-    return convolve2d(image, gaussian_kernel(size, sigma))
+def _smooth_2d(image: np.ndarray, size: int, sigma: float, what: str = "sigma") -> np.ndarray:
+    return convolve2d(image, gaussian_kernel(size, sigma, what))
 
 
 def _psnr_from_mse(mse: float, cap: float) -> float:
@@ -129,7 +129,7 @@ def ssim_s(x, y, s, cfg):
 def _msssim_frame(x: np.ndarray, y: np.ndarray, s: np.ndarray,
                   cfg: FrMetricConfig, flags: list, smooth=None) -> float:
     """MS-SSIM of x and y pooled by s; fewer than 5 scales adds the flag
-    ``scales_reduced:N`` to ``flags``.  ``smooth(image, size, sigma)`` is the
+    ``scales_reduced:N`` to ``flags``.  ``smooth(image, size, sigma, what)`` is the
     local mean window; None means this module's gaussian_smooth, looked up
     at each call."""
     smooth = smooth or gaussian_smooth
@@ -149,7 +149,7 @@ def _msssim_frame(x: np.ndarray, y: np.ndarray, s: np.ndarray,
     score = 1.0
     for m, (x_m, y_m, s_m) in enumerate(zip(x_levels, pyramid(y, scales), s_levels)):
         mu_x, mu_y, var_x, var_y, cov = _raw_moments(
-            x_m, y_m, lambda a: smooth(a, cfg.ssim_window, cfg.ssim_sigma))
+            x_m, y_m, lambda a: smooth(a, cfg.ssim_window, cfg.ssim_sigma, "ssim_sigma"))
         cs_map = (2.0 * cov + c2) / (var_x + var_y + c2)
         term = max(weighted_spatial_mean(cs_map, s_m), 0.0) ** weights[m]
         if m == scales - 1:  # luminance enters at the coarsest scale only
@@ -283,7 +283,7 @@ def _structure_errors(ref_t: StereoFrame, dist_t: StereoFrame, d_values: np.ndar
                       cfg: FrMetricConfig):
     """Per 4x4 block: CSF-masked squared difference of 3D-DCT coefficients,
     taken as the 3D-DCT of the block differences (the DCT is linear)."""
-    h, w = ref_t.left.luma.shape
+    h, w = ref_t.left.shape
     anchors = _block_grid(h, w, 4)
     matched = _matched_anchors(anchors, d_values, 4, w)
 
@@ -338,7 +338,7 @@ def hv3d_s(c, cfg):
     """Product of fused-block SSIM, disparity VIF, and the saliency-weighted
     block variance ratio of the reference disparity map."""
     b = cfg.hv3d_block
-    h, w = c.ref.left.luma.shape
+    h, w = c.ref.left.shape
     anchors = _block_grid(h, w, b)
     dr, dd = c.d_ref, c.d_dist
 

@@ -113,17 +113,17 @@ class Kernel2D:
     taps: np.ndarray
 
 
-def _gaussian_taps(size: int, sigma: float, dims: int) -> np.ndarray:
+def _gaussian_taps(size: int, sigma: float, dims: int, what: str) -> np.ndarray:
     """Sampled Gaussian over ``dims`` axes of ``size`` samples centered at
     (size-1)/2, exp(-r**2 / (2 * sigma**2)) normalized to sum 1, where r**2
     sums the squared offsets; even sizes use half-integer offsets (e.g.
     -1.5..+1.5 for size 4).  Every Gaussian window is checked here:
-    ParamError unless size >= 1, sigma > 0, 2 * sigma**2 is finite and some
-    tap survives underflow."""
+    ParamError, naming the sigma ``what``, unless size >= 1, sigma > 0,
+    2 * sigma**2 is finite and some tap survives underflow."""
     if size < 1:
         raise ParamError("kernel size must be >= 1")
     if not sigma > 0:
-        raise ParamError("sigma must be > 0")
+        raise ParamError(f"{what} must be > 0")
     offs = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
     r_sq = offs**2 if dims == 1 else offs[:, None] ** 2 + offs[None, :] ** 2
     # a numpy float: 2 * sigma**2 overflows to inf, not OverflowError, or underflows to 0
@@ -131,16 +131,16 @@ def _gaussian_taps(size: int, sigma: float, dims: int) -> np.ndarray:
         two_sigma_sq = 2.0 * np.float64(sigma) ** 2
         g = np.exp(-r_sq / two_sigma_sq)
     if two_sigma_sq == np.inf:
-        raise ParamError(f"sigma {sigma} too large for a size-{size} window")
+        raise ParamError(f"{what} {sigma} too large for a size-{size} window")
     # an even size has no tap at offset 0, so a tiny sigma underflows them all
     if not g.sum() > 0:
-        raise ParamError(f"sigma {sigma} too small for a size-{size} window")
+        raise ParamError(f"{what} {sigma} too small for a size-{size} window")
     return g / g.sum()
 
 
-def gaussian_kernel(size: int, sigma: float) -> Kernel2D:
+def gaussian_kernel(size: int, sigma: float, what: str = "sigma") -> Kernel2D:
     """Sampled Gaussian on a size x size grid, sum 1 (see _gaussian_taps)."""
-    return Kernel2D(_gaussian_taps(size, sigma, 2))
+    return Kernel2D(_gaussian_taps(size, sigma, 2, what))
 
 
 def _check_window(size: int, shape, what: str) -> None:
@@ -159,15 +159,16 @@ def convolve2d(image: np.ndarray, kernel: Kernel2D) -> np.ndarray:
     return _by_rows(scipy.ndimage.convolve, image, taps)
 
 
-def gaussian_smooth(image: np.ndarray, size: int, sigma: float) -> np.ndarray:
-    """convolve2d with gaussian_kernel(size, sigma), as two 1-D passes.
+def gaussian_smooth(image: np.ndarray, size: int, sigma: float,
+                    what: str = "sigma") -> np.ndarray:
+    """convolve2d with gaussian_kernel(size, sigma, what), as two 1-D passes.
 
     The taps use gaussian_kernel's offsets, so even sizes keep its origin;
     results agree with the 2-D convolution to rounding (about 1e-13).
     """
     image = np.asarray(image, dtype=np.float64)
     _check_window(size, image.shape, f"smoothing size {size}")
-    return _by_rows(scipy.ndimage.convolve1d, image, _gaussian_taps(size, sigma, 1))
+    return _by_rows(scipy.ndimage.convolve1d, image, _gaussian_taps(size, sigma, 1, what))
 
 
 def downsample2(image: np.ndarray) -> np.ndarray:

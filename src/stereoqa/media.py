@@ -1,8 +1,10 @@
 """Raw planar video and PGM map I/O.
 
-Frames are held as float64 arrays with luma in [0, 255]; grayscale maps
-(saliency, disparity) travel as PGM series scaled to [0, 1].  All formats
-are uncompressed so loading is bit-exact and needs no external decoders.
+A loaded frame holds its planes as the 8-bit samples of the stream, and
+``Frame.luma``/``chroma_u``/``chroma_v`` read them as float64 in [0, 255];
+grayscale maps (saliency, disparity) travel as PGM series scaled to [0, 1].
+All formats are uncompressed so loading is bit-exact and needs no external
+decoders.
 """
 
 from __future__ import annotations
@@ -127,36 +129,72 @@ def _check_range(name: str, a: np.ndarray, lo: float = -np.inf, hi: float = np.i
         raise RangeError(f"{name} needs finite values in [{lo:g}, {hi:g}]")
 
 
+_PLANE_NAMES = ("luma", "chroma_u", "chroma_v")
+
+
+def _plane_property(name: str) -> property:
+    """Frame's ``name`` attribute: stores a plane by Frame's rule, reads float64."""
+    key = "_" + name
+
+    def read(self):
+        plane = getattr(self, key)
+        return plane if plane is None or plane.dtype == np.float64 else plane.astype(np.float64)
+
+    def store(self, value):
+        uint8 = isinstance(value, np.ndarray) and value.dtype == np.uint8
+        if not (uint8 or value is None and name != "luma"):
+            value = np.asarray(value, dtype=np.float64)
+        setattr(self, key, value)
+
+    return property(read, store)
+
+
 @dataclass
 class Frame:
-    """Single-view frame: luma always, 8-bit-range chroma optional."""
+    """Single-view frame: luma always, 8-bit-range chroma optional.
+
+    A uint8 plane, as ``load_sequence`` makes, is stored as it is; any other
+    plane becomes float64.  ``luma``, ``chroma_u`` and ``chroma_v`` always read
+    as float64, a fresh array for a uint8 plane; ``planes`` and ``shape`` read
+    the stored planes without a copy."""
 
     luma: np.ndarray
     chroma_u: np.ndarray | None = None
     chroma_v: np.ndarray | None = None
 
     def __post_init__(self):
-        self.luma = np.asarray(self.luma, dtype=np.float64)
-        if self.luma.ndim != 2:
+        luma = self._luma
+        if luma.ndim != 2:
             raise DimensionMismatch("luma must be a 2-D array")
-        h, w = self.luma.shape
+        h, w = luma.shape
         if h < 8 or w < 8:
             raise DimensionMismatch(f"frame too small: {w}x{h} (minimum 8x8)")
-        _check_range("luma", self.luma, 0.0, 255.0)
-        for name in ("chroma_u", "chroma_v"):
-            c = getattr(self, name)
-            if c is not None:
-                c = np.asarray(c, dtype=np.float64)
-                _check_range(name, c, 0.0, 255.0)
-                setattr(self, name, c)
+        for name, plane in zip(_PLANE_NAMES, self.planes):
+            if plane is not None:
+                _check_range(name, plane, 0.0, 255.0)
+
+    @property
+    def planes(self) -> tuple:
+        """(luma, chroma_u, chroma_v) as stored: uint8 or float64, chroma maybe None."""
+        return self._luma, self._chroma_u, self._chroma_v
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self._luma.shape
 
     @property
     def height(self) -> int:
-        return self.luma.shape[0]
+        return self._luma.shape[0]
 
     @property
     def width(self) -> int:
-        return self.luma.shape[1]
+        return self._luma.shape[1]
+
+
+# after @dataclass, which has taken the fields (and chroma's default None) from the class body
+for _name in _PLANE_NAMES:
+    setattr(Frame, _name, _plane_property(_name))
+del _name
 
 
 @dataclass
@@ -165,7 +203,7 @@ class StereoFrame:
     right: Frame
 
     def __post_init__(self):
-        if self.left.luma.shape != self.right.luma.shape:
+        if self.left.shape != self.right.shape:
             raise DimensionMismatch("left/right dimensions differ")
 
 
@@ -183,8 +221,8 @@ class StereoSequence:
         if not self.frames:
             raise EmptySequence("sequence has no frames")
         _check_fps(self.fps)
-        shape = self.frames[0].left.luma.shape
-        if any(fr.left.luma.shape != shape for fr in self.frames):
+        shape = self.frames[0].left.shape
+        if any(fr.left.shape != shape for fr in self.frames):
             raise DimensionMismatch("all frames must share dimensions")
 
     def __len__(self) -> int:
@@ -260,10 +298,10 @@ def _read_view(path: str, desc: SequenceDescriptor) -> bytes:
 
 
 def _split_frame(buf: bytes, offset: int, desc: SequenceDescriptor) -> Frame:
+    """The frame at ``offset`` of a stream; its planes are read-only views of ``buf``."""
     planes = []
     for h, w in _planes(desc):
-        plane = np.frombuffer(buf, np.uint8, h * w, offset).reshape(h, w)
-        planes.append(plane.astype(np.float64))
+        planes.append(np.frombuffer(buf, np.uint8, h * w, offset).reshape(h, w))
         offset += h * w
     return Frame(*planes)
 
@@ -280,15 +318,17 @@ def load_sequence(desc: SequenceDescriptor) -> StereoSequence:
 
 def _samples8(plane: np.ndarray) -> np.ndarray:
     """The 8-bit samples stored for ``plane`` in streams and PGM maps:
-    clipped to [0, 255] and rounded half up."""
+    clipped to [0, 255] and rounded half up; a uint8 plane is its own samples."""
+    if plane.dtype == np.uint8:
+        return plane
     return np.floor(np.clip(plane, 0.0, 255.0) + 0.5).astype(np.uint8)
 
 
 def _frame_planes(frame: Frame, desc: SequenceDescriptor) -> list[np.ndarray]:
     """The planes ``desc`` stores of ``frame``; missing chroma is a flat 128."""
     planes = []
-    for plane, shape in zip((frame.luma, frame.chroma_u, frame.chroma_v), _planes(desc)):
-        plane = np.full(shape, 128.0) if plane is None else plane
+    for plane, shape in zip(frame.planes, _planes(desc)):
+        plane = np.full(shape, 128, np.uint8) if plane is None else plane
         if plane.shape != shape:
             raise DimensionMismatch(f"{desc.format} plane {plane.shape} does not match {shape}")
         planes.append(plane)

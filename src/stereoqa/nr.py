@@ -330,15 +330,14 @@ def _angle(u: np.ndarray, v: np.ndarray) -> float:
 def nospdm_s(c, cfg):
     """Parallax-compensated JPEG sharpness with interview and inter-map angle
     terms; higher better under the reference constants."""
-    q_l, deg_l = _qjpeg(c.dist.left.luma, c.s, cfg)
-    q_r, deg_r = _qjpeg(c.dist.right.luma, c.s, cfg)
+    left, right = c.dist.left.luma, c.dist.right.luma
+    q_l, deg_l = _qjpeg(left, c.s, cfg)
+    q_r, deg_r = _qjpeg(right, c.s, cfg)
     if deg_l or deg_r:
         c.flags.append("qjpeg_degenerate")
-    left = c.dist.left.luma.ravel()
-    right = c.dist.right.luma.ravel()
     # one saliency map weights both views, so the inter-map angle is that of
     # S with itself: zero up to rounding
     return ((2.0 - cfg.nospdm_mu_r) * q_l + cfg.nospdm_mu_r * q_r
             - cfg.nospdm_lambda * max(q_l, q_r)
-            + _angle(left, right)
+            + _angle(left.ravel(), right.ravel())
             + cfg.nospdm_omega_s * _angle(c.s.ravel(), c.s.ravel()))

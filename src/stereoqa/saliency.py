@@ -148,13 +148,15 @@ def _center_surround(pyr, pairs, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _smooth(values: np.ndarray, sigma: float) -> np.ndarray:
+def _smooth(values: np.ndarray, sigma: float, what: str) -> np.ndarray:
+    """``values`` smoothed by a Gaussian of ``sigma``, the field ``what``, in a
+    window of about 6 sigma capped at the frame's shorter side."""
     side = min(values.shape)
     # the window is capped at the side, so sigma is too: int() never sees inf
     size = min(2 * int(np.ceil(3 * np.clip(sigma, 0, side))) + 1, side)
     if size < 3:  # sigma <= 0 too
         return values
-    return gaussian_smooth(values, size, sigma)
+    return gaussian_smooth(values, size, sigma, what)
 
 
 def baseline_vam(seq: StereoSequence, disparity_series=None,
@@ -181,14 +183,14 @@ def baseline_vam(seq: StereoSequence, disparity_series=None,
         firsts, (ry, rx) = _run_grid(shape, [pyr[level].shape for pair in pairs for level in pair])
         f_int = _center_surround(pyr, pairs, *firsts)
         f_col = np.zeros(f_int.shape)
-        if frame.left.chroma_u is not None:
+        if frame.left.planes[1] is not None:  # read as float64 only when present
             for chroma in (frame.left.chroma_u, frame.left.chroma_v):
                 opp = _upsample_to(np.abs(chroma - 128.0), shape)
                 f_col += _center_surround(pyramid(opp, levels), pairs, *firsts)
         if prev_luma is None:
             f_mot = np.zeros(shape)
         else:
-            f_mot = _smooth(np.abs(luma - prev_luma), cfg.motion_sigma)
+            f_mot = _smooth(np.abs(luma - prev_luma), cfg.motion_sigma, "motion_sigma")
         prev_luma = luma
         # on the grid: normalize_map sees every cell in the frame, so the
         # same min and max; then one expansion, and the rest at full size
@@ -197,5 +199,5 @@ def baseline_vam(seq: StereoSequence, disparity_series=None,
         combined = fused[ry][:, rx] + cfg.w_motion * normalize_map(f_mot).values
         if w_depth > 0:
             combined = combined + w_depth * normalize_map(d_series[t]).values
-        maps.append(normalize_map(_smooth(combined, smooth_sigma), "baseline"))
+        maps.append(normalize_map(_smooth(combined, smooth_sigma, "smooth_sigma"), "baseline"))
     return maps

@@ -45,10 +45,10 @@ def seq_from_lumas(lumas_left, lumas_right=None):
     return StereoSequence(frames=out, fps=25.0)
 
 
-def smooth_2d(values, size, sigma):
+def smooth_2d(values, size, sigma, what="sigma"):
     """gaussian_smooth as the full 2-D Gaussian convolution: the reference
     for every window that runs as two 1-D passes."""
-    return scipy.ndimage.convolve(values, gaussian_kernel(size, sigma).taps,
+    return scipy.ndimage.convolve(values, gaussian_kernel(size, sigma, what).taps,
                                   mode="nearest")
 
 

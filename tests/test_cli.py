@@ -173,6 +173,14 @@ def test_bad_descriptor_exit_1(desc_path, tmp_path, capsys, mangle, field):
       for metric in ("ssim_s", "ddl1_s", "oq_s", "ciq_s", "msssim_s", "mj3d_s", "flosim3d_s")),
     *(pytest.param("saliency", None, f'{{"{field}": 1e308}}', "sigma 1e+308 too large",
                    id=f"{field}-1e308") for field in ("smooth_sigma", "motion_sigma")),
+    # the line names the Gaussian field whose window cannot be built
+    pytest.param("score-fr", "ssim_s", '{"ssim_sigma": 1e200}',
+                 ": ssim_sigma 1e+200 too large for a size-11 window", id="names-ssim_sigma"),
+    pytest.param("saliency", None, '{"motion_sigma": 1e200}',
+                 ": motion_sigma 1e+200 too large for a size-64 window",
+                 id="names-motion_sigma"),
+    pytest.param("saliency", None, '{"smooth_sigma": 1e-300}',
+                 ": smooth_sigma 1e-300 too small for a size-3 window", id="names-smooth_sigma"),
     pytest.param("score-fr", "ssim_s", '{"ssim_c1": 1e308}', "ssim_s: overflow",
                  id="ssim_c1-1e308"),
     # the window check names the field it reads

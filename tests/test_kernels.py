@@ -284,7 +284,7 @@ def _convolve_case(name, kernel):
 
 
 def _smooth_case(size, sigma):
-    g = kernels._gaussian_taps(size, sigma, 1)
+    g = kernels._gaussian_taps(size, sigma, 1, "sigma")
 
     def direct(x):
         low = scipy.ndimage.convolve1d(x, g, axis=0, mode="nearest")

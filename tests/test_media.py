@@ -1,12 +1,15 @@
+import dataclasses
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stereoqa.disparity import DisparityMap
+from stereoqa.disparity import DisparityMap, estimate_disparity_series
+from stereoqa.distort import DistortionSpec, apply
 from stereoqa.errors import (
     DescriptorMismatch,
     DimensionMismatch,
@@ -31,7 +34,9 @@ from stereoqa.media import (
     save_map_series,
     save_sequence,
 )
-from stereoqa.saliency import SaliencyMap
+from stereoqa.fr import FR_METRICS, FR_NEEDS_DISPARITY
+from stereoqa.nr import NR_METRICS, NR_NEEDS_DISPARITY, NrMetricConfig
+from stereoqa.saliency import SaliencyMap, baseline_vam
 
 from conftest import make_seq
 
@@ -323,3 +328,73 @@ def test_sequence_round_trip_every_format(fmt, height, width, frames, seed):
                     assert pb is None
                 else:
                     assert np.array_equal(pa, pb)
+
+
+def _write_yuv420(d, name, frames, height, width, seed):
+    """A descriptor of random yuv420p8 streams of ``frames`` frames in ``d``."""
+    desc = SequenceDescriptor(os.path.join(d, f"{name}-l.raw"), os.path.join(d, f"{name}-r.raw"),
+                              width, height, 25.0, frames, "yuv420p8")
+    rng = np.random.default_rng(seed)
+    for path in (desc.left, desc.right):
+        with open(path, "wb") as fh:
+            fh.write(rng.integers(0, 256, frames * desc.frame_bytes(), np.uint8).tobytes())
+    return desc
+
+
+def test_loaded_sequence_holds_only_its_samples(tmp_path):
+    """load_sequence keeps the two streams' bytes, its planes are read-only
+    uint8 views of them, and each frame adds a few objects: no float64 copy
+    (8 bytes a sample), not even for a moment."""
+    frames = 8
+    desc = _write_yuv420(str(tmp_path), "seq", frames, 144, 256, 1)
+    tracemalloc.start()
+    try:
+        seq = load_sequence(desc)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    streams = 2 * frames * desc.frame_bytes()
+    assert held <= peak <= streams + 4096 * frames, (held, peak, streams)
+    for plane in seq.frames[-1].right.planes:
+        assert plane.dtype == np.uint8 and not plane.flags.writeable
+    assert seq.frames[-1].right.luma.dtype == np.float64
+
+
+def _float64_copy(seq: StereoSequence) -> StereoSequence:
+    def frame(f):
+        return Frame(*(None if p is None else p.astype(np.float64) for p in f.planes))
+
+    return StereoSequence([StereoFrame(frame(sf.left), frame(sf.right)) for sf in seq.frames],
+                          fps=seq.fps)
+
+
+def _every_report(ref: StereoSequence, dist: StereoSequence) -> list[dict]:
+    """All 12 FR and 9 NR reports of ``dist`` with baseline saliency and
+    estimated disparity, as ``score-fr`` and ``score-nr`` compute them."""
+    disparity = {"d_ref": estimate_disparity_series(ref),
+                 "d_dist": estimate_disparity_series(dist)}
+    s_ref, s_dist = baseline_vam(ref), baseline_vam(dist)
+    reports = [fn(ref, dist, s_series=s_ref,
+                  **{slot: disparity[slot] for slot in FR_NEEDS_DISPARITY.get(name, ())})
+               for name, fn in FR_METRICS.items()]
+    cfg = NrMetricConfig(qa3d_history=1)  # fits the 3 frames
+    reports += [fn(dist, s_series=s_dist, cfg=cfg,
+                   **{slot: disparity[slot] for slot in NR_NEEDS_DISPARITY.get(name, ())})
+                for name, fn in NR_METRICS.items()]
+    return [dataclasses.asdict(r) for r in reports]
+
+
+def test_both_frame_storages_give_the_same_reports(tmp_path):
+    """A yuv420p8 pair loaded from its streams (uint8 planes) scores exactly
+    as the same pair built through the API from float64 planes."""
+    d = str(tmp_path)
+    ref = load_sequence(_write_yuv420(d, "ref", 3, 45, 74, 2))
+    spec = DistortionSpec(kind="awgn", params={"variance": 0.002}, seed=4)
+    dist = load_sequence(save_sequence(apply(ref, spec), os.path.join(d, "dist-l.raw"),
+                                       os.path.join(d, "dist-r.raw"), format="yuv420p8"))
+    ref64, dist64 = _float64_copy(ref), _float64_copy(dist)
+    assert dist.frames[0].left.planes[1].dtype == np.uint8
+    assert dist64.frames[0].left.planes[1].dtype == np.float64
+    from_streams = _every_report(ref, dist)
+    assert len(from_streams) == 21
+    assert from_streams == _every_report(ref64, dist64)

@@ -225,14 +225,16 @@ def vam_full_frame(seq, disparity_series=None, cfg=None):
         if prev_luma is None:
             f_mot = np.zeros(shape)
         else:
-            f_mot = saliency._smooth(np.abs(luma - prev_luma), cfg.motion_sigma)
+            f_mot = saliency._smooth(np.abs(luma - prev_luma), cfg.motion_sigma,
+                                     "motion_sigma")
         prev_luma = luma
         combined = (cfg.w_intensity * normalize_map(f_int).values
                     + cfg.w_color * normalize_map(f_col).values
                     + cfg.w_motion * normalize_map(f_mot).values)
         if disparity_series is not None:
             combined = combined + cfg.w_depth * normalize_map(disparity_series[t].values).values
-        maps.append(normalize_map(saliency._smooth(combined, smooth_sigma), "baseline"))
+        maps.append(normalize_map(saliency._smooth(combined, smooth_sigma, "smooth_sigma"),
+                                  "baseline"))
     return maps
 
 

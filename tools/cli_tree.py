@@ -17,7 +17,8 @@ The command set: ``info``; ``distort`` with each kind and a list spec;
 ``disparity``; ``saliency`` with no, estimated and ``dir:`` disparity, plus
 config cases; every metric under no, baseline and ``dir:`` saliency with
 frame CSVs, and one ``--config`` case each; ``evaluate`` as csv and json,
-with and without ``--logistic``.  It runs at four awkward sizes.
+with and without ``--logistic``.  It runs at five awkward sizes, in each
+pixel format.
 """
 
 import contextlib
@@ -37,7 +38,7 @@ NR_METRICS = ("gbim_s", "nrpbm_s", "blur_farias_s", "block_farias_s", "sadaka_s"
 
 # tag: (height, width, pixel format); two frames each
 SIZES = {"a": (64, 64, "gray8"), "b": (70, 90, "yuv444p8"), "c": (33, 97, "gray8"),
-         "d": (8, 40, "gray8")}
+         "d": (8, 40, "gray8"), "e": (45, 74, "yuv420p8")}
 DISPARITY = 3  # pixels between the views of the generated scenes
 
 
@@ -121,7 +122,8 @@ def _write_sequence(out_dir, seed, height, width, fmt, frames=2):
                 luma = texture[t:t + height, x0:x0 + width]
                 fh.write(_u8(luma))
                 if fmt != "gray8":
-                    chroma = luma if fmt == "yuv444p8" else luma[::2, ::2]
+                    chroma = (luma if fmt == "yuv444p8"
+                              else luma[:height // 2 * 2:2, :width // 2 * 2:2])
                     fh.write(_u8(0.5 * chroma + 64.0))
                     fh.write(_u8(192.0 - 0.5 * chroma))
     return _write_json(os.path.join(out_dir, "descriptor.json"), {
