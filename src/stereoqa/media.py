@@ -138,11 +138,18 @@ def _plane_property(name: str) -> property:
 
     def read(self):
         plane = getattr(self, key)
-        return plane if plane is None or plane.dtype == np.float64 else plane.astype(np.float64)
+        if plane is None or plane.dtype == np.float64:
+            return plane
+        plane = plane.astype(np.float64)
+        plane.flags.writeable = False  # an in-place write would be lost, so it raises
+        return plane
 
     def store(self, value):
-        uint8 = isinstance(value, np.ndarray) and value.dtype == np.uint8
-        if not (uint8 or value is None and name != "luma"):
+        if isinstance(value, np.ndarray) and value.dtype == np.uint8:
+            if value.flags.writeable:  # the caller may change it later
+                value = value.copy()
+                value.flags.writeable = False
+        elif not (value is None and name != "luma"):
             value = np.asarray(value, dtype=np.float64)
         setattr(self, key, value)
 
@@ -153,10 +160,12 @@ def _plane_property(name: str) -> property:
 class Frame:
     """Single-view frame: luma always, 8-bit-range chroma optional.
 
-    A uint8 plane, as ``load_sequence`` makes, is stored as it is; any other
-    plane becomes float64.  ``luma``, ``chroma_u`` and ``chroma_v`` always read
-    as float64, a fresh array for a uint8 plane; ``planes`` and ``shape`` read
-    the stored planes without a copy."""
+    A uint8 plane is stored read-only: a read-only one, as ``load_sequence``
+    makes, as it is, a writable one as a copy.  Any other plane becomes
+    float64.  ``luma``, ``chroma_u`` and ``chroma_v`` always read as float64; for
+    a uint8 plane that is a fresh read-only array, so writing to it in place
+    raises instead of being lost.  ``planes`` and ``shape`` read the stored
+    planes without a copy."""
 
     luma: np.ndarray
     chroma_u: np.ndarray | None = None

@@ -360,6 +360,25 @@ def test_loaded_sequence_holds_only_its_samples(tmp_path):
     assert seq.frames[-1].right.luma.dtype == np.float64
 
 
+def test_in_place_write_to_a_loaded_plane_raises(tmp_path):
+    """A loaded frame's planes read as fresh float64 arrays, so a write to
+    one would be lost; it raises instead, and the frame keeps its samples."""
+    frame = load_sequence(_write_yuv420(str(tmp_path), "seq", 1, 16, 16, 3)).frames[0].left
+    before = frame.luma
+    for name in ("luma", "chroma_u", "chroma_v"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(frame, name)[:] = 0.0
+    np.testing.assert_array_equal(frame.luma, before)
+
+
+def test_frame_copies_a_writable_uint8_plane():
+    samples = np.full((8, 8), 40, np.uint8)
+    frame = Frame(samples, chroma_u=samples)
+    samples[:] = 200
+    assert frame.luma.max() == frame.chroma_u.max() == 40.0
+    assert not frame.planes[0].flags.writeable
+
+
 def _float64_copy(seq: StereoSequence) -> StereoSequence:
     def frame(f):
         return Frame(*(None if p is None else p.astype(np.float64) for p in f.planes))

@@ -2,21 +2,22 @@
 """Peak memory of one ``score-fr --saliency baseline`` process by sequence length.
 
 Usage: python3 tools/rss_by_frames.py SRC [--metric M] [--frames N ...]
-                                      [--size WxH] [--max-growth R]
+                                      [--max-growth R]
 
 SRC is the directory that holds the ``stereoqa`` package (``src`` of a
 checkout).  For each frame count N (default 2 8 32) the script writes a
-seeded yuv420p8 reference pair and a noisy copy of it, W x H (default
-480x270), into a temporary directory.  It then scores them in a fresh
-``python -m stereoqa.cli score-fr --metric M --saliency baseline`` process
-(default metric ``ssim_s``; disparity is estimated) and prints one line: N
-and that process's peak resident memory in MB (``ru_maxrss`` from
-``wait4``).  With ``--max-growth R`` it exits 1 when the peak of the last
-count is above R times the peak of the first.
+seeded 480x270 yuv420p8 reference pair and a noisy copy of it into a
+temporary directory, through the package's own ``distort.apply`` and
+``save_sequence``.  It then scores them in a fresh ``python -m stereoqa.cli
+score-fr --metric M --saliency baseline`` process (default metric
+``ssim_s``; disparity is estimated) and prints one line: N and that
+process's peak resident memory in MB (``ru_maxrss`` from ``wait4``).  With
+``--max-growth R`` it exits 1 when the peak of the last count is above R
+times the peak of the first.
 """
 
 import argparse
-import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -24,48 +25,51 @@ import tempfile
 
 import numpy as np
 
+WIDTH, HEIGHT = 480, 270
 DISPARITY = 4  # pixels between the views
 
 
-def _u8(plane):
-    return np.clip(np.floor(plane + 0.5), 0, 255).astype(np.uint8).tobytes()
+def write_pair(out_dir, frames, seed=0):
+    """Write ``ref.json`` and ``dist.json``, a reference and a distorted
+    yuv420p8 sequence, with their streams in ``out_dir``: a smooth noise texture that moves one row per frame, seen
+    DISPARITY pixels apart by the two views, with chroma that follows the
+    luma; the distorted copy adds Gaussian noise of sigma 6 to the luma."""
+    from stereoqa.distort import DistortionSpec, apply
+    from stereoqa.media import Frame, StereoFrame, StereoSequence, save_sequence
 
-
-def write_pair(out_dir, frames, width, height, seed=0):
-    """Descriptors of a reference and a distorted yuv420p8 sequence in
-    ``out_dir``: a smooth noise texture that moves one row per frame, seen
-    DISPARITY pixels apart by the two views; the distorted copy adds
-    Gaussian noise of sigma 6 to the luma."""
-    rng = np.random.default_rng(seed)
-    rows, cols = height + frames, width + DISPARITY
-    noise = rng.random((rows + 4, cols + 4))
+    rows, cols = HEIGHT + frames, WIDTH + DISPARITY
+    noise = np.random.default_rng(seed).random((rows + 4, cols + 4))
     texture = sum(noise[i:i + rows, j:j + cols] for i in range(5) for j in range(5))
-    texture = 255.0 * (texture - texture.min()) / (texture.max() - texture.min())
-    paths = {}
-    for name, sigma in (("ref", 0.0), ("dist", 6.0)):
-        for view, x0 in (("left", 0), ("right", DISPARITY)):
-            with open(os.path.join(out_dir, f"{name}-{view}.raw"), "wb") as fh:
-                for t in range(frames):
-                    luma = texture[t:t + height, x0:x0 + width]
-                    fh.write(_u8(luma + rng.normal(0.0, sigma, luma.shape) if sigma else luma))
-                    chroma = luma[:height // 2 * 2:2, :width // 2 * 2:2]
-                    fh.write(_u8(0.5 * chroma + 64.0))
-                    fh.write(_u8(192.0 - 0.5 * chroma))
-        paths[name] = os.path.join(out_dir, f"{name}.json")
-        with open(paths[name], "w") as fh:
-            json.dump({"left": f"{name}-left.raw", "right": f"{name}-right.raw",
-                       "width": width, "height": height, "fps": 25.0, "frames": frames,
-                       "format": "yuv420p8"}, fh)
-    return paths["ref"], paths["dist"]
+    texture = np.minimum(255.0 * (texture - texture.min()) / np.ptp(texture), 255.0)
+
+    def view(t, x0):
+        luma = texture[t:t + HEIGHT, x0:x0 + WIDTH]
+        chroma = luma[::2, ::2]
+        return Frame(luma, 0.5 * chroma + 64.0, 192.0 - 0.5 * chroma)
+
+    ref = StereoSequence([StereoFrame(view(t, 0), view(t, DISPARITY)) for t in range(frames)],
+                         fps=25.0)
+    dist = apply(ref, DistortionSpec("awgn", {"variance": (6.0 / 255.0) ** 2}, seed=seed))
+    for name, seq in (("ref", ref), ("dist", dist)):
+        streams = (os.path.join(out_dir, f"{name}-{v}.raw") for v in ("left", "right"))
+        save_sequence(seq, *streams, format="yuv420p8").to_json(
+            os.path.join(out_dir, f"{name}.json"))
 
 
-def peak_rss_mb(src, metric, frames, width, height):
+def peak_rss_mb(src, metric, frames):
     """Peak RSS in MB of one fresh ``score-fr`` process on a new pair."""
     with tempfile.TemporaryDirectory() as d:
-        ref, dist = write_pair(d, frames, width, height)
+        # in a process of its own: a child's ru_maxrss also counts the memory
+        # its parent held when it started, and the float64 pair is large
+        writer = multiprocessing.get_context("spawn").Process(target=write_pair,
+                                                              args=(d, frames))
+        writer.start()
+        writer.join()
+        if writer.exitcode != 0:
+            raise SystemExit(f"writing the {frames}-frame pair failed")
         argv = [sys.executable, "-m", "stereoqa.cli", "score-fr", "--metric", metric,
-                "--ref", ref, "--dist", dist, "--saliency", "baseline",
-                "--out", os.path.join(d, "report.json")]
+                "--ref", os.path.join(d, "ref.json"), "--dist", os.path.join(d, "dist.json"),
+                "--saliency", "baseline", "--out", os.path.join(d, "report.json")]
         env = dict(os.environ, PYTHONPATH=src)
         with open(os.path.join(d, "stderr.txt"), "w+") as err:
             proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=err)
@@ -83,15 +87,14 @@ def main(argv):
     parser.add_argument("src")
     parser.add_argument("--metric", default="ssim_s")
     parser.add_argument("--frames", type=int, nargs="+", default=[2, 8, 32])
-    parser.add_argument("--size", default="480x270")
     parser.add_argument("--max-growth", type=float, default=None)
     args = parser.parse_args(argv)
-    width, height = (int(v) for v in args.size.split("x"))
     src = os.path.abspath(args.src)
+    sys.path.insert(0, src)  # write_pair uses this stereoqa too
     peaks = []
     for frames in args.frames:
-        peaks.append(peak_rss_mb(src, args.metric, frames, width, height))
-        print(f"{args.metric} {args.size} {frames} frames: {peaks[-1]:.1f} MB", flush=True)
+        peaks.append(peak_rss_mb(src, args.metric, frames))
+        print(f"{args.metric} {WIDTH}x{HEIGHT} {frames} frames: {peaks[-1]:.1f} MB", flush=True)
     if args.max_growth is not None and peaks[-1] > args.max_growth * peaks[0]:
         print(f"peak RSS grew {peaks[-1] / peaks[0]:.2f}x from {args.frames[0]} to "
               f"{args.frames[-1]} frames, above {args.max_growth}x")
