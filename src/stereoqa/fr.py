@@ -310,10 +310,9 @@ def phsd_s(c, cfg):
     """Block-structure error masked by local disparity variance, mixed with
     the squared disparity-difference error."""
     eps, alpha = cfg.phsd_epsilon, cfg.phsd_alpha
-    dr = c.d_ref
-    mse_d = weighted_spatial_mean((dr - c.d_dist) ** 2, c.s)
-    anchors, errors = _structure_errors(c.ref, c.dist, dr, cfg)
-    sigma_d = np.var(_gather_blocks(dr, anchors, 4), axis=(1, 2))
+    mse_d = weighted_spatial_mean((c.d_ref - c.d_dist) ** 2, c.s)
+    anchors, errors = _structure_errors(c.ref, c.dist, c.d_ref, cfg)
+    sigma_d = np.var(_gather_blocks(c.d_ref, anchors, 4), axis=(1, 2))
     den = errors + alpha * sigma_d
     masked = np.where(den > 0.0, errors * errors / np.where(den > 0.0, den, 1.0), 0.0)
     mse_i = weighted_spatial_mean(masked, _block_weights(c.s, anchors, 4))
@@ -380,27 +379,25 @@ def _patch_features(image: np.ndarray, patch: int) -> np.ndarray:
 
 
 @_fr("lower_better", needs=("d_ref", "d_dist"), over="sequence")
-def flosim3d_s(c, cfg):
+def flosim3d_s(frames, cfg):
     """Temporal patch-feature dispersion gated by spatial and depth
     dissimilarity (1 - MS-SSIM); lower is better, 0 means identical."""
-    if len(c.ref) < 2:
+    if len(frames) < 2:
         raise NeedsTemporalContext("needs at least 2 frames")
     flow_scores = []
     depth_scores = []
-    for t in range(1, len(c.ref)):
-        s = c.s[t]
-
+    for prev, c in zip(frames, frames[1:]):
         def flow(ref_t, ref_p, dist_t, dist_p):
             q_fl = float(np.abs(_patch_features(ref_t - ref_p, cfg.flosim_patch)
                                 - _patch_features(dist_t - dist_p, cfg.flosim_patch))
                          .sum(axis=1).mean())
-            return (1.0 - _msssim_frame(ref_t, dist_t, s, cfg, c.flags, _smooth_2d)) * q_fl
+            return (1.0 - _msssim_frame(ref_t, dist_t, c.s, cfg, c.flags, _smooth_2d)) * q_fl
 
-        flow_scores.append(view_mean(flow, c.ref.frames[t], c.ref.frames[t - 1],
-                                     c.dist.frames[t], c.dist.frames[t - 1]))
-        depth_ref = disparity_to_depth(c.d_ref[t]) * 255.0
-        depth_dist = disparity_to_depth(c.d_dist[t]) * 255.0
-        q_d = 1.0 - _msssim_frame(depth_ref, depth_dist, s, cfg, c.flags, _smooth_2d)
+        flow_scores.append(view_mean(flow, c.ref, prev.ref, c.dist, prev.dist))
+        depth_ref, depth_dist = (disparity_to_depth(d) * 255.0 for d in (c.d_ref, c.d_dist))
+        q_d = 1.0 - _msssim_frame(depth_ref, depth_dist, c.s, cfg, c.flags, _smooth_2d)
         depth_scores.append(q_d)  # the shared map serves both view depths
     q_d_mean = float(np.mean(depth_scores))
+    if q_d_mean == 0.0:  # equal depth maps: every frame scores 0, whatever the views
+        frames[-1].flags.append("depth_term_zero")
     return [f * q_d_mean for f in flow_scores]

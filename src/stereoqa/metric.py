@@ -7,11 +7,11 @@ flags and the report.
 
 - ``"view"``: ``formula(x, y, s, cfg)`` (FR) or ``formula(luma, s, cfg)``
   (NR) scores one view; the frame score is ``view_mean`` of it.
-- ``"frame"``: ``formula(c, cfg)`` scores one stereo frame from a context
-  with ``ref``/``dist`` (StereoFrame; ``ref`` is None for NR), ``s``,
-  ``d_ref``, ``d_dist`` and the report's ``flags`` list.
-- ``"sequence"``: ``formula(c, cfg)`` gets that context with whole
-  sequences and per-frame lists and returns the frame scores.
+- ``"frame"``: ``formula(c, cfg)`` scores one stereo frame from its context:
+  ``ref``/``dist`` (StereoFrame; ``ref`` is None for NR), ``s``, ``d_ref``,
+  ``d_dist`` and the ``flags`` list that every context shares.
+- ``"sequence"``: ``formula(frames, cfg)`` gets the list of contexts and
+  returns the scores of the last frames; the frame CSV numbers them so.
 
 ``s`` is a float64 weight array for FR and NR alike, all ones without
 saliency.  Disparity maps arrive as float64 arrays.  The driver checks every
@@ -72,21 +72,21 @@ def _run(formula, orientation, needs, over, ref, dist, s_series, maps, cfg):
             raise DisparityRequired(f"this metric needs disparity maps ({slot})")
         d[slot] = _maps(maps[slot], DisparityMap, n, shape, slot)
     flags = []
+    refs = [None] * n if ref is None else ref.frames
+    frames = [SimpleNamespace(ref=r, dist=q, s=w, d_ref=dr, d_dist=dd, flags=flags)
+              for r, q, w, dr, dd in zip(refs, dist.frames, s, d["d_ref"], d["d_dist"])]
     with numeric_errors(formula.__name__):
         if over == "sequence":
-            scores = formula(SimpleNamespace(ref=ref, dist=dist, s=s, flags=flags, **d), cfg)
+            scores = formula(frames, cfg)
         elif over == "frame":
-            scores = [formula(SimpleNamespace(
-                ref=None if ref is None else ref.frames[t], dist=dist.frames[t], s=s[t],
-                flags=flags, d_ref=d["d_ref"][t], d_dist=d["d_dist"][t]), cfg)
-                for t in range(n)]
+            scores = [formula(c, cfg) for c in frames]
         else:
-            seqs = (dist,) if ref is None else (ref, dist)
-            scores = [view_mean(lambda *lumas: formula(*lumas, s[t], cfg),
-                                *(q.frames[t] for q in seqs)) for t in range(n)]
+            scores = [view_mean(lambda *lumas: formula(*lumas, c.s, cfg),
+                                *([c.dist] if c.ref is None else [c.ref, c.dist]))
+                      for c in frames]
         mode = "none" if s_series is None else s_series[0].source
         return make_report(formula.__name__, scores, orientation, mode, cfg,
-                           list(dict.fromkeys(flags)))
+                           list(dict.fromkeys(flags)), first_frame=n - len(scores))
 
 
 def registrar(registry: dict, needs_table: dict, config_cls, reference: bool):
@@ -98,8 +98,7 @@ def registrar(registry: dict, needs_table: dict, config_cls, reference: bool):
         def register(formula):
             spec = (formula, orientation, needs, over)
             if reference:
-                def metric(ref, dist, *, d_ref=None, d_dist=None, s_series=None,
-                           cfg=None):
+                def metric(ref, dist, *, d_ref=None, d_dist=None, s_series=None, cfg=None):
                     maps = {"d_ref": d_ref, "d_dist": d_dist}
                     return _run(*spec, ref, dist, s_series, maps, cfg or config_cls())
             else:

@@ -10,6 +10,7 @@ from ``_pairs``.
 
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass
 
 import numpy as np
@@ -277,24 +278,24 @@ def aqi_s(luma, s, cfg):
 
 
 @_nr("higher_better", needs=("d_dist",), over="sequence")
-def qa3d_s(c, cfg):
+def qa3d_s(frames, cfg):
     """Temporal disparity consistency plus an interview edge difference;
     scored from frame `history` onward, higher better."""
     p = cfg.qa3d_history
-    if len(c.dist) < p + 1:
+    if len(frames) < p + 1:
         raise NeedsTemporalContext(f"needs at least {p + 1} frames")
-    d_index = []
-    d_edge = []
-    for frame, s, d in zip(c.dist.frames, c.s, c.d_dist):
-        thresholded = np.where(d < cfg.qa3d_threshold, 0.0, d)
-        d_index.append(weighted_spatial_mean(thresholded, s))
-        left = sobel_gradient(frame.left.luma)["magnitude"]
-        right = sobel_gradient(frame.right.luma)["magnitude"]
-        d_edge.append(weighted_spatial_mean(np.abs(left - right) / 255.0, s))
+    history = collections.deque(maxlen=p)  # d_index of the last p frames
     scores = []
-    for n in range(p, len(c.dist)):
-        s_m = 0.1 * (sum(d_index[n - p:n]) - d_index[n] * p) * d_index[n]
-        scores.append(1.0 - (s_m + d_edge[n]) / 2.0)
+    for c in frames:
+        thresholded = np.where(c.d_dist < cfg.qa3d_threshold, 0.0, c.d_dist)
+        d_index = weighted_spatial_mean(thresholded, c.s)
+        if len(history) == p:
+            s_m = 0.1 * (sum(history) - d_index * p) * d_index
+            left = sobel_gradient(c.dist.left.luma)["magnitude"]
+            right = sobel_gradient(c.dist.right.luma)["magnitude"]
+            d_edge = weighted_spatial_mean(np.abs(left - right) / 255.0, c.s)
+            scores.append(1.0 - (s_m + d_edge) / 2.0)
+        history.append(d_index)
     return scores
 
 

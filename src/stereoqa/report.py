@@ -36,19 +36,20 @@ class MetricReport:
     saliency_mode: str
     config_fingerprint: str
     flags: list[str] = dataclasses.field(default_factory=list)
+    first_frame: int = 0  # the frame that frame_scores[0] scores; not in the JSON
 
     def save_json(self, path: str) -> None:
-        write_json(path, dataclasses.asdict(self))
+        write_json(path, {k: v for k, v in dataclasses.asdict(self).items() if k != "first_frame"})
 
     def save_frame_csv(self, path: str) -> None:
         with open(path, "w") as fh:
             fh.write("frame,score\n")
-            for i, s in enumerate(self.frame_scores):
+            for i, s in enumerate(self.frame_scores, self.first_frame):
                 fh.write(f"{i},{s!r}\n")
 
 
 def make_report(metric: str, frame_scores, orientation: str, saliency_mode: str,
-                cfg, flags=None) -> MetricReport:
+                cfg, flags=None, first_frame: int = 0) -> MetricReport:
     frame_scores = [float(s) for s in frame_scores]
     if not np.all(np.isfinite(frame_scores)):
         raise NumericError(f"{metric}: non-finite frame score")
@@ -65,4 +66,5 @@ def make_report(metric: str, frame_scores, orientation: str, saliency_mode: str,
         saliency_mode=saliency_mode,
         config_fingerprint=config_fingerprint(cfg),
         flags=list(flags or []),
+        first_frame=first_frame,
     )

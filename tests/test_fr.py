@@ -76,10 +76,29 @@ def test_msssim_metrics_flag_reduced_scales(metric):
     # a 64-px frame holds the 11-px window at 3 of the 5 MS-SSIM scales
     ref = make_seq(1, frames=2, size=64, block=8)
     dist = apply(ref, DistortionSpec(kind="awgn", params={"variance": 0.01}, seed=1))
+    # the flat disparity maps are equal, so flosim3d_s's depth term is 0 and flagged
+    zero = ["depth_term_zero"] if metric == "flosim3d_s" else []
     report = FR_METRICS[metric](ref, dist, **_disparity_kwargs(metric, ref, dist))
-    assert report.flags == ["scales_reduced:3"]
+    assert report.flags == ["scales_reduced:3", *zero]
     big = make_seq(1, frames=2, size=176)  # 176 / 2**4 = 11: all 5 scales
-    assert FR_METRICS[metric](big, big, **_disparity_kwargs(metric, big, big)).flags == []
+    assert FR_METRICS[metric](big, big, **_disparity_kwargs(metric, big, big)).flags == zero
+
+
+def test_flosim_flags_a_zero_depth_term():
+    # equal disparity maps make the depth term 0, so a visibly noisy copy
+    # scores the "identical" 0.0 at every frame; the flag says why
+    ref = make_seq(5, frames=3, size=64, block=8)
+    dist = apply(ref, DistortionSpec(kind="awgn", params={"variance": 0.01}, seed=1))
+    ramp = [DisparityMap(np.tile(np.linspace(0.0, 4.0, 64), (64, 1)))] * 3
+    equal = fr.flosim3d_s(ref, dist, d_ref=ramp, d_dist=ramp)
+    assert equal.frame_scores == [0.0, 0.0]
+    assert equal.flags == ["scales_reduced:3", "depth_term_zero"]
+    assert fr.ssim_s(ref, dist).score < 0.9
+    noisy = [DisparityMap(m.values + SeededRng(t).uniform(64 * 64).reshape(64, 64))
+             for t, m in enumerate(ramp)]
+    moved = fr.flosim3d_s(ref, dist, d_ref=ramp, d_dist=noisy)
+    assert all(s > 0.0 for s in moved.frame_scores)
+    assert moved.flags == ["scales_reduced:3"]
 
 
 def test_cyclopean_fuse_zero_disparity_is_average():

@@ -1,5 +1,7 @@
 """Contract of the metric driver and of the FR/NR registries it fills."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -148,3 +150,22 @@ def test_block_pool_without_block_weight_is_degenerate(name):
     maps = {slot: [DisparityMap(np.zeros((64, 66)))] * 2 for slot in FR_NEEDS_DISPARITY[name]}
     with pytest.raises(DegenerateSaliency):
         FR_METRICS[name](seq, seq, s_series=[SaliencyMap(s)] * 2, **maps)
+
+
+@pytest.mark.parametrize("name", ["flosim3d_s", "qa3d_s"])
+def test_frame_csv_numbers_rows_by_the_frame_scored(name, tmp_path):
+    # flosim3d_s scores frames 1..n-1, qa3d_s at history 1 frames 1..n-1 too
+    ref = make_seq(81, frames=3, size=64, block=8)
+    dist = make_seq(82, frames=3, size=64, block=8)
+    maps = [DisparityMap(np.zeros((64, 64))) for _ in range(3)]
+    if name == "flosim3d_s":
+        report = FR_METRICS[name](ref, dist, d_ref=maps, d_dist=maps)
+    else:
+        report = NR_METRICS[name](dist, d_dist=maps, cfg=NrMetricConfig(qa3d_history=1))
+    report.save_frame_csv(str(tmp_path / "frames.csv"))
+    assert (tmp_path / "frames.csv").read_text().splitlines() == [
+        "frame,score", *(f"{t},{s!r}" for t, s in zip((1, 2), report.frame_scores))]
+    report.save_json(str(tmp_path / "report.json"))
+    assert list(json.loads((tmp_path / "report.json").read_text())) == [
+        "metric", "score", "frame_scores", "orientation", "saliency_mode",
+        "config_fingerprint", "flags"]

@@ -300,6 +300,22 @@ def test_qa3d_stable_disparity_scores_high():
     assert len(rep.frame_scores) == 2
 
 
+def test_qa3d_runs_sobel_only_on_the_frames_it_scores(monkeypatch):
+    # the default history of 10 scores frames 10 and 11 of 12: two views each
+    calls = []
+
+    def counted(image):
+        calls.append(image.shape)
+        return sobel_gradient(image)
+
+    seq = make_seq(69, frames=12, size=64)
+    d_dist = _flat_disparity(seq, 0.0)
+    want = nr.qa3d_s(seq, d_dist=d_dist).frame_scores
+    monkeypatch.setattr(nr, "sobel_gradient", counted)
+    assert nr.qa3d_s(seq, d_dist=d_dist).frame_scores == want
+    assert len(calls) == 4
+
+
 def test_qa3d_history_config():
     seq = make_seq(70, frames=5, size=64)
     rep = nr.qa3d_s(seq, d_dist=_flat_disparity(seq),

@@ -17,8 +17,9 @@ The command set: ``info``; ``distort`` with each kind and a list spec;
 ``disparity``; ``saliency`` with no, estimated and ``dir:`` disparity, plus
 config cases; every metric under no, baseline and ``dir:`` saliency with
 frame CSVs, and one ``--config`` case each; ``evaluate`` as csv and json,
-with and without ``--logistic``.  It runs at five awkward sizes, in each
-pixel format.
+with and without ``--logistic``.  It runs at five awkward two-frame sizes,
+in each pixel format, and at one 12-frame size, on which ``flosim3d_s`` and
+``qa3d_s`` score several frames, also against the left-blurred item.
 """
 
 import contextlib
@@ -36,9 +37,9 @@ FR_METRICS = ("psnr_s", "ssim_s", "msssim_s", "vif_s", "ddl1_s", "oq_s", "ciq_s"
 NR_METRICS = ("gbim_s", "nrpbm_s", "blur_farias_s", "block_farias_s", "sadaka_s",
               "vqsm_s", "aqi_s", "qa3d_s", "nospdm_s")
 
-# tag: (height, width, pixel format); two frames each
-SIZES = {"a": (64, 64, "gray8"), "b": (70, 90, "yuv444p8"), "c": (33, 97, "gray8"),
-         "d": (8, 40, "gray8"), "e": (45, 74, "yuv420p8")}
+# tag: (height, width, pixel format, frames)
+SIZES = {"a": (64, 64, "gray8", 2), "b": (70, 90, "yuv444p8", 2), "c": (33, 97, "gray8", 2),
+         "d": (8, 40, "gray8", 2), "e": (45, 74, "yuv420p8", 2), "f": (48, 64, "gray8", 12)}
 DISPARITY = 3  # pixels between the views of the generated scenes
 
 
@@ -105,7 +106,7 @@ def _u8(plane):
     return np.clip(np.floor(plane + 0.5), 0, 255).astype(np.uint8).tobytes()
 
 
-def _write_sequence(out_dir, seed, height, width, fmt, frames=2):
+def _write_sequence(out_dir, seed, height, width, fmt, frames):
     """A box-blurred noise texture that moves one row per frame, with a flat
     corner; the right view sees it DISPARITY pixels to the left."""
     rng = np.random.default_rng(seed)
@@ -144,8 +145,8 @@ def _write_mos(path, items, seed):
 
 def _commands():
     """Write the inputs under the working directory and yield each argv."""
-    for seed, (tag, (height, width, fmt)) in enumerate(SIZES.items()):
-        ref = _write_sequence(f"{tag}/ref", seed, height, width, fmt)
+    for seed, (tag, (height, width, fmt, frames)) in enumerate(SIZES.items()):
+        ref = _write_sequence(f"{tag}/ref", seed, height, width, fmt, frames)
         os.makedirs(f"{tag}/score")
         yield ["info", "--in", ref]
         items = {}
@@ -181,6 +182,11 @@ def _commands():
                         "--saliency", f"dir:{tag}/sal/none", *disparity)
             cfg = _write_json(f"{tag}/config/{metric}.json", CONFIGS[metric])
             yield score(metric, dist, f"{tag}/score/{metric}.config", "--config", cfg)
+        if frames > 2:
+            # the left-only blur moves the estimated disparity, so flosim3d_s's depth
+            # term is not 0 and its flow term shows in the scores
+            for metric in ("flosim3d_s", "qa3d_s"):
+                yield score(metric, items["blur"], f"{tag}/score/{metric}.blur")
         if tag == "a":
             os.makedirs("a/eval")
             for i, (metric, cfg) in enumerate(EDGE_CONFIGS):
