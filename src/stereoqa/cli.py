@@ -213,6 +213,8 @@ def _cmd_info(args) -> int:
     desc = SequenceDescriptor.from_json(args.input)
     seq = load_sequence(desc)
     stats = si_ti(seq)
+    for flag in stats["flags"]:
+        sys.stderr.write(f"{args.input}: {flag}\n")
     print(f"size: {seq.width}x{seq.height}")
     print(f"frames: {len(seq)}")
     print(f"fps: {seq.fps}")

@@ -24,12 +24,12 @@ class DisparityConfig:
         _check_int("search_range", self.search_range, 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DisparityMap:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
         _check_range("disparity", self.values)
 
     @property

@@ -1,10 +1,12 @@
 """Raw planar video and PGM map I/O.
 
-A loaded frame holds its planes as the 8-bit samples of the stream, and
-``Frame.luma``/``chroma_u``/``chroma_v`` read them as float64 in [0, 255];
-grayscale maps (saliency, disparity) travel as PGM series scaled to [0, 1].
-All formats are uncompressed so loading is bit-exact and needs no external
-decoders.
+A ``Frame`` is built and checked once: luma and both chroma planes or
+neither, each 2-D and in [0, 255].  A loaded frame holds its planes as the
+8-bit samples of the stream, and ``Frame.luma``/``chroma_u``/``chroma_v``
+read them as float64.  ``StereoFrame`` and ``StereoSequence`` are frozen, so
+no plane or checked value can be reassigned.  Grayscale maps (saliency,
+disparity) travel as PGM series scaled to [0, 1].  All formats are
+uncompressed so loading is bit-exact and needs no external decoders.
 """
 
 from __future__ import annotations
@@ -132,81 +134,71 @@ def _check_range(name: str, a: np.ndarray, lo: float = -np.inf, hi: float = np.i
 _PLANE_NAMES = ("luma", "chroma_u", "chroma_v")
 
 
-def _plane_property(name: str) -> property:
-    """Frame's ``name`` attribute: stores a plane by Frame's rule, reads float64."""
-    key = "_" + name
+def _stored(name: str, value) -> np.ndarray:
+    """``value`` as Frame stores it: a uint8 array read-only (a writable one
+    copied, since the caller may change it later), real numbers as float64,
+    anything else a RangeError naming ``name``."""
+    if isinstance(value, np.ndarray) and value.dtype == np.uint8:
+        if value.flags.writeable:
+            value = value.copy()
+            value.flags.writeable = False
+        return value
+    value = np.asarray(value)
+    if value.dtype.kind not in "biuf":  # no str, complex or object array
+        raise RangeError(f"{name} must hold real numbers, not {value.dtype}")
+    return value.astype(np.float64, copy=False)
 
-    def read(self):
-        plane = getattr(self, key)
-        if plane is None or plane.dtype == np.float64:
-            return plane
-        plane = plane.astype(np.float64)
-        plane.flags.writeable = False  # an in-place write would be lost, so it raises
+
+def _float64(plane):
+    """A stored plane as float64; for uint8 a fresh read-only array, so an in-place
+    write raises instead of being lost."""
+    if plane is None or plane.dtype == np.float64:
         return plane
-
-    def store(self, value):
-        if isinstance(value, np.ndarray) and value.dtype == np.uint8:
-            if value.flags.writeable:  # the caller may change it later
-                value = value.copy()
-                value.flags.writeable = False
-        elif not (value is None and name != "luma"):
-            value = np.asarray(value, dtype=np.float64)
-        setattr(self, key, value)
-
-    return property(read, store)
+    plane = plane.astype(np.float64)
+    plane.flags.writeable = False
+    return plane
 
 
-@dataclass
 class Frame:
-    """Single-view frame: luma always, 8-bit-range chroma optional.
+    """Single-view frame: luma always, 8-bit-range chroma planes both or neither.
 
-    A uint8 plane is stored read-only: a read-only one, as ``load_sequence``
-    makes, as it is, a writable one as a copy.  Any other plane becomes
-    float64.  ``luma``, ``chroma_u`` and ``chroma_v`` always read as float64; for
-    a uint8 plane that is a fresh read-only array, so writing to it in place
-    raises instead of being lost.  ``planes`` and ``shape`` read the stored
-    planes without a copy."""
+    The constructor stores each plane once (``_stored``) and checks it once:
+    every plane 2-D, luma at least 8x8, both chroma planes of one shape, every
+    sample in [0, 255].  ``planes`` holds them as stored, uint8 or float64,
+    without a copy; ``luma``, ``chroma_u`` and ``chroma_v`` read them as
+    float64.  None of them can be reassigned."""
 
-    luma: np.ndarray
-    chroma_u: np.ndarray | None = None
-    chroma_v: np.ndarray | None = None
+    __slots__ = ("_planes",)
 
-    def __post_init__(self):
-        luma = self._luma
-        if luma.ndim != 2:
-            raise DimensionMismatch("luma must be a 2-D array")
-        h, w = luma.shape
+    def __init__(self, luma, chroma_u=None, chroma_v=None):
+        if (chroma_u is None) != (chroma_v is None):
+            missing = "chroma_u" if chroma_u is None else "chroma_v"
+            raise DimensionMismatch(f"{missing} missing: a frame has both chroma planes or neither")
+        planes = (luma,) if chroma_u is None else (luma, chroma_u, chroma_v)
+        planes = [_stored(name, p) for name, p in zip(_PLANE_NAMES, planes)]
+        for name, plane in zip(_PLANE_NAMES, planes):
+            if plane.ndim != 2:
+                raise DimensionMismatch(f"{name} must be a 2-D array, not {plane.ndim}-D")
+        h, w = planes[0].shape
         if h < 8 or w < 8:
             raise DimensionMismatch(f"frame too small: {w}x{h} (minimum 8x8)")
-        for name, plane in zip(_PLANE_NAMES, self.planes):
-            if plane is not None:
-                _check_range(name, plane, 0.0, 255.0)
+        if planes[1:] and planes[1].shape != planes[2].shape:
+            raise DimensionMismatch(f"chroma_u {planes[1].shape} and chroma_v {planes[2].shape} "
+                                    "differ in shape")
+        for name, plane in zip(_PLANE_NAMES, planes):
+            _check_range(name, plane, 0.0, 255.0)
+        self._planes = (*planes, None, None)[:3]
 
-    @property
-    def planes(self) -> tuple:
-        """(luma, chroma_u, chroma_v) as stored: uint8 or float64, chroma maybe None."""
-        return self._luma, self._chroma_u, self._chroma_v
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._luma.shape
-
-    @property
-    def height(self) -> int:
-        return self._luma.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self._luma.shape[1]
+    planes = property(lambda self: self._planes, doc="(luma, chroma_u, chroma_v) as stored.")
+    luma = property(lambda self: _float64(self._planes[0]))
+    chroma_u = property(lambda self: _float64(self._planes[1]))
+    chroma_v = property(lambda self: _float64(self._planes[2]))
+    shape = property(lambda self: self._planes[0].shape)
+    height = property(lambda self: self._planes[0].shape[0])
+    width = property(lambda self: self._planes[0].shape[1])
 
 
-# after @dataclass, which has taken the fields (and chroma's default None) from the class body
-for _name in _PLANE_NAMES:
-    setattr(Frame, _name, _plane_property(_name))
-del _name
-
-
-@dataclass
+@dataclass(frozen=True)
 class StereoFrame:
     left: Frame
     right: Frame
@@ -221,7 +213,7 @@ def _check_fps(fps: float) -> None:
         raise RangeError(f"fps must be finite and > 0, got {fps!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class StereoSequence:
     frames: list[StereoFrame]
     fps: float = 30.0

@@ -20,13 +20,13 @@ FLAT_GUARD = 1e-12
 _SUBNORMAL_SCALE = 2.0**-1000
 
 
-@dataclass
+@dataclass(frozen=True)
 class SaliencyMap:
     values: np.ndarray
     source: str = "external"
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
         _check_range("saliency", self.values, 0.0)
 
     @property

@@ -40,10 +40,19 @@ def desc_path(tmp_path):
 
 def test_info(desc_path, capsys):
     assert main(["info", "--in", desc_path]) == 0
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     assert "size: 64x64" in out
     assert "frames: 2" in out
     assert "si:" in out and "ti:" in out
+    assert err == ""
+
+
+def test_info_writes_the_single_frame_flag(tmp_path, capsys):
+    path = _write_fixture(tmp_path, "one", make_seq(101, frames=1, size=16))
+    assert main(["info", "--in", path]) == 0
+    out, err = capsys.readouterr()
+    assert "ti: 0.0000" in out
+    assert err == f"{path}: ti_undefined_single_frame\n"
 
 
 def test_score_fr_identical_inputs(desc_path, tmp_path):
@@ -499,11 +508,11 @@ def test_config_option_removed(desc_path, tmp_path, command):
 
 
 def test_distort_keeps_pixel_format(tmp_path):
-    ref = make_seq(104, frames=2, size=32)
-    for t, frame in enumerate(ref.frames):
-        for v, view in enumerate((frame.left, frame.right)):
-            view.chroma_u = np.full((16, 16), 40.0 + 10 * t + v)
-            view.chroma_v = np.arange(256.0).reshape(16, 16)
+    chroma_v = np.arange(256.0).reshape(16, 16)
+    ref = StereoSequence([StereoFrame(*(Frame(view.luma, np.full((16, 16), 40.0 + 10 * t + v),
+                                              chroma_v)
+                                        for v, view in enumerate((frame.left, frame.right))))
+                          for t, frame in enumerate(make_seq(104, frames=2, size=32).frames)])
     d = tmp_path / "yuv"
     d.mkdir()
     save_sequence(ref, str(d / "l.raw"), str(d / "r.raw"), format="yuv420p8").to_json(

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from stereoqa.errors import (
     MapShapeError,
     ParamError,
     RangeError,
+    StereoQaError,
 )
 from stereoqa.media import (
     PIXEL_FORMATS,
@@ -55,6 +57,87 @@ def test_frame_rejects_samples_outside_8bit_range(plane, value):
     planes[plane][3, 5] = value
     with pytest.raises(RangeError, match=plane):
         Frame(**planes)
+
+
+@pytest.mark.parametrize("planes, name", [
+    ({"chroma_u": np.full((4, 4), 128.0)}, "chroma_v"),
+    ({"chroma_v": np.full((4, 4), 128.0)}, "chroma_u"),
+    ({"chroma_u": np.full(16, 128.0), "chroma_v": np.full(16, 128.0)}, "chroma_u"),
+    ({"chroma_u": np.full((8, 8), 128.0), "chroma_v": np.full((8, 8, 1), 128.0)}, "chroma_v"),
+    ({"chroma_u": np.full((4, 4), 128.0), "chroma_v": np.full((4, 8), 128.0)}, "chroma_v"),
+], ids=["no-chroma_v", "no-chroma_u", "1-D-chroma", "3-D-chroma_v", "chroma-shapes-differ"])
+def test_frame_rejects_chroma_planes_that_do_not_pair(planes, name):
+    with pytest.raises(DimensionMismatch, match=name):
+        Frame(np.full((8, 8), 128.0), **planes)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("luma", "abc"), ("luma", np.full((8, 8), 128.0 + 1j)),
+    ("chroma_u", np.full((8, 8), "128")), ("chroma_v", np.full((8, 8), None)),
+], ids=["str", "complex", "str-array", "object-array"])
+def test_frame_rejects_planes_that_are_not_real_numbers(name, value):
+    planes = {p: np.full((8, 8), 128.0) for p in ("luma", "chroma_u", "chroma_v")}
+    planes[name] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a complex plane may not lose its imaginary part
+        with pytest.raises(RangeError, match=name):
+            Frame(**planes)
+
+
+def test_checked_values_are_frozen():
+    frame = Frame(np.full((8, 8), 128, np.uint8), np.full((4, 4), 64.0), np.full((4, 4), 192.0))
+    seq = StereoSequence([StereoFrame(frame, frame)])
+    values = np.full((8, 8), 300.0)  # outside the 8-bit range: a setter would skip the check
+    for obj, name in ((frame, "luma"), (frame, "chroma_u"), (frame, "chroma_v"),
+                      (frame, "planes"), (seq.frames[0], "left"), (seq, "fps"),
+                      (SaliencyMap(np.ones((8, 8))), "values"),
+                      (DisparityMap(np.ones((8, 8))), "values")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, values)
+    assert frame.luma.max() == 128.0 and seq.fps == 30.0
+
+
+_REAL_DTYPES = (np.uint8, np.float64, np.int16, np.bool_)
+
+
+@st.composite
+def _plane(draw, shape=None):
+    """A plane of ``shape``, or else of 0-3 dimensions, whose dtype may be
+    complex or str and whose values may leave the 8-bit range; two planes in
+    three are 2-D (at least 8x8), real and in range, as a frame needs."""
+    good = draw(st.sampled_from((True, True, False)))
+    if shape is None:
+        ndim = 2 if good else draw(st.integers(0, 3))
+        shape = tuple(draw(st.sampled_from((8, 9, 12) if good else (0, 1, 4, 8)))
+                      for _ in range(ndim))
+    dtype = draw(st.sampled_from(_REAL_DTYPES + (() if good else (np.complex128, np.str_))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.integers(0 if good else -1, 256 if good else 258, shape).astype(dtype)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), chroma=st.sampled_from(["absent", "present", "mismatched",
+                                                 "chroma_u only", "chroma_v only"]))
+def test_any_planes_give_a_frame_or_a_stereoqa_error(data, chroma):
+    luma = data.draw(_plane())
+    u = None if chroma in ("absent", "chroma_v only") else data.draw(_plane())
+    if chroma in ("absent", "chroma_u only"):
+        v = None
+    elif chroma == "present":
+        v = data.draw(_plane(u.shape))
+    elif chroma == "mismatched":
+        v = data.draw(_plane(tuple(n + 1 for n in u.shape)))
+    else:
+        v = data.draw(_plane())
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        try:
+            frame = Frame(luma, u, v)
+        except StereoQaError:
+            return
+    assert frame.luma.dtype == np.float64 and frame.luma.ndim == 2
+    assert (frame.chroma_u is None) == (frame.chroma_v is None) == (u is None)
+    assert all(p is None or p.dtype in (np.uint8, np.float64) for p in frame.planes)
 
 
 def _with_sample(value, fill):
@@ -237,11 +320,9 @@ def test_map_series_shape_mismatch(tmp_path):
 
 
 def test_yuv420_round_trip(tmp_path):
-    seq = make_seq(9, frames=2, size=16)
-    for sf in seq.frames:
-        for view in (sf.left, sf.right):
-            view.chroma_u = np.full((8, 8), 64.0)
-            view.chroma_v = np.full((8, 8), 192.0)
+    u, v = np.full((8, 8), 64.0), np.full((8, 8), 192.0)
+    seq = StereoSequence([StereoFrame(Frame(sf.left.luma, u, v), Frame(sf.right.luma, u, v))
+                          for sf in make_seq(9, frames=2, size=16).frames])
     desc = save_sequence(seq, str(tmp_path / "l.raw"), str(tmp_path / "r.raw"),
                          format="yuv420p8")
     back = load_sequence(desc)
@@ -276,12 +357,10 @@ def test_save_map_series_returns_paths(tmp_path):
 
 
 def test_save_sequence_rejects_wrong_chroma_plane(tmp_path):
-    seq = make_seq(5, frames=2, size=64)
-    for sf in seq.frames:
-        for view in (sf.left, sf.right):
-            view.luma = view.luma[:, :50]
-            view.chroma_u = np.full((33, 25), 64.0)
-            view.chroma_v = np.full((33, 25), 192.0)
+    u, v = np.full((33, 25), 64.0), np.full((33, 25), 192.0)
+    seq = StereoSequence([StereoFrame(Frame(sf.left.luma[:, :50], u, v),
+                                      Frame(sf.right.luma[:, :50], u, v))
+                          for sf in make_seq(5, frames=2, size=64).frames])
     left, right = tmp_path / "l.raw", tmp_path / "r.raw"
     with pytest.raises(DimensionMismatch):
         save_sequence(seq, str(left), str(right), format="yuv420p8")
@@ -373,7 +452,7 @@ def test_in_place_write_to_a_loaded_plane_raises(tmp_path):
 
 def test_frame_copies_a_writable_uint8_plane():
     samples = np.full((8, 8), 40, np.uint8)
-    frame = Frame(samples, chroma_u=samples)
+    frame = Frame(samples, chroma_u=samples, chroma_v=samples)
     samples[:] = 200
     assert frame.luma.max() == frame.chroma_u.max() == 40.0
     assert not frame.planes[0].flags.writeable

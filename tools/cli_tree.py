@@ -18,8 +18,10 @@ The command set: ``info``; ``distort`` with each kind and a list spec;
 config cases; every metric under no, baseline and ``dir:`` saliency with
 frame CSVs, and one ``--config`` case each; ``evaluate`` as csv and json,
 with and without ``--logistic``.  It runs at five awkward two-frame sizes,
-in each pixel format, and at one 12-frame size, on which ``flosim3d_s`` and
-``qa3d_s`` score several frames, also against the left-blurred item.
+in each pixel format; at one 12-frame size, on which ``flosim3d_s`` and
+``qa3d_s`` score several frames, also against the left-blurred item; and at
+one single-frame size, on which ``info`` flags the undefined TI and the
+temporal metrics exit 1.
 """
 
 import contextlib
@@ -39,7 +41,8 @@ NR_METRICS = ("gbim_s", "nrpbm_s", "blur_farias_s", "block_farias_s", "sadaka_s"
 
 # tag: (height, width, pixel format, frames)
 SIZES = {"a": (64, 64, "gray8", 2), "b": (70, 90, "yuv444p8", 2), "c": (33, 97, "gray8", 2),
-         "d": (8, 40, "gray8", 2), "e": (45, 74, "yuv420p8", 2), "f": (48, 64, "gray8", 12)}
+         "d": (8, 40, "gray8", 2), "e": (45, 74, "yuv420p8", 2), "f": (48, 64, "gray8", 12),
+         "g": (40, 48, "gray8", 1)}
 DISPARITY = 3  # pixels between the views of the generated scenes
 
 
