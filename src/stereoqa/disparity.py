@@ -11,10 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParamError
-from .media import StereoFrame, _check_int, _check_range, _samples8
+from .media import StereoFrame, _check_int, _Map, _samples8
 
 
-@dataclass
+@dataclass(frozen=True)
 class DisparityConfig:
     block: int = 8
     search_range: int = 32
@@ -25,16 +25,8 @@ class DisparityConfig:
 
 
 @dataclass(frozen=True)
-class DisparityMap:
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-        _check_range("disparity", self.values)
-
-    @property
-    def shape(self):
-        return self.values.shape
+class DisparityMap(_Map):
+    _name = "disparity"
 
 
 def _anchors(n: int, block: int) -> np.ndarray:

@@ -19,7 +19,7 @@ from .rng import SeededRng, _check_seed
 TARGETS = ("both_views", "left_only", "right_only")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DistortionSpec:
     kind: str
     params: dict = field(default_factory=dict)  # filled from the kind's defaults
@@ -38,9 +38,9 @@ class DistortionSpec:
             for name, value, minimum in zip(("y0", "x0", "height", "width"), self.region,
                                             (0, 0, 1, 1)):
                 _check_int(f"region {name}", value, minimum)
-            self.region = tuple(self.region)
+            object.__setattr__(self, "region", tuple(self.region))
         defaults = _DISTORTIONS[self.kind][1]
-        self.params = {**defaults, **self.params}
+        object.__setattr__(self, "params", {**defaults, **self.params})
         for name, value in self.params.items():
             if name not in defaults:
                 raise ParamError(f"unknown {self.kind} parameter {name!r}")

@@ -34,7 +34,7 @@ from .saliency import build_saliency_pyramid, weighted_spatial_mean
 MSSSIM_EXPONENTS = (0.0448, 0.2856, 0.3001, 0.2363, 0.1333)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FrMetricConfig:
     psnr_cap: float = 100.0
     ssim_c1: float = (0.01 * 255) ** 2

@@ -1,9 +1,11 @@
 """Raw planar video and PGM map I/O.
 
-A ``Frame`` is built and checked once: luma and both chroma planes or
-neither, each 2-D and in [0, 255].  A loaded frame holds its planes as the
-8-bit samples of the stream, and ``Frame.luma``/``chroma_u``/``chroma_v``
-read them as float64.  ``StereoFrame`` and ``StereoSequence`` are frozen, so
+Every checked 2-D array, a frame plane or a map's values, is stored by one
+gate (``_stored``): real numbers, 2-D and in range, read-only once built, a
+writable input copied.  A ``Frame`` has luma and both chroma planes or
+neither, each in [0, 255]; a loaded frame holds its planes as the 8-bit
+samples of the stream, and ``Frame.luma``/``chroma_u``/``chroma_v`` read them
+as float64.  ``StereoFrame``, ``StereoSequence`` and the maps are frozen, so
 no plane or checked value can be reassigned.  Grayscale maps (saliency,
 disparity) travel as PGM series scaled to [0, 1].  All formats are
 uncompressed so loading is bit-exact and needs no external decoders.
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 import os
 import re
 import sys
@@ -134,24 +137,26 @@ def _check_range(name: str, a: np.ndarray, lo: float = -np.inf, hi: float = np.i
 _PLANE_NAMES = ("luma", "chroma_u", "chroma_v")
 
 
-def _stored(name: str, value) -> np.ndarray:
-    """``value`` as Frame stores it: a uint8 array read-only (a writable one
-    copied, since the caller may change it later), real numbers as float64,
-    anything else a RangeError naming ``name``."""
-    if isinstance(value, np.ndarray) and value.dtype == np.uint8:
-        if value.flags.writeable:
-            value = value.copy()
-            value.flags.writeable = False
-        return value
-    value = np.asarray(value)
-    if value.dtype.kind not in "biuf":  # no str, complex or object array
-        raise RangeError(f"{name} must hold real numbers, not {value.dtype}")
-    return value.astype(np.float64, copy=False)
+def _stored(name: str, value, lo=-np.inf, hi=np.inf, keep_uint8=False) -> np.ndarray:
+    """``value``, a frame plane or a map's values, as stored: read-only float64,
+    or uint8 if it is and ``keep_uint8``; a writable input copied, since its caller
+    may change it, a read-only one kept.  RangeError, naming ``name``, unless it is
+    real numbers, all finite and in [lo, hi]; DimensionMismatch unless it is 2-D."""
+    a = np.asarray(value)
+    if a.dtype.kind not in "biuf":  # no str, complex or object array
+        raise RangeError(f"{name} must hold real numbers, not {a.dtype}")
+    if a.ndim != 2:
+        raise DimensionMismatch(f"{name} must be a 2-D array, not {a.ndim}-D")
+    dtype = np.uint8 if keep_uint8 and a.dtype == np.uint8 else np.float64
+    a = a.astype(dtype, copy=a.flags.writeable)
+    a.flags.writeable = False
+    _check_range(name, a, lo, hi)
+    return a
 
 
 def _float64(plane):
-    """A stored plane as float64; for uint8 a fresh read-only array, so an in-place
-    write raises instead of being lost."""
+    """A stored plane as a read-only float64 array: a float64 plane itself, a
+    uint8 one converted afresh."""
     if plane is None or plane.dtype == np.float64:
         return plane
     plane = plane.astype(np.float64)
@@ -162,11 +167,11 @@ def _float64(plane):
 class Frame:
     """Single-view frame: luma always, 8-bit-range chroma planes both or neither.
 
-    The constructor stores each plane once (``_stored``) and checks it once:
-    every plane 2-D, luma at least 8x8, both chroma planes of one shape, every
-    sample in [0, 255].  ``planes`` holds them as stored, uint8 or float64,
+    The constructor stores and checks each plane once (``_stored``: 2-D, every
+    sample in [0, 255]), then checks that luma is at least 8x8 and both chroma
+    planes share one shape.  ``planes`` holds them as stored, uint8 or float64,
     without a copy; ``luma``, ``chroma_u`` and ``chroma_v`` read them as
-    float64.  None of them can be reassigned."""
+    float64.  Every plane is read-only, and none can be reassigned."""
 
     __slots__ = ("_planes",)
 
@@ -175,18 +180,13 @@ class Frame:
             missing = "chroma_u" if chroma_u is None else "chroma_v"
             raise DimensionMismatch(f"{missing} missing: a frame has both chroma planes or neither")
         planes = (luma,) if chroma_u is None else (luma, chroma_u, chroma_v)
-        planes = [_stored(name, p) for name, p in zip(_PLANE_NAMES, planes)]
-        for name, plane in zip(_PLANE_NAMES, planes):
-            if plane.ndim != 2:
-                raise DimensionMismatch(f"{name} must be a 2-D array, not {plane.ndim}-D")
+        planes = [_stored(n, p, 0.0, 255.0, keep_uint8=True) for n, p in zip(_PLANE_NAMES, planes)]
         h, w = planes[0].shape
         if h < 8 or w < 8:
             raise DimensionMismatch(f"frame too small: {w}x{h} (minimum 8x8)")
         if planes[1:] and planes[1].shape != planes[2].shape:
             raise DimensionMismatch(f"chroma_u {planes[1].shape} and chroma_v {planes[2].shape} "
                                     "differ in shape")
-        for name, plane in zip(_PLANE_NAMES, planes):
-            _check_range(name, plane, 0.0, 255.0)
         self._planes = (*planes, None, None)[:3]
 
     planes = property(lambda self: self._planes, doc="(luma, chroma_u, chroma_v) as stored.")
@@ -204,23 +204,28 @@ class StereoFrame:
     right: Frame
 
     def __post_init__(self):
+        if not (isinstance(self.left, Frame) and isinstance(self.right, Frame)):
+            raise ParamError("a StereoFrame holds two Frames")
         if self.left.shape != self.right.shape:
             raise DimensionMismatch("left/right dimensions differ")
 
 
-def _check_fps(fps: float) -> None:
-    if not 0 < fps <= sys.float_info.max:  # NaN fails too
+def _check_fps(fps) -> None:
+    if not (isinstance(fps, numbers.Real) and 0 < fps <= sys.float_info.max):  # NaN fails too
         raise RangeError(f"fps must be finite and > 0, got {fps!r}")
 
 
 @dataclass(frozen=True)
 class StereoSequence:
-    frames: list[StereoFrame]
+    frames: tuple[StereoFrame, ...]
     fps: float = 30.0
 
     def __post_init__(self):
+        object.__setattr__(self, "frames", tuple(self.frames))
         if not self.frames:
             raise EmptySequence("sequence has no frames")
+        if not all(isinstance(fr, StereoFrame) for fr in self.frames):
+            raise ParamError("a StereoSequence holds StereoFrames")
         _check_fps(self.fps)
         shape = self.frames[0].left.shape
         if any(fr.left.shape != shape for fr in self.frames):
@@ -229,16 +234,11 @@ class StereoSequence:
     def __len__(self) -> int:
         return len(self.frames)
 
-    @property
-    def height(self) -> int:
-        return self.frames[0].left.height
-
-    @property
-    def width(self) -> int:
-        return self.frames[0].left.width
+    height = property(lambda self: self.frames[0].left.height)
+    width = property(lambda self: self.frames[0].left.width)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SequenceDescriptor:
     """Pointer to a pair of raw planar streams plus their geometry."""
 
@@ -265,8 +265,8 @@ class SequenceDescriptor:
         """The descriptor at ``path``; stream paths are relative to its directory."""
         desc = decode(cls, read_json(path), path)
         base = os.path.dirname(os.path.abspath(path))
-        desc.left, desc.right = os.path.join(base, desc.left), os.path.join(base, desc.right)
-        return desc
+        return dataclasses.replace(desc, left=os.path.join(base, desc.left),
+                                   right=os.path.join(base, desc.right))
 
     def to_json(self, path: str) -> None:
         """Write to ``path``, stream paths relative to its directory (as ``from_json``)."""
@@ -392,8 +392,7 @@ def read_pgm(path: str) -> np.ndarray:
 
 def save_frame_pgm(values: np.ndarray, path: str) -> None:
     """Write a [0, 1] map as an 8-bit binary PGM (round, ties up)."""
-    values = np.asarray(values, dtype=np.float64)
-    _check_range("map", values, 0.0, 1.0)
+    values = _stored("map", values, 0.0, 1.0)
     h, w = values.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode())
@@ -419,6 +418,19 @@ def load_map_series(dir_path: str, expected: dict) -> list[np.ndarray]:
             )
         maps.append(m)
     return maps
+
+
+@dataclass(frozen=True)
+class _Map:
+    """Per-frame map; each subclass declares the ``_name`` and ``_low`` bound of its values."""
+
+    values: np.ndarray
+    _name, _low = "map", -np.inf
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", _stored(self._name, self.values, self._low))
+
+    shape = property(lambda self: self.values.shape)
 
 
 def _maps(series, kind, n: int, shape, name: str) -> list:

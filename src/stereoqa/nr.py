@@ -22,7 +22,7 @@ from .metric import _power, registrar, view_mean
 from .saliency import weighted_spatial_mean
 
 
-@dataclass
+@dataclass(frozen=True)
 class NrMetricConfig:
     gbim_grid: int = 8
     gbim_masking: str = "neutral"  # neutral | luminance

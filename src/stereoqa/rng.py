@@ -43,6 +43,7 @@ class SeededRng:
 
     def next_u64(self, n: int = 1) -> np.ndarray:
         """The next n raw 64-bit outputs of the sequential stream."""
+        _check_int("n", n, 0)
         idx = np.arange(self._count + 1, self._count + n + 1, dtype=np.uint64)
         self._count += n
         with np.errstate(over="ignore"):
@@ -54,6 +55,7 @@ class SeededRng:
 
     def normals(self, n: int, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
         """n normal deviates via Box-Muller pairs (spare cached across calls)."""
+        _check_int("n", n, 0)
         if sigma < 0:
             raise ParamError("sigma must be >= 0")
         out = np.empty(n, dtype=np.float64)

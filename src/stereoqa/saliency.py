@@ -14,27 +14,19 @@ import numpy as np
 from .disparity import DisparityMap
 from .errors import DegenerateSaliency, DimensionMismatch, NumericError, ParamError
 from .kernels import gaussian_smooth, pyramid
-from .media import StereoSequence, _check_range, _maps, load_map_series
+from .media import StereoSequence, _Map, _maps, _stored, load_map_series
 
 FLAT_GUARD = 1e-12
 _SUBNORMAL_SCALE = 2.0**-1000
 
 
 @dataclass(frozen=True)
-class SaliencyMap:
-    values: np.ndarray
+class SaliencyMap(_Map):
     source: str = "external"
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-        _check_range("saliency", self.values, 0.0)
-
-    @property
-    def shape(self):
-        return self.values.shape
+    _name, _low = "saliency", 0.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class VamConfig:
     """Fixed-weight channel fusion: intensity, color, motion, depth."""
 
@@ -75,14 +67,15 @@ def weighted_spatial_mean(f: np.ndarray, w: np.ndarray) -> float:
 
 
 def normalize_map(raw: np.ndarray, source: str = "external") -> SaliencyMap:
-    """Shift to min 0 and scale to max 1; flat input becomes a uniform map."""
-    raw = np.asarray(raw, dtype=np.float64)
-    if not np.all(np.isfinite(raw)):
-        raise NumericError("non-finite values in raw map")
+    """Shift to min 0 and scale to max 1; flat input becomes a uniform map.
+    ``raw`` is checked as a map's values are (``media._stored``)."""
+    raw = np.asarray(raw).view()
+    raw.flags.writeable = False  # only read here, so the check needs no copy
+    raw = _stored("raw map", raw)
     lo, hi = raw.min(), raw.max()
-    if hi - lo < FLAT_GUARD:
-        return SaliencyMap(np.ones_like(raw), source)
-    return SaliencyMap((raw - lo) / (hi - lo), source)
+    values = np.ones_like(raw) if hi - lo < FLAT_GUARD else (raw - lo) / (hi - lo)
+    values.flags.writeable = False  # fresh: SaliencyMap keeps it without a copy
+    return SaliencyMap(values, source)
 
 
 def build_saliency_pyramid(values: np.ndarray, levels: int) -> list[np.ndarray]:
@@ -92,8 +85,9 @@ def build_saliency_pyramid(values: np.ndarray, levels: int) -> list[np.ndarray]:
 
 
 def uniform_series(seq: StereoSequence) -> list[SaliencyMap]:
-    shape = (seq.height, seq.width)
-    return [SaliencyMap(np.ones(shape), "uniform") for _ in range(len(seq))]
+    ones = np.ones((seq.height, seq.width))
+    ones.flags.writeable = False  # one read-only array, shared by every frame's map
+    return [SaliencyMap(ones, "uniform") for _ in range(len(seq))]
 
 
 def load_external_saliency(dir_path: str, seq: StereoSequence) -> list[SaliencyMap]:

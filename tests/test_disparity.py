@@ -81,8 +81,9 @@ def test_median_filter_removes_speckle():
     pair = _pair_with_shift(4)
     # corrupt one 8x8 block of the right view; the median filter should keep
     # the surrounding field consistent
-    pair.right.luma[24:32, 24:32] = 0.0
-    d = estimate_disparity(pair)
+    right = pair.right.luma.copy()
+    right[24:32, 24:32] = 0.0
+    d = estimate_disparity(StereoFrame(pair.left, Frame(right)))
     patch = d.values[8:48, 8:48]
     assert np.median(patch) == 4
 

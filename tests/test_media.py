@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stereoqa.disparity import DisparityMap, estimate_disparity_series
+from stereoqa.disparity import DisparityConfig, DisparityMap, estimate_disparity_series
 from stereoqa.distort import DistortionSpec, apply
 from stereoqa.errors import (
     DescriptorMismatch,
@@ -36,9 +36,9 @@ from stereoqa.media import (
     save_map_series,
     save_sequence,
 )
-from stereoqa.fr import FR_METRICS, FR_NEEDS_DISPARITY
+from stereoqa.fr import FR_METRICS, FR_NEEDS_DISPARITY, FrMetricConfig
 from stereoqa.nr import NR_METRICS, NR_NEEDS_DISPARITY, NrMetricConfig
-from stereoqa.saliency import SaliencyMap, baseline_vam
+from stereoqa.saliency import SaliencyMap, VamConfig, baseline_vam
 
 from conftest import make_seq
 
@@ -95,6 +95,68 @@ def test_checked_values_are_frozen():
         with pytest.raises(AttributeError):
             setattr(obj, name, values)
     assert frame.luma.max() == 128.0 and seq.fps == 30.0
+    # a config set after its checks ran would skip them: vif_scales=1.5 scored
+    # vif_s, and a 1-long msssim_exponents ended msssim_s in an IndexError
+    for obj, name, value in ((FrMetricConfig(), "vif_scales", 1.5),
+                             (FrMetricConfig(), "msssim_exponents", (1.0,)),
+                             (NrMetricConfig(), "gbim_grid", 0),
+                             (VamConfig(), "w_intensity", -1.0),
+                             (DisparityConfig(), "block", 2),
+                             (DistortionSpec(kind="awgn", params={"variance": 0.01}), "seed", -1),
+                             (SequenceDescriptor(**_DESCRIPTOR), "frames", 0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, value)
+
+
+@pytest.mark.parametrize("build", [
+    lambda a: Frame(a).luma, lambda a: Frame(a, a, a).chroma_v, lambda a: Frame(a).planes[0],
+    lambda a: SaliencyMap(a).values, lambda a: DisparityMap(a).values,
+], ids=["luma", "chroma_v", "planes", "saliency", "disparity"])
+def test_float64_values_are_read_only_copies(build):
+    """A float64 plane or map is the frame's or map's own: a write to it in
+    place raises, and a later write to the caller's array leaves it alone."""
+    given = np.full((8, 8), 100.0)
+    stored = build(given)
+    with pytest.raises(ValueError, match="read-only"):
+        stored[:] = 300.0
+    given[:] = -5.0
+    assert stored.dtype == np.float64 and stored.min() == stored.max() == 100.0
+
+
+def test_a_read_only_float64_plane_is_kept_without_a_copy():
+    plane = np.full((8, 8), 100.0)
+    plane.flags.writeable = False
+    assert Frame(plane).planes[0] is plane and SaliencyMap(plane).values is plane
+
+
+@pytest.mark.parametrize("cls", [SaliencyMap, DisparityMap])
+@pytest.mark.parametrize("value, error", [
+    ("abc", RangeError), (np.full((8, 8), 1.0 + 1j), RangeError),
+    (np.full((8, 8), None), RangeError), (np.full((8, 8), "1"), RangeError),
+    (np.ones(8), DimensionMismatch), (np.ones((8, 8, 1)), DimensionMismatch),
+    (np.float64(1.0), DimensionMismatch),
+], ids=["str", "complex", "object-array", "str-array", "1-D", "3-D", "0-D"])
+def test_maps_reject_values_that_are_not_2d_real_numbers(cls, value, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a complex map may not lose its imaginary part
+        with pytest.raises(error, match=cls._name):
+            cls(value)
+
+
+def test_stereo_frame_holds_two_frames():
+    frame = Frame(np.zeros((8, 8)))
+    for left, right in ((np.zeros((8, 8)), np.zeros((8, 8))), (frame, np.zeros((8, 8)))):
+        with pytest.raises(ParamError, match="Frame"):
+            StereoFrame(left, right)
+
+
+def test_stereo_sequence_holds_stereo_frames_as_a_tuple(tiny_seq):
+    with pytest.raises(ParamError, match="StereoFrame"):
+        StereoSequence([np.zeros((8, 8))])
+    with pytest.raises(ParamError, match="StereoFrame"):
+        StereoSequence([*tiny_seq.frames, tiny_seq.frames[0].left])
+    seq = StereoSequence(list(tiny_seq.frames))
+    assert isinstance(seq.frames, tuple) and seq.frames == tiny_seq.frames
 
 
 _REAL_DTYPES = (np.uint8, np.float64, np.int16, np.bool_)
@@ -119,6 +181,8 @@ def _plane(draw, shape=None):
 @given(data=st.data(), chroma=st.sampled_from(["absent", "present", "mismatched",
                                                  "chroma_u only", "chroma_v only"]))
 def test_any_planes_give_a_frame_or_a_stereoqa_error(data, chroma):
+    """Any planes give a frame or a StereoQaError, never a warning or another
+    exception, and so does the luma given to either map class."""
     luma = data.draw(_plane())
     u = None if chroma in ("absent", "chroma_v only") else data.draw(_plane())
     if chroma in ("absent", "chroma_u only"):
@@ -131,13 +195,20 @@ def test_any_planes_give_a_frame_or_a_stereoqa_error(data, chroma):
         v = data.draw(_plane())
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
+        for cls in (SaliencyMap, DisparityMap):
+            try:
+                values = cls(luma).values
+            except StereoQaError:
+                continue
+            assert values.dtype == np.float64 and values.ndim == 2 and not values.flags.writeable
         try:
             frame = Frame(luma, u, v)
         except StereoQaError:
             return
     assert frame.luma.dtype == np.float64 and frame.luma.ndim == 2
     assert (frame.chroma_u is None) == (frame.chroma_v is None) == (u is None)
-    assert all(p is None or p.dtype in (np.uint8, np.float64) for p in frame.planes)
+    assert all(p is None or p.dtype in (np.uint8, np.float64) and not p.flags.writeable
+               for p in frame.planes)
 
 
 def _with_sample(value, fill):
@@ -165,6 +236,14 @@ def test_pgm_writer_rejects_values_outside_the_unit_range(tmp_path, value):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("values", [np.full(8, 0.5), np.full((2, 4, 4), 0.5)], ids=["1-D", "3-D"])
+def test_pgm_writer_rejects_a_map_that_is_not_2d(tmp_path, values):
+    path = tmp_path / "m.pgm"
+    with pytest.raises(DimensionMismatch, match="map"):
+        save_frame_pgm(values, str(path))
+    assert not path.exists()
+
+
 def test_disparity_accepts_any_finite_value():
     values = _with_sample(-1e300, 1e300)
     assert np.array_equal(DisparityMap(values).values, values)
@@ -189,7 +268,7 @@ def test_sequence_round_trip_gray8(tmp_path, tiny_seq):
 
 def _stream_sample(tmp_path):
     seq = make_seq(5, frames=1, size=8)
-    seq.frames[0].left.luma[:] = 10.5
+    seq = StereoSequence([StereoFrame(Frame(np.full((8, 8), 10.5)), seq.frames[0].right)])
     desc = save_sequence(seq, str(tmp_path / "l.raw"), str(tmp_path / "r.raw"))
     return load_sequence(desc).frames[0].left.luma[0, 0]
 
@@ -241,7 +320,8 @@ def test_descriptor_written_with_cwd_relative_paths_loads_elsewhere(tmp_path, ti
     assert len(back) == len(tiny_seq)
 
 
-@pytest.mark.parametrize("fps", [float("inf"), float("nan"), -float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("fps", [float("inf"), float("nan"), -float("inf"), 0.0, -1.0, "x",
+                                 None, 1 + 1j])
 def test_sequence_rejects_fps_that_is_not_finite_and_positive(tiny_seq, fps):
     with pytest.raises(RangeError, match="fps"):
         StereoSequence(tiny_seq.frames, fps=fps)

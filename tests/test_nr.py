@@ -19,6 +19,7 @@ from stereoqa.errors import (
     TooSmall,
 )
 from stereoqa.kernels import convolve2d, sobel_gradient
+from stereoqa.media import Frame, StereoFrame, StereoSequence
 from stereoqa.nr import NR_METRICS, NrMetricConfig
 from stereoqa.saliency import SaliencyMap, baseline_vam, uniform_series
 
@@ -330,8 +331,8 @@ def test_nospdm_flat_guard_flagged():
 
 
 def test_nospdm_identical_views_zero_angle():
-    seq = make_seq(71, frames=1, size=32)
-    seq.frames[0].right.luma[:] = seq.frames[0].left.luma
+    left = make_seq(71, frames=1, size=32).frames[0].left
+    seq = StereoSequence([StereoFrame(left, Frame(left.luma))], fps=25.0)
     cfg = NrMetricConfig()
     rep = nr.nospdm_s(seq)
     # both angle terms vanish; what is left is the (2-mu)Q_L+mu*Q_R-lam*max form

@@ -49,3 +49,18 @@ def test_normals_scale_and_shift_the_standard_draws():
 def test_seed_outside_the_64_bit_range_raises(seed):
     with pytest.raises(ParamError):
         SeededRng(seed)
+
+
+@pytest.mark.parametrize("draw", [
+    lambda rng: rng.uniform(-1), lambda rng: rng.next_u64(-1), lambda rng: rng.normals(-1),
+    lambda rng: rng.normals(1.5), lambda rng: rng.uniform(2.0), lambda rng: rng.normals(True),
+], ids=["uniform-negative", "next_u64-negative", "normals-negative", "normals-float",
+        "uniform-float", "normals-bool"])
+def test_draw_count_must_be_a_non_negative_integer(draw):
+    """A bad count raises before it moves the stream: uniform(-1) stepped it
+    back, so that the next draw repeated the one before."""
+    rng = SeededRng(7)
+    rng.uniform(2)
+    with pytest.raises(ParamError, match="n must be"):
+        draw(rng)
+    assert rng.uniform(1)[0] == SeededRng(7).uniform(3)[2]

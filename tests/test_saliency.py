@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 import stereoqa.saliency as saliency
 from stereoqa.disparity import DisparityMap, estimate_disparity_series
-from stereoqa.errors import (DegenerateSaliency, DimensionMismatch, ParamError,
+from stereoqa.errors import (DegenerateSaliency, DimensionMismatch, ParamError, RangeError,
                              SequenceLengthError)
 from stereoqa.saliency import (
     SaliencyMap,
@@ -82,6 +84,24 @@ def test_normalize_flat_map_uniform():
     assert np.allclose(m.values, 1.0)
 
 
+@pytest.mark.parametrize("raw, error", [
+    ("abc", RangeError), (np.full((4, 4), 1.0 + 1j), RangeError),
+    (np.full((4, 4), None), RangeError), (np.full((4, 4), np.nan), RangeError),
+    (np.ones(4), DimensionMismatch),
+], ids=["str", "complex", "object-array", "nan", "1-D"])
+def test_normalize_map_rejects_a_raw_map_that_is_not_2d_finite_real_numbers(raw, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a complex map may not lose its imaginary part
+        with pytest.raises(error, match="raw map"):
+            normalize_map(raw)
+
+
+def test_normalize_map_keeps_exact_arithmetic_for_any_real_dtype():
+    raw = np.array([[2, 4], [6, 10]], np.uint8)
+    assert normalize_map(raw).values.tolist() == [[0.0, 0.25], [0.5, 1.0]]
+    assert normalize_map(raw.astype(np.int16)).values.tolist() == [[0.0, 0.25], [0.5, 1.0]]
+
+
 def test_pyramid_levels_match_chain():
     s = normalize_map(np.abs(np.random.RandomState(0).randn(64, 64)))
     pyr = build_saliency_pyramid(s.values, 3)
@@ -119,9 +139,12 @@ def test_baseline_vam_shapes_and_determinism():
 def test_baseline_vam_highlights_moving_object():
     seq = make_seq(23, frames=3, size=32)
     # a bright moving square should pull saliency toward its track
+    frames = []
     for i, sf in enumerate(seq.frames):
-        sf.left.luma[4 + 6 * i:10 + 6 * i, 4:10] = 255.0
-    maps = baseline_vam(seq)
+        luma = sf.left.luma.copy()
+        luma[4 + 6 * i:10 + 6 * i, 4:10] = 255.0
+        frames.append(StereoFrame(Frame(luma), sf.right))
+    maps = baseline_vam(StereoSequence(frames, seq.fps))
     hot = maps[1].values[10:16, 4:10].mean()
     cold = maps[1].values[24:30, 24:30].mean()
     assert hot > cold
