@@ -24,7 +24,7 @@ class DisparityConfig:
         _check_int("search_range", self.search_range, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DisparityMap(_Map):
     _name = "disparity"
 

@@ -19,10 +19,25 @@ from .rng import SeededRng, _check_seed
 TARGETS = ("both_views", "left_only", "right_only")
 
 
+class _Params(dict):
+    """A spec's parameters: a dict that refuses every change once built, so
+    no edit skips the spec's checks.  Equality, JSON, ``dataclasses.asdict``,
+    copies and pickles work as for a dict."""
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("DistortionSpec.params is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 @dataclass(frozen=True)
 class DistortionSpec:
     kind: str
-    params: dict = field(default_factory=dict)  # filled from the kind's defaults
+    params: dict = field(default_factory=dict)  # filled from the kind's defaults, read-only
     seed: int = 0
     target: str = "both_views"
     region: tuple | None = None  # (y0, x0, height, width)
@@ -40,7 +55,7 @@ class DistortionSpec:
                 _check_int(f"region {name}", value, minimum)
             object.__setattr__(self, "region", tuple(self.region))
         defaults = _DISTORTIONS[self.kind][1]
-        object.__setattr__(self, "params", {**defaults, **self.params})
+        object.__setattr__(self, "params", _Params({**defaults, **self.params}))
         for name, value in self.params.items():
             if name not in defaults:
                 raise ParamError(f"unknown {self.kind} parameter {name!r}")

@@ -24,7 +24,8 @@ from .kernels import (
     dct3_stereo_stack,
     gaussian_kernel,
     gaussian_smooth,
-    pyramid,
+    iter_pyramid,
+    pyramid_shapes,
     sobel_gradient,
 )
 from .media import StereoFrame, _check_int, _check_numbers
@@ -77,23 +78,47 @@ FR_NEEDS_DISPARITY: dict = {}
 _fr = registrar(FR_METRICS, FR_NEEDS_DISPARITY, FrMetricConfig, reference=True)
 
 
+# The SSIM-family formulas below keep each step of the plain expressions in
+# its order, but write it into an array whose value is dead: every value is
+# bit-identical, and one call holds about 7 frame-sized planes beyond its
+# inputs (the five moments, a product, a window's output and scratch).
+
 def _raw_moments(x, y, mean):
-    """Means, variances and covariance of x and y under the local mean ``mean``."""
+    """Means, variances and covariance of x and y under the local mean
+    ``mean``, which returns a new array; the caller owns all five."""
     # Unclamped moments: identical inputs then give a ssim map of exactly 1.
     mu_x = mean(x)
     mu_y = mean(y)
-    var_x = mean(x * x) - mu_x * mu_x
-    var_y = mean(y * y) - mu_y * mu_y
-    cov = mean(x * y) - mu_x * mu_y
+    var_x = mean(x * x)
+    var_x -= mu_x * mu_x
+    var_y = mean(y * y)
+    var_y -= mu_y * mu_y
+    cov = mean(x * y)
+    cov -= mu_x * mu_y
     return mu_x, mu_y, var_x, var_y, cov
 
 
 def _ssim(moments, cfg: FrMetricConfig):
+    """(2 mu_x mu_y + c1)(2 cov + c2) / ((mu_x**2 + mu_y**2 + c1)(var_x + var_y + c2))
+    of _raw_moments, whose arrays it overwrites."""
     mu_x, mu_y, var_x, var_y, cov = moments
     c1, c2 = cfg.ssim_c1, cfg.ssim_c2
-    num = (2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)
-    den = (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
-    return num / den
+    num = 2.0 * mu_x
+    num *= mu_y
+    num += c1
+    cov *= 2.0
+    cov += c2
+    num *= cov
+    den = mu_x
+    den *= mu_x
+    mu_y *= mu_y
+    den += mu_y
+    den += c1
+    var_x += var_y
+    var_x += c2
+    den *= var_x
+    num /= den
+    return num
 
 
 def _ssim_map(x, y, cfg: FrMetricConfig) -> np.ndarray:
@@ -126,6 +151,35 @@ def ssim_s(x, y, s, cfg):
     return weighted_spatial_mean(_ssim_map(x, y, cfg), s)
 
 
+def _msssim_scale(x, y, s, cfg: FrMetricConfig, smooth, weight: float,
+                  luminance: bool) -> float:
+    """One MS-SSIM scale's factor: its contrast-structure term pooled by
+    ``s`` to the power ``weight``, times, with ``luminance``, the luminance
+    term's; every array it makes dies when it returns."""
+    c1, c2 = cfg.ssim_c1, cfg.ssim_c2
+    mu_x, mu_y, var_x, var_y, cov = _raw_moments(
+        x, y, lambda a: smooth(a, cfg.ssim_window, cfg.ssim_sigma, "ssim_sigma"))
+    cs_map = cov  # (2 cov + c2) / (var_x + var_y + c2)
+    cs_map *= 2.0
+    cs_map += c2
+    var_x += var_y
+    var_x += c2
+    cs_map /= var_x
+    term = max(weighted_spatial_mean(cs_map, s), 0.0) ** weight
+    if not luminance:
+        return term
+    l_map = np.multiply(2.0, mu_x, out=var_y)  # (2 mu_x mu_y + c1) / (mu_x**2 + mu_y**2 + c1)
+    l_map *= mu_y
+    l_map += c1
+    den = mu_x
+    den *= mu_x
+    mu_y *= mu_y
+    den += mu_y
+    den += c1
+    l_map /= den
+    return term * max(weighted_spatial_mean(l_map, s), 0.0) ** weight
+
+
 def _msssim_frame(x: np.ndarray, y: np.ndarray, s: np.ndarray,
                   cfg: FrMetricConfig, flags: list, smooth=None) -> float:
     """MS-SSIM of x and y pooled by s; fewer than 5 scales adds the flag
@@ -134,28 +188,22 @@ def _msssim_frame(x: np.ndarray, y: np.ndarray, s: np.ndarray,
     at each call."""
     smooth = smooth or gaussian_smooth
     _check_window(cfg.ssim_window, x.shape, f"ssim_window {cfg.ssim_window}")
-    x_levels = pyramid(x, 5)
     # the first level, and each later one whose sides hold the window (the
     # levels shrink, so these lead them)
-    scales = 1 + sum(min(level.shape) >= cfg.ssim_window for level in x_levels[1:])
+    scales = 1 + sum(min(shape) >= cfg.ssim_window for shape in pyramid_shapes(x.shape, 5)[1:])
     if scales < 2:
         raise TooSmall("image supports fewer than 2 MS-SSIM scales")
     if scales < 5:
         flags.append(f"scales_reduced:{scales}")
     weights = np.asarray(cfg.msssim_exponents[:scales])
     weights = weights / weights.sum()
-    s_levels = build_saliency_pyramid(s, scales)
-    c1, c2 = cfg.ssim_c1, cfg.ssim_c2
     score = 1.0
-    for m, (x_m, y_m, s_m) in enumerate(zip(x_levels, pyramid(y, scales), s_levels)):
-        mu_x, mu_y, var_x, var_y, cov = _raw_moments(
-            x_m, y_m, lambda a: smooth(a, cfg.ssim_window, cfg.ssim_sigma, "ssim_sigma"))
-        cs_map = (2.0 * cov + c2) / (var_x + var_y + c2)
-        term = max(weighted_spatial_mean(cs_map, s_m), 0.0) ** weights[m]
-        if m == scales - 1:  # luminance enters at the coarsest scale only
-            l_map = (2.0 * mu_x * mu_y + c1) / (mu_x * mu_x + mu_y * mu_y + c1)
-            term *= max(weighted_spatial_mean(l_map, s_m), 0.0) ** weights[m]
-        score *= term
+    # each pyramid holds only its current level
+    levels = zip(iter_pyramid(x, scales), iter_pyramid(y, scales),
+                 build_saliency_pyramid(s, scales))
+    for m, (x_m, y_m, s_m) in enumerate(levels):
+        # luminance enters at the coarsest scale only
+        score *= _msssim_scale(x_m, y_m, s_m, cfg, smooth, weights[m], m == scales - 1)
     return float(score)
 
 
@@ -163,6 +211,39 @@ def _msssim_frame(x: np.ndarray, y: np.ndarray, s: np.ndarray,
 def msssim_s(c, cfg):
     """Multi-scale SSIM with per-scale saliency pyramids, averaged over views."""
     return view_mean(lambda x, y: _msssim_frame(x, y, c.s, cfg, c.flags), c.ref, c.dist)
+
+
+def _vif_scale(x, y, w, mean, sigma_n_sq: float) -> tuple[float, float]:
+    """The sums of one VIF scale's numerator and denominator maps weighted by
+    ``w``, under the local mean ``mean``; every array it makes dies when it
+    returns."""
+    var_x, var_y, cov = _raw_moments(x, y, mean)[2:]
+    np.maximum(var_x, 0.0, out=var_x)
+    np.maximum(var_y, 0.0, out=var_y)
+    # g = where(var_x > 1e-10, cov / where(var_x > 1e-10, var_x, 1), 0), at least 0
+    kept = var_x > 1e-10
+    g = np.where(kept, var_x, 1.0)
+    np.divide(cov, g, out=g)
+    np.copyto(g, 0.0, where=~kept)
+    np.maximum(g, 0.0, out=g)
+    sv_sq = var_y  # max(var_y - g cov, 0)
+    cov *= g
+    sv_sq -= cov
+    np.maximum(sv_sq, 0.0, out=sv_sq)
+    num_map = g  # log10(1 + g**2 var_x / (sv_sq + sigma_n_sq))
+    num_map *= g
+    num_map *= var_x
+    sv_sq += sigma_n_sq
+    num_map /= sv_sq
+    num_map += 1.0
+    np.log10(num_map, out=num_map)
+    den_map = var_x  # log10(1 + var_x / sigma_n_sq)
+    den_map /= sigma_n_sq
+    den_map += 1.0
+    np.log10(den_map, out=den_map)
+    num_map *= w
+    den_map *= w
+    return num_map.sum(), den_map.sum()
 
 
 def _vif_frame(x: np.ndarray, y: np.ndarray, s: np.ndarray,
@@ -174,29 +255,20 @@ def _vif_frame(x: np.ndarray, y: np.ndarray, s: np.ndarray,
         raise TooSmall("VIF needs at least 32 pixels per side")
     _check_window(2 ** cfg.vif_scales + 1, x.shape,  # the first, widest window
                   f"vif_scales {cfg.vif_scales}: the first VIF window (2**{cfg.vif_scales} + 1)")
-    s_levels = build_saliency_pyramid(s, cfg.vif_scales)
-    sigma_n_sq = cfg.vif_sigma_n_sq
     num_total = 0.0
     den_total = 0.0
-    for k, w in enumerate(s_levels, start=1):
+    for k, w in enumerate(build_saliency_pyramid(s, cfg.vif_scales), start=1):
         size = 2 ** (cfg.vif_scales - k + 1) + 1
 
         def mean(a):
             return smooth(a, size, size / 5.0)
 
-        if k > 1:
-            x = mean(x)[::2, ::2]
-            y = mean(y)[::2, ::2]
-        _, _, var_x, var_y, cov = _raw_moments(x, y, mean)
-        var_x = np.maximum(var_x, 0.0)
-        var_y = np.maximum(var_y, 0.0)
-        g = np.where(var_x > 1e-10, cov / np.where(var_x > 1e-10, var_x, 1.0), 0.0)
-        g = np.maximum(g, 0.0)
-        sv_sq = np.maximum(var_y - g * cov, 0.0)
-        num_map = np.log10(1.0 + g * g * var_x / (sv_sq + sigma_n_sq))
-        den_map = np.log10(1.0 + var_x / sigma_n_sq)
-        num_total += (num_map * w).sum()
-        den_total += (den_map * w).sum()
+        if k > 1:  # copies: a strided view would hold the whole smoothed level
+            x = mean(x)[::2, ::2].copy()
+            y = mean(y)[::2, ::2].copy()
+        num, den = _vif_scale(x, y, w, mean, cfg.vif_sigma_n_sq)
+        num_total += num
+        den_total += den
     if den_total <= 0.0:
         return 1.0
     return float(num_total / den_total)
@@ -352,6 +424,7 @@ def hv3d_s(c, cfg):
     weights = _block_weights(c.s, anchors, b)
     # term1 raises DegenerateSaliency on zero block weight, so term3 may divide
     term1 = weighted_spatial_mean(_global_ssim(rec_ref, rec_dist, cfg), weights)
+    del rec_ref, rec_dist  # a frame's worth each, dead before the VIF term
     term2 = _vif_frame(dr, dd, c.s, cfg, _smooth_2d)
     sigma = np.var(_gather_blocks(dr, anchors, b), axis=(1, 2))
     max_sigma = sigma.max()
@@ -387,13 +460,20 @@ def flosim3d_s(frames, cfg):
     flow_scores = []
     depth_scores = []
     for prev, c in zip(frames, frames[1:]):
-        def flow(ref_t, ref_p, dist_t, dist_p):
-            q_fl = float(np.abs(_patch_features(ref_t - ref_p, cfg.flosim_patch)
-                                - _patch_features(dist_t - dist_p, cfg.flosim_patch))
+        def q_fl(view):
+            def features(now, before):  # of the view's frame difference
+                diff = getattr(now, view).luma - getattr(before, view).luma
+                return _patch_features(diff, cfg.flosim_patch)
+            return float(np.abs(features(c.ref, prev.ref) - features(c.dist, prev.dist))
                          .sum(axis=1).mean())
-            return (1.0 - _msssim_frame(ref_t, dist_t, c.s, cfg, c.flags, _smooth_2d)) * q_fl
 
-        flow_scores.append(view_mean(flow, c.ref, prev.ref, c.dist, prev.dist))
+        # both views' feature terms first, so the previous frame's lumas are
+        # dead before the MS-SSIM terms; view_mean scores the left view first
+        q_fls = iter([q_fl("left"), q_fl("right")])
+        flow_scores.append(view_mean(
+            lambda ref_t, dist_t: ((1.0 - _msssim_frame(ref_t, dist_t, c.s, cfg, c.flags,
+                                                        _smooth_2d)) * next(q_fls)),
+            c.ref, c.dist))
         depth_ref, depth_dist = (disparity_to_depth(d) * 255.0 for d in (c.d_ref, c.d_dist))
         q_d = 1.0 - _msssim_frame(depth_ref, depth_dist, c.s, cfg, c.flags, _smooth_2d)
         depth_scores.append(q_d)  # the shared map serves both view depths

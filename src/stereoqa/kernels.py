@@ -184,14 +184,32 @@ def downsample2(image: np.ndarray) -> np.ndarray:
     return _by_rows(scipy.ndimage.correlate1d, image, _BINOMIAL5, step=2)[:, ::2]
 
 
+def pyramid_shapes(shape, levels: int) -> list[tuple[int, int]]:
+    """The level shapes of ``pyramid`` of an image of ``shape``: the shape and
+    up to ``levels - 1`` halvings of it, each side rounded up as downsample2
+    rounds it, stopping at the first level with a side of 1.  The one rule
+    for how many levels a frame has: image, saliency and VAM pyramids all
+    follow it."""
+    shapes = [tuple(shape)]
+    while len(shapes) < levels and min(shapes[-1]) > 1:
+        h, w = shapes[-1]
+        shapes.append(((h + 1) // 2, (w + 1) // 2))
+    return shapes
+
+
+def iter_pyramid(image: np.ndarray, levels: int):
+    """The levels of ``pyramid(image, levels)`` one at a time, each made when
+    it is asked for: the generator holds only the level it gave last."""
+    for k in range(len(pyramid_shapes(image.shape, levels))):
+        if k:
+            image = downsample2(image)
+        yield image
+
+
 def pyramid(image: np.ndarray, levels: int) -> list[np.ndarray]:
     """``image`` and up to ``levels - 1`` repeated downsample2 halvings of it,
-    stopping at the first level with a side of 1.  The one rule for how many
-    levels a frame has: image, saliency and VAM pyramids all come from here."""
-    pyr = [image]
-    while len(pyr) < levels and min(pyr[-1].shape) > 1:
-        pyr.append(downsample2(pyr[-1]))
-    return pyr
+    with the shapes of ``pyramid_shapes``."""
+    return list(iter_pyramid(image, levels))
 
 
 def dct2_stack(blocks: np.ndarray) -> np.ndarray:

@@ -221,7 +221,10 @@ class StereoSequence:
     fps: float = 30.0
 
     def __post_init__(self):
-        object.__setattr__(self, "frames", tuple(self.frames))
+        try:
+            object.__setattr__(self, "frames", tuple(self.frames))
+        except TypeError:  # not iterable
+            raise ParamError("a StereoSequence holds StereoFrames") from None
         if not self.frames:
             raise EmptySequence("sequence has no frames")
         if not all(isinstance(fr, StereoFrame) for fr in self.frames):
@@ -420,9 +423,11 @@ def load_map_series(dir_path: str, expected: dict) -> list[np.ndarray]:
     return maps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Map:
-    """Per-frame map; each subclass declares the ``_name`` and ``_low`` bound of its values."""
+    """Per-frame map; each subclass declares the ``_name`` and ``_low`` bound of its values.
+    Maps compare by identity (``eq=False`` here and on each subclass): a
+    generated ``==`` would compare the values arrays and raise."""
 
     values: np.ndarray
     _name, _low = "map", -np.inf

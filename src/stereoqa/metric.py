@@ -60,7 +60,9 @@ def _run(formula, orientation, needs, over, ref, dist, s_series, maps, cfg):
     n = len(dist)
     shape = (dist.height, dist.width)
     if s_series is None:
-        s = [np.ones(shape)] * n
+        ones = np.ones(shape)
+        ones.flags.writeable = False  # as a map's values; a saliency pyramid keeps it
+        s = [ones] * n
     else:
         s = _maps(s_series, SaliencyMap, n, shape, "s_series")
         for t, values in enumerate(s):

@@ -13,14 +13,14 @@ import numpy as np
 
 from .disparity import DisparityMap
 from .errors import DegenerateSaliency, DimensionMismatch, NumericError, ParamError
-from .kernels import gaussian_smooth, pyramid
+from .kernels import gaussian_smooth, iter_pyramid, pyramid
 from .media import StereoSequence, _Map, _maps, _stored, load_map_series
 
 FLAT_GUARD = 1e-12
 _SUBNORMAL_SCALE = 2.0**-1000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SaliencyMap(_Map):
     source: str = "external"
     _name, _low = "saliency", 0.0
@@ -78,10 +78,25 @@ def normalize_map(raw: np.ndarray, source: str = "external") -> SaliencyMap:
     return SaliencyMap(values, source)
 
 
-def build_saliency_pyramid(values: np.ndarray, levels: int) -> list[np.ndarray]:
-    """kernels.pyramid(values, levels) of a weight array, each level
-    re-normalized; so it stops where the image pyramid of that shape does."""
-    return [normalize_map(level).values for level in pyramid(values, levels)]
+def _is_normalized(values: np.ndarray) -> bool:
+    """Whether ``normalize_map(values).values`` would equal ``values`` bit for
+    bit, and so may be ``values`` itself: a read-only 2-D float64 array whose
+    minimum is +0.0 and maximum 1 (``(s - 0) / (1 - 0)`` is ``s``), or all
+    ones (a flat map becomes ones)."""
+    if values.flags.writeable or values.dtype != np.float64 or values.ndim != 2:
+        return False
+    lo, hi = values.min(), values.max()
+    return hi == 1.0 and (lo == 1.0 or lo == 0.0 and not np.signbit(lo))
+
+
+def build_saliency_pyramid(values: np.ndarray, levels: int):
+    """The levels of kernels.pyramid(values, levels) of a weight array, each
+    re-normalized, one at a time (``iter_pyramid``); so it stops where the
+    image pyramid of that shape does.  A ``values`` that is its own
+    normalization (``_is_normalized``), as the values of a ``normalize_map``
+    result are, is the first level as it is."""
+    for k, level in enumerate(iter_pyramid(values, levels)):
+        yield level if k == 0 and _is_normalized(level) else normalize_map(level).values
 
 
 def uniform_series(seq: StereoSequence) -> list[SaliencyMap]:

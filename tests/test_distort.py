@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -178,6 +181,21 @@ def test_block_quantize_matches_per_block_loop(shape, region, step):
     spec = DistortionSpec(kind="block_quantize", params={"step": step}, region=region)
     got = apply(seq_from_lumas([luma]), spec).frames[0].left.luma
     assert got.tobytes() == _reference_block_quantize(luma, spec).tobytes()
+
+
+def test_spec_params_are_read_only():
+    # an edit after construction skipped the checks: a size of 2.5 blurred
+    spec = DistortionSpec(kind="gaussian_blur")
+    for edit in (lambda p: p.__setitem__("size", 2.5), lambda p: p.__delitem__("size"),
+                 lambda p: p.update(size=2.5), lambda p: p.setdefault("step", 1.0),
+                 lambda p: p.pop("size"), lambda p: p.popitem(), lambda p: p.clear(),
+                 lambda p: p.__ior__({"size": 2.5})):
+        with pytest.raises(TypeError, match="read-only"):
+            edit(spec.params)
+    assert spec.params == {"size": 4, "sigma": 4.0}
+    assert dataclasses.asdict(spec)["params"] == spec.params
+    assert copy.deepcopy(spec) == spec == pickle.loads(pickle.dumps(spec))
+    assert dataclasses.replace(spec, seed=3).params == spec.params
 
 
 def test_decode_spec_round_trip():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,9 +15,10 @@ from stereoqa.errors import (
     TooSmall,
 )
 from stereoqa.fr import FR_METRICS, FR_NEEDS_DISPARITY, FrMetricConfig
-from stereoqa.kernels import dct3_stereo_stack, sobel_gradient
+from stereoqa import kernels
+from stereoqa.kernels import dct3_stereo_stack, gaussian_smooth, pyramid, sobel_gradient
 from stereoqa.rng import SeededRng
-from stereoqa.saliency import SaliencyMap, uniform_series
+from stereoqa.saliency import SaliencyMap, normalize_map, uniform_series, weighted_spatial_mean
 
 from conftest import flat_seq, make_seq, seq_from_lumas, smooth_2d
 
@@ -358,3 +360,115 @@ def test_patch_features_match_block_loop():
 def test_block_metrics_need_one_whole_block():
     with pytest.raises(TooSmall):
         fr._block_grid(3, 40, 4)
+
+
+# The SSIM-family formulas write each step into a dead buffer; the plain
+# expressions below are the reference they must equal bit for bit.
+
+def _plain_moments(x, y, mean):
+    mu_x, mu_y = mean(x), mean(y)
+    return (mu_x, mu_y, mean(x * x) - mu_x * mu_x, mean(y * y) - mu_y * mu_y,
+            mean(x * y) - mu_x * mu_y)
+
+
+def _plain_ssim_map(x, y, cfg):
+    mu_x, mu_y, var_x, var_y, cov = _plain_moments(
+        x, y, lambda a: gaussian_smooth(a, cfg.ssim_window, cfg.ssim_sigma))
+    c1, c2 = cfg.ssim_c1, cfg.ssim_c2
+    return (((2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2))
+            / ((mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)))
+
+
+def _plain_saliency_levels(s, levels):
+    return [(lvl - lvl.min()) / (lvl.max() - lvl.min()) if np.ptp(lvl) >= 1e-12
+            else np.ones_like(lvl) for lvl in pyramid(s, levels)]
+
+
+def _plain_msssim(x, y, s, cfg, smooth):
+    x_levels = pyramid(x, 5)
+    scales = 1 + sum(min(lvl.shape) >= cfg.ssim_window for lvl in x_levels[1:])
+    weights = np.asarray(cfg.msssim_exponents[:scales])
+    weights = weights / weights.sum()
+    c1, c2 = cfg.ssim_c1, cfg.ssim_c2
+    score = 1.0
+    for m, (x_m, y_m, s_m) in enumerate(zip(x_levels, pyramid(y, scales),
+                                            _plain_saliency_levels(s, scales))):
+        mu_x, mu_y, var_x, var_y, cov = _plain_moments(
+            x_m, y_m, lambda a: smooth(a, cfg.ssim_window, cfg.ssim_sigma))
+        cs_map = (2.0 * cov + c2) / (var_x + var_y + c2)
+        term = max(weighted_spatial_mean(cs_map, s_m), 0.0) ** weights[m]
+        if m == scales - 1:
+            l_map = (2.0 * mu_x * mu_y + c1) / (mu_x * mu_x + mu_y * mu_y + c1)
+            term *= max(weighted_spatial_mean(l_map, s_m), 0.0) ** weights[m]
+        score *= term
+    return float(score)
+
+
+def _plain_vif(x, y, s, cfg, smooth):
+    num_total = den_total = 0.0
+    for k, w in enumerate(_plain_saliency_levels(s, cfg.vif_scales), start=1):
+        size = 2 ** (cfg.vif_scales - k + 1) + 1
+
+        def mean(a):
+            return smooth(a, size, size / 5.0)
+
+        if k > 1:
+            x, y = mean(x)[::2, ::2], mean(y)[::2, ::2]
+        _, _, var_x, var_y, cov = _plain_moments(x, y, mean)
+        var_x, var_y = np.maximum(var_x, 0.0), np.maximum(var_y, 0.0)
+        g = np.where(var_x > 1e-10, cov / np.where(var_x > 1e-10, var_x, 1.0), 0.0)
+        g = np.maximum(g, 0.0)
+        sv_sq = np.maximum(var_y - g * cov, 0.0)
+        num_total += (np.log10(1.0 + g * g * var_x / (sv_sq + cfg.vif_sigma_n_sq)) * w).sum()
+        den_total += (np.log10(1.0 + var_x / cfg.vif_sigma_n_sq) * w).sum()
+    return 1.0 if den_total <= 0.0 else float(num_total / den_total)
+
+
+def _pair(shape, seed):
+    rng = np.random.default_rng(seed)
+    x = smooth_2d(rng.random(shape) * 255.0, 5, 2.0)
+    return x, np.clip(x + rng.normal(0.0, 8.0, shape), 0.0, 255.0)
+
+
+@pytest.mark.parametrize("shape", [(33, 47), (64, 64), (90, 161)])
+@pytest.mark.parametrize("saliency", ["map", "ones", "unnormalized"])
+def test_ssim_family_equals_the_plain_expressions_bit_for_bit(shape, saliency):
+    x, y = _pair(shape, sum(shape))
+    raw = np.random.default_rng(1).random(shape)
+    # the values a pyramid keeps as its first level (a normalized map, and the
+    # driver's read-only ones), and a map it re-normalizes
+    s = {"map": normalize_map(raw).values, "ones": SaliencyMap(np.ones(shape)).values,
+         "unnormalized": SaliencyMap(0.5 + 0.25 * raw).values}[saliency]
+    cfg = FrMetricConfig()
+    assert np.array_equal(fr._ssim_map(x, y, cfg), _plain_ssim_map(x, y, cfg))
+    for smooth in (None, fr._smooth_2d):
+        plain = smooth or gaussian_smooth
+        assert fr._msssim_frame(x, y, s, cfg, [], smooth) == _plain_msssim(x, y, s, cfg, plain)
+        assert fr._vif_frame(x, y, s, cfg, smooth) == _plain_vif(x, y, s, cfg, plain)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda x, y, s, cfg: fr._vif_frame(x, y, s, cfg), id="vif"),
+    pytest.param(lambda x, y, s, cfg: fr._vif_frame(x, y, s, cfg, fr._smooth_2d), id="vif-2d"),
+    pytest.param(lambda x, y, s, cfg: fr._msssim_frame(x, y, s, cfg, []), id="msssim"),
+    pytest.param(lambda x, y, s, cfg: fr._ssim_map(x, y, cfg), id="ssim"),
+])
+def test_ssim_family_working_set_is_about_seven_planes(monkeypatch, call):
+    """Peak memory of one call on a 270x480 pair beyond its inputs, in
+    frame-sized float64 planes: the moments' five, a product and a smoothing
+    window's output and scratch.  The plain expressions held 13.1 (VIF),
+    10.4 (MS-SSIM) and 8.0 (SSIM).  One row strip: each further strip adds
+    its halo rows."""
+    monkeypatch.setattr(kernels, "_WORKERS", 1)
+    x, y = _pair((270, 480), 0)
+    s = normalize_map(np.random.default_rng(1).random(x.shape)).values
+    cfg = FrMetricConfig()
+    call(x, y, s, cfg)  # a first call sets up whatever is cached
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call(x, y, s, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak / x.nbytes < 7.1

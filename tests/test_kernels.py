@@ -114,6 +114,16 @@ def test_pyramid_levels():
         assert np.array_equal(small, downsample2(big))
 
 
+@pytest.mark.parametrize("shape", [(64, 64), (7, 9), (8, 40), (1, 5), (33, 97), (270, 480)])
+def test_pyramid_shapes_and_iter_pyramid_follow_pyramid(shape):
+    image = np.random.RandomState(4).rand(*shape)
+    levels = pyramid(image, 6)
+    assert kernels.pyramid_shapes(shape, 6) == [level.shape for level in levels]
+    lazy = kernels.iter_pyramid(image, 6)
+    assert next(lazy) is image
+    assert all(np.array_equal(a, b) for a, b in zip(lazy, levels[1:], strict=True))
+
+
 def test_dct2_round_trip():
     rng = SeededRng(1)
     block = rng.uniform(64).reshape(1, 8, 8) * 255

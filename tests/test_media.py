@@ -159,6 +159,21 @@ def test_stereo_sequence_holds_stereo_frames_as_a_tuple(tiny_seq):
     assert isinstance(seq.frames, tuple) and seq.frames == tiny_seq.frames
 
 
+@pytest.mark.parametrize("frames", [5, None, 2.5])
+def test_stereo_sequence_rejects_frames_that_are_not_iterable(frames):
+    with pytest.raises(ParamError, match="StereoFrame"):  # was a TypeError traceback
+        StereoSequence(frames)
+
+
+@pytest.mark.parametrize("cls", [SaliencyMap, DisparityMap])
+def test_maps_compare_by_identity(cls):
+    # a generated == compared the values arrays and raised ValueError
+    values = np.ones((8, 8))
+    m = cls(values)
+    assert m == m and m != cls(values) and not m == cls(values)
+    assert len({m, m, cls(values)}) == 2
+
+
 _REAL_DTYPES = (np.uint8, np.float64, np.int16, np.bool_)
 
 

@@ -20,6 +20,7 @@ from stereoqa.saliency import (
     uniform_series,
     weighted_spatial_mean,
 )
+from stereoqa.kernels import downsample2
 from stereoqa.media import Frame, StereoFrame, StereoSequence, save_map_series
 from stereoqa.rng import SeededRng
 
@@ -106,6 +107,23 @@ def test_pyramid_levels_match_chain():
     s = normalize_map(np.abs(np.random.RandomState(0).randn(64, 64)))
     pyr = build_saliency_pyramid(s.values, 3)
     assert [lvl.shape for lvl in pyr] == [(64, 64), (32, 32), (16, 16)]
+
+
+def test_saliency_pyramid_keeps_a_first_level_that_is_its_own_normalization():
+    s = normalize_map(np.abs(np.random.RandomState(0).randn(64, 64))).values
+    ones = uniform_series(make_seq(1, frames=1, size=16))[0].values
+    for values in (s, ones):
+        first, second = build_saliency_pyramid(values, 2)
+        assert first is values
+        assert np.array_equal(second, normalize_map(downsample2(values)).values)
+    # a writable, unnormalized or -0.0-based first level is normalized afresh
+    negative_zero = s.copy()
+    negative_zero[negative_zero == 0.0] = -0.0
+    negative_zero.flags.writeable = False
+    for values in (s.copy(), SaliencyMap(0.5 * s).values, negative_zero):
+        first = next(build_saliency_pyramid(values, 2))
+        assert first is not values and np.array_equal(first, normalize_map(values).values)
+        assert not np.signbit(first).any()
 
 
 def test_uniform_series(tiny_seq):
