@@ -54,6 +54,8 @@ class DistortionSpec:
                                             (0, 0, 1, 1)):
                 _check_int(f"region {name}", value, minimum)
             object.__setattr__(self, "region", tuple(self.region))
+        if not _fits(self.params, "dict"):
+            raise ParamError(f"{self.kind} params must be a dict, not {self.params!r:.40}")
         defaults = _DISTORTIONS[self.kind][1]
         object.__setattr__(self, "params", _Params({**defaults, **self.params}))
         for name, value in self.params.items():

@@ -28,7 +28,7 @@ from .kernels import (
     pyramid_shapes,
     sobel_gradient,
 )
-from .media import StereoFrame, _check_int, _check_numbers
+from .media import StereoFrame, _check_int, _check_numbers, _check_real_fields
 from .metric import _power, registrar, view_mean
 from .saliency import build_saliency_pyramid, weighted_spatial_mean
 
@@ -62,6 +62,7 @@ class FrMetricConfig:
     flosim_patch: int = 8
 
     def __post_init__(self):
+        _check_real_fields(self)
         _check_numbers("msssim_exponents", self.msssim_exponents, (5,))
         if abs(sum(self.msssim_exponents) - 1.0) > 1e-3:
             raise ParamError("MS-SSIM exponents must sum to 1 within 1e-3")
@@ -98,25 +99,33 @@ def _raw_moments(x, y, mean):
     return mu_x, mu_y, var_x, var_y, cov
 
 
+def _ssim_terms(moments, cfg: FrMetricConfig):
+    """SSIM's luminance numerator and denominator, 2 mu_x mu_y + c1 and
+    mu_x**2 + mu_y**2 + c1, and its contrast-structure ones, 2 cov + c2 and
+    var_x + var_y + c2, of _raw_moments, written into its arrays."""
+    mu_x, mu_y, var_x, var_y, cov = moments
+    c1, c2 = cfg.ssim_c1, cfg.ssim_c2
+    cov *= 2.0
+    cov += c2
+    var_x += var_y
+    var_x += c2
+    l_num = np.multiply(2.0, mu_x, out=var_y)
+    l_num *= mu_y
+    l_num += c1
+    l_den = mu_x
+    l_den *= mu_x
+    mu_y *= mu_y
+    l_den += mu_y
+    l_den += c1
+    return l_num, l_den, cov, var_x
+
+
 def _ssim(moments, cfg: FrMetricConfig):
     """(2 mu_x mu_y + c1)(2 cov + c2) / ((mu_x**2 + mu_y**2 + c1)(var_x + var_y + c2))
     of _raw_moments, whose arrays it overwrites."""
-    mu_x, mu_y, var_x, var_y, cov = moments
-    c1, c2 = cfg.ssim_c1, cfg.ssim_c2
-    num = 2.0 * mu_x
-    num *= mu_y
-    num += c1
-    cov *= 2.0
-    cov += c2
-    num *= cov
-    den = mu_x
-    den *= mu_x
-    mu_y *= mu_y
-    den += mu_y
-    den += c1
-    var_x += var_y
-    var_x += c2
-    den *= var_x
+    num, den, cs_num, cs_den = _ssim_terms(moments, cfg)
+    num *= cs_num
+    den *= cs_den
     num /= den
     return num
 
@@ -156,28 +165,14 @@ def _msssim_scale(x, y, s, cfg: FrMetricConfig, smooth, weight: float,
     """One MS-SSIM scale's factor: its contrast-structure term pooled by
     ``s`` to the power ``weight``, times, with ``luminance``, the luminance
     term's; every array it makes dies when it returns."""
-    c1, c2 = cfg.ssim_c1, cfg.ssim_c2
-    mu_x, mu_y, var_x, var_y, cov = _raw_moments(
-        x, y, lambda a: smooth(a, cfg.ssim_window, cfg.ssim_sigma, "ssim_sigma"))
-    cs_map = cov  # (2 cov + c2) / (var_x + var_y + c2)
-    cs_map *= 2.0
-    cs_map += c2
-    var_x += var_y
-    var_x += c2
-    cs_map /= var_x
+    l_num, l_den, cs_map, cs_den = _ssim_terms(_raw_moments(
+        x, y, lambda a: smooth(a, cfg.ssim_window, cfg.ssim_sigma, "ssim_sigma")), cfg)
+    cs_map /= cs_den
     term = max(weighted_spatial_mean(cs_map, s), 0.0) ** weight
     if not luminance:
         return term
-    l_map = np.multiply(2.0, mu_x, out=var_y)  # (2 mu_x mu_y + c1) / (mu_x**2 + mu_y**2 + c1)
-    l_map *= mu_y
-    l_map += c1
-    den = mu_x
-    den *= mu_x
-    mu_y *= mu_y
-    den += mu_y
-    den += c1
-    l_map /= den
-    return term * max(weighted_spatial_mean(l_map, s), 0.0) ** weight
+    l_num /= l_den
+    return term * max(weighted_spatial_mean(l_num, s), 0.0) ** weight
 
 
 def _msssim_frame(x: np.ndarray, y: np.ndarray, s: np.ndarray,

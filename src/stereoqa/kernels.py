@@ -2,10 +2,12 @@
 
 Border policy is edge replication everywhere so every metric sees the same
 boundary behavior.  DCTs are orthonormal (type II) so Parseval holds exactly.
-Every filter runs through _by_rows: a frame of _SPLIT_PIXELS pixels or more
-is cut into row strips over the CPUs the process may use, a smaller one is one
-strip on the calling thread, and either way the result is bit-identical to one
-whole scipy.ndimage call.
+Every filter is a same-size convolution run by _by_rows: a frame of
+_SPLIT_PIXELS pixels or more is cut into row strips over the CPUs the process
+may use, a smaller one is one strip on the calling thread, and either way the
+result is bit-identical to one whole scipy.ndimage call.  ROADMAP item 3
+replaces nr._box_mean, every NR box and line mean, with exact box sums, and
+item 4 the scipy calls in _by_rows with a numpy filter.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ import scipy.ndimage
 from .errors import KernelTooLarge, ParamError, TooSmall
 
 _BINOMIAL5 = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
-_SOBEL_X = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
+# in convolution orientation (flipped), so gx is right minus left
+_SOBEL_X = np.array([[1.0, 0.0, -1.0], [2.0, 0.0, -2.0], [1.0, 0.0, -1.0]])
 _SOBEL_Y = _SOBEL_X.T
 
 
@@ -64,20 +67,22 @@ def _executor() -> ThreadPoolExecutor:
         return _pool
 
 
-def _by_rows(filt, image: np.ndarray, taps: np.ndarray, step: int = 1) -> np.ndarray:
-    """Every ``step``-th row of ``image`` filtered by the scipy.ndimage
-    ``filt`` with ``taps`` and replicated borders.
+def _by_rows(image: np.ndarray, taps: np.ndarray, step: int = 1) -> np.ndarray:
+    """Every ``step``-th row of ``image``, read as float64, convolved with
+    ``taps`` with replicated borders.
 
-    2-D taps run as one ``filt`` call; 1-D taps run down the columns, then
-    along the kept rows.  The image is cut into row strips, each with
-    ``taps.shape[0] // 2 + 1`` rows of halo on either side (fewer only at the
-    frame's edge), and each strip keeps its own rows, so every kept pixel
-    sees the same taps in the same order as in one whole call: the result is
-    bit-identical.  An image of _SPLIT_PIXELS pixels or more is _WORKERS
-    strips run at once, one on the calling thread; a smaller one is one strip
-    on the calling thread.  Pool threads run only these scipy calls, and
-    every output and scratch array is allocated here, on the calling
-    thread."""
+    2-D taps run as one scipy.ndimage.convolve call; 1-D taps run as
+    convolve1d down the columns, then along the kept rows.  The image is cut
+    into row strips, each with ``taps.shape[0] // 2 + 1`` rows of halo on
+    either side (fewer only at the frame's edge), and each strip keeps its
+    own rows, so every kept pixel sees the same taps in the same order as in
+    one whole call: the result is bit-identical.  An image of _SPLIT_PIXELS
+    pixels or more is _WORKERS strips run at once, one on the calling thread;
+    a smaller one is one strip on the calling thread.  Pool threads run only
+    these scipy calls, and every output and scratch array is allocated here,
+    on the calling thread."""
+    image = np.asarray(image, dtype=np.float64)
+    filt = scipy.ndimage.convolve if taps.ndim == 2 else scipy.ndimage.convolve1d
     halo = taps.shape[0] // 2 + 1
     rows = (image.shape[0] + step - 1) // step
     out = np.empty((rows, *image.shape[1:]))
@@ -153,10 +158,9 @@ def _check_window(size: int, shape, what: str) -> None:
 
 def convolve2d(image: np.ndarray, kernel: Kernel2D) -> np.ndarray:
     """Same-size 2-D convolution with replicated borders."""
-    image = np.asarray(image, dtype=np.float64)
     taps = kernel.taps
     _check_window(max(taps.shape), image.shape, f"kernel {taps.shape}")
-    return _by_rows(scipy.ndimage.convolve, image, taps)
+    return _by_rows(image, taps)
 
 
 def gaussian_smooth(image: np.ndarray, size: int, sigma: float,
@@ -166,9 +170,8 @@ def gaussian_smooth(image: np.ndarray, size: int, sigma: float,
     The taps use gaussian_kernel's offsets, so even sizes keep its origin;
     results agree with the 2-D convolution to rounding (about 1e-13).
     """
-    image = np.asarray(image, dtype=np.float64)
     _check_window(size, image.shape, f"smoothing size {size}")
-    return _by_rows(scipy.ndimage.convolve1d, image, _gaussian_taps(size, sigma, 1, what))
+    return _by_rows(image, _gaussian_taps(size, sigma, 1, what))
 
 
 def downsample2(image: np.ndarray) -> np.ndarray:
@@ -177,11 +180,11 @@ def downsample2(image: np.ndarray) -> np.ndarray:
     The vertical pass filters every row; the horizontal pass filters only the
     even rows that pass leaves, since each of its output rows reads one input
     row, so the result is bit-identical to filtering everything and then
-    decimating."""
-    image = np.asarray(image, dtype=np.float64)
+    decimating.  The level is a fresh C-contiguous array: a strided view would
+    pin the full-width output of the vertical pass."""
     if image.shape[0] < 2 or image.shape[1] < 2:
         raise TooSmall(f"cannot halve image of shape {image.shape}")
-    return _by_rows(scipy.ndimage.correlate1d, image, _BINOMIAL5, step=2)[:, ::2]
+    return _by_rows(image, _BINOMIAL5, step=2)[:, ::2].copy()
 
 
 def pyramid_shapes(shape, levels: int) -> list[tuple[int, int]]:
@@ -238,8 +241,7 @@ def dct3_stereo_stack(pairs: np.ndarray) -> np.ndarray:
 
 def sobel_gradient(image: np.ndarray) -> dict:
     """3x3 Sobel gradients with replicated borders."""
-    image = np.asarray(image, dtype=np.float64)
     if image.shape[0] < 3 or image.shape[1] < 3:
         raise TooSmall("needs at least a 3x3 image")
-    gx, gy = (_by_rows(scipy.ndimage.correlate, image, taps) for taps in (_SOBEL_X, _SOBEL_Y))
+    gx, gy = (_by_rows(image, taps) for taps in (_SOBEL_X, _SOBEL_Y))
     return {"gx": gx, "gy": gy, "magnitude": np.sqrt(gx * gx + gy * gy)}

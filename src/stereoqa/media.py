@@ -126,6 +126,17 @@ def _check_int(name: str, value, minimum: int) -> None:
         raise ParamError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def _check_real_fields(config) -> None:
+    """ParamError, naming the field, unless each field of the dataclass
+    ``config`` annotated ``float`` holds a real number (a numpy one too) that
+    is not a bool, and each one annotated ``float | None`` such a number or None."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if f.type == "float" or f.type == "float | None" and value is not None:
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ParamError(f"{f.name} must be a real number, not {value!r:.40}")
+
+
 def _check_range(name: str, a: np.ndarray, lo: float = -np.inf, hi: float = np.inf) -> None:
     """RangeError, naming ``name``, unless ``a`` has values and every one is
     finite and in [lo, hi]; one min and one max decide, and a NaN fails both."""
@@ -210,9 +221,16 @@ class StereoFrame:
             raise DimensionMismatch("left/right dimensions differ")
 
 
-def _check_fps(fps) -> None:
-    if not (isinstance(fps, numbers.Real) and 0 < fps <= sys.float_info.max):  # NaN fails too
-        raise RangeError(f"fps must be finite and > 0, got {fps!r}")
+def _checked_fps(fps) -> float:
+    """``fps`` as a float; RangeError unless it is a real number, not a bool,
+    finite and > 0."""
+    try:
+        if (isinstance(fps, numbers.Real) and not isinstance(fps, bool)
+                and 0 < float(fps) <= sys.float_info.max):  # NaN fails too
+            return float(fps)
+    except OverflowError:  # an int or Fraction beyond the float range
+        pass
+    raise RangeError(f"fps must be finite and > 0, got {fps!r}")
 
 
 @dataclass(frozen=True)
@@ -229,7 +247,7 @@ class StereoSequence:
             raise EmptySequence("sequence has no frames")
         if not all(isinstance(fr, StereoFrame) for fr in self.frames):
             raise ParamError("a StereoSequence holds StereoFrames")
-        _check_fps(self.fps)
+        object.__setattr__(self, "fps", _checked_fps(self.fps))
         shape = self.frames[0].left.shape
         if any(fr.left.shape != shape for fr in self.frames):
             raise DimensionMismatch("all frames must share dimensions")
@@ -243,7 +261,8 @@ class StereoSequence:
 
 @dataclass(frozen=True)
 class SequenceDescriptor:
-    """Pointer to a pair of raw planar streams plus their geometry."""
+    """Pointer to a pair of raw planar streams plus their geometry; width,
+    height and frames are stored as int and fps as float, so its JSON reads back."""
 
     left: str
     right: str
@@ -258,7 +277,8 @@ class SequenceDescriptor:
             raise DescriptorMismatch(f"unknown pixel format {self.format!r}")
         for name in ("width", "height", "frames"):
             _check_int(name, getattr(self, name), 1)
-        _check_fps(self.fps)
+            object.__setattr__(self, name, int(getattr(self, name)))
+        object.__setattr__(self, "fps", _checked_fps(self.fps))
 
     def frame_bytes(self) -> int:
         return sum(h * w for h, w in _planes(self))

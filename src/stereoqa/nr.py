@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NeedsTemporalContext, NoEdges, NumericError, ParamError, TooSmall
 from .kernels import Kernel2D, _check_window, convolve2d, sobel_gradient
-from .media import _check_int, _check_numbers
+from .media import _check_int, _check_numbers, _check_real_fields
 from .metric import _power, registrar, view_mean
 from .saliency import weighted_spatial_mean
 
@@ -49,6 +49,7 @@ class NrMetricConfig:
     nospdm_lambda: float = 0.5
 
     def __post_init__(self):
+        _check_real_fields(self)
         _check_numbers("vqsm_alphas", self.vqsm_alphas, (5,))
         if self.qa3d_threshold < 0:
             raise ParamError("disparity threshold must be >= 0")
@@ -67,10 +68,15 @@ NR_NEEDS_DISPARITY: dict = {}
 _nr = registrar(NR_METRICS, NR_NEEDS_DISPARITY, NrMetricConfig, reference=False)
 
 
+def _box_mean(image: np.ndarray, shape) -> np.ndarray:
+    """Mean of ``image`` over the ``shape`` window (K x K, or 1 x n and
+    n x 1 for a line) around each pixel, with replicated borders."""
+    return convolve2d(image, Kernel2D(np.full(shape, 1.0 / np.prod(shape))))
+
+
 def _local_std(image: np.ndarray, size: int) -> np.ndarray:
-    box = Kernel2D(np.full((size, size), 1.0 / size**2))
-    mu = convolve2d(image, box)
-    return np.sqrt(np.maximum(convolve2d(image * image, box) - mu * mu, 0.0))
+    mu = _box_mean(image, (size, size))
+    return np.sqrt(np.maximum(_box_mean(image * image, (size, size)) - mu * mu, 0.0))
 
 
 def _pairs(a: np.ndarray, axis: int):
@@ -111,13 +117,6 @@ def gbim_s(luma, s, cfg):
     return total / (2.0 * e)
 
 
-def _probe(n: int, axis: int) -> Kernel2D:
-    # box probe of n pixels along `axis`: a 1 x n or n x 1 window
-    shape = [1, 1]
-    shape[axis] = n
-    return Kernel2D(np.full(shape, 1.0 / n))
-
-
 @_nr("lower_better")
 def nrpbm_s(luma, s, cfg):
     """Perceptual blur via the re-blur probe; higher means blurrier
@@ -125,10 +124,10 @@ def nrpbm_s(luma, s, cfg):
     saliency weights no luma difference (the driver has already rejected an
     all-zero map)."""
     n = cfg.nrpbm_probe
-    _check_window(n, luma.shape, f"nrpbm_probe {n}")  # before _probe builds its kernel
+    _check_window(n, luma.shape, f"nrpbm_probe {n}")  # before _box_mean builds its taps
     ratios = []
-    for axis in (1, 0):
-        blurred = convolve2d(luma, _probe(n, axis))
+    for axis, probe in ((1, (1, n)), (0, (n, 1))):
+        blurred = _box_mean(luma, probe)
         df = np.abs(np.subtract(*_pairs(luma, axis)))
         db = np.abs(np.subtract(*_pairs(blurred, axis)))
         dv = np.maximum(df - db, 0.0)
@@ -242,7 +241,7 @@ def vqsm_s(c, cfg):
     the configured polynomial; the neutral defaults give sharpness minus
     smoothness, higher better."""
     a1, a2, a3, a4, a5 = cfg.vqsm_alphas
-    s_bar = convolve2d(c.s, Kernel2D(np.full((5, 5), 1.0 / 25.0)))
+    s_bar = _box_mean(c.s, (5, 5))
 
     def view(luma):
         q_sh = weighted_spatial_mean(sobel_gradient(luma)["magnitude"], c.s)

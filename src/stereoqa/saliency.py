@@ -14,7 +14,7 @@ import numpy as np
 from .disparity import DisparityMap
 from .errors import DegenerateSaliency, DimensionMismatch, NumericError, ParamError
 from .kernels import gaussian_smooth, iter_pyramid, pyramid
-from .media import StereoSequence, _Map, _maps, _stored, load_map_series
+from .media import StereoSequence, _Map, _check_real_fields, _maps, _stored, load_map_series
 
 FLAT_GUARD = 1e-12
 _SUBNORMAL_SCALE = 2.0**-1000
@@ -39,6 +39,7 @@ class VamConfig:
     center_surround_pairs: tuple = ((2, 5), (3, 6))
 
     def __post_init__(self):
+        _check_real_fields(self)
         weights = (self.w_intensity, self.w_color, self.w_motion, self.w_depth)
         if any(w < 0 for w in weights) or sum(weights) <= 0:
             raise NumericError("channel weights must be >= 0 with positive sum")

@@ -11,7 +11,7 @@ import pytest
 from stereoqa import fr, nr
 from stereoqa.disparity import estimate_disparity_series
 from stereoqa.distort import _DISTORTIONS, DistortionSpec, apply
-from stereoqa.errors import StereoQaError
+from stereoqa.errors import ParamError, StereoQaError
 from stereoqa.saliency import VamConfig, baseline_vam
 
 from conftest import make_seq
@@ -93,6 +93,19 @@ def test_extreme_values_end_finite_or_in_a_stereoqa_error(build, runs):
             if not np.all(np.isfinite(values)):
                 failures.append(f"{label} at {value}: non-finite values")
     assert not failures, failures
+
+
+_FLOAT_FIELDS = [(cls, f.name) for cls in (fr.FrMetricConfig, nr.NrMetricConfig, VamConfig)
+                 for f in dataclasses.fields(cls) if f.type.startswith("float")]
+
+
+@pytest.mark.parametrize("value", ["x", True])
+@pytest.mark.parametrize("cls, name", _FLOAT_FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name in _FLOAT_FIELDS])
+def test_float_fields_hold_real_numbers(cls, name, value):
+    # a string built, or failed in a range check with a TypeError
+    with pytest.raises(ParamError, match=f"{name} must be a real number"):
+        cls(**{name: value})
 
 
 @pytest.mark.parametrize("metric, field, value", [

@@ -198,6 +198,13 @@ def test_spec_params_are_read_only():
     assert dataclasses.replace(spec, seed=3).params == spec.params
 
 
+@pytest.mark.parametrize("params", [5, [1], "x", None])
+def test_spec_params_must_be_a_dict(params):
+    # each ended in a TypeError from merging the kind's defaults
+    with pytest.raises(ParamError, match="awgn params must be a dict"):
+        DistortionSpec(kind="awgn", params=params)
+
+
 def test_decode_spec_round_trip():
     spec = decode(DistortionSpec, {"kind": "awgn", "params": {"variance": 0.02},
                                    "seed": 7, "target": "right_only",

@@ -3,6 +3,7 @@ import os
 import tempfile
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -336,7 +337,7 @@ def test_descriptor_written_with_cwd_relative_paths_loads_elsewhere(tmp_path, ti
 
 
 @pytest.mark.parametrize("fps", [float("inf"), float("nan"), -float("inf"), 0.0, -1.0, "x",
-                                 None, 1 + 1j])
+                                 None, 1 + 1j, True, False, 10**400, Fraction(10**400)])
 def test_sequence_rejects_fps_that_is_not_finite_and_positive(tiny_seq, fps):
     with pytest.raises(RangeError, match="fps"):
         StereoSequence(tiny_seq.frames, fps=fps)
@@ -349,11 +350,33 @@ _DESCRIPTOR = dict(left="a", right="b", width=16, height=16, fps=25.0, frames=1)
     ("width", 64.5, ParamError), ("height", 0, ParamError), ("width", True, ParamError),
     ("frames", 0, ParamError), ("frames", -2, ParamError), ("frames", 2.0, ParamError),
     ("fps", float("nan"), RangeError), ("fps", 0.0, RangeError), ("fps", -1, RangeError),
-    ("fps", float("inf"), RangeError),
+    ("fps", float("inf"), RangeError), ("fps", True, RangeError),
 ])
 def test_descriptor_checks_its_fields_when_built(field, value, error):
     with pytest.raises(error, match=field):
         SequenceDescriptor(**{**_DESCRIPTOR, field: value})
+
+
+@pytest.mark.parametrize("fps", [np.float32(25), Fraction(30000, 1001), 30, np.int64(24)])
+def test_sequence_fps_is_a_float_that_reads_back(tiny_seq, tmp_path, fps):
+    # np.float32 warned of an overflow in the range check, and it and the
+    # Fraction made to_json fail
+    seq = StereoSequence(tiny_seq.frames, fps=fps)
+    assert type(seq.fps) is float and seq.fps == float(fps)
+    desc = save_sequence(seq, str(tmp_path / "l.raw"), str(tmp_path / "r.raw"))
+    desc.to_json(str(tmp_path / "desc.json"))
+    assert SequenceDescriptor.from_json(str(tmp_path / "desc.json")) == desc
+
+
+def test_descriptor_numpy_fields_are_stored_as_python_numbers(tmp_path):
+    desc = SequenceDescriptor(**{**_DESCRIPTOR, "left": str(tmp_path / "a"),
+                                 "right": str(tmp_path / "b"), "width": np.int64(8),
+                                 "height": np.uint16(8), "frames": np.int32(1),
+                                 "fps": np.float32(25)})
+    assert [type(getattr(desc, f)) for f in ("width", "height", "frames", "fps")] == [
+        int, int, int, float]
+    desc.to_json(str(tmp_path / "desc.json"))
+    assert SequenceDescriptor.from_json(str(tmp_path / "desc.json")) == desc
 
 
 def test_descriptor_unknown_format():

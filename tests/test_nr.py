@@ -18,7 +18,7 @@ from stereoqa.errors import (
     RangeError,
     TooSmall,
 )
-from stereoqa.kernels import convolve2d, sobel_gradient
+from stereoqa.kernels import Kernel2D, convolve2d, sobel_gradient
 from stereoqa.media import Frame, StereoFrame, StereoSequence
 from stereoqa.nr import NR_METRICS, NrMetricConfig
 from stereoqa.saliency import SaliencyMap, baseline_vam, uniform_series
@@ -94,10 +94,12 @@ def test_nrpbm_probe_equals_its_square_kernel(n, axis):
     line = [n // 2, n // 2]
     line[axis] = slice(None)
     square[tuple(line)] = 1.0 / n
+    probe = [1, 1]  # the 1 x n or n x 1 line of nrpbm_s's box mean
+    probe[axis] = n
     rng = np.random.RandomState(n)
     for shape in ((9, 9), (17, 23), (40, 9), (64, 64)):
         image = rng.rand(*shape) * 255.0
-        assert np.array_equal(convolve2d(image, nr._probe(n, axis)),
+        assert np.array_equal(convolve2d(image, Kernel2D(np.full(probe, 1.0 / n))),
                               scipy.ndimage.convolve(image, square, mode="nearest")), shape
 
 
