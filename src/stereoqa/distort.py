@@ -7,6 +7,8 @@ distortion yields byte-identical output.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,8 +63,9 @@ class DistortionSpec:
         for name, value in self.params.items():
             if name not in defaults:
                 raise ParamError(f"unknown {self.kind} parameter {name!r}")
-            if not _fits(value, "float"):
-                raise ParamError(f"{self.kind} needs a number for {name!r}, not {value!r:.40}")
+            if not (_fits(value, "float") and abs(value) <= sys.float_info.max):  # NaN fails
+                raise ParamError(f"{self.kind} needs a finite number for {name!r}, "
+                                 f"not {value!r:.40}")
         if "size" in self.params:
             _check_int(f"{self.kind} size", self.params["size"], 1)
         if self.params.get("variance", 0.0) < 0:
@@ -84,7 +87,7 @@ def _region_slices(spec: DistortionSpec, shape):
 def _awgn(luma: np.ndarray, region, params: dict, stream_seed: int) -> np.ndarray:
     patch = luma[region]
     # variance is quoted on the unit intensity scale; convert to 8-bit units
-    sigma = 255.0 * float(np.sqrt(params["variance"]))
+    sigma = 255.0 * math.sqrt(float(params["variance"]))
     return patch + SeededRng(stream_seed).normals(patch.size, 0.0, sigma).reshape(patch.shape)
 
 

@@ -79,10 +79,33 @@ FR_NEEDS_DISPARITY: dict = {}
 _fr = registrar(FR_METRICS, FR_NEEDS_DISPARITY, FrMetricConfig, reference=True)
 
 
-# The SSIM-family formulas below keep each step of the plain expressions in
-# its order, but write it into an array whose value is dead: every value is
-# bit-identical, and one call holds about 7 frame-sized planes beyond its
-# inputs (the five moments, a product, a window's output and scratch).
+# The SSIM-family formulas below are their plain expressions, evaluated by
+# _by_blocks: every value is bit-identical to one whole-array evaluation, and
+# one call holds about 7 frame-sized planes beyond its inputs while
+# _raw_moments runs (the five moments, a product, a window's output and
+# scratch), fewer after it.
+# Elements per block: the largest power of two whose temporaries stay below
+# that peak (7.00 planes at 270x480 and one row strip; 2**15 gave 7.27).
+_BLOCK = 2**14
+
+
+def _by_blocks(f, *arrays):
+    """The tuple of arrays ``f(*arrays)`` of a pointwise ``f``, evaluated on
+    blocks of whole leading-axis rows, about _BLOCK elements each, and
+    written into new arrays: each element goes through the operations of one
+    whole call, so every value is bit-identical, while only the blocks'
+    temporaries come on top of the inputs and the results.  A NumericError
+    that ``f`` raises may name another of its operations."""
+    n = len(arrays[0])
+    rows = max(1, _BLOCK // arrays[0][0].size)
+    for i in range(0, n, rows):
+        parts = f(*(a[i:i + rows] for a in arrays))
+        if i == 0:
+            outs = tuple(np.empty((n, *p.shape[1:]), p.dtype) for p in parts)
+        for out, part in zip(outs, parts):
+            out[i:i + rows] = part
+    return outs
+
 
 def _raw_moments(x, y, mean):
     """Means, variances and covariance of x and y under the local mean
@@ -99,35 +122,15 @@ def _raw_moments(x, y, mean):
     return mu_x, mu_y, var_x, var_y, cov
 
 
-def _ssim_terms(moments, cfg: FrMetricConfig):
-    """SSIM's luminance numerator and denominator, 2 mu_x mu_y + c1 and
-    mu_x**2 + mu_y**2 + c1, and its contrast-structure ones, 2 cov + c2 and
-    var_x + var_y + c2, of _raw_moments, written into its arrays."""
-    mu_x, mu_y, var_x, var_y, cov = moments
-    c1, c2 = cfg.ssim_c1, cfg.ssim_c2
-    cov *= 2.0
-    cov += c2
-    var_x += var_y
-    var_x += c2
-    l_num = np.multiply(2.0, mu_x, out=var_y)
-    l_num *= mu_y
-    l_num += c1
-    l_den = mu_x
-    l_den *= mu_x
-    mu_y *= mu_y
-    l_den += mu_y
-    l_den += c1
-    return l_num, l_den, cov, var_x
-
-
 def _ssim(moments, cfg: FrMetricConfig):
-    """(2 mu_x mu_y + c1)(2 cov + c2) / ((mu_x**2 + mu_y**2 + c1)(var_x + var_y + c2))
-    of _raw_moments, whose arrays it overwrites."""
-    num, den, cs_num, cs_den = _ssim_terms(moments, cfg)
-    num *= cs_num
-    den *= cs_den
-    num /= den
-    return num
+    """The SSIM map of _raw_moments."""
+    c1, c2 = cfg.ssim_c1, cfg.ssim_c2
+
+    def ssim(mu_x, mu_y, var_x, var_y, cov):
+        return (((2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2))
+                / ((mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)),)
+
+    return _by_blocks(ssim, *moments)[0]
 
 
 def _ssim_map(x, y, cfg: FrMetricConfig) -> np.ndarray:
@@ -165,14 +168,19 @@ def _msssim_scale(x, y, s, cfg: FrMetricConfig, smooth, weight: float,
     """One MS-SSIM scale's factor: its contrast-structure term pooled by
     ``s`` to the power ``weight``, times, with ``luminance``, the luminance
     term's; every array it makes dies when it returns."""
-    l_num, l_den, cs_map, cs_den = _ssim_terms(_raw_moments(
-        x, y, lambda a: smooth(a, cfg.ssim_window, cfg.ssim_sigma, "ssim_sigma")), cfg)
-    cs_map /= cs_den
-    term = max(weighted_spatial_mean(cs_map, s), 0.0) ** weight
-    if not luminance:
-        return term
-    l_num /= l_den
-    return term * max(weighted_spatial_mean(l_num, s), 0.0) ** weight
+    c1, c2 = cfg.ssim_c1, cfg.ssim_c2
+
+    def terms(mu_x, mu_y, var_x, var_y, cov):
+        cs_map = (2.0 * cov + c2) / (var_x + var_y + c2)
+        if not luminance:
+            return (cs_map,)
+        return cs_map, (2.0 * mu_x * mu_y + c1) / (mu_x * mu_x + mu_y * mu_y + c1)
+
+    factor = 1.0
+    for term_map in _by_blocks(terms, *_raw_moments(
+            x, y, lambda a: smooth(a, cfg.ssim_window, cfg.ssim_sigma, "ssim_sigma"))):
+        factor *= max(weighted_spatial_mean(term_map, s), 0.0) ** weight
+    return factor
 
 
 def _msssim_frame(x: np.ndarray, y: np.ndarray, s: np.ndarray,
@@ -212,32 +220,16 @@ def _vif_scale(x, y, w, mean, sigma_n_sq: float) -> tuple[float, float]:
     """The sums of one VIF scale's numerator and denominator maps weighted by
     ``w``, under the local mean ``mean``; every array it makes dies when it
     returns."""
-    var_x, var_y, cov = _raw_moments(x, y, mean)[2:]
-    np.maximum(var_x, 0.0, out=var_x)
-    np.maximum(var_y, 0.0, out=var_y)
-    # g = where(var_x > 1e-10, cov / where(var_x > 1e-10, var_x, 1), 0), at least 0
-    kept = var_x > 1e-10
-    g = np.where(kept, var_x, 1.0)
-    np.divide(cov, g, out=g)
-    np.copyto(g, 0.0, where=~kept)
-    np.maximum(g, 0.0, out=g)
-    sv_sq = var_y  # max(var_y - g cov, 0)
-    cov *= g
-    sv_sq -= cov
-    np.maximum(sv_sq, 0.0, out=sv_sq)
-    num_map = g  # log10(1 + g**2 var_x / (sv_sq + sigma_n_sq))
-    num_map *= g
-    num_map *= var_x
-    sv_sq += sigma_n_sq
-    num_map /= sv_sq
-    num_map += 1.0
-    np.log10(num_map, out=num_map)
-    den_map = var_x  # log10(1 + var_x / sigma_n_sq)
-    den_map /= sigma_n_sq
-    den_map += 1.0
-    np.log10(den_map, out=den_map)
-    num_map *= w
-    den_map *= w
+
+    def maps(var_x, var_y, cov, w):
+        var_x, var_y = np.maximum(var_x, 0.0), np.maximum(var_y, 0.0)
+        g = np.where(var_x > 1e-10, cov / np.where(var_x > 1e-10, var_x, 1.0), 0.0)
+        g = np.maximum(g, 0.0)
+        sv_sq = np.maximum(var_y - g * cov, 0.0)
+        return (np.log10(1.0 + g * g * var_x / (sv_sq + sigma_n_sq)) * w,
+                np.log10(1.0 + var_x / sigma_n_sq) * w)
+
+    num_map, den_map = _by_blocks(maps, *_raw_moments(x, y, mean)[2:], w)
     return num_map.sum(), den_map.sum()
 
 
@@ -298,9 +290,9 @@ def oq_s(c, cfg):
     iq = view_mean(lambda x, y: weighted_spatial_mean(_ssim_map(x, y, cfg), c.s),
                    c.ref, c.dist)
     dq = weighted_spatial_mean(np.abs(c.d_ref - c.d_dist), c.s)
-    iq_d = np.power(iq, cfg.oq_d)
-    return (cfg.oq_a * iq_d + cfg.oq_b * np.power(dq, cfg.oq_e)
-            + cfg.oq_c * iq_d * np.power(dq, cfg.oq_d))
+    iq_d = _power(iq, cfg, "oq_d")
+    dq_e = _power(dq, cfg, "oq_e")
+    return cfg.oq_a * iq_d + cfg.oq_b * dq_e + cfg.oq_c * iq_d * dq_e
 
 
 def _cyclopean(pair: StereoFrame, d: np.ndarray) -> np.ndarray:

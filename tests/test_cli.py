@@ -198,6 +198,8 @@ def test_bad_descriptor_exit_1(desc_path, tmp_path, capsys, mangle, field):
       for metric in ("ssim_s", "msssim_s")),
     pytest.param("score-fr", "hv3d_s", '{"hv3d_beta3": -1e10}', "hv3d_beta3 -10000000000.0",
                  id="hv3d_beta3-negative"),
+    pytest.param("score-fr", "oq_s", '{"oq_e": -1e10}', "oq_e -10000000000.0",
+                 id="oq_e-negative"),
     pytest.param("score-nr", "nospdm_s", '{"nospdm_gamma1": 1e10}',
                  "nospdm_gamma1 10000000000.0", id="nospdm_gamma1-1e10"),
     pytest.param("score-nr", "sadaka_s", '{"sadaka_beta": 1e10}', "sadaka_beta 10000000000.0",
@@ -549,6 +551,21 @@ def test_distort_command(desc_path, tmp_path):
     assert code == 0
     with open(rep) as fh:
         assert json.load(fh)["score"] < 100.0
+
+
+def test_distort_reads_an_integer_variance_as_a_float(desc_path, tmp_path, capsys):
+    # a JSON integer beyond int64 ended in a TypeError traceback
+    outputs = []
+    for i, variance in enumerate(["1000000000000000000000000000000", "1e30"]):
+        spec = tmp_path / f"spec{i}.json"
+        spec.write_text(f'{{"kind": "awgn", "params": {{"variance": {variance}}}}}')
+        assert main(["distort", "--in", desc_path, "--spec", str(spec),
+                     "--out", str(tmp_path / f"out{i}")]) == 0
+        outputs.append([(tmp_path / f"out{i}" / name).read_bytes()
+                        for name in ("left.raw", "right.raw")])
+    assert capsys.readouterr().err == ""
+    assert outputs[0] == outputs[1]
+    assert set(outputs[0][0]) == {0, 255}
 
 
 def test_distort_list_spec_applies_each_entry_in_order(desc_path, tmp_path):

@@ -205,6 +205,19 @@ def test_spec_params_must_be_a_dict(params):
         DistortionSpec(kind="awgn", params=params)
 
 
+_PARAMS = [(kind, name) for kind, (_, defaults) in distort._DISTORTIONS.items()
+           for name in defaults]
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, np.float64(math.nan), 10**400],
+                         ids=["inf", "-inf", "nan", "numpy-nan", "10**400"])
+@pytest.mark.parametrize("kind, name", _PARAMS, ids=[f"{k}-{n}" for k, n in _PARAMS])
+def test_spec_params_must_be_finite(kind, name, value):
+    # an infinite variance or delta saturated every pixel; a NaN passed the range checks
+    with pytest.raises(ParamError, match=f"{kind} needs a finite number for {name!r}"):
+        DistortionSpec(kind=kind, params={name: value})
+
+
 def test_decode_spec_round_trip():
     spec = decode(DistortionSpec, {"kind": "awgn", "params": {"variance": 0.02},
                                    "seed": 7, "target": "right_only",

@@ -148,6 +148,18 @@ def test_oq_neutral_defaults_track_image_quality():
     assert oq.orientation == "composite"
 
 
+def test_oq_cross_term_raises_dq_to_its_own_exponent():
+    # a IQ^d + b DQ^e + c IQ^d DQ^e (You, Xing, Perkis & Wang, VPQM 2010), DQ = 3
+    ref = make_seq(47, frames=2, size=64)
+    dist = apply(ref, DistortionSpec(kind="awgn", params={"variance": 0.0001}, seed=5))
+    cfg = FrMetricConfig(oq_c=1.0, oq_d=1.0, oq_e=2.0)
+    oq = fr.oq_s(ref, dist, d_ref=_flat_disparity(ref, 2.0),
+                 d_dist=_flat_disparity(dist, 5.0), cfg=cfg).score
+    iq = fr.ssim_s(ref, dist).score
+    assert oq == pytest.approx(iq + 9.0 + 9.0 * iq, rel=1e-12)
+    assert oq == pytest.approx(18.99, abs=0.01)
+
+
 def test_ddl1_counts_both_views():
     ref = make_seq(48, frames=2, size=64)
     d = _flat_disparity(ref)
@@ -362,8 +374,11 @@ def test_block_metrics_need_one_whole_block():
         fr._block_grid(3, 40, 4)
 
 
-# The SSIM-family formulas write each step into a dead buffer; the plain
-# expressions below are the reference they must equal bit for bit.
+# The SSIM-family formulas evaluate their expressions on blocks of rows; the
+# plain whole-array expressions below are the reference they must equal bit
+# for bit.  A block of 1 element is one row, 777 leaves a ragged last block.
+_BLOCKS = [1, 777, fr._BLOCK]
+
 
 def _plain_moments(x, y, mean):
     mu_x, mu_y = mean(x), mean(y)
@@ -371,12 +386,16 @@ def _plain_moments(x, y, mean):
             mean(x * y) - mu_x * mu_y)
 
 
-def _plain_ssim_map(x, y, cfg):
-    mu_x, mu_y, var_x, var_y, cov = _plain_moments(
-        x, y, lambda a: gaussian_smooth(a, cfg.ssim_window, cfg.ssim_sigma))
+def _plain_ssim(moments, cfg):
+    mu_x, mu_y, var_x, var_y, cov = moments
     c1, c2 = cfg.ssim_c1, cfg.ssim_c2
     return (((2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2))
             / ((mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)))
+
+
+def _plain_ssim_map(x, y, cfg):
+    return _plain_ssim(_plain_moments(
+        x, y, lambda a: gaussian_smooth(a, cfg.ssim_window, cfg.ssim_sigma)), cfg)
 
 
 def _plain_saliency_levels(s, levels):
@@ -432,7 +451,7 @@ def _pair(shape, seed):
 
 @pytest.mark.parametrize("shape", [(33, 47), (64, 64), (90, 161)])
 @pytest.mark.parametrize("saliency", ["map", "ones", "unnormalized"])
-def test_ssim_family_equals_the_plain_expressions_bit_for_bit(shape, saliency):
+def test_ssim_family_equals_the_plain_expressions_bit_for_bit(monkeypatch, shape, saliency):
     x, y = _pair(shape, sum(shape))
     raw = np.random.default_rng(1).random(shape)
     # the values a pyramid keeps as its first level (a normalized map, and the
@@ -440,11 +459,26 @@ def test_ssim_family_equals_the_plain_expressions_bit_for_bit(shape, saliency):
     s = {"map": normalize_map(raw).values, "ones": SaliencyMap(np.ones(shape)).values,
          "unnormalized": SaliencyMap(0.5 + 0.25 * raw).values}[saliency]
     cfg = FrMetricConfig()
-    assert np.array_equal(fr._ssim_map(x, y, cfg), _plain_ssim_map(x, y, cfg))
-    for smooth in (None, fr._smooth_2d):
-        plain = smooth or gaussian_smooth
-        assert fr._msssim_frame(x, y, s, cfg, [], smooth) == _plain_msssim(x, y, s, cfg, plain)
-        assert fr._vif_frame(x, y, s, cfg, smooth) == _plain_vif(x, y, s, cfg, plain)
+    for block in _BLOCKS:
+        monkeypatch.setattr(fr, "_BLOCK", block)
+        assert np.array_equal(fr._ssim_map(x, y, cfg), _plain_ssim_map(x, y, cfg))
+        for smooth in (None, fr._smooth_2d):
+            plain = smooth or gaussian_smooth
+            assert fr._msssim_frame(x, y, s, cfg, [], smooth) == _plain_msssim(x, y, s, cfg,
+                                                                               plain)
+            assert fr._vif_frame(x, y, s, cfg, smooth) == _plain_vif(x, y, s, cfg, plain)
+
+
+@pytest.mark.parametrize("block", _BLOCKS)
+@pytest.mark.parametrize("shape", [(1, 8, 8), (37, 4, 4), (1000, 8, 8)])
+def test_global_ssim_equals_the_plain_expression_bit_for_bit(monkeypatch, shape, block):
+    monkeypatch.setattr(fr, "_BLOCK", block)
+    rng = np.random.default_rng(sum(shape))
+    x = rng.random(shape) * 255.0
+    y = np.clip(x + rng.normal(0.0, 8.0, shape), 0.0, 255.0)
+    cfg = FrMetricConfig()
+    want = _plain_ssim(_plain_moments(x, y, lambda a: a.mean(axis=(-2, -1))), cfg)
+    assert np.array_equal(fr._global_ssim(x, y, cfg), want)
 
 
 @pytest.mark.parametrize("call", [
