@@ -8,6 +8,7 @@ from .disparity import (
     disparity_to_depth,
     estimate_disparity,
     estimate_disparity_series,
+    iter_disparity_series,
 )
 from .distort import DistortionSpec, apply
 from .fr import FR_METRICS, FrMetricConfig
@@ -26,6 +27,7 @@ from .saliency import (
     SaliencyMap,
     VamConfig,
     baseline_vam,
+    iter_baseline_vam,
     normalize_map,
     uniform_series,
     weighted_spatial_mean,

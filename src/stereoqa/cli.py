@@ -16,14 +16,14 @@ import sys
 import numpy as np
 
 from . import __version__
-from .disparity import DisparityConfig, DisparityMap, estimate_disparity_series
+from .disparity import DisparityConfig, DisparityMap, iter_disparity_series
 from .distort import DistortionSpec, apply
 from .errors import MalformedJson, ParamError, StereoQaError, prefixed_errors
 from .fr import FR_METRICS, FR_NEEDS_DISPARITY, FrMetricConfig
-from .media import SequenceDescriptor, _fits, decode, load_map_series, \
-    load_sequence, read_json, save_map_series, save_sequence, write_json
+from .media import SequenceDescriptor, _fits, decode, iter_map_series, load_sequence, \
+    read_json, save_map_series, save_sequence, write_json
 from .nr import NR_METRICS, NR_NEEDS_DISPARITY, NrMetricConfig
-from .saliency import VamConfig, baseline_vam, load_external_saliency, \
+from .saliency import VamConfig, baseline_vam, iter_baseline_vam, iter_external_saliency, \
     uniform_series
 from .stats import MosTable, SubjectiveTable, emit_report, performance, \
     screen_and_mos, si_ti
@@ -69,26 +69,50 @@ def _write_manifest(out_path: str, args: argparse.Namespace, outputs) -> None:
     })
 
 
+# Map sources are iterators that make or read a frame's map when it is taken;
+# a dir: source looks for every file first.
 def _resolve_saliency(mode: str, seq):
     if mode == "none":
         return None
     if mode == "uniform":
         return uniform_series(seq)
     if mode == "baseline":
-        return baseline_vam(seq)
+        return iter_baseline_vam(seq)
     if mode.startswith("dir:"):
-        return load_external_saliency(mode[4:], seq)
+        return iter_external_saliency(mode[4:], seq)
     raise StereoQaError(f"unknown saliency source {mode!r}")
 
 
 def _resolve_disparity(source: str, seq):
     if source.startswith("dir:"):
         expected = {"width": seq.width, "height": seq.height, "count": len(seq)}
-        return [DisparityMap(m * _DISPARITY_SCALE)
-                for m in load_map_series(source[4:], expected)]
+        return map(lambda m: DisparityMap(m * _DISPARITY_SCALE),
+                   iter_map_series(source[4:], expected))
     if source != "estimate":
         raise StereoQaError(f"unknown disparity source {source!r}")
-    return estimate_disparity_series(seq)
+    return iter_disparity_series(seq)
+
+
+class _SourceError(Exception):
+    """A StereoQaError of a map source, carried past the --config prefix."""
+
+
+def _primed(maps):
+    """A map source for the metric driver: its first map is made here, before
+    any frame is scored, and a StereoQaError of a later map leaves as
+    _SourceError; so a map's error comes as it did when every map was made
+    before scoring, and never with the config's prefix."""
+    maps = iter(maps)
+    first = [next(maps)]
+
+    def primed():
+        yield first.pop()  # and holds it no longer
+        try:
+            yield from maps
+        except StereoQaError as exc:
+            raise _SourceError(exc) from None
+
+    return primed()
 
 
 _SCORERS = {
@@ -114,11 +138,16 @@ def _cmd_score(args) -> int:
     cfg = _load_config(args.config, config_cls)
     # saliency comes from the first sequence: the reference for FR
     s_series = _resolve_saliency(args.saliency, seqs[0])
-    disparity = {slot: _resolve_disparity(sources[slot],
-                                          seqs[0] if slot == "d_ref" else seqs[-1])
+    if s_series is not None:
+        s_series = _primed(s_series)
+    disparity = {slot: _primed(_resolve_disparity(sources[slot],
+                                                  seqs[0] if slot == "d_ref" else seqs[-1]))
                  for slot in needs.get(metric, ())}
-    with prefixed_errors(args.config):  # None without --config
-        report = metrics[metric](*seqs, s_series=s_series, cfg=cfg, **disparity)
+    try:
+        with prefixed_errors(args.config):  # None without --config
+            report = metrics[metric](*seqs, s_series=s_series, cfg=cfg, **disparity)
+    except _SourceError as exc:
+        raise exc.args[0] from None
     report.save_json(args.out)
     outputs = [args.out]
     if args.frame_csv:
@@ -134,7 +163,7 @@ def _cmd_saliency(args) -> int:
     cfg = _load_config(args.config, VamConfig)
     d_series = None
     if args.disparity != "none":
-        d_series = _resolve_disparity(args.disparity, seq)
+        d_series = list(_resolve_disparity(args.disparity, seq))
     with prefixed_errors(args.config):  # None without --config
         maps = baseline_vam(seq, disparity_series=d_series, cfg=cfg)
     paths = save_map_series([m.values for m in maps], args.out)

@@ -94,8 +94,14 @@ def estimate_disparity(pair: StereoFrame, cfg: DisparityConfig | None = None) ->
     return DisparityMap(_median3x3(best[y_cover][:, x_cover]))
 
 
+def iter_disparity_series(seq, cfg: DisparityConfig | None = None):
+    """``estimate_disparity`` of each frame of ``seq`` in turn, one map at a time."""
+    return (estimate_disparity(frame, cfg) for frame in seq.frames)
+
+
 def estimate_disparity_series(seq, cfg: DisparityConfig | None = None) -> list[DisparityMap]:
-    return [estimate_disparity(frame, cfg) for frame in seq.frames]
+    """The list of ``iter_disparity_series``."""
+    return list(iter_disparity_series(seq, cfg))
 
 
 def disparity_to_depth(d: np.ndarray) -> np.ndarray:

@@ -109,16 +109,27 @@ def _by_blocks(f, *arrays):
 
 def _raw_moments(x, y, mean):
     """Means, variances and covariance of x and y under the local mean
-    ``mean``, which returns a new array; the caller owns all five."""
+    ``mean``, which returns a new array; the caller owns all five.  ``x``
+    and ``y`` are arrays or functions that make them: a plane made here is
+    made when first read and dies after its last read, so the two overlap
+    only while x * y is formed."""
     # Unclamped moments: identical inputs then give a ssim map of exactly 1.
+    x = x() if callable(x) else x
     mu_x = mean(x)
-    mu_y = mean(y)
     var_x = mean(x * x)
     var_x -= mu_x * mu_x
-    var_y = mean(y * y)
-    var_y -= mu_y * mu_y
-    cov = mean(x * y)
+    y = y() if callable(y) else y
+    xy = x * y
+    del x
+    cov = mean(xy)
+    del xy
+    mu_y = mean(y)
     cov -= mu_x * mu_y
+    yy = y * y
+    del y
+    var_y = mean(yy)
+    del yy
+    var_y -= mu_y * mu_y
     return mu_x, mu_y, var_x, var_y, cov
 
 
@@ -133,10 +144,14 @@ def _ssim(moments, cfg: FrMetricConfig):
     return _by_blocks(ssim, *moments)[0]
 
 
+def _ssim_mean(cfg: FrMetricConfig, shape):
+    """SSIM's local mean, its window checked against frames of ``shape``."""
+    _check_window(cfg.ssim_window, shape, f"ssim_window {cfg.ssim_window}")
+    return lambda a: gaussian_smooth(a, cfg.ssim_window, cfg.ssim_sigma, "ssim_sigma")
+
+
 def _ssim_map(x, y, cfg: FrMetricConfig) -> np.ndarray:
-    _check_window(cfg.ssim_window, x.shape, f"ssim_window {cfg.ssim_window}")
-    return _ssim(_raw_moments(
-        x, y, lambda a: gaussian_smooth(a, cfg.ssim_window, cfg.ssim_sigma, "ssim_sigma")), cfg)
+    return _ssim(_raw_moments(x, y, _ssim_mean(cfg, x.shape)), cfg)
 
 
 # hv3d_s/flosim3d_s amplify reordered round-off past 1e-12; ROADMAP item 2 deletes this
@@ -273,11 +288,14 @@ def ddl1_s(c, cfg):
 
     The disparity factor is clamp01(1 - sqrt(|D^2 - D'^2|) / 255); the absolute
     value keeps the radicand real when the distorted disparity is larger.
+    It is formed pointwise with the damped map, so it is never a whole plane.
     """
-    dr, dd = c.d_ref, c.d_dist
-    factor = np.clip(1.0 - np.sqrt(np.abs(dr * dr - dd * dd)) / 255.0, 0.0, 1.0)
-    return 2.0 * view_mean(
-        lambda x, y: weighted_spatial_mean(_ssim_map(x, y, cfg) * factor, c.s), c.ref, c.dist)
+
+    def damped(ssim_map, dr, dd):
+        return (ssim_map * np.clip(1.0 - np.sqrt(np.abs(dr * dr - dd * dd)) / 255.0, 0.0, 1.0),)
+
+    return 2.0 * view_mean(lambda x, y: weighted_spatial_mean(
+        _by_blocks(damped, _ssim_map(x, y, cfg), c.d_ref, c.d_dist)[0], c.s), c.ref, c.dist)
 
 
 @_fr("composite", needs=("d_ref", "d_dist"), over="frame")
@@ -285,12 +303,13 @@ def oq_s(c, cfg):
     """Combination of view SSIM and mean absolute disparity difference.
 
     Orientation is composite: the two terms move in opposite directions and
-    the published combination constants are unavailable.
+    the published combination constants are unavailable.  IQ is clamped at
+    0, as hv3d_s clamps its SSIM term, so a fractional ``oq_d`` stays real.
     """
     iq = view_mean(lambda x, y: weighted_spatial_mean(_ssim_map(x, y, cfg), c.s),
                    c.ref, c.dist)
     dq = weighted_spatial_mean(np.abs(c.d_ref - c.d_dist), c.s)
-    iq_d = _power(iq, cfg, "oq_d")
+    iq_d = _power(max(iq, 0.0), cfg, "oq_d")
     dq_e = _power(dq, cfg, "oq_e")
     return cfg.oq_a * iq_d + cfg.oq_b * dq_e + cfg.oq_c * iq_d * dq_e
 
@@ -307,9 +326,10 @@ def _cyclopean(pair: StereoFrame, d: np.ndarray) -> np.ndarray:
 @_fr("higher_better", needs=("d_ref", "d_dist"), over="frame")
 def ciq_s(c, cfg):
     """Saliency-pooled SSIM between the two cyclopean views."""
-    ci_ref = _cyclopean(c.ref, c.d_ref)
-    ci_dist = _cyclopean(c.dist, c.d_dist)
-    return weighted_spatial_mean(_ssim_map(ci_ref, ci_dist, cfg), c.s)
+    # each view is made inside the moments, so it dies after its last read
+    mean = _ssim_mean(cfg, c.ref.left.shape)
+    return weighted_spatial_mean(_ssim(_raw_moments(
+        lambda: _cyclopean(c.ref, c.d_ref), lambda: _cyclopean(c.dist, c.d_dist), mean), cfg), c.s)
 
 
 def _gather_blocks(image: np.ndarray, anchors: np.ndarray, size: int) -> np.ndarray:
@@ -441,17 +461,27 @@ def _patch_features(image: np.ndarray, patch: int) -> np.ndarray:
 @_fr("lower_better", needs=("d_ref", "d_dist"), over="sequence")
 def flosim3d_s(frames, cfg):
     """Temporal patch-feature dispersion gated by spatial and depth
-    dissimilarity (1 - MS-SSIM); lower is better, 0 means identical."""
+    dissimilarity (1 - MS-SSIM); lower is better, 0 means identical.
+
+    Every frame's flow term is scaled by the mean of all depth terms, so it
+    walks the frames keeping the previous frame's two StereoFrames and each
+    frame's two terms."""
     if len(frames) < 2:
         raise NeedsTemporalContext("needs at least 2 frames")
     flow_scores = []
     depth_scores = []
-    for prev, c in zip(frames, frames[1:]):
+    prev = None  # the previous frame's (ref, dist) StereoFrames
+    for c in frames:
+        flags = c.flags
+        if prev is None:
+            prev = c.ref, c.dist
+            continue
+
         def q_fl(view):
             def features(now, before):  # of the view's frame difference
                 diff = getattr(now, view).luma - getattr(before, view).luma
                 return _patch_features(diff, cfg.flosim_patch)
-            return float(np.abs(features(c.ref, prev.ref) - features(c.dist, prev.dist))
+            return float(np.abs(features(c.ref, prev[0]) - features(c.dist, prev[1]))
                          .sum(axis=1).mean())
 
         # both views' feature terms first, so the previous frame's lumas are
@@ -461,10 +491,12 @@ def flosim3d_s(frames, cfg):
             lambda ref_t, dist_t: ((1.0 - _msssim_frame(ref_t, dist_t, c.s, cfg, c.flags,
                                                         _smooth_2d)) * next(q_fls)),
             c.ref, c.dist))
-        depth_ref, depth_dist = (disparity_to_depth(d) * 255.0 for d in (c.d_ref, c.d_dist))
-        q_d = 1.0 - _msssim_frame(depth_ref, depth_dist, c.s, cfg, c.flags, _smooth_2d)
-        depth_scores.append(q_d)  # the shared map serves both view depths
+        # the shared map serves both view depths
+        depth_scores.append(1.0 - _msssim_frame(
+            *(disparity_to_depth(d) * 255.0 for d in (c.d_ref, c.d_dist)), c.s, cfg, c.flags,
+            _smooth_2d))
+        prev = c.ref, c.dist
     q_d_mean = float(np.mean(depth_scores))
     if q_d_mean == 0.0:  # equal depth maps: every frame scores 0, whatever the views
-        frames[-1].flags.append("depth_term_zero")
+        flags.append("depth_term_zero")
     return [f * q_d_mean for f in flow_scores]

@@ -6,13 +6,16 @@ writable input copied.  A ``Frame`` has luma and both chroma planes or
 neither, each in [0, 255]; a loaded frame holds its planes as the 8-bit
 samples of the stream, and ``Frame.luma``/``chroma_u``/``chroma_v`` read them
 as float64.  ``StereoFrame``, ``StereoSequence`` and the maps are frozen, so
-no plane or checked value can be reassigned.  Grayscale maps (saliency,
-disparity) travel as PGM series scaled to [0, 1].  All formats are
+no plane or checked value can be reassigned.  A loaded sequence reads each
+frame from its streams when that frame is asked for, and holds only the
+last frame it read.  Grayscale maps (saliency, disparity) travel as PGM series scaled to
+[0, 1]; ``iter_map_series`` reads them one at a time too.  All formats are
 uncompressed so loading is bit-exact and needs no external decoders.
 """
 
 from __future__ import annotations
 
+import collections.abc
 import dataclasses
 import json
 import numbers
@@ -235,28 +238,37 @@ def _checked_fps(fps) -> float:
 
 @dataclass(frozen=True)
 class StereoSequence:
+    """Stereo frames of one shape at ``fps``.  Built from StereoFrames, it
+    holds them as a tuple, each checked; ``load_sequence`` builds it from a
+    ``_StreamFrames``, which reads a frame from the streams when it is asked
+    for."""
+
     frames: tuple[StereoFrame, ...]
     fps: float = 30.0
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "frames", tuple(self.frames))
-        except TypeError:  # not iterable
-            raise ParamError("a StereoSequence holds StereoFrames") from None
-        if not self.frames:
-            raise EmptySequence("sequence has no frames")
-        if not all(isinstance(fr, StereoFrame) for fr in self.frames):
-            raise ParamError("a StereoSequence holds StereoFrames")
+        if isinstance(self.frames, _StreamFrames):
+            shape = self.frames.shape
+        else:
+            try:
+                object.__setattr__(self, "frames", tuple(self.frames))
+            except TypeError:  # not iterable
+                raise ParamError("a StereoSequence holds StereoFrames") from None
+            if not self.frames:
+                raise EmptySequence("sequence has no frames")
+            if not all(isinstance(fr, StereoFrame) for fr in self.frames):
+                raise ParamError("a StereoSequence holds StereoFrames")
+            shape = self.frames[0].left.shape
+            if any(fr.left.shape != shape for fr in self.frames):
+                raise DimensionMismatch("all frames must share dimensions")
         object.__setattr__(self, "fps", _checked_fps(self.fps))
-        shape = self.frames[0].left.shape
-        if any(fr.left.shape != shape for fr in self.frames):
-            raise DimensionMismatch("all frames must share dimensions")
+        object.__setattr__(self, "_shape", shape)
 
     def __len__(self) -> int:
         return len(self.frames)
 
-    height = property(lambda self: self.frames[0].left.height)
-    width = property(lambda self: self.frames[0].left.width)
+    height = property(lambda self: self._shape[0])
+    width = property(lambda self: self._shape[1])
 
 
 @dataclass(frozen=True)
@@ -308,7 +320,7 @@ def _planes(desc: SequenceDescriptor) -> list[tuple[int, int]]:
     return [luma, chroma, chroma]
 
 
-def _read_view(path: str, desc: SequenceDescriptor) -> bytes:
+def _check_view(path: str, desc: SequenceDescriptor) -> None:
     if not os.path.exists(path):
         raise IoError(f"missing raw stream: {path}")
     size = os.path.getsize(path)
@@ -317,27 +329,59 @@ def _read_view(path: str, desc: SequenceDescriptor) -> bytes:
         raise DescriptorMismatch(
             f"{path}: {size} bytes on disk, descriptor implies {expected}"
         )
+
+
+def _read_frame(path: str, index: int, desc: SequenceDescriptor) -> Frame:
+    """Frame ``index`` of a stream; its planes are read-only views of the
+    frame's bytes."""
+    step = desc.frame_bytes()
     with open(path, "rb") as fh:
-        return fh.read()
-
-
-def _split_frame(buf: bytes, offset: int, desc: SequenceDescriptor) -> Frame:
-    """The frame at ``offset`` of a stream; its planes are read-only views of ``buf``."""
-    planes = []
+        fh.seek(index * step)
+        buf = fh.read(step)
+    if len(buf) != step:
+        raise DescriptorMismatch(f"{path}: frame {index} ends early; the stream changed "
+                                 "on disk after it was loaded")
+    planes, offset = [], 0
     for h, w in _planes(desc):
         planes.append(np.frombuffer(buf, np.uint8, h * w, offset).reshape(h, w))
         offset += h * w
     return Frame(*planes)
 
 
+class _StreamFrames(collections.abc.Sequence):
+    """The frames of a descriptor's two streams, each read from the files
+    when it is asked for, as a StereoFrame that holds only that frame's
+    bytes.  The last frame read is kept and given again for its index, so
+    the readers that walk the frames side by side (the metric driver, the
+    VAM, the disparity estimate) share one read of each frame."""
+
+    def __init__(self, desc: SequenceDescriptor):
+        self._desc = desc
+        self.shape = (desc.height, desc.width)
+        self._last = (None, None)  # (index, StereoFrame)
+
+    def __len__(self) -> int:
+        return self._desc.frames
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        index = range(len(self))[index]  # IndexError as a tuple's
+        if self._last[0] != index:
+            self._last = index, StereoFrame(_read_frame(self._desc.left, index, self._desc),
+                                            _read_frame(self._desc.right, index, self._desc))
+        return self._last[1]
+
+
 def load_sequence(desc: SequenceDescriptor) -> StereoSequence:
-    """Load a stereo pair of raw planar streams described by ``desc``."""
-    left_buf = _read_view(desc.left, desc)
-    right_buf = _read_view(desc.right, desc)
-    step = desc.frame_bytes()
-    return StereoSequence([StereoFrame(_split_frame(left_buf, i * step, desc),
-                                       _split_frame(right_buf, i * step, desc))
-                           for i in range(desc.frames)], fps=desc.fps)
+    """The stereo pair of raw planar streams described by ``desc``.  Both
+    stream sizes are checked, and the first frame read, here; after that a
+    frame is read when it is asked for (``_StreamFrames``)."""
+    for path in (desc.left, desc.right):
+        _check_view(path, desc)
+    frames = _StreamFrames(desc)
+    frames[0]  # checks the frame geometry (Frame's checks) once
+    return StereoSequence(frames, fps=desc.fps)
 
 
 def _samples8(plane: np.ndarray) -> np.ndarray:
@@ -426,21 +470,31 @@ def map_name(index: int) -> str:
     return f"{index:06d}.pgm"
 
 
-def load_map_series(dir_path: str, expected: dict) -> list[np.ndarray]:
-    """Load ``expected['count']`` maps named 000000.pgm... from a directory."""
+def iter_map_series(dir_path: str, expected: dict):
+    """An iterator over ``expected['count']`` maps named 000000.pgm... in a
+    directory, each read, and its shape checked, when it is taken.  Every
+    file is looked for here, before the first is read: the first one missing
+    raises MapSeriesGap."""
     width, height, count = expected["width"], expected["height"], expected["count"]
-    maps = []
-    for i in range(count):
-        path = os.path.join(dir_path, map_name(i))
+    paths = [os.path.join(dir_path, map_name(i)) for i in range(count)]
+    for i, path in enumerate(paths):
         if not os.path.exists(path):
             raise MapSeriesGap(f"missing map index {i} in {dir_path}")
+
+    def read(path):
         m = read_pgm(path)
         if m.shape != (height, width):
             raise MapShapeError(
                 f"{path}: {m.shape[1]}x{m.shape[0]}, expected {width}x{height}"
             )
-        maps.append(m)
-    return maps
+        return m
+
+    return map(read, paths)
+
+
+def load_map_series(dir_path: str, expected: dict) -> list[np.ndarray]:
+    """The list of ``iter_map_series``."""
+    return list(iter_map_series(dir_path, expected))
 
 
 @dataclass(frozen=True, eq=False)
@@ -458,17 +512,42 @@ class _Map:
     shape = property(lambda self: self.values.shape)
 
 
-def _maps(series, kind, n: int, shape, name: str) -> list:
-    """Float64 values of a per-frame map series, checked once for its count,
-    element type and frame shape."""
-    if len(series) != n:
-        raise SequenceLengthError(f"{name} length does not match frames")
-    for m in series:
+def _maps(series, kind, n: int, shape, name: str, check=lambda t, m: None):
+    """An iterator over the float64 values of a per-frame map series in frame
+    order: ``n`` maps, each a ``kind`` of the frame ``shape`` that passes
+    ``check(t, map)``.  A list or tuple is checked whole before its first
+    values are taken; any other iterable is read one map at a time, each map
+    checked as it comes and the count when the last frame's map is taken,
+    and no map is kept once its values are taken."""
+
+    def checked(m):
         if not isinstance(m, kind):
             raise ParamError(f"{name} must hold {kind.__name__}, not {type(m).__name__}")
         if m.shape != shape:
             raise DimensionMismatch(f"{name} map shape {m.shape} does not match frame {shape}")
-    return [m.values for m in series]
+        return m
+
+    def streamed(maps):
+        end = object()
+
+        def values(t, m):
+            if m is end or t == n - 1 and next(maps, end) is not end:
+                raise SequenceLengthError(f"{name} length does not match frames")
+            check(t, checked(m))
+            return m.values
+
+        for t in range(n):
+            yield values(t, next(maps, end))
+
+    if not isinstance(series, (list, tuple)):
+        return streamed(iter(series))
+    if len(series) != n:
+        raise SequenceLengthError(f"{name} length does not match frames")
+    for m in series:
+        checked(m)
+    for t, m in enumerate(series):
+        check(t, m)
+    return iter([m.values for m in series])
 
 
 def save_map_series(maps, dir_path: str) -> list[str]:

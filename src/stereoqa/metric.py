@@ -10,13 +10,23 @@ flags and the report.
 - ``"frame"``: ``formula(c, cfg)`` scores one stereo frame from its context:
   ``ref``/``dist`` (StereoFrame; ``ref`` is None for NR), ``s``, ``d_ref``,
   ``d_dist`` and the ``flags`` list that every context shares.
-- ``"sequence"``: ``formula(frames, cfg)`` gets the list of contexts and
-  returns the scores of the last frames; the frame CSV numbers them so.
+- ``"sequence"``: ``formula(frames, cfg)`` gets the contexts as an iterator
+  whose len() is the frame count, and returns the scores of the last frames;
+  the frame CSV numbers them so.
+
+The driver goes through the frames once.  It makes each frame's context,
+and takes that frame's maps from their series, when the frame is reached,
+and drops the context's contents once the next one is asked for; so a
+``"sequence"`` formula keeps what it needs of a frame (``flosim3d_s`` the
+StereoFrames), never the context.  A map series is a list or any iterable
+in frame order, such as the lazy series of ``iter_baseline_vam``,
+``iter_disparity_series`` or ``media.iter_map_series``.
 
 ``s`` is a float64 weight array for FR and NR alike, all ones without
 saliency.  Disparity maps arrive as float64 arrays.  The driver checks every
-map series once (count, ``SaliencyMap``/``DisparityMap`` elements, frame
-shape) and rejects an all-zero saliency map, so formulas never re-check them.
+map series (count, ``SaliencyMap``/``DisparityMap`` elements, frame shape;
+``media._maps``: a list before the first frame, any other iterable as it
+goes) and rejects an all-zero saliency map, so formulas never re-check them.
 
 ``view_mean`` owns the view rule, frame score = ``0.5 * (left + right)``;
 ``"frame"`` and ``"sequence"`` formulas that score views call it too.
@@ -25,6 +35,7 @@ shape) and rejects an all-zero saliency map, so formulas never re-check them.
 from __future__ import annotations
 
 import functools
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -51,6 +62,23 @@ def _power(base: float, cfg, field: str) -> float:
         return np.float64(base) ** exponent
 
 
+class _Contexts:
+    """The contexts a ``"sequence"`` formula walks: an iterator that makes
+    each one when it is taken, and whose len() is the number of frames."""
+
+    def __init__(self, contexts, n: int):
+        self._contexts, self._n = contexts, n
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        return next(self._contexts)
+
+    def __len__(self) -> int:
+        return self._n
+
+
 def _run(formula, orientation, needs, over, ref, dist, s_series, maps, cfg):
     if ref is not None:
         if len(ref) != len(dist):
@@ -59,34 +87,49 @@ def _run(formula, orientation, needs, over, ref, dist, s_series, maps, cfg):
             raise DimensionMismatch("reference and distorted dimensions differ")
     n = len(dist)
     shape = (dist.height, dist.width)
+    mode = "none"
     if s_series is None:
         ones = np.ones(shape)
         ones.flags.writeable = False  # as a map's values; a saliency pyramid keeps it
-        s = [ones] * n
+        s = itertools.repeat(ones)
     else:
-        s = _maps(s_series, SaliencyMap, n, shape, "s_series")
-        for t, values in enumerate(s):
-            if not values.any():
+        def nonzero(t, m):
+            nonlocal mode
+            if t == 0:
+                mode = m.source
+            if not m.values.any():
                 raise DegenerateSaliency(f"saliency map of frame {t} is all zero")
-    d = {slot: [None] * n for slot in maps}
+
+        s = _maps(s_series, SaliencyMap, n, shape, "s_series", nonzero)
+    d = {slot: itertools.repeat(None) for slot in maps}
     for slot in needs:
         if maps[slot] is None:
             raise DisparityRequired(f"this metric needs disparity maps ({slot})")
         d[slot] = _maps(maps[slot], DisparityMap, n, shape, slot)
+    refs = itertools.repeat(None) if ref is None else iter(ref.frames)
+    dists = iter(dist.frames)
     flags = []
-    refs = [None] * n if ref is None else ref.frames
-    frames = [SimpleNamespace(ref=r, dist=q, s=w, d_ref=dr, d_dist=dd, flags=flags)
-              for r, q, w, dr, dd in zip(refs, dist.frames, s, d["d_ref"], d["d_dist"])]
+    outside = np.geterr()
+
+    def contexts():
+        for _ in range(n):
+            with np.errstate(**outside):  # maps are made outside the formula's numeric_errors
+                c = SimpleNamespace(ref=next(refs), dist=next(dists), s=next(s),
+                                    d_ref=next(d["d_ref"]), d_dist=next(d["d_dist"]),
+                                    flags=flags)
+            yield c
+            vars(c).clear()  # the frame is scored: its maps go before the next ones come
+
     with numeric_errors(formula.__name__):
+        frames = contexts()
         if over == "sequence":
-            scores = formula(frames, cfg)
+            scores = formula(_Contexts(frames, n), cfg)
         elif over == "frame":
             scores = [formula(c, cfg) for c in frames]
         else:
             scores = [view_mean(lambda *lumas: formula(*lumas, c.s, cfg),
                                 *([c.dist] if c.ref is None else [c.ref, c.dist]))
                       for c in frames]
-        mode = "none" if s_series is None else s_series[0].source
         return make_report(formula.__name__, scores, orientation, mode, cfg,
                            list(dict.fromkeys(flags)), first_frame=n - len(scores))
 

@@ -285,14 +285,14 @@ def qa3d_s(frames, cfg):
         raise NeedsTemporalContext(f"needs at least {p + 1} frames")
     history = collections.deque(maxlen=p)  # d_index of the last p frames
     scores = []
-    for c in frames:
-        thresholded = np.where(c.d_dist < cfg.qa3d_threshold, 0.0, c.d_dist)
-        d_index = weighted_spatial_mean(thresholded, c.s)
+    for c in frames:  # no plane outlives its frame
+        d_index = weighted_spatial_mean(
+            np.where(c.d_dist < cfg.qa3d_threshold, 0.0, c.d_dist), c.s)
         if len(history) == p:
             s_m = 0.1 * (sum(history) - d_index * p) * d_index
-            left = sobel_gradient(c.dist.left.luma)["magnitude"]
-            right = sobel_gradient(c.dist.right.luma)["magnitude"]
-            d_edge = weighted_spatial_mean(np.abs(left - right) / 255.0, c.s)
+            d_edge = weighted_spatial_mean(
+                np.abs(sobel_gradient(c.dist.left.luma)["magnitude"]
+                       - sobel_gradient(c.dist.right.luma)["magnitude"]) / 255.0, c.s)
             scores.append(1.0 - (s_m + d_edge) / 2.0)
         history.append(d_index)
     return scores

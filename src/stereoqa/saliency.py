@@ -7,6 +7,8 @@ the plain mean and scores keep each metric's native range.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,7 +16,8 @@ import numpy as np
 from .disparity import DisparityMap
 from .errors import DegenerateSaliency, DimensionMismatch, NumericError, ParamError
 from .kernels import gaussian_smooth, iter_pyramid, pyramid
-from .media import StereoSequence, _Map, _check_real_fields, _maps, _stored, load_map_series
+from .media import Frame, StereoFrame, StereoSequence, _Map, _check_real_fields, _maps, \
+    _stored, iter_map_series
 
 FLAT_GUARD = 1e-12
 _SUBNORMAL_SCALE = 2.0**-1000
@@ -106,11 +109,17 @@ def uniform_series(seq: StereoSequence) -> list[SaliencyMap]:
     return [SaliencyMap(ones, "uniform") for _ in range(len(seq))]
 
 
-def load_external_saliency(dir_path: str, seq: StereoSequence) -> list[SaliencyMap]:
-    """PGM series matching the sequence, min-max normalized per frame."""
-    maps = load_map_series(dir_path, {"width": seq.width, "height": seq.height,
+def iter_external_saliency(dir_path: str, seq: StereoSequence):
+    """PGM series matching the sequence, min-max normalized per frame, one
+    map at a time (``media.iter_map_series``)."""
+    maps = iter_map_series(dir_path, {"width": seq.width, "height": seq.height,
                                       "count": len(seq)})
-    return [normalize_map(m, "external") for m in maps]
+    return map(functools.partial(normalize_map, source="external"), maps)
+
+
+def load_external_saliency(dir_path: str, seq: StereoSequence) -> list[SaliencyMap]:
+    """The list of ``iter_external_saliency``."""
+    return list(iter_external_saliency(dir_path, seq))
 
 
 def _repeat(n: int, size: int) -> int:
@@ -169,45 +178,60 @@ def _smooth(values: np.ndarray, sigma: float, what: str) -> np.ndarray:
     return gaussian_smooth(values, size, sigma, what)
 
 
+def baseline_vam_frame(frame: StereoFrame, prev: Frame | None, disparity: np.ndarray | None,
+                       cfg: VamConfig) -> SaliencyMap:
+    """The baseline VAM map of one stereo frame: center-surround
+    intensity/color channels of its left view, motion since ``prev`` (the
+    previous frame's left view; None for the first frame, which has none),
+    and, with ``disparity``, near-is-salient depth, fused with ``cfg``'s
+    weights."""
+    shape = frame.left.shape
+    smooth_sigma = cfg.smooth_sigma if cfg.smooth_sigma is not None else min(shape) / 32.0
+    levels = max((s for _, s in cfg.center_surround_pairs), default=0) + 1
+    luma = frame.left.luma
+    pyr = pyramid(luma, levels)
+    pairs = [(c, s) for c, s in cfg.center_surround_pairs if s < len(pyr)]
+    # every channel's pyramid has the level shapes of the luma's
+    firsts, (ry, rx) = _run_grid(shape, [pyr[level].shape for pair in pairs for level in pair])
+    f_int = _center_surround(pyr, pairs, *firsts)
+    del pyr
+    f_col = np.zeros(f_int.shape)
+    if frame.left.planes[1] is not None:  # read as float64 only when present
+        for chroma in (frame.left.chroma_u, frame.left.chroma_v):
+            opp = _upsample_to(np.abs(chroma - 128.0), shape)
+            f_col += _center_surround(pyramid(opp, levels), pairs, *firsts)
+    if prev is None:
+        f_mot = np.zeros(shape)
+    else:
+        f_mot = _smooth(np.abs(luma - prev.luma), cfg.motion_sigma, "motion_sigma")
+    del luma
+    # on the grid: normalize_map sees every cell in the frame, so the
+    # same min and max; then one expansion, and the rest at full size
+    fused = (cfg.w_intensity * normalize_map(f_int).values
+             + cfg.w_color * normalize_map(f_col).values)
+    combined = fused[ry][:, rx] + cfg.w_motion * normalize_map(f_mot).values
+    if disparity is not None and cfg.w_depth > 0:
+        combined = combined + cfg.w_depth * normalize_map(disparity).values
+    return normalize_map(_smooth(combined, smooth_sigma, "smooth_sigma"), "baseline")
+
+
+def iter_baseline_vam(seq: StereoSequence, disparity_series=None, cfg: VamConfig | None = None):
+    """Deterministic stand-in VAM: ``baseline_vam_frame`` of each frame in
+    turn, one map at a time; between frames it keeps only the previous left
+    view.  One map weights both views of each pair.  ``disparity_series`` is
+    checked as the metric driver checks a map series (``media._maps``)."""
+    cfg = cfg or VamConfig()
+    d_series = itertools.repeat(None)
+    if disparity_series is not None:
+        d_series = _maps(disparity_series, DisparityMap, len(seq), (seq.height, seq.width),
+                         "disparity_series")
+    prev = None
+    for frame in seq.frames:
+        yield baseline_vam_frame(frame, prev, next(d_series), cfg)
+        prev = frame.left
+
+
 def baseline_vam(seq: StereoSequence, disparity_series=None,
                  cfg: VamConfig | None = None) -> list[SaliencyMap]:
-    """Deterministic stand-in VAM: center-surround intensity/color channels,
-    frame-difference motion, and near-is-salient disparity, fused with fixed
-    weights on the left view.  One map weights both views of each pair.
-    """
-    cfg = cfg or VamConfig()
-    shape = (seq.height, seq.width)
-    smooth_sigma = cfg.smooth_sigma if cfg.smooth_sigma is not None else min(shape) / 32.0
-    w_depth = 0.0
-    if disparity_series is not None:
-        w_depth = cfg.w_depth
-        d_series = _maps(disparity_series, DisparityMap, len(seq), shape, "disparity_series")
-    levels = max((s for _, s in cfg.center_surround_pairs), default=0) + 1
-    maps = []
-    prev_luma = None
-    for t, frame in enumerate(seq.frames):
-        luma = frame.left.luma
-        pyr = pyramid(luma, levels)
-        pairs = [(c, s) for c, s in cfg.center_surround_pairs if s < len(pyr)]
-        # every channel's pyramid has the level shapes of the luma's
-        firsts, (ry, rx) = _run_grid(shape, [pyr[level].shape for pair in pairs for level in pair])
-        f_int = _center_surround(pyr, pairs, *firsts)
-        f_col = np.zeros(f_int.shape)
-        if frame.left.planes[1] is not None:  # read as float64 only when present
-            for chroma in (frame.left.chroma_u, frame.left.chroma_v):
-                opp = _upsample_to(np.abs(chroma - 128.0), shape)
-                f_col += _center_surround(pyramid(opp, levels), pairs, *firsts)
-        if prev_luma is None:
-            f_mot = np.zeros(shape)
-        else:
-            f_mot = _smooth(np.abs(luma - prev_luma), cfg.motion_sigma, "motion_sigma")
-        prev_luma = luma
-        # on the grid: normalize_map sees every cell in the frame, so the
-        # same min and max; then one expansion, and the rest at full size
-        fused = (cfg.w_intensity * normalize_map(f_int).values
-                 + cfg.w_color * normalize_map(f_col).values)
-        combined = fused[ry][:, rx] + cfg.w_motion * normalize_map(f_mot).values
-        if w_depth > 0:
-            combined = combined + w_depth * normalize_map(d_series[t]).values
-        maps.append(normalize_map(_smooth(combined, smooth_sigma, "smooth_sigma"), "baseline"))
-    return maps
+    """The list of ``iter_baseline_vam``."""
+    return list(iter_baseline_vam(seq, disparity_series, cfg))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -217,6 +218,33 @@ def _logistic(params, x):
         return b1 + (b2 - b1) / (1.0 + np.exp(-(x - b3) / b4))
 
 
+def _logistic_cost(x, y):
+    """The cost of a logistic fit: the sum of the squared residuals of
+    ``_logistic(p, x)`` against ``y``, inf where p[3] is 0; it runs under the
+    caller's ``np.errstate(over="ignore")``.  numpy adds fewer than 8 terms
+    one after another, so for such a series each residual is formed from
+    np.exp's values in Python floats, and summed, with numpy's roundings."""
+    if x.size >= 8:
+        def cost(p):
+            if p[3] == 0:
+                return np.inf
+            return float(((_logistic(p, x) - y) ** 2).sum())
+        return cost
+    y = y.tolist()
+
+    def cost(p):
+        b1, b2, b3, b4 = p
+        if b4 == 0:
+            return np.inf
+        total = 0.0
+        for e, t in zip(np.exp(-(x - b3) / b4).tolist(), y):
+            r = b1 + (b2 - b1) / (1.0 + e) - t
+            total += r * r
+        return total
+
+    return cost
+
+
 class _MaxFev(Exception):
     """The counted cost of `_nelder_mead` has spent its `maxfev` calls."""
 
@@ -248,7 +276,11 @@ def _nelder_mead(cost, x0, maxfev, xatol, fatol):
         return float(cost(v))
 
     def by_value():
-        order = np.argsort(np.array(fsim))
+        if len(set(fsim)) == len(fsim) and not any(math.isnan(g) for g in fsim):
+            # distinct and ordered: every sort gives argsort's order
+            order = sorted(range(n + 1), key=fsim.__getitem__)
+        else:
+            order = np.argsort(np.array(fsim))
         return [sim[i] for i in order], [fsim[i] for i in order]
 
     try:
@@ -322,13 +354,10 @@ def logistic_fit(objective, mos, max_evals: int = 2000):
     slope_sign = 1.0 if y[np.argmax(x)] >= y[np.argmin(x)] else -1.0
     init = np.array([y.min(), y.max(), float(np.median(x)),
                      slope_sign * span / 4.0])
-
-    def cost(p):
-        if p[3] == 0:
-            return np.inf
-        return float(((_logistic(p, x) - y) ** 2).sum())
-
-    best, _, _, success = _nelder_mead(cost, init, max_evals, xatol=1e-8, fatol=1e-10)
+    # a saturated fit overflows exp to inf, which maps to b1 exactly
+    with np.errstate(over="ignore"):
+        best, _, _, success = _nelder_mead(_logistic_cost(x, y), init, max_evals,
+                                           xatol=1e-8, fatol=1e-10)
     params = tuple(best)
     return _logistic(params, x), params, [] if success else ["fit_did_not_converge"]
 

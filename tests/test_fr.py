@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -158,6 +159,17 @@ def test_oq_cross_term_raises_dq_to_its_own_exponent():
     iq = fr.ssim_s(ref, dist).score
     assert oq == pytest.approx(iq + 9.0 + 9.0 * iq, rel=1e-12)
     assert oq == pytest.approx(18.99, abs=0.01)
+
+
+def test_oq_clamps_a_negative_view_ssim_before_a_fractional_power():
+    # a luma against its negative: SSIM near -1, so IQ^0.5 would be NaN
+    luma = np.random.default_rng(0).random((64, 64)) * 255.0
+    ref, dist = seq_from_lumas([luma]), seq_from_lumas([255.0 - luma])
+    assert fr.ssim_s(ref, dist).score < -0.9
+    d = _flat_disparity(ref)
+    for oq_d in (0.5, 1.0):
+        rep = fr.oq_s(ref, dist, d_ref=d, d_dist=d, cfg=FrMetricConfig(oq_d=oq_d))
+        assert rep.score == 0.0  # a * 0 + b * DQ, DQ = 0
 
 
 def test_ddl1_counts_both_views():
@@ -481,27 +493,44 @@ def test_global_ssim_equals_the_plain_expression_bit_for_bit(monkeypatch, shape,
     assert np.array_equal(fr._global_ssim(x, y, cfg), want)
 
 
+def _metric_call(name):
+    def call(a, cfg):
+        return FR_METRICS[name](a.ref, a.dist, s_series=a.s_series, d_ref=a.d_ref,
+                                d_dist=a.d_dist, cfg=cfg)
+    return pytest.param(call, id=name)
+
+
 @pytest.mark.parametrize("call", [
-    pytest.param(lambda x, y, s, cfg: fr._vif_frame(x, y, s, cfg), id="vif"),
-    pytest.param(lambda x, y, s, cfg: fr._vif_frame(x, y, s, cfg, fr._smooth_2d), id="vif-2d"),
-    pytest.param(lambda x, y, s, cfg: fr._msssim_frame(x, y, s, cfg, []), id="msssim"),
-    pytest.param(lambda x, y, s, cfg: fr._ssim_map(x, y, cfg), id="ssim"),
+    pytest.param(lambda a, cfg: fr._vif_frame(a.x, a.y, a.s, cfg), id="vif"),
+    pytest.param(lambda a, cfg: fr._vif_frame(a.x, a.y, a.s, cfg, fr._smooth_2d), id="vif-2d"),
+    pytest.param(lambda a, cfg: fr._msssim_frame(a.x, a.y, a.s, cfg, []), id="msssim"),
+    pytest.param(lambda a, cfg: fr._ssim_map(a.x, a.y, cfg), id="ssim"),
+    _metric_call("ddl1_s"),
+    _metric_call("oq_s"),
+    _metric_call("ciq_s"),
 ])
 def test_ssim_family_working_set_is_about_seven_planes(monkeypatch, call):
     """Peak memory of one call on a 270x480 pair beyond its inputs, in
     frame-sized float64 planes: the moments' five, a product and a smoothing
     window's output and scratch.  The plain expressions held 13.1 (VIF),
-    10.4 (MS-SSIM) and 8.0 (SSIM).  One row strip: each further strip adds
-    its halo rows."""
+    10.4 (MS-SSIM) and 8.0 (SSIM); ddl1_s held 8.0 with its whole disparity
+    factor, and ciq_s 9.0 with both cyclopean views.  ddl1_s, oq_s and ciq_s
+    score a one-frame pair through the driver.  One row strip: each further
+    strip adds its halo rows."""
     monkeypatch.setattr(kernels, "_WORKERS", 1)
     x, y = _pair((270, 480), 0)
-    s = normalize_map(np.random.default_rng(1).random(x.shape)).values
+    rng = np.random.default_rng(1)
+    s = normalize_map(rng.random(x.shape)).values
+    ref, dist = seq_from_lumas([x], [np.roll(x, -3, axis=1)]), seq_from_lumas([y])
+    d_ref, d_dist = ([DisparityMap(np.floor(rng.random(x.shape) * 8.0))] for _ in range(2))
+    a = SimpleNamespace(x=x, y=y, s=s, ref=ref, dist=dist, s_series=[SaliencyMap(s)],
+                        d_ref=d_ref, d_dist=d_dist)
     cfg = FrMetricConfig()
-    call(x, y, s, cfg)  # a first call sets up whatever is cached
+    call(a, cfg)  # a first call sets up whatever is cached
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        call(x, y, s, cfg)
+        call(a, cfg)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()

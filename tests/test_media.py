@@ -516,15 +516,16 @@ def test_sequence_round_trip_every_format(fmt, height, width, frames, seed):
         loaded = SequenceDescriptor.from_json(os.path.join(d, "desc.json"))
         assert loaded == desc
         back = load_sequence(loaded)
-    assert len(back) == frames and back.fps == 24.0
-    for a, b in zip(seq.frames, back.frames):
-        for view in ("left", "right"):
-            for name in ("luma", "chroma_u", "chroma_v"):
-                pa, pb = getattr(getattr(a, view), name), getattr(getattr(b, view), name)
-                if pa is None:
-                    assert pb is None
-                else:
-                    assert np.array_equal(pa, pb)
+        assert len(back) == frames and back.fps == 24.0
+        # a loaded sequence reads its frames from the streams when asked for
+        for a, b in zip(seq.frames, back.frames):
+            for view in ("left", "right"):
+                for name in ("luma", "chroma_u", "chroma_v"):
+                    pa, pb = getattr(getattr(a, view), name), getattr(getattr(b, view), name)
+                    if pa is None:
+                        assert pb is None
+                    else:
+                        assert np.array_equal(pa, pb)
 
 
 def _write_yuv420(d, name, frames, height, width, seed):
@@ -539,22 +540,28 @@ def _write_yuv420(d, name, frames, height, width, seed):
 
 
 def test_loaded_sequence_holds_only_its_samples(tmp_path):
-    """load_sequence keeps the two streams' bytes, its planes are read-only
-    uint8 views of them, and each frame adds a few objects: no float64 copy
-    (8 bytes a sample), not even for a moment."""
+    """A loaded sequence holds at most one frame, the last it read (first
+    frame 0, which load_sequence reads to check it): a frame is read when it
+    is asked for, and its planes are read-only uint8 views of that frame's
+    bytes, with no float64 copy (8 bytes a sample), not even for a moment."""
     frames = 8
     desc = _write_yuv420(str(tmp_path), "seq", frames, 144, 256, 1)
+    one_frame = 2 * desc.frame_bytes() + 16384  # its bytes and a few objects
     tracemalloc.start()
     try:
         seq = load_sequence(desc)
         held, peak = tracemalloc.get_traced_memory()
+        for t in range(frames):
+            seq.frames[t]
+        held_after, peak_after = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    streams = 2 * frames * desc.frame_bytes()
-    assert held <= peak <= streams + 4096 * frames, (held, peak, streams)
-    for plane in seq.frames[-1].right.planes:
+    assert held <= peak <= one_frame, (held, peak, one_frame)
+    assert held_after <= one_frame and peak_after <= 2 * one_frame
+    last = seq.frames[-1]
+    for plane in last.right.planes:
         assert plane.dtype == np.uint8 and not plane.flags.writeable
-    assert seq.frames[-1].right.luma.dtype == np.float64
+    assert last.right.luma.dtype == np.float64
 
 
 def test_in_place_write_to_a_loaded_plane_raises(tmp_path):

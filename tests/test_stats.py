@@ -273,14 +273,43 @@ def test_nelder_mead_takes_scipys_steps(family):
     """_nelder_mead gives scipy's result bit for bit: x, fun, nfev, success."""
     for seed in range(16):
         cost, x0, maxfev = _PROBLEMS[family](np.random.default_rng(seed))
-        x, fun, nfev, success = stats._nelder_mead(cost, x0, maxfev, 1e-8, 1e-10)
-        with np.errstate(invalid="ignore"):  # scipy's inf - inf in its stop test
+        # a logistic fit's cost overflows exp quietly under the fit's errstate
+        with np.errstate(over="ignore"):
+            x, fun, nfev, success = stats._nelder_mead(cost, x0, maxfev, 1e-8, 1e-10)
+        # and scipy's inf - inf in its stop test
+        with np.errstate(over="ignore", invalid="ignore"):
             ref = scipy.optimize.minimize(cost, x0, method="Nelder-Mead",
                                           options={"maxfev": maxfev, "xatol": 1e-8,
                                                    "fatol": 1e-10})
         got = (np.array(x).tobytes(), np.float64(fun).tobytes(), nfev, success)
         want = (ref.x.tobytes(), np.float64(ref.fun).tobytes(), ref.nfev, ref.success)
         assert got == want, f"{family} seed {seed}"
+
+
+_EXTREMES = (0.0, -0.0, 1e-308, 5e-324, 1e308, -1e308, np.inf, -np.inf, np.nan)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 8, 11])
+def test_logistic_cost_equals_the_array_expression_bit_for_bit(n):
+    """_logistic_cost forms short series in Python floats; every cost equals
+    the array expression it replaces, at random, huge, tiny, infinite and NaN
+    parameters."""
+    rng = np.random.default_rng(n)
+    for trial in range(300):
+        x, y = _logistic_series(rng, n)
+        if trial % 3 == 0:
+            x[rng.integers(n)] = rng.choice([1e300, -1e300, 0.0])
+        cost = stats._logistic_cost(x, y)
+        p = rng.normal(0.0, 10.0, 4) * 10.0 ** rng.integers(-12, 12, 4)
+        for k in rng.choice(4, rng.integers(0, 3), replace=False):
+            p[k] = rng.choice(_EXTREMES)
+        p = tuple(p.tolist())
+        with np.errstate(all="ignore"):
+            got = cost(p)
+            want = np.inf if p[3] == 0 else float(((stats._logistic(p, x) - y) ** 2).sum())
+        assert type(got) is float
+        if not (np.isnan(got) and np.isnan(want)):
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (p, got, want)
 
 
 @pytest.mark.parametrize("seed, converged", [(0, True), (2, False), (14, False)])
