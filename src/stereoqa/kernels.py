@@ -6,20 +6,32 @@ Every filter is a same-size convolution run by _by_rows: a frame of
 _SPLIT_PIXELS pixels or more is cut into row strips over the CPUs the process
 may use, a smaller one is one strip on the calling thread, and either way the
 result is bit-identical to one whole scipy.ndimage call.  ROADMAP item 3
-replaces nr._box_mean, every NR box and line mean, with exact box sums, and
-item 4 the scipy calls in _by_rows with a numpy filter.
+replaces nr._box_mean, every NR box and line mean, with exact box sums.
+
+This is the one module that imports scipy, and it imports only the root
+package.  The filters and DCTs run scipy's own compiled loops: the extension
+modules scipy.ndimage._nd_image and scipy.fft._pocketfft.pypocketfft are
+loaded from their files under the installed scipy, and called with exactly
+the arguments that the public convolve1d, convolve, dctn and idctn pass them.
+Importing scipy.ndimage or scipy.fft would run their package __init__s, which
+bring in scipy's array-API layer, scipy.special, numpy.f2py and numpy.testing
+for these three functions: on a 2-vCPU VM, ``import stereoqa.cli`` took 0.58 s
+and peaked at 59 MB with them, 0.23 s and 36 MB without.  The tests compare
+every call with the installed scipy's public API.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 
 import numpy as np
-import scipy.fft
-import scipy.ndimage
+import scipy
 
 from .errors import KernelTooLarge, ParamError, TooSmall
 
@@ -27,6 +39,30 @@ _BINOMIAL5 = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 # in convolution orientation (flipped), so gx is right minus left
 _SOBEL_X = np.array([[1.0, 0.0, -1.0], [2.0, 0.0, -2.0], [1.0, 0.0, -1.0]])
 _SOBEL_Y = _SOBEL_X.T
+
+
+def _scipy_extension(name: str):
+    """The compiled module ``name`` of the installed scipy, loaded from its
+    file alone: a dotted import would first run the __init__ of every package
+    above it."""
+    directory = os.path.join(os.path.dirname(scipy.__file__), *name.split(".")[1:-1])
+    spec = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is None:
+        raise ImportError(f"scipy {scipy.__version__} has no compiled module {name}")
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # a single-phase extension enters itself in sys.modules; with no parent
+    # package there, a later import of that package would not bind it
+    sys.modules.pop(name, None)
+    return module
+
+
+_nd_image = _scipy_extension("scipy.ndimage._nd_image")
+_pocketfft = _scipy_extension("scipy.fft._pocketfft.pypocketfft")
+# scipy.ndimage's code for mode="nearest" (edge replication)
+_NEAREST = 0
+# pypocketfft's normalization code for norm="ortho", in both directions
+_ORTHO = 1
 
 
 def _usable_cpus() -> int:
@@ -72,17 +108,20 @@ def _by_rows(image: np.ndarray, taps: np.ndarray, step: int = 1) -> np.ndarray:
     ``taps`` with replicated borders.
 
     2-D taps run as one scipy.ndimage.convolve call; 1-D taps run as
-    convolve1d down the columns, then along the kept rows.  The image is cut
-    into row strips, each with ``taps.shape[0] // 2 + 1`` rows of halo on
-    either side (fewer only at the frame's edge), and each strip keeps its
-    own rows, so every kept pixel sees the same taps in the same order as in
-    one whole call: the result is bit-identical.  An image of _SPLIT_PIXELS
-    pixels or more is _WORKERS strips run at once, one on the calling thread;
-    a smaller one is one strip on the calling thread.  Pool threads run only
-    these scipy calls, and every output and scratch array is allocated here,
-    on the calling thread."""
+    convolve1d down the columns, then along the kept rows, each as the
+    compiled correlation that function calls: the taps flipped, and the
+    origin moved back by one along an axis with an even number of taps.  The
+    image is cut into row strips, each with ``taps.shape[0] // 2 + 1`` rows
+    of halo on either side (fewer only at the frame's edge), and each strip
+    keeps its own rows, so every kept pixel sees the same taps in the same
+    order as in one whole call: the result is bit-identical.  An image of
+    _SPLIT_PIXELS pixels or more is _WORKERS strips run at once, one on the
+    calling thread; a smaller one is one strip on the calling thread.  Pool
+    threads run only these scipy calls, and every output and scratch array
+    is allocated here, on the calling thread."""
     image = np.asarray(image, dtype=np.float64)
-    filt = scipy.ndimage.convolve if taps.ndim == 2 else scipy.ndimage.convolve1d
+    weights = np.ascontiguousarray(taps[(slice(None, None, -1),) * taps.ndim], dtype=np.float64)
+    origins = [n % 2 - 1 for n in taps.shape]
     halo = taps.shape[0] // 2 + 1
     rows = (image.shape[0] + step - 1) // step
     out = np.empty((rows, *image.shape[1:]))
@@ -97,11 +136,11 @@ def _by_rows(image: np.ndarray, taps: np.ndarray, step: int = 1) -> np.ndarray:
 
     def run(strip, scratch, own, target):
         if taps.ndim == 2:
-            filt(strip, taps, output=scratch, mode="nearest")
+            _nd_image.correlate(strip, weights, scratch, _NEAREST, 0.0, origins)
             target[...] = scratch[own]
         else:
-            filt(strip, taps, axis=0, output=scratch, mode="nearest")
-            filt(scratch[own], taps, axis=1, output=target, mode="nearest")
+            _nd_image.correlate1d(strip, weights, 0, scratch, _NEAREST, 0.0, origins[0])
+            _nd_image.correlate1d(scratch[own], weights, 1, target, _NEAREST, 0.0, origins[0])
 
     futures = [_executor().submit(run, *strip) for strip in strips[1:]]
     run(*strips[0])
@@ -215,23 +254,29 @@ def pyramid(image: np.ndarray, levels: int) -> list[np.ndarray]:
     return list(iter_pyramid(image, levels))
 
 
+def _dct(values, kind: int, axes) -> np.ndarray:
+    """The compiled call that scipy.fft.dctn(type=2) (``kind`` 2) and
+    idctn(type=2) (``kind`` 3) make with norm="ortho": axes made
+    non-negative, one thread."""
+    values = np.asarray(values, dtype=np.float64)
+    return _pocketfft.dct(values, kind, [a % values.ndim for a in axes], _ORTHO, None, 1, None)
+
+
 def dct2_stack(blocks: np.ndarray) -> np.ndarray:
     """Orthonormal 2-D DCT-II over the trailing two axes of (..., N, N)."""
-    return scipy.fft.dctn(np.asarray(blocks, dtype=np.float64),
-                          type=2, norm="ortho", axes=(-2, -1))
+    return _dct(blocks, 2, (-2, -1))
 
 
 def idct2_stack(blocks: np.ndarray) -> np.ndarray:
-    return scipy.fft.idctn(np.asarray(blocks, dtype=np.float64),
-                           type=2, norm="ortho", axes=(-2, -1))
+    """The inverse of dct2_stack: the orthonormal DCT-III, as idctn(type=2)."""
+    return _dct(blocks, 3, (-2, -1))
 
 
 def dct3_stereo_stack(pairs: np.ndarray) -> np.ndarray:
     """3-D DCT of each 4x4x2 left/right block pair of an (n, 4, 4, 2) stack
     (separable, orthonormal): the 2-D DCT of each view slab, then the 2-point
     DCT along the view axis."""
-    slabs = scipy.fft.dctn(np.asarray(pairs, dtype=np.float64),
-                           type=2, norm="ortho", axes=(1, 2))
+    slabs = _dct(pairs, 2, (1, 2))
     out = np.empty_like(slabs)
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     out[..., 0] = (slabs[..., 0] + slabs[..., 1]) * inv_sqrt2

@@ -383,11 +383,19 @@ def performance(objective, mos, per_item_std=None, use_logistic: bool = False) -
 
 
 def si_ti(seq: StereoSequence) -> dict:
-    """Spatial and temporal information of the left view, max over frames."""
-    si = max(float(np.std(sobel_gradient(sf.left.luma)["magnitude"])) for sf in seq.frames)
-    ti = max((float(np.std(b.left.luma - a.left.luma))
-              for a, b in zip(seq.frames, seq.frames[1:])), default=0.0)
-    return {"si": si, "ti": ti, "flags": [] if len(seq) > 1 else ["ti_undefined_single_frame"]}
+    """Spatial and temporal information of the left view, max over frames.
+
+    One pass over the frames that keeps only the previous left luma, so a
+    loaded sequence is read once and held one frame at a time."""
+    si, ti, previous = [], [], None
+    for sf in seq.frames:
+        luma = sf.left.luma
+        if previous is not None:
+            ti.append(float(np.std(luma - previous)))
+        previous = luma  # the frame before is freed before the gradients
+        si.append(float(np.std(sobel_gradient(luma)["magnitude"])))
+    return {"si": max(si), "ti": max(ti, default=0.0),
+            "flags": [] if len(seq) > 1 else ["ti_undefined_single_frame"]}
 
 
 _COLUMNS = ("metric", "saliency_mode", "distortion", "pcc", "scc", "rmse", "or", "n")

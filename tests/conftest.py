@@ -1,10 +1,12 @@
+import os
+
 import numpy as np
 import pytest
 import scipy.ndimage
 
 from stereoqa import SeededRng
 from stereoqa.kernels import gaussian_kernel
-from stereoqa.media import Frame, StereoFrame, StereoSequence
+from stereoqa.media import Frame, SequenceDescriptor, StereoFrame, StereoSequence
 
 
 def make_seq(seed, frames=4, size=64, block=None):
@@ -43,6 +45,17 @@ def seq_from_lumas(lumas_left, lumas_right=None):
         out.append(StereoFrame(left=Frame(luma=np.asarray(l, dtype=np.float64)),
                                right=Frame(luma=np.asarray(r, dtype=np.float64))))
     return StereoSequence(frames=out, fps=25.0)
+
+
+def write_yuv420(d, name, frames, height, width, seed):
+    """A descriptor of random yuv420p8 streams of ``frames`` frames in ``d``."""
+    desc = SequenceDescriptor(os.path.join(d, f"{name}-l.raw"), os.path.join(d, f"{name}-r.raw"),
+                              width, height, 25.0, frames, "yuv420p8")
+    rng = np.random.default_rng(seed)
+    for path in (desc.left, desc.right):
+        with open(path, "wb") as fh:
+            fh.write(rng.integers(0, 256, frames * desc.frame_bytes(), np.uint8).tobytes())
+    return desc
 
 
 def smooth_2d(values, size, sigma, what="sigma"):

@@ -167,6 +167,34 @@ def test_dct3_view_axis_is_sum_difference():
     assert coeffs[0, 0, 1] == pytest.approx(4.0 / math.sqrt(2) * 4)
 
 
+def _dct_stacks():
+    rng = SeededRng(23)
+
+    def uniform(*shape):
+        return rng.uniform(math.prod(shape)).reshape(shape) * 255.0
+
+    return [pytest.param(uniform(5, 4, 4), id="n-4-4"),
+            pytest.param(uniform(3, 8, 8), id="n-8-8"),
+            pytest.param(uniform(6, 4, 4, 2), id="n-4-4-2"),
+            # every second column of wider blocks: a strided view
+            pytest.param(uniform(4, 8, 16)[:, :, ::2], id="n-8-8-strided")]
+
+
+@pytest.mark.parametrize("blocks", _dct_stacks())
+def test_dcts_equal_scipy_fft(blocks):
+    if blocks.ndim == 3:
+        assert np.array_equal(dct2_stack(blocks),
+                              scipy.fft.dctn(blocks, type=2, norm="ortho", axes=(-2, -1)))
+        assert np.array_equal(idct2_stack(blocks),
+                              scipy.fft.idctn(blocks, type=2, norm="ortho", axes=(-2, -1)))
+    else:
+        slabs = scipy.fft.dctn(blocks, type=2, norm="ortho", axes=(1, 2))
+        inv_sqrt2 = 1.0 / np.sqrt(2.0)
+        want = np.stack([(slabs[..., 0] + slabs[..., 1]) * inv_sqrt2,
+                         (slabs[..., 0] - slabs[..., 1]) * inv_sqrt2], axis=-1)
+        assert np.array_equal(dct3_stereo_stack(blocks), want)
+
+
 def test_sobel_on_ramp():
     image = np.tile(np.arange(8.0), (8, 1))
     grad = sobel_gradient(image)

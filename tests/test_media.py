@@ -41,7 +41,7 @@ from stereoqa.fr import FR_METRICS, FR_NEEDS_DISPARITY, FrMetricConfig
 from stereoqa.nr import NR_METRICS, NR_NEEDS_DISPARITY, NrMetricConfig
 from stereoqa.saliency import SaliencyMap, VamConfig, baseline_vam
 
-from conftest import make_seq
+from conftest import make_seq, write_yuv420
 
 
 def test_frame_rejects_tiny_planes():
@@ -528,24 +528,13 @@ def test_sequence_round_trip_every_format(fmt, height, width, frames, seed):
                         assert np.array_equal(pa, pb)
 
 
-def _write_yuv420(d, name, frames, height, width, seed):
-    """A descriptor of random yuv420p8 streams of ``frames`` frames in ``d``."""
-    desc = SequenceDescriptor(os.path.join(d, f"{name}-l.raw"), os.path.join(d, f"{name}-r.raw"),
-                              width, height, 25.0, frames, "yuv420p8")
-    rng = np.random.default_rng(seed)
-    for path in (desc.left, desc.right):
-        with open(path, "wb") as fh:
-            fh.write(rng.integers(0, 256, frames * desc.frame_bytes(), np.uint8).tobytes())
-    return desc
-
-
 def test_loaded_sequence_holds_only_its_samples(tmp_path):
     """A loaded sequence holds at most one frame, the last it read (first
     frame 0, which load_sequence reads to check it): a frame is read when it
     is asked for, and its planes are read-only uint8 views of that frame's
     bytes, with no float64 copy (8 bytes a sample), not even for a moment."""
     frames = 8
-    desc = _write_yuv420(str(tmp_path), "seq", frames, 144, 256, 1)
+    desc = write_yuv420(str(tmp_path), "seq", frames, 144, 256, 1)
     one_frame = 2 * desc.frame_bytes() + 16384  # its bytes and a few objects
     tracemalloc.start()
     try:
@@ -567,7 +556,7 @@ def test_loaded_sequence_holds_only_its_samples(tmp_path):
 def test_in_place_write_to_a_loaded_plane_raises(tmp_path):
     """A loaded frame's planes read as fresh float64 arrays, so a write to
     one would be lost; it raises instead, and the frame keeps its samples."""
-    frame = load_sequence(_write_yuv420(str(tmp_path), "seq", 1, 16, 16, 3)).frames[0].left
+    frame = load_sequence(write_yuv420(str(tmp_path), "seq", 1, 16, 16, 3)).frames[0].left
     before = frame.luma
     for name in ("luma", "chroma_u", "chroma_v"):
         with pytest.raises(ValueError, match="read-only"):
@@ -611,7 +600,7 @@ def test_both_frame_storages_give_the_same_reports(tmp_path):
     """A yuv420p8 pair loaded from its streams (uint8 planes) scores exactly
     as the same pair built through the API from float64 planes."""
     d = str(tmp_path)
-    ref = load_sequence(_write_yuv420(d, "ref", 3, 45, 74, 2))
+    ref = load_sequence(write_yuv420(d, "ref", 3, 45, 74, 2))
     spec = DistortionSpec(kind="awgn", params={"variance": 0.002}, seed=4)
     dist = load_sequence(save_sequence(apply(ref, spec), os.path.join(d, "dist-l.raw"),
                                        os.path.join(d, "dist-r.raw"), format="yuv420p8"))

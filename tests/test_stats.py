@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from stereoqa.errors import (
     RangeError,
     UndefinedCorrelation,
 )
+from stereoqa.media import load_sequence
 from stereoqa.stats import (
     PerfReport,
     SubjectiveTable,
@@ -33,7 +35,7 @@ from stereoqa.stats import (
     spearman_cc,
 )
 
-from conftest import flat_seq, seq_from_lumas
+from conftest import flat_seq, seq_from_lumas, write_yuv420
 
 
 def _table(scores, items=None, subjects=None):
@@ -361,6 +363,22 @@ def test_ti_half_split_difference():
     # the difference frame is half 0, half 255: std = 127.5
     out = si_ti(seq_from_lumas([a, b]))
     assert out["ti"] == pytest.approx(127.5)
+
+
+def test_si_ti_memory_does_not_grow_with_the_frames(tmp_path):
+    """A loaded sequence is walked once, holding the previous left luma: the
+    peak for 16 frames of 480x270 yuv420p8 stays within 1.1 times the peak
+    for 2 (reading every frame again for the pairs held them all)."""
+    peaks = []
+    for frames in (2, 16):
+        seq = load_sequence(write_yuv420(str(tmp_path), f"seq{frames}", frames, 270, 480, 5))
+        tracemalloc.start()
+        try:
+            si_ti(seq)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 def test_emit_report_csv_round_trip(tmp_path):
