@@ -7,7 +7,6 @@ from .disparity import (
     DisparityMap,
     disparity_to_depth,
     estimate_disparity,
-    estimate_disparity_series,
     iter_disparity_series,
 )
 from .distort import DistortionSpec, apply
@@ -26,7 +25,6 @@ from .rng import SeededRng
 from .saliency import (
     SaliencyMap,
     VamConfig,
-    baseline_vam,
     iter_baseline_vam,
     normalize_map,
     uniform_series,

@@ -8,6 +8,7 @@ output so the run can be replayed byte for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import functools
 import os
@@ -23,8 +24,7 @@ from .fr import FR_METRICS, FR_NEEDS_DISPARITY, FrMetricConfig
 from .media import SequenceDescriptor, _fits, decode, iter_map_series, load_sequence, \
     read_json, save_map_series, save_sequence, write_json
 from .nr import NR_METRICS, NR_NEEDS_DISPARITY, NrMetricConfig
-from .saliency import VamConfig, baseline_vam, iter_baseline_vam, iter_external_saliency, \
-    uniform_series
+from .saliency import VamConfig, iter_baseline_vam, iter_external_saliency, uniform_series
 from .stats import MosTable, SubjectiveTable, emit_report, performance, \
     screen_and_mos, si_ti
 
@@ -98,10 +98,11 @@ class _SourceError(Exception):
 
 
 def _primed(maps):
-    """A map source for the metric driver: its first map is made here, before
-    any frame is scored, and a StereoQaError of a later map leaves as
-    _SourceError; so a map's error comes as it did when every map was made
-    before scoring, and never with the config's prefix."""
+    """A map source for what runs under the config (the metric driver, the
+    VAM): its first map is made here, before any frame is scored, and a
+    StereoQaError of a later map leaves as _SourceError; so a map's error
+    comes as it did when every map was made first, and never with the
+    config's prefix (_config_errors)."""
     maps = iter(maps)
     first = [next(maps)]
 
@@ -113,6 +114,17 @@ def _primed(maps):
             raise _SourceError(exc) from None
 
     return primed()
+
+
+@contextlib.contextmanager
+def _config_errors(path):
+    """``prefixed_errors(path)`` for the block, except that a map source's
+    error (_SourceError, see _primed) leaves as the source raised it."""
+    try:
+        with prefixed_errors(path):  # None without --config
+            yield
+    except _SourceError as exc:
+        raise exc.args[0] from None
 
 
 _SCORERS = {
@@ -143,11 +155,8 @@ def _cmd_score(args) -> int:
     disparity = {slot: _primed(_resolve_disparity(sources[slot],
                                                   seqs[0] if slot == "d_ref" else seqs[-1]))
                  for slot in needs.get(metric, ())}
-    try:
-        with prefixed_errors(args.config):  # None without --config
-            report = metrics[metric](*seqs, s_series=s_series, cfg=cfg, **disparity)
-    except _SourceError as exc:
-        raise exc.args[0] from None
+    with _config_errors(args.config):
+        report = metrics[metric](*seqs, s_series=s_series, cfg=cfg, **disparity)
     report.save_json(args.out)
     outputs = [args.out]
     if args.frame_csv:
@@ -163,10 +172,10 @@ def _cmd_saliency(args) -> int:
     cfg = _load_config(args.config, VamConfig)
     d_series = None
     if args.disparity != "none":
-        d_series = list(_resolve_disparity(args.disparity, seq))
-    with prefixed_errors(args.config):  # None without --config
-        maps = baseline_vam(seq, disparity_series=d_series, cfg=cfg)
-    paths = save_map_series([m.values for m in maps], args.out)
+        d_series = _primed(_resolve_disparity(args.disparity, seq))
+    with _config_errors(args.config):
+        paths = save_map_series((m.values for m in iter_baseline_vam(seq, d_series, cfg)),
+                                args.out)
     _write_manifest(os.path.join(args.out, "saliency"), args, paths)
     return 0
 
@@ -174,7 +183,7 @@ def _cmd_saliency(args) -> int:
 def _cmd_disparity(args) -> int:
     seq = load_sequence(SequenceDescriptor.from_json(args.input))
     maps = _resolve_disparity("estimate", seq)
-    paths = save_map_series([m.values / _DISPARITY_SCALE for m in maps], args.out)
+    paths = save_map_series((m.values / _DISPARITY_SCALE for m in maps), args.out)
     _write_manifest(os.path.join(args.out, "disparity"), args, paths)
     return 0
 

@@ -99,11 +99,6 @@ def iter_disparity_series(seq, cfg: DisparityConfig | None = None):
     return (estimate_disparity(frame, cfg) for frame in seq.frames)
 
 
-def estimate_disparity_series(seq, cfg: DisparityConfig | None = None) -> list[DisparityMap]:
-    """The list of ``iter_disparity_series``."""
-    return list(iter_disparity_series(seq, cfg))
-
-
 def disparity_to_depth(d: np.ndarray) -> np.ndarray:
     """Relative depth in [0, 1] of a disparity array; nearer (larger d) maps
     to smaller depth."""

@@ -228,7 +228,7 @@ def _msssim_frame(x: np.ndarray, y: np.ndarray, s: np.ndarray,
 @_fr("higher_better", over="frame")
 def msssim_s(c, cfg):
     """Multi-scale SSIM with per-scale saliency pyramids, averaged over views."""
-    return view_mean(lambda x, y: _msssim_frame(x, y, c.s, cfg, c.flags), c.ref, c.dist)
+    return view_mean(lambda x, y: _msssim_frame(x.luma, y.luma, c.s, cfg, c.flags), c.ref, c.dist)
 
 
 def _vif_scale(x, y, w, mean, sigma_n_sq: float) -> tuple[float, float]:
@@ -295,7 +295,8 @@ def ddl1_s(c, cfg):
         return (ssim_map * np.clip(1.0 - np.sqrt(np.abs(dr * dr - dd * dd)) / 255.0, 0.0, 1.0),)
 
     return 2.0 * view_mean(lambda x, y: weighted_spatial_mean(
-        _by_blocks(damped, _ssim_map(x, y, cfg), c.d_ref, c.d_dist)[0], c.s), c.ref, c.dist)
+        _by_blocks(damped, _ssim_map(x.luma, y.luma, cfg), c.d_ref, c.d_dist)[0], c.s),
+        c.ref, c.dist)
 
 
 @_fr("composite", needs=("d_ref", "d_dist"), over="frame")
@@ -306,7 +307,7 @@ def oq_s(c, cfg):
     the published combination constants are unavailable.  IQ is clamped at
     0, as hv3d_s clamps its SSIM term, so a fractional ``oq_d`` stays real.
     """
-    iq = view_mean(lambda x, y: weighted_spatial_mean(_ssim_map(x, y, cfg), c.s),
+    iq = view_mean(lambda x, y: weighted_spatial_mean(_ssim_map(x.luma, y.luma, cfg), c.s),
                    c.ref, c.dist)
     dq = weighted_spatial_mean(np.abs(c.d_ref - c.d_dist), c.s)
     iq_d = _power(max(iq, 0.0), cfg, "oq_d")
@@ -477,20 +478,15 @@ def flosim3d_s(frames, cfg):
             prev = c.ref, c.dist
             continue
 
-        def q_fl(view):
-            def features(now, before):  # of the view's frame difference
-                diff = getattr(now, view).luma - getattr(before, view).luma
-                return _patch_features(diff, cfg.flosim_patch)
-            return float(np.abs(features(c.ref, prev[0]) - features(c.dist, prev[1]))
+        def flow(ref_t, dist_t, ref_p, dist_p):  # one view's Frames, now and before
+            q_fl = float(np.abs(_patch_features(ref_t.luma - ref_p.luma, cfg.flosim_patch)
+                                - _patch_features(dist_t.luma - dist_p.luma, cfg.flosim_patch))
                          .sum(axis=1).mean())
+            # the frame differences are dead before the MS-SSIM term
+            return (1.0 - _msssim_frame(ref_t.luma, dist_t.luma, c.s, cfg, c.flags,
+                                        _smooth_2d)) * q_fl
 
-        # both views' feature terms first, so the previous frame's lumas are
-        # dead before the MS-SSIM terms; view_mean scores the left view first
-        q_fls = iter([q_fl("left"), q_fl("right")])
-        flow_scores.append(view_mean(
-            lambda ref_t, dist_t: ((1.0 - _msssim_frame(ref_t, dist_t, c.s, cfg, c.flags,
-                                                        _smooth_2d)) * next(q_fls)),
-            c.ref, c.dist))
+        flow_scores.append(view_mean(flow, c.ref, c.dist, *prev))
         # the shared map serves both view depths
         depth_scores.append(1.0 - _msssim_frame(
             *(disparity_to_depth(d) * 255.0 for d in (c.d_ref, c.d_dist)), c.s, cfg, c.flags,

@@ -8,8 +8,9 @@ samples of the stream, and ``Frame.luma``/``chroma_u``/``chroma_v`` read them
 as float64.  ``StereoFrame``, ``StereoSequence`` and the maps are frozen, so
 no plane or checked value can be reassigned.  A loaded sequence reads each
 frame from its streams when that frame is asked for, and holds only the
-last frame it read.  Grayscale maps (saliency, disparity) travel as PGM series scaled to
-[0, 1]; ``iter_map_series`` reads them one at a time too.  All formats are
+last frame it read.  Grayscale maps (saliency, disparity) travel as PGM
+series scaled to [0, 1]; ``iter_map_series`` reads them, and
+``save_map_series`` writes them, one at a time too.  All formats are
 uncompressed so loading is bit-exact and needs no external decoders.
 """
 
@@ -492,11 +493,6 @@ def iter_map_series(dir_path: str, expected: dict):
     return map(read, paths)
 
 
-def load_map_series(dir_path: str, expected: dict) -> list[np.ndarray]:
-    """The list of ``iter_map_series``."""
-    return list(iter_map_series(dir_path, expected))
-
-
 @dataclass(frozen=True, eq=False)
 class _Map:
     """Per-frame map; each subclass declares the ``_name`` and ``_low`` bound of its values.
@@ -515,46 +511,32 @@ class _Map:
 def _maps(series, kind, n: int, shape, name: str, check=lambda t, m: None):
     """An iterator over the float64 values of a per-frame map series in frame
     order: ``n`` maps, each a ``kind`` of the frame ``shape`` that passes
-    ``check(t, map)``.  A list or tuple is checked whole before its first
-    values are taken; any other iterable is read one map at a time, each map
-    checked as it comes and the count when the last frame's map is taken,
-    and no map is kept once its values are taken."""
+    ``check(t, map)``.  Any iterable, a list too, is read one map at a time,
+    each map checked as it comes and the count when the last frame's map is
+    taken, and no map is kept once its values are taken."""
+    maps, end = iter(series), object()
 
-    def checked(m):
+    def values(t, m):
+        if m is end or t == n - 1 and next(maps, end) is not end:
+            raise SequenceLengthError(f"{name} length does not match frames")
         if not isinstance(m, kind):
             raise ParamError(f"{name} must hold {kind.__name__}, not {type(m).__name__}")
         if m.shape != shape:
             raise DimensionMismatch(f"{name} map shape {m.shape} does not match frame {shape}")
-        return m
-
-    def streamed(maps):
-        end = object()
-
-        def values(t, m):
-            if m is end or t == n - 1 and next(maps, end) is not end:
-                raise SequenceLengthError(f"{name} length does not match frames")
-            check(t, checked(m))
-            return m.values
-
-        for t in range(n):
-            yield values(t, next(maps, end))
-
-    if not isinstance(series, (list, tuple)):
-        return streamed(iter(series))
-    if len(series) != n:
-        raise SequenceLengthError(f"{name} length does not match frames")
-    for m in series:
-        checked(m)
-    for t, m in enumerate(series):
         check(t, m)
-    return iter([m.values for m in series])
+        return m.values
+
+    return (values(t, next(maps, end)) for t in range(n))
 
 
 def save_map_series(maps, dir_path: str) -> list[str]:
-    """Write maps as 000000.pgm... in ``dir_path``; returns the paths written."""
-    os.makedirs(dir_path, exist_ok=True)
+    """Write maps as 000000.pgm... in ``dir_path``, each as it is taken from
+    ``maps``; returns the paths written.  The directory is made once the
+    first map has come, so a series whose first map fails leaves none."""
     paths = []
     for i, m in enumerate(maps):
+        if not paths:
+            os.makedirs(dir_path, exist_ok=True)
         paths.append(os.path.join(dir_path, map_name(i)))
         save_frame_pgm(m, paths[-1])
     return paths

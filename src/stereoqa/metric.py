@@ -18,18 +18,19 @@ The driver goes through the frames once.  It makes each frame's context,
 and takes that frame's maps from their series, when the frame is reached,
 and drops the context's contents once the next one is asked for; so a
 ``"sequence"`` formula keeps what it needs of a frame (``flosim3d_s`` the
-StereoFrames), never the context.  A map series is a list or any iterable
-in frame order, such as the lazy series of ``iter_baseline_vam``,
-``iter_disparity_series`` or ``media.iter_map_series``.
+StereoFrames), never the context.  A map series is any iterable in frame
+order, such as the lazy series of ``iter_baseline_vam``,
+``iter_disparity_series`` or ``media.iter_map_series``, or a list.
 
 ``s`` is a float64 weight array for FR and NR alike, all ones without
 saliency.  Disparity maps arrive as float64 arrays.  The driver checks every
-map series (count, ``SaliencyMap``/``DisparityMap`` elements, frame shape;
-``media._maps``: a list before the first frame, any other iterable as it
-goes) and rejects an all-zero saliency map, so formulas never re-check them.
+map series as it goes (count, ``SaliencyMap``/``DisparityMap`` elements,
+frame shape; ``media._maps``) and rejects an all-zero saliency map, so
+formulas never re-check them.
 
 ``view_mean`` owns the view rule, frame score = ``0.5 * (left + right)``;
-``"frame"`` and ``"sequence"`` formulas that score views call it too.
+``"frame"`` and ``"sequence"`` formulas that score views call it too, and
+score each view from that view's Frames alone.
 """
 
 from __future__ import annotations
@@ -49,9 +50,10 @@ from .saliency import SaliencyMap
 
 
 def view_mean(f, *frames) -> float:
-    """``0.5 * (f(*left lumas) + f(*right lumas))`` of the stereo frames
-    ``frames``, left view first."""
-    return 0.5 * (f(*(q.left.luma for q in frames)) + f(*(q.right.luma for q in frames)))
+    """``0.5 * (f(*left views) + f(*right views))`` of the stereo frames
+    ``frames``: ``f`` gets one view's Frame of each, and reads what it needs
+    of them (``.luma``), so it decides how long each float64 plane lives."""
+    return 0.5 * (f(*(q.left for q in frames)) + f(*(q.right for q in frames)))
 
 
 def _power(base: float, cfg, field: str) -> float:
@@ -127,7 +129,7 @@ def _run(formula, orientation, needs, over, ref, dist, s_series, maps, cfg):
         elif over == "frame":
             scores = [formula(c, cfg) for c in frames]
         else:
-            scores = [view_mean(lambda *lumas: formula(*lumas, c.s, cfg),
+            scores = [view_mean(lambda *views: formula(*(v.luma for v in views), c.s, cfg),
                                 *([c.dist] if c.ref is None else [c.ref, c.dist]))
                       for c in frames]
         return make_report(formula.__name__, scores, orientation, mode, cfg,

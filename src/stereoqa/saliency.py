@@ -117,11 +117,6 @@ def iter_external_saliency(dir_path: str, seq: StereoSequence):
     return map(functools.partial(normalize_map, source="external"), maps)
 
 
-def load_external_saliency(dir_path: str, seq: StereoSequence) -> list[SaliencyMap]:
-    """The list of ``iter_external_saliency``."""
-    return list(iter_external_saliency(dir_path, seq))
-
-
 def _repeat(n: int, size: int) -> int:
     """How many times _upsample_to repeats each of ``n`` samples to fill ``size``."""
     return -(-size // n)
@@ -229,9 +224,3 @@ def iter_baseline_vam(seq: StereoSequence, disparity_series=None, cfg: VamConfig
     for frame in seq.frames:
         yield baseline_vam_frame(frame, prev, next(d_series), cfg)
         prev = frame.left
-
-
-def baseline_vam(seq: StereoSequence, disparity_series=None,
-                 cfg: VamConfig | None = None) -> list[SaliencyMap]:
-    """The list of ``iter_baseline_vam``."""
-    return list(iter_baseline_vam(seq, disparity_series, cfg))

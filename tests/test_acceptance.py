@@ -14,7 +14,7 @@ import pytest
 import stereoqa.fr as fr
 import stereoqa.nr as nr
 from stereoqa.cli import main as cli_main
-from stereoqa.disparity import DisparityMap, estimate_disparity_series
+from stereoqa.disparity import DisparityMap, iter_disparity_series
 from stereoqa.distort import DistortionSpec, apply
 from stereoqa.fr import FR_METRICS, FR_NEEDS_DISPARITY, FrMetricConfig
 from stereoqa.kernels import dct2_stack, dct3_stereo_stack, idct2_stack
@@ -71,8 +71,8 @@ def test_reduction_constant_saliency_matches_base():
         ref = make_seq(seed, frames=FRAMES, size=SIZE, block=8)
         dist = apply(ref, DistortionSpec(kind="awgn", params={"variance": 0.01},
                                          seed=seed))
-        d_ref = estimate_disparity_series(ref)
-        d_dist = estimate_disparity_series(dist)
+        d_ref = list(iter_disparity_series(ref))
+        d_dist = list(iter_disparity_series(dist))
         s_const = _const_saliency(ref)
         for metric, fn in FR_METRICS.items():
             kw = _fr_kwargs(metric, d_ref, d_dist)

@@ -15,11 +15,11 @@ from stereoqa.disparity import DisparityMap
 from stereoqa.distort import DistortionSpec, apply
 from stereoqa.fr import FR_METRICS
 from stereoqa.media import Frame, SequenceDescriptor, StereoFrame, StereoSequence, decode, \
-    load_map_series, load_sequence, \
+    iter_map_series, load_sequence, \
     read_json, save_map_series, save_sequence
 from stereoqa.nr import NR_METRICS
 from stereoqa.rng import SeededRng
-from stereoqa.saliency import baseline_vam
+from stereoqa.saliency import iter_baseline_vam
 
 from conftest import make_seq
 
@@ -465,7 +465,7 @@ def test_disparity_maps_read_back_as_dir_sources(tmp_path):
         out = str(tmp_path / f"d_{name}")
         assert main(["disparity", "--in", path, "--out", out]) == 0
         maps[name] = [DisparityMap(m * _DISPARITY_SCALE)
-                      for m in load_map_series(out, {"width": 64, "height": 64, "count": 2})]
+                      for m in iter_map_series(out, {"width": 64, "height": 64, "count": 2})]
     assert main(["score-fr", "--metric", "hv3d_s", "--ref", paths["ref"],
                  "--dist", paths["dist"], "--disparity-ref", f"dir:{tmp_path / 'd_ref'}",
                  "--disparity-dist", f"dir:{tmp_path / 'd_dist'}",
@@ -484,10 +484,10 @@ def test_disparity_maps_read_back_as_dir_sources(tmp_path):
         out = str(tmp_path / f"sal{len(saliency)}")
         assert main(["saliency", "--in", paths["ref"], "--disparity", source,
                      "--out", out]) == 0
-        saliency[source] = load_map_series(out, {"width": 64, "height": 64, "count": 2})
-    save_map_series([m.values for m in baseline_vam(ref, disparity_series=maps["ref"])],
+        saliency[source] = list(iter_map_series(out, {"width": 64, "height": 64, "count": 2}))
+    save_map_series((m.values for m in iter_baseline_vam(ref, disparity_series=maps["ref"])),
                     str(tmp_path / "want"))
-    want = load_map_series(str(tmp_path / "want"), {"width": 64, "height": 64, "count": 2})
+    want = list(iter_map_series(str(tmp_path / "want"), {"width": 64, "height": 64, "count": 2}))
     assert np.array_equal(saliency[f"dir:{tmp_path / 'd_ref'}"], want)
     assert not np.array_equal(saliency["estimate"], saliency["none"])
 

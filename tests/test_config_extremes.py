@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from stereoqa import fr, nr
-from stereoqa.disparity import estimate_disparity_series
+from stereoqa.disparity import iter_disparity_series
 from stereoqa.distort import _DISTORTIONS, DistortionSpec, apply
 from stereoqa.errors import ParamError, StereoQaError
-from stereoqa.saliency import VamConfig, baseline_vam
+from stereoqa.saliency import VamConfig, iter_baseline_vam
 
 from conftest import make_seq
 
@@ -22,8 +22,9 @@ _EXTREMES = (1e308, -1e308, 1e-308, -1e-308, 0.0, 1e10, -1e10)
 # hold the disparity search and two MS-SSIM scales
 _REF = make_seq(7, frames=2, size=40)
 _DIST = apply(_REF, DistortionSpec(kind="awgn", params={"variance": 0.005}, seed=1))
-_MAPS = {"d_ref": estimate_disparity_series(_REF), "d_dist": estimate_disparity_series(_DIST)}
-_S_REF, _S_DIST = baseline_vam(_REF), baseline_vam(_DIST)
+_MAPS = {"d_ref": list(iter_disparity_series(_REF)),
+         "d_dist": list(iter_disparity_series(_DIST))}
+_S_REF, _S_DIST = list(iter_baseline_vam(_REF)), list(iter_baseline_vam(_DIST))
 
 
 def _fr_runs(cfg):
@@ -39,7 +40,7 @@ def _nr_runs(cfg):
 
 
 def _vam_runs(cfg):
-    yield "baseline_vam", lambda: baseline_vam(_REF, disparity_series=_MAPS["d_ref"], cfg=cfg)
+    yield "baseline_vam", lambda: list(iter_baseline_vam(_REF, _MAPS["d_ref"], cfg))
 
 
 def _distort_runs(spec):

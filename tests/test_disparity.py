@@ -8,7 +8,7 @@ from stereoqa.disparity import (
     _median3x3,
     disparity_to_depth,
     estimate_disparity,
-    estimate_disparity_series,
+    iter_disparity_series,
 )
 from stereoqa.errors import ParamError
 from stereoqa.media import Frame, StereoFrame, load_sequence, save_sequence
@@ -45,7 +45,7 @@ def test_tie_breaks_to_smallest():
 
 def test_disparity_values_within_search_range():
     seq = make_seq(37, frames=2, size=64)
-    for d in estimate_disparity_series(seq):
+    for d in iter_disparity_series(seq):
         assert d.values.min() >= 0
         assert d.values.max() <= DisparityConfig().search_range
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import stereoqa.fr as fr
-from stereoqa.disparity import DisparityMap
+from stereoqa.disparity import DisparityMap, iter_disparity_series
 from stereoqa.distort import DistortionSpec, apply
 from stereoqa.errors import (
     DisparityRequired,
@@ -18,6 +19,7 @@ from stereoqa.errors import (
 from stereoqa.fr import FR_METRICS, FR_NEEDS_DISPARITY, FrMetricConfig
 from stereoqa import kernels
 from stereoqa.kernels import dct3_stereo_stack, gaussian_smooth, pyramid, sobel_gradient
+from stereoqa.media import StereoFrame
 from stereoqa.rng import SeededRng
 from stereoqa.saliency import SaliencyMap, normalize_map, uniform_series, weighted_spatial_mean
 
@@ -102,6 +104,20 @@ def test_flosim_flags_a_zero_depth_term():
     moved = fr.flosim3d_s(ref, dist, d_ref=ramp, d_dist=noisy)
     assert all(s > 0.0 for s in moved.frame_scores)
     assert moved.flags == ["scales_reduced:3"]
+
+
+def test_flosim_scores_each_view_with_its_own_flow_term(monkeypatch):
+    """Each view's flow term goes with that view's MS-SSIM term, so the
+    report stays the same when view_mean scores the right view first."""
+    ref = make_seq(5, frames=3, size=64, block=8)
+    dist = apply(ref, DistortionSpec(kind="awgn", params={"variance": 0.01}, seed=1))
+    maps = {"d_ref": list(iter_disparity_series(ref)), "d_dist": list(iter_disparity_series(dist))}
+    want = dataclasses.asdict(fr.flosim3d_s(ref, dist, **maps))
+    assert want["score"] > 0.0
+    view_mean = fr.view_mean
+    monkeypatch.setattr(fr, "view_mean", lambda f, *frames: view_mean(
+        f, *(StereoFrame(q.right, q.left) for q in frames)))
+    assert dataclasses.asdict(fr.flosim3d_s(ref, dist, **maps)) == want
 
 
 def test_cyclopean_fuse_zero_disparity_is_average():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stereoqa.disparity import DisparityConfig, DisparityMap, estimate_disparity_series
+from stereoqa.disparity import DisparityConfig, DisparityMap, iter_disparity_series
 from stereoqa.distort import DistortionSpec, apply
 from stereoqa.errors import (
     DescriptorMismatch,
@@ -28,7 +28,7 @@ from stereoqa.media import (
     SequenceDescriptor,
     StereoFrame,
     StereoSequence,
-    load_map_series,
+    iter_map_series,
     load_sequence,
     map_name,
     read_json,
@@ -39,7 +39,7 @@ from stereoqa.media import (
 )
 from stereoqa.fr import FR_METRICS, FR_NEEDS_DISPARITY, FrMetricConfig
 from stereoqa.nr import NR_METRICS, NR_NEEDS_DISPARITY, NrMetricConfig
-from stereoqa.saliency import SaliencyMap, VamConfig, baseline_vam
+from stereoqa.saliency import SaliencyMap, VamConfig, iter_baseline_vam
 
 from conftest import make_seq, write_yuv420
 
@@ -419,7 +419,7 @@ def test_map_series_round_trip(tmp_path):
     d = str(tmp_path / "maps")
     save_map_series(maps, d)
     assert sorted(os.listdir(d)) == [map_name(i) for i in range(3)]
-    back = load_map_series(d, {"width": 8, "height": 8, "count": 3})
+    back = list(iter_map_series(d, {"width": 8, "height": 8, "count": 3}))
     assert back[1][0, 0] == pytest.approx(0.5, abs=1 / 255)
 
 
@@ -427,14 +427,14 @@ def test_map_series_gap(tmp_path):
     d = str(tmp_path / "maps")
     save_map_series([np.zeros((8, 8))], d)
     with pytest.raises(MapSeriesGap):
-        load_map_series(d, {"width": 8, "height": 8, "count": 2})
+        iter_map_series(d, {"width": 8, "height": 8, "count": 2})
 
 
 def test_map_series_shape_mismatch(tmp_path):
     d = str(tmp_path / "maps")
     save_map_series([np.zeros((8, 8))], d)
     with pytest.raises(MapShapeError):
-        load_map_series(d, {"width": 16, "height": 16, "count": 1})
+        list(iter_map_series(d, {"width": 16, "height": 16, "count": 1}))
 
 
 def test_yuv420_round_trip(tmp_path):
@@ -583,9 +583,9 @@ def _float64_copy(seq: StereoSequence) -> StereoSequence:
 def _every_report(ref: StereoSequence, dist: StereoSequence) -> list[dict]:
     """All 12 FR and 9 NR reports of ``dist`` with baseline saliency and
     estimated disparity, as ``score-fr`` and ``score-nr`` compute them."""
-    disparity = {"d_ref": estimate_disparity_series(ref),
-                 "d_dist": estimate_disparity_series(dist)}
-    s_ref, s_dist = baseline_vam(ref), baseline_vam(dist)
+    disparity = {"d_ref": list(iter_disparity_series(ref)),
+                 "d_dist": list(iter_disparity_series(dist))}
+    s_ref, s_dist = list(iter_baseline_vam(ref)), list(iter_baseline_vam(dist))
     reports = [fn(ref, dist, s_series=s_ref,
                   **{slot: disparity[slot] for slot in FR_NEEDS_DISPARITY.get(name, ())})
                for name, fn in FR_METRICS.items()]

@@ -21,7 +21,7 @@ from stereoqa.errors import (
 from stereoqa.kernels import Kernel2D, convolve2d, sobel_gradient
 from stereoqa.media import Frame, StereoFrame, StereoSequence
 from stereoqa.nr import NR_METRICS, NrMetricConfig
-from stereoqa.saliency import SaliencyMap, baseline_vam, uniform_series
+from stereoqa.saliency import SaliencyMap, iter_baseline_vam, uniform_series
 
 from conftest import flat_seq, make_seq, seq_from_lumas
 
@@ -250,7 +250,7 @@ def test_sadaka_blur_lowers_sharpness():
 def test_sadaka_small_beta_is_numeric_error(beta):
     seq = apply(make_seq(1, frames=2, size=64),
                 DistortionSpec(kind="awgn", params={"variance": 1e-3}, seed=1))
-    s = baseline_vam(seq)
+    s = list(iter_baseline_vam(seq))
     assert np.isfinite(nr.sadaka_s(seq, s_series=s).score)
     with pytest.raises(NumericError, match=f"sadaka_beta {beta} takes .* out of the float range"):
         nr.sadaka_s(seq, s_series=s, cfg=NrMetricConfig(sadaka_beta=beta))

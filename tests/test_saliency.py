@@ -7,15 +7,16 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import stereoqa.saliency as saliency
-from stereoqa.disparity import DisparityMap, estimate_disparity_series
+from stereoqa.disparity import DisparityMap, iter_disparity_series
 from stereoqa.errors import (DegenerateSaliency, DimensionMismatch, ParamError, RangeError,
                              SequenceLengthError)
 from stereoqa.saliency import (
     SaliencyMap,
     VamConfig,
-    baseline_vam,
+    baseline_vam_frame,
     build_saliency_pyramid,
-    load_external_saliency,
+    iter_baseline_vam,
+    iter_external_saliency,
     normalize_map,
     uniform_series,
     weighted_spatial_mean,
@@ -137,17 +138,26 @@ def test_external_saliency_normalized(tmp_path, tiny_seq):
     raw = [np.full((16, 16), 0.25), np.full((16, 16), 0.5)]
     raw[0][0, 0] = 1.0
     save_map_series(raw, str(tmp_path / "maps"))
-    maps = load_external_saliency(str(tmp_path / "maps"), tiny_seq)
+    maps = list(iter_external_saliency(str(tmp_path / "maps"), tiny_seq))
     assert maps[0].values.max() == 1.0
     assert maps[0].source == "external"
 
 
+def vam_by_frame(seq):
+    """baseline_vam_frame of each frame, given the previous frame's left
+    view: the per-frame reference for iter_baseline_vam."""
+    prevs = [None] + [frame.left for frame in seq.frames[:-1]]
+    return [baseline_vam_frame(frame, prev, None, VamConfig())
+            for frame, prev in zip(seq.frames, prevs)]
+
+
 def test_baseline_vam_shapes_and_determinism():
     seq = make_seq(17, frames=3, size=32)
-    a = baseline_vam(seq)
-    b = baseline_vam(seq)
+    a = list(iter_baseline_vam(seq))
+    b = vam_by_frame(seq)
     assert len(a) == 3
     for ma, mb in zip(a, b):
+        assert ma.source == mb.source == "baseline"
         assert ma.values.shape == (32, 32)
         assert np.array_equal(ma.values, mb.values)
         assert ma.values.min() >= 0.0
@@ -162,7 +172,7 @@ def test_baseline_vam_highlights_moving_object():
         luma = sf.left.luma.copy()
         luma[4 + 6 * i:10 + 6 * i, 4:10] = 255.0
         frames.append(StereoFrame(Frame(luma), sf.right))
-    maps = baseline_vam(StereoSequence(frames, seq.fps))
+    maps = list(iter_baseline_vam(StereoSequence(frames, seq.fps)))
     hot = maps[1].values[10:16, 4:10].mean()
     cold = maps[1].values[24:30, 24:30].mean()
     assert hot > cold
@@ -170,9 +180,9 @@ def test_baseline_vam_highlights_moving_object():
 
 def test_baseline_vam_uses_disparity_channel():
     seq = make_seq(29, frames=2, size=64)
-    d = estimate_disparity_series(seq)
-    with_depth = baseline_vam(seq, disparity_series=d)
-    without = baseline_vam(seq)
+    d = list(iter_disparity_series(seq))
+    with_depth = list(iter_baseline_vam(seq, disparity_series=d))
+    without = list(iter_baseline_vam(seq))
     assert not np.allclose(with_depth[0].values, without[0].values)
 
 
@@ -185,7 +195,7 @@ def test_baseline_vam_checks_disparity_series(bad, error):
     seq = make_seq(29, frames=2, size=64)
     d = [DisparityMap(np.full((64, 64), 3.0)) for _ in range(2)]
     with pytest.raises(error):
-        baseline_vam(seq, disparity_series=bad(d))
+        list(iter_baseline_vam(seq, disparity_series=bad(d)))
 
 
 def test_vam_config_weights_default():
@@ -221,9 +231,9 @@ def _seq_with_chroma(seed, frames, h, w):
     _seq_with_chroma(53, frames=2, h=10, w=12),
 ], ids=["64x64-yuv", "64x64-gray", "100x132-yuv", "10x12-even-window"])
 def test_baseline_vam_matches_2d_smoothing(seq, monkeypatch):
-    got = baseline_vam(seq)
+    got = list(iter_baseline_vam(seq))
     monkeypatch.setattr(saliency, "gaussian_smooth", smooth_2d)
-    want = baseline_vam(seq)
+    want = list(iter_baseline_vam(seq))
     for g, r in zip(got, want):
         np.testing.assert_allclose(g.values, r.values, rtol=0,
                                    atol=1e-12 * np.abs(r.values).max())
@@ -248,7 +258,7 @@ def _center_surround_full(channel, pairs):
 
 
 def vam_full_frame(seq, disparity_series=None, cfg=None):
-    """baseline_vam with every channel upsampled to the frame and subtracted
+    """iter_baseline_vam with every channel upsampled to the frame and subtracted
     there: the reference for the VAM that works on its run grid."""
     cfg = cfg or VamConfig()
     shape = (seq.height, seq.width)
@@ -310,7 +320,7 @@ def test_baseline_vam_equals_full_frame_channels(h, w, fmt, pairs):
     if fmt == "yuv444":
         d = [DisparityMap(np.floor(SeededRng(w).uniform(h * w).reshape(h, w) * 20.0))
              for _ in range(2)]
-    got = baseline_vam(seq, disparity_series=d, cfg=cfg)
+    got = list(iter_baseline_vam(seq, disparity_series=d, cfg=cfg))
     want = vam_full_frame(seq, disparity_series=d, cfg=cfg)
     assert len(got) == len(want) == 2
     for g, r in zip(got, want):

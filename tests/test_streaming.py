@@ -4,6 +4,7 @@ context at a time."""
 
 import dataclasses
 import os
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 import stereoqa.fr as fr
 import stereoqa.nr as nr
 from stereoqa.cli import main
-from stereoqa.disparity import DisparityMap, estimate_disparity_series, iter_disparity_series
+from stereoqa.disparity import DisparityMap, estimate_disparity, iter_disparity_series
 from stereoqa.distort import DistortionSpec, apply
 from stereoqa.errors import (DegenerateSaliency, DescriptorMismatch, MapSeriesGap,
                              MapShapeError, ParamError, SequenceLengthError)
@@ -21,12 +22,12 @@ from stereoqa.media import (Frame, StereoFrame, StereoSequence, iter_map_series,
                             read_pgm, save_map_series, save_sequence)
 from stereoqa.metric import registrar
 from stereoqa.nr import NR_METRICS, NR_NEEDS_DISPARITY, NrMetricConfig
-from stereoqa.saliency import (SaliencyMap, baseline_vam, iter_baseline_vam,
-                               iter_external_saliency, normalize_map, uniform_series)
+from stereoqa.saliency import (SaliencyMap, iter_baseline_vam, iter_external_saliency,
+                               normalize_map, uniform_series)
 
-from conftest import make_seq
+from conftest import make_seq, write_yuv420
 from test_media import _float64_copy
-from test_saliency import vam_full_frame
+from test_saliency import vam_by_frame, vam_full_frame
 
 
 def _stored(tmp_path, seq, name="seq", fmt="yuv420p8") -> StereoSequence:
@@ -74,11 +75,11 @@ def test_loaded_frames_are_read_when_asked_for(tmp_path):
 
 def test_streamed_sources_equal_the_lists(tmp_path):
     """The per-frame VAM, disparity and dir: sources, taken one map at a time
-    from a sequence read on demand, equal the whole-sequence lists of the same
-    frames held in memory, bit for bit."""
+    from a sequence read on demand, equal their per-frame functions (and the
+    full-frame VAM) on the same frames held in memory, bit for bit."""
     loaded = _stored(tmp_path, _yuv_seq(2, frames=4))
     held = _float64_copy(loaded)
-    d_want = estimate_disparity_series(held)
+    d_want = [estimate_disparity(frame) for frame in held.frames]
     d_got = iter_disparity_series(loaded)
     assert not isinstance(d_got, list)
     for got, want in zip(d_got, d_want, strict=True):
@@ -87,7 +88,7 @@ def test_streamed_sources_equal_the_lists(tmp_path):
     for got, want in zip(vam_got, vam_full_frame(held, disparity_series=d_want), strict=True):
         assert np.array_equal(got.values, want.values)
         assert got.source == "baseline"
-    paths = save_map_series([m.values for m in baseline_vam(held)], str(tmp_path / "sal"))
+    paths = save_map_series([m.values for m in vam_by_frame(held)], str(tmp_path / "sal"))
     maps = iter_map_series(str(tmp_path / "sal"), {"width": 74, "height": 45, "count": 4})
     for got, path in zip(maps, paths, strict=True):
         assert np.array_equal(got, read_pgm(path))
@@ -200,18 +201,25 @@ def test_sequence_formulas_keep_no_earlier_context(name, monkeypatch):
     assert at_make == [0] * 6
 
 
-@pytest.mark.parametrize("bad, error, match", [
-    (lambda maps: maps[:2], SequenceLengthError, "s_series length"),
-    (lambda maps: maps + maps[:1], SequenceLengthError, "s_series length"),
-    (lambda maps: [maps[0], maps[1].values, maps[2]], ParamError, "SaliencyMap"),
-    (lambda maps: [maps[0], SaliencyMap(np.zeros((32, 32))), maps[2]], DegenerateSaliency,
-     "frame 1"),
-], ids=["short", "long", "raw-array", "all-zero"])
-def test_streamed_series_are_checked_as_they_come(bad, error, match):
+_BAD_SERIES = [
+    ("short", lambda maps: maps[:2], SequenceLengthError, "s_series length"),
+    ("long", lambda maps: maps + maps[:1], SequenceLengthError, "s_series length"),
+    ("raw-array", lambda maps: [maps[0], maps[1].values, maps[2]], ParamError, "SaliencyMap"),
+    ("all-zero", lambda maps: [maps[0], SaliencyMap(np.zeros((32, 32))), maps[2]],
+     DegenerateSaliency, "frame 1"),
+]
+
+
+@pytest.mark.parametrize("make, bad, error, match", [
+    pytest.param(make, bad, error, match, id=name + suffix)
+    for make, suffix in ((iter, ""), (list, "-list")) for name, bad, error, match in _BAD_SERIES])
+def test_streamed_series_are_checked_as_they_come(make, bad, error, match):
+    """An iterator and a list go one path: each map is checked when its
+    frame is reached, and the count when the last frame's map is taken."""
     seq = make_seq(8, frames=3, size=32)
     maps = uniform_series(seq)
     with pytest.raises(error, match=match):
-        FR_METRICS["psnr_s"](seq, seq, s_series=iter(bad(maps)))
+        FR_METRICS["psnr_s"](seq, seq, s_series=make(bad(maps)))
 
 
 @pytest.fixture
@@ -250,3 +258,59 @@ def test_a_later_map_error_carries_no_config_prefix(pair, tmp_path, capsys):
     for extra in ([], ["--config", str(cfg)]):
         assert main([*argv, *extra]) == 1
         assert capsys.readouterr().err == f"error: {paths[1]}: truncated PGM payload\n"
+
+
+def _maps_dir(tmp_path, name, shapes):
+    """A dir: series of flat maps of ``shapes``, one each."""
+    return save_map_series([np.full(shape, 0.5) for shape in shapes], str(tmp_path / name))
+
+
+def test_a_later_disparity_map_error_of_saliency_carries_no_config_prefix(pair, tmp_path,
+                                                                          capsys):
+    paths = _maps_dir(tmp_path, "bad", [(64, 64), (64, 32)])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{}")
+    argv = ["saliency", "--in", pair, "--out", str(tmp_path / "sal"),
+            "--disparity", f"dir:{tmp_path / 'bad'}"]
+    for extra in ([], ["--config", str(cfg)]):
+        assert main([*argv, *extra]) == 1
+        assert capsys.readouterr().err == f"error: {paths[1]}: 32x64, expected 64x64\n"
+
+
+@pytest.mark.parametrize("case", ["vam", "disparity"])
+def test_a_saliency_run_whose_first_map_fails_leaves_no_directory(pair, tmp_path, capsys, case):
+    out = tmp_path / "sal"
+    argv = ["saliency", "--in", pair, "--out", str(out)]
+    if case == "vam":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"smooth_sigma": 1e308}')
+        argv += ["--config", str(cfg)]
+    else:
+        _maps_dir(tmp_path, "bad", [(64, 32), (64, 64)])
+        argv += ["--disparity", f"dir:{tmp_path / 'bad'}"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["disparity"], ["saliency", "--disparity", "estimate"]],
+                         ids=["disparity", "saliency"])
+def test_map_commands_memory_does_not_grow_with_the_frames(tmp_path, command):
+    """The disparity and saliency commands write each map once it is made:
+    the peak for 16 frames of 480x270 yuv420p8 stays within 1.1 times the
+    peak for 2 (holding every frame's maps until the first write made it
+    grow with the frames)."""
+    peaks = []
+    for frames in (2, 16):
+        desc_path = str(tmp_path / f"seq{frames}.json")
+        write_yuv420(str(tmp_path), f"seq{frames}", frames, 270, 480, 5).to_json(desc_path)
+        argv = [command[0], "--in", desc_path, "--out", str(tmp_path / f"out{frames}"),
+                *command[1:]]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len(os.listdir(tmp_path / "out16")) == 17  # 16 maps and the manifest
+    assert peaks[1] <= 1.1 * peaks[0], peaks

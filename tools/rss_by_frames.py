@@ -1,19 +1,21 @@
 #!/usr/bin/env python3
-"""Peak memory of one ``score-fr --saliency baseline`` process by sequence length.
+"""Peak memory of one stereoqa command process by sequence length.
 
-Usage: python3 tools/rss_by_frames.py SRC [--metric M] [--frames N ...]
+Usage: python3 tools/rss_by_frames.py SRC [--metric M ...] [--frames N ...]
                                       [--max-growth R]
 
 SRC is the directory that holds the ``stereoqa`` package (``src`` of a
 checkout).  For each frame count N (default 2 8 32) the script writes a
 seeded 480x270 yuv420p8 reference pair and a noisy copy of it into a
 temporary directory, through the package's own ``distort.apply`` and
-``save_sequence``.  It then scores them in a fresh ``python -m stereoqa.cli
-score-fr --metric M --saliency baseline`` process (default metric
-``ssim_s``; disparity is estimated) and prints one line: N and that
-process's peak resident memory in MB (``ru_maxrss`` from ``wait4``).  With
-``--max-growth R`` it exits 1 when the peak of the last count is above R
-times the peak of the first.
+``save_sequence``.  On that pair it runs, each in a fresh ``python -m
+stereoqa.cli`` process: ``score-fr --metric M --saliency baseline`` for each
+metric M (default ``ssim_s``; disparity is estimated), ``disparity`` and
+``saliency --disparity estimate`` of the reference.  It prints one line per
+command: its name, N and that process's peak resident memory in MB
+(``ru_maxrss`` from ``wait4``).  With ``--max-growth R`` it exits 1 when, for
+any command, the peak of the last count is above R times the peak of the
+first.
 """
 
 import argparse
@@ -56,8 +58,36 @@ def write_pair(out_dir, frames, seed=0):
             os.path.join(out_dir, f"{name}.json"))
 
 
-def peak_rss_mb(src, metric, frames):
-    """Peak RSS in MB of one fresh ``score-fr`` process on a new pair."""
+def _commands(d, metrics):
+    """The measured commands on the pair in ``d``, by name: their arguments
+    after ``python -m stereoqa.cli``."""
+    ref, dist = (os.path.join(d, f"{name}.json") for name in ("ref", "dist"))
+    commands = {metric: ["score-fr", "--metric", metric, "--ref", ref, "--dist", dist,
+                         "--saliency", "baseline", "--out", os.path.join(d, f"{metric}.json")]
+                for metric in metrics}
+    commands["disparity"] = ["disparity", "--in", ref, "--out", os.path.join(d, "disparity")]
+    commands["saliency"] = ["saliency", "--in", ref, "--disparity", "estimate",
+                            "--out", os.path.join(d, "saliency")]
+    return commands
+
+
+def _peak_rss_mb(src, name, argv, frames, d):
+    """Peak RSS in MB of one fresh ``python -m stereoqa.cli`` process."""
+    env = dict(os.environ, PYTHONPATH=src)
+    with open(os.path.join(d, "stderr.txt"), "w+") as err:
+        proc = subprocess.Popen([sys.executable, "-m", "stereoqa.cli", *argv], env=env,
+                                stdout=subprocess.DEVNULL, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode != 0:
+            err.seek(0)
+            raise SystemExit(f"{name} on {frames} frames exited with "
+                             f"{proc.returncode}:\n{err.read()}")
+    return usage.ru_maxrss * 1024 / 1e6  # KiB on Linux, as perfbench's peak_rss_mb
+
+
+def peaks_mb(src, metrics, frames):
+    """Peak RSS in MB of each measured command, by name, on a new pair."""
     with tempfile.TemporaryDirectory() as d:
         # in a process of its own: a child's ru_maxrss also counts the memory
         # its parent held when it started, and the float64 pair is large
@@ -67,39 +97,31 @@ def peak_rss_mb(src, metric, frames):
         writer.join()
         if writer.exitcode != 0:
             raise SystemExit(f"writing the {frames}-frame pair failed")
-        argv = [sys.executable, "-m", "stereoqa.cli", "score-fr", "--metric", metric,
-                "--ref", os.path.join(d, "ref.json"), "--dist", os.path.join(d, "dist.json"),
-                "--saliency", "baseline", "--out", os.path.join(d, "report.json")]
-        env = dict(os.environ, PYTHONPATH=src)
-        with open(os.path.join(d, "stderr.txt"), "w+") as err:
-            proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=err)
-            _, status, usage = os.wait4(proc.pid, 0)
-            proc.returncode = os.waitstatus_to_exitcode(status)
-            if proc.returncode != 0:
-                err.seek(0)
-                raise SystemExit(f"{metric} on {frames} frames exited with "
-                                 f"{proc.returncode}:\n{err.read()}")
-    return usage.ru_maxrss * 1024 / 1e6  # KiB on Linux, as perfbench's peak_rss_mb
+        peaks = {}
+        for name, argv in _commands(d, metrics).items():
+            peaks[name] = _peak_rss_mb(src, name, argv, frames, d)
+            print(f"{name} {WIDTH}x{HEIGHT} {frames} frames: {peaks[name]:.1f} MB", flush=True)
+        return peaks
 
 
 def main(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src")
-    parser.add_argument("--metric", default="ssim_s")
+    parser.add_argument("--metric", nargs="+", default=["ssim_s"])
     parser.add_argument("--frames", type=int, nargs="+", default=[2, 8, 32])
     parser.add_argument("--max-growth", type=float, default=None)
     args = parser.parse_args(argv)
     src = os.path.abspath(args.src)
     sys.path.insert(0, src)  # write_pair uses this stereoqa too
-    peaks = []
-    for frames in args.frames:
-        peaks.append(peak_rss_mb(src, args.metric, frames))
-        print(f"{args.metric} {WIDTH}x{HEIGHT} {frames} frames: {peaks[-1]:.1f} MB", flush=True)
-    if args.max_growth is not None and peaks[-1] > args.max_growth * peaks[0]:
-        print(f"peak RSS grew {peaks[-1] / peaks[0]:.2f}x from {args.frames[0]} to "
-              f"{args.frames[-1]} frames, above {args.max_growth}x")
-        return 1
-    return 0
+    peaks = [peaks_mb(src, args.metric, frames) for frames in args.frames]
+    status = 0
+    for name, first in peaks[0].items():
+        growth = peaks[-1][name] / first
+        if args.max_growth is not None and growth > args.max_growth:
+            print(f"{name}: peak RSS grew {growth:.2f}x from {args.frames[0]} to "
+                  f"{args.frames[-1]} frames, above {args.max_growth}x")
+            status = 1
+    return status
 
 
 if __name__ == "__main__":
