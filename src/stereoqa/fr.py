@@ -29,7 +29,7 @@ from .kernels import (
     sobel_gradient,
 )
 from .media import StereoFrame, _check_int, _check_numbers, _check_real_fields
-from .metric import _power, registrar, view_mean
+from .metric import _power, registrar, view_frames_mean, view_mean
 from .saliency import build_saliency_pyramid, weighted_spatial_mean
 
 MSSSIM_EXPONENTS = (0.0448, 0.2856, 0.3001, 0.2363, 0.1333)
@@ -228,7 +228,7 @@ def _msssim_frame(x: np.ndarray, y: np.ndarray, s: np.ndarray,
 @_fr("higher_better", over="frame")
 def msssim_s(c, cfg):
     """Multi-scale SSIM with per-scale saliency pyramids, averaged over views."""
-    return view_mean(lambda x, y: _msssim_frame(x.luma, y.luma, c.s, cfg, c.flags), c.ref, c.dist)
+    return view_mean(lambda x, y: _msssim_frame(x, y, c.s, cfg, c.flags), c.ref, c.dist)
 
 
 def _vif_scale(x, y, w, mean, sigma_n_sq: float) -> tuple[float, float]:
@@ -295,8 +295,7 @@ def ddl1_s(c, cfg):
         return (ssim_map * np.clip(1.0 - np.sqrt(np.abs(dr * dr - dd * dd)) / 255.0, 0.0, 1.0),)
 
     return 2.0 * view_mean(lambda x, y: weighted_spatial_mean(
-        _by_blocks(damped, _ssim_map(x.luma, y.luma, cfg), c.d_ref, c.d_dist)[0], c.s),
-        c.ref, c.dist)
+        _by_blocks(damped, _ssim_map(x, y, cfg), c.d_ref, c.d_dist)[0], c.s), c.ref, c.dist)
 
 
 @_fr("composite", needs=("d_ref", "d_dist"), over="frame")
@@ -307,7 +306,7 @@ def oq_s(c, cfg):
     the published combination constants are unavailable.  IQ is clamped at
     0, as hv3d_s clamps its SSIM term, so a fractional ``oq_d`` stays real.
     """
-    iq = view_mean(lambda x, y: weighted_spatial_mean(_ssim_map(x.luma, y.luma, cfg), c.s),
+    iq = view_mean(lambda x, y: weighted_spatial_mean(_ssim_map(x, y, cfg), c.s),
                    c.ref, c.dist)
     dq = weighted_spatial_mean(np.abs(c.d_ref - c.d_dist), c.s)
     iq_d = _power(max(iq, 0.0), cfg, "oq_d")
@@ -486,7 +485,7 @@ def flosim3d_s(frames, cfg):
             return (1.0 - _msssim_frame(ref_t.luma, dist_t.luma, c.s, cfg, c.flags,
                                         _smooth_2d)) * q_fl
 
-        flow_scores.append(view_mean(flow, c.ref, c.dist, *prev))
+        flow_scores.append(view_frames_mean(flow, c.ref, c.dist, *prev))
         # the shared map serves both view depths
         depth_scores.append(1.0 - _msssim_frame(
             *(disparity_to_depth(d) * 255.0 for d in (c.d_ref, c.d_dist)), c.s, cfg, c.flags,

@@ -532,11 +532,23 @@ def _maps(series, kind, n: int, shape, name: str, check=lambda t, m: None):
 def save_map_series(maps, dir_path: str) -> list[str]:
     """Write maps as 000000.pgm... in ``dir_path``, each as it is taken from
     ``maps``; returns the paths written.  The directory is made once the
-    first map has come, so a series whose first map fails leaves none."""
-    paths = []
-    for i, m in enumerate(maps):
-        if not paths:
-            os.makedirs(dir_path, exist_ok=True)
-        paths.append(os.path.join(dir_path, map_name(i)))
-        save_frame_pgm(m, paths[-1])
+    first map has come.  If a map fails, or the run is stopped, every map
+    written so far, and the directory if this call made it, is removed: a
+    series read from ``dir_path`` then misses its first map (MapSeriesGap),
+    never mixes new maps with those of an earlier run."""
+    paths, made = [], False
+    try:
+        for i, m in enumerate(maps):
+            if not paths:
+                made = not os.path.isdir(dir_path)
+                os.makedirs(dir_path, exist_ok=True)
+            paths.append(os.path.join(dir_path, map_name(i)))
+            save_frame_pgm(m, paths[-1])
+    except BaseException:
+        for path in paths:
+            if os.path.exists(path):
+                os.remove(path)
+        if made:
+            os.rmdir(dir_path)
+        raise
     return paths

@@ -29,8 +29,8 @@ frame shape; ``media._maps``) and rejects an all-zero saliency map, so
 formulas never re-check them.
 
 ``view_mean`` owns the view rule, frame score = ``0.5 * (left + right)``;
-``"frame"`` and ``"sequence"`` formulas that score views call it too, and
-score each view from that view's Frames alone.
+``"frame"`` and ``"sequence"`` formulas that score views call it, or
+``view_frames_mean``, too, and score each view from that view alone.
 """
 
 from __future__ import annotations
@@ -50,9 +50,15 @@ from .saliency import SaliencyMap
 
 
 def view_mean(f, *frames) -> float:
-    """``0.5 * (f(*left views) + f(*right views))`` of the stereo frames
-    ``frames``: ``f`` gets one view's Frame of each, and reads what it needs
-    of them (``.luma``), so it decides how long each float64 plane lives."""
+    """``0.5 * (f(*left lumas) + f(*right lumas))`` of the stereo frames
+    ``frames``."""
+    return view_frames_mean(lambda *views: f(*(v.luma for v in views)), *frames)
+
+
+def view_frames_mean(f, *frames) -> float:
+    """``view_mean`` with ``f`` given one view's Frame of each stereo frame,
+    for a formula that reads its lumas itself, to decide how long each
+    float64 plane lives (``flosim3d_s``)."""
     return 0.5 * (f(*(q.left for q in frames)) + f(*(q.right for q in frames)))
 
 
@@ -129,7 +135,7 @@ def _run(formula, orientation, needs, over, ref, dist, s_series, maps, cfg):
         elif over == "frame":
             scores = [formula(c, cfg) for c in frames]
         else:
-            scores = [view_mean(lambda *views: formula(*(v.luma for v in views), c.s, cfg),
+            scores = [view_mean(lambda *lumas: formula(*lumas, c.s, cfg),
                                 *([c.dist] if c.ref is None else [c.ref, c.dist]))
                       for c in frames]
         return make_report(formula.__name__, scores, orientation, mode, cfg,

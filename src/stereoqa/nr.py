@@ -243,8 +243,7 @@ def vqsm_s(c, cfg):
     a1, a2, a3, a4, a5 = cfg.vqsm_alphas
     s_bar = _box_mean(c.s, (5, 5))
 
-    def view(frame):
-        luma = frame.luma
+    def view(luma):
         q_sh = weighted_spatial_mean(sobel_gradient(luma)["magnitude"], c.s)
         q_sm = weighted_spatial_mean(_local_std(luma, 5), s_bar)
         return a1 * q_sh**2 + a2 * q_sh + a3 * q_sm**2 + a4 * q_sm + a5

@@ -293,6 +293,29 @@ def test_a_saliency_run_whose_first_map_fails_leaves_no_directory(pair, tmp_path
     assert not out.exists()
 
 
+def test_a_failed_saliency_run_leaves_no_readable_series(tmp_path, capsys):
+    """A run whose third map fails removes the maps it wrote: a fresh --out
+    is gone, and over a complete earlier series and manifest a dir: read
+    of --out misses its first map rather than mixing the two runs."""
+    desc = save_sequence(make_seq(12, frames=3, size=64), str(tmp_path / "l.raw"),
+                         str(tmp_path / "r.raw"))
+    desc.to_json(str(tmp_path / "seq.json"))
+    bad = _maps_dir(tmp_path, "bad", [(64, 64), (64, 64), (32, 64)])
+    out = tmp_path / "sal"
+    argv = ["saliency", "--in", str(tmp_path / "seq.json"), "--out", str(out)]
+    expected = {"width": 64, "height": 64, "count": 3}
+    for earlier in (False, True):
+        if earlier:
+            assert main(argv) == 0
+            assert len(list(iter_map_series(str(out), expected))) == 3
+        assert main([*argv, "--disparity", f"dir:{tmp_path / 'bad'}"]) == 1
+        assert capsys.readouterr().err == f"error: {bad[2]}: 64x32, expected 64x64\n"
+        if not earlier:
+            assert not out.exists()
+    with pytest.raises(MapSeriesGap, match="missing map index 0"):
+        iter_map_series(str(out), expected)
+
+
 @pytest.mark.parametrize("command", [["disparity"], ["saliency", "--disparity", "estimate"]],
                          ids=["disparity", "saliency"])
 def test_map_commands_memory_does_not_grow_with_the_frames(tmp_path, command):
