@@ -21,8 +21,9 @@ from .disparity import DisparityConfig, DisparityMap, iter_disparity_series
 from .distort import DistortionSpec, apply
 from .errors import MalformedJson, ParamError, StereoQaError, prefixed_errors
 from .fr import FR_METRICS, FR_NEEDS_DISPARITY, FrMetricConfig
-from .media import SequenceDescriptor, _fits, decode, iter_map_series, load_sequence, \
-    read_json, save_map_series, save_sequence, write_json
+from .media import SequenceDescriptor, StereoSequence, _fits, _Frames, _undone_on_failure, \
+    decode, iter_map_series, load_sequence, read_json, save_map_series, save_sequence, \
+    write_json
 from .nr import NR_METRICS, NR_NEEDS_DISPARITY, NrMetricConfig
 from .saliency import VamConfig, iter_baseline_vam, iter_external_saliency, uniform_series
 from .stats import MosTable, SubjectiveTable, emit_report, performance, \
@@ -188,6 +189,25 @@ def _cmd_disparity(args) -> int:
     return 0
 
 
+def _apply_each(seq, specs):
+    """``seq`` with each spec of ``specs``, (where, spec) pairs, applied in
+    turn by ``apply``; the error of any frame, a later one too, carries the
+    prefix ``where`` of the spec that raised it."""
+    stages = []
+    for where, spec in specs:
+        with prefixed_errors(where):  # apply makes frame 0: the region's checks, say
+            seq = apply(seq, spec)
+        stages.append((where, seq))
+
+    def make(t):
+        for where, stage in stages:  # each from the previous stage's frame t, kept
+            with prefixed_errors(where):
+                stage.frames[t]
+        return seq.frames[t]
+
+    return StereoSequence(_Frames(len(seq), (seq.height, seq.width), make), fps=seq.fps)
+
+
 def _cmd_distort(args) -> int:
     desc = SequenceDescriptor.from_json(args.input)
     seq = load_sequence(desc)
@@ -195,12 +215,10 @@ def _cmd_distort(args) -> int:
     entries = ([(f"{args.spec}[{i}]", d) for i, d in enumerate(raw)]
                if isinstance(raw, list) else [(args.spec, raw)])
     specs = [(where, decode(DistortionSpec, d, where)) for where, d in entries]
-    for where, spec in specs:
-        with prefixed_errors(where):  # the checks that need the frames, e.g. the region's
-            seq = apply(seq, spec)
-    os.makedirs(args.out, exist_ok=True)
+    seq = _apply_each(seq, specs)
     left, right = (os.path.join(args.out, f"{view}.raw") for view in ("left", "right"))
-    desc = save_sequence(seq, left, right, format=desc.format)
+    with _undone_on_failure([], args.out):  # a failed run removes the --out it made
+        desc = save_sequence(seq, left, right, format=desc.format)
     desc_path = os.path.join(args.out, "descriptor.json")
     desc.to_json(desc_path)
     _write_manifest(desc_path, args, [left, right, desc_path])

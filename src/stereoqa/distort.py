@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ParamError, RangeError, numeric_errors
 from .kernels import _check_window, convolve2d, dct2_stack, gaussian_kernel, idct2_stack
-from .media import Frame, StereoFrame, StereoSequence, _check_int, _check_numbers, _fits
+from .media import Frame, StereoFrame, StereoSequence, _check_int, _check_numbers, _Frames, _fits
 from .rng import SeededRng, _check_seed
 
 TARGETS = ("both_views", "left_only", "right_only")
@@ -126,23 +126,24 @@ _DISTORTIONS = {
 
 
 def apply(seq: StereoSequence, spec: DistortionSpec) -> StereoSequence:
-    """Return a new sequence with the distortion applied to the targeted
-    views; the input is never modified."""
+    """A new sequence with the distortion applied to the targeted views;
+    the input is never modified.  Each frame is made from ``seq``'s when it
+    is asked for (``media._Frames``), and frame 0 here, so that an error the
+    spec gives on every frame (a region outside it, a blur wider than it)
+    comes from this call."""
     # awgn draws frame t, view v from stream seed + 2t + v; check the last
     # one here, so that the error names the seed the spec gave
     if spec.kind == "awgn" and spec.seed + 2 * len(seq) - 1 >= 2**64:
         raise ParamError(f"seed {spec.seed} is too large for {len(seq)} frames: awgn "
                          "draws from stream seeds up to seed + 2 * frames - 1, "
                          "which must be below 2**64")
-    frames = []
-    for t, sf in enumerate(seq.frames):
-        views = {}
+
+    def make(t):
+        sf, views = seq.frames[t], []
         for v, name in enumerate(("left", "right")):
             frame = getattr(sf, name)
-            wanted = (spec.target == "both_views"
-                      or spec.target == f"{name}_only")
-            if not wanted:
-                views[name] = frame
+            if spec.target not in ("both_views", f"{name}_only"):
+                views.append(frame)
                 continue
             region = _region_slices(spec, frame.shape)
             luma = frame.luma
@@ -151,6 +152,9 @@ def apply(seq: StereoSequence, spec: DistortionSpec) -> StereoSequence:
                                                     spec.seed + 2 * t + v)
             luma = luma.copy()
             luma[region] = np.clip(values, 0.0, 255.0)
-            views[name] = Frame(luma, *frame.planes[1:])
-        frames.append(StereoFrame(left=views["left"], right=views["right"]))
-    return StereoSequence(frames=frames, fps=seq.fps)
+            views.append(Frame(luma, *frame.planes[1:]))
+        return StereoFrame(*views)
+
+    frames = _Frames(len(seq), (seq.height, seq.width), make)
+    frames[0]
+    return StereoSequence(frames, fps=seq.fps)

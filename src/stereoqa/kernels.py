@@ -227,11 +227,11 @@ def downsample2(image: np.ndarray) -> np.ndarray:
 
 
 def pyramid_shapes(shape, levels: int) -> list[tuple[int, int]]:
-    """The level shapes of ``pyramid`` of an image of ``shape``: the shape and
-    up to ``levels - 1`` halvings of it, each side rounded up as downsample2
-    rounds it, stopping at the first level with a side of 1.  The one rule
-    for how many levels a frame has: image, saliency and VAM pyramids all
-    follow it."""
+    """The level shapes of ``iter_pyramid`` of an image of ``shape``: the
+    shape and up to ``levels - 1`` halvings of it, each side rounded up as
+    downsample2 rounds it, stopping at the first level with a side of 1.
+    The one rule for how many levels a frame has: image, saliency and VAM
+    pyramids all follow it."""
     shapes = [tuple(shape)]
     while len(shapes) < levels and min(shapes[-1]) > 1:
         h, w = shapes[-1]
@@ -240,18 +240,13 @@ def pyramid_shapes(shape, levels: int) -> list[tuple[int, int]]:
 
 
 def iter_pyramid(image: np.ndarray, levels: int):
-    """The levels of ``pyramid(image, levels)`` one at a time, each made when
-    it is asked for: the generator holds only the level it gave last."""
+    """``image`` and up to ``levels - 1`` repeated downsample2 halvings of it,
+    with the shapes of ``pyramid_shapes``, one at a time, each made when it
+    is asked for: the generator holds only the level it gave last."""
     for k in range(len(pyramid_shapes(image.shape, levels))):
         if k:
             image = downsample2(image)
         yield image
-
-
-def pyramid(image: np.ndarray, levels: int) -> list[np.ndarray]:
-    """``image`` and up to ``levels - 1`` repeated downsample2 halvings of it,
-    with the shapes of ``pyramid_shapes``."""
-    return list(iter_pyramid(image, levels))
 
 
 def _dct(values, kind: int, axes) -> np.ndarray:

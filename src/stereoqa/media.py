@@ -8,15 +8,17 @@ samples of the stream, and ``Frame.luma``/``chroma_u``/``chroma_v`` read them
 as float64.  ``StereoFrame``, ``StereoSequence`` and the maps are frozen, so
 no plane or checked value can be reassigned.  A loaded sequence reads each
 frame from its streams when that frame is asked for, and holds only the
-last frame it read.  Grayscale maps (saliency, disparity) travel as PGM
-series scaled to [0, 1]; ``iter_map_series`` reads them, and
-``save_map_series`` writes them, one at a time too.  All formats are
-uncompressed so loading is bit-exact and needs no external decoders.
+last frame it read; ``save_sequence`` writes one frame at a time.
+Grayscale maps (saliency, disparity) travel as PGM series scaled to [0, 1];
+``iter_map_series`` reads them, and ``save_map_series`` writes them, one at
+a time too.  All formats are uncompressed so loading is bit-exact and
+needs no external decoders.
 """
 
 from __future__ import annotations
 
 import collections.abc
+import contextlib
 import dataclasses
 import json
 import numbers
@@ -240,15 +242,15 @@ def _checked_fps(fps) -> float:
 @dataclass(frozen=True)
 class StereoSequence:
     """Stereo frames of one shape at ``fps``.  Built from StereoFrames, it
-    holds them as a tuple, each checked; ``load_sequence`` builds it from a
-    ``_StreamFrames``, which reads a frame from the streams when it is asked
-    for."""
+    holds them as a tuple, each checked; ``load_sequence`` and
+    ``distort.apply`` build it from a ``_Frames``, which makes a frame when it
+    is asked for."""
 
     frames: tuple[StereoFrame, ...]
     fps: float = 30.0
 
     def __post_init__(self):
-        if isinstance(self.frames, _StreamFrames):
+        if isinstance(self.frames, _Frames):
             shape = self.frames.shape
         else:
             try:
@@ -349,38 +351,39 @@ def _read_frame(path: str, index: int, desc: SequenceDescriptor) -> Frame:
     return Frame(*planes)
 
 
-class _StreamFrames(collections.abc.Sequence):
-    """The frames of a descriptor's two streams, each read from the files
-    when it is asked for, as a StereoFrame that holds only that frame's
-    bytes.  The last frame read is kept and given again for its index, so
-    the readers that walk the frames side by side (the metric driver, the
-    VAM, the disparity estimate) share one read of each frame."""
+class _Frames(collections.abc.Sequence):
+    """``n`` stereo frames of ``shape``, frame t made by ``make(t)`` when it
+    is asked for.  The last frame made is kept and given again for its
+    index, so the readers that walk the frames side by side (the metric
+    driver, the VAM, the disparity estimate) share one read, or one
+    distortion, of each frame."""
 
-    def __init__(self, desc: SequenceDescriptor):
-        self._desc = desc
-        self.shape = (desc.height, desc.width)
+    def __init__(self, n: int, shape, make):
+        self._n, self.shape, self._make = n, shape, make
         self._last = (None, None)  # (index, StereoFrame)
 
     def __len__(self) -> int:
-        return self._desc.frames
+        return self._n
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return tuple(self[i] for i in range(*index.indices(len(self))))
         index = range(len(self))[index]  # IndexError as a tuple's
         if self._last[0] != index:
-            self._last = index, StereoFrame(_read_frame(self._desc.left, index, self._desc),
-                                            _read_frame(self._desc.right, index, self._desc))
+            self._last = None, None  # not held while the next one is made
+            self._last = index, self._make(index)
         return self._last[1]
 
 
 def load_sequence(desc: SequenceDescriptor) -> StereoSequence:
     """The stereo pair of raw planar streams described by ``desc``.  Both
     stream sizes are checked, and the first frame read, here; after that a
-    frame is read when it is asked for (``_StreamFrames``)."""
+    frame is read from both streams when it is asked for (``_Frames``)."""
     for path in (desc.left, desc.right):
         _check_view(path, desc)
-    frames = _StreamFrames(desc)
+    frames = _Frames(desc.frames, (desc.height, desc.width),
+                     lambda t: StereoFrame(_read_frame(desc.left, t, desc),
+                                           _read_frame(desc.right, t, desc)))
     frames[0]  # checks the frame geometry (Frame's checks) once
     return StereoSequence(frames, fps=desc.fps)
 
@@ -406,17 +409,24 @@ def _frame_planes(frame: Frame, desc: SequenceDescriptor) -> list[np.ndarray]:
 
 def save_sequence(seq: StereoSequence, left_path: str, right_path: str,
                   format: str = "gray8") -> SequenceDescriptor:
-    """Write both views as raw planar streams and return their descriptor."""
+    """Write both views as raw planar streams, one frame at a time, and
+    return their descriptor; each frame's planes are checked before it is
+    written.  The streams go to ``<target>.<view>.part`` files that replace
+    the targets once the last frame is written; so ``seq`` may read the
+    targets themselves, and a call that fails, or is stopped, removes the
+    part files and leaves the targets as they were."""
     desc = SequenceDescriptor(left=left_path, right=right_path,
                               width=seq.width, height=seq.height, fps=seq.fps,
                               frames=len(seq), format=format)
-    # every plane is checked before the first byte is written
-    views = [(path, [p for fr in seq.frames for p in _frame_planes(getattr(fr, view), desc)])
-             for view, path in (("left", left_path), ("right", right_path))]
-    for path, planes in views:
-        with open(path, "wb") as fh:
-            for plane in planes:
-                fh.write(_samples8(plane).tobytes())
+    parts = [f"{left_path}.left.part", f"{right_path}.right.part"]
+    with _undone_on_failure(parts):
+        with open(parts[0], "wb") as left, open(parts[1], "wb") as right:
+            for fr in seq.frames:
+                planes = [_frame_planes(fr.left, desc), _frame_planes(fr.right, desc)]
+                for fh, view in zip((left, right), planes):
+                    fh.writelines(_samples8(plane).tobytes() for plane in view)
+        for part, path in zip(parts, (left_path, right_path)):
+            os.replace(part, path)
     return desc
 
 
@@ -529,26 +539,40 @@ def _maps(series, kind, n: int, shape, name: str, check=lambda t, m: None):
     return (values(t, next(maps, end)) for t in range(n))
 
 
-def save_map_series(maps, dir_path: str) -> list[str]:
-    """Write maps as 000000.pgm... in ``dir_path``, each as it is taken from
-    ``maps``; returns the paths written.  The directory is made once the
-    first map has come.  If a map fails, or the run is stopped, every map
-    written so far, and the directory if this call made it, is removed: a
-    series read from ``dir_path`` then misses its first map (MapSeriesGap),
-    never mixes new maps with those of an earlier run."""
-    paths, made = [], False
+@contextlib.contextmanager
+def _undone_on_failure(written: list, dir_path: str = "."):
+    """Make ``dir_path`` and its missing parents, and run the block, which
+    lists each file it writes in ``written``.  If the block fails, or the
+    run is stopped, each file of ``written`` that exists is removed, then
+    every directory made here, deepest first, and the error goes on."""
+    made, path = [], os.path.normpath(dir_path)
+    while path and not os.path.isdir(path):
+        made.append(path)
+        path = os.path.dirname(path)
     try:
-        for i, m in enumerate(maps):
-            if not paths:
-                made = not os.path.isdir(dir_path)
-                os.makedirs(dir_path, exist_ok=True)
-            paths.append(os.path.join(dir_path, map_name(i)))
-            save_frame_pgm(m, paths[-1])
+        for path in reversed(made):
+            os.mkdir(path)
+        yield
     except BaseException:
-        for path in paths:
+        for path in written:
             if os.path.exists(path):
                 os.remove(path)
-        if made:
-            os.rmdir(dir_path)
+        for path in made:
+            with contextlib.suppress(OSError):  # not made, or not empty
+                os.rmdir(path)
         raise
+
+
+def save_map_series(maps, dir_path: str) -> list[str]:
+    """Write maps as 000000.pgm... in ``dir_path``, made if it is missing,
+    each as it is taken from ``maps``; returns the paths written.  If a map
+    fails, or the run is stopped, every map written so far, and every
+    directory this call made, is removed (``_undone_on_failure``): a series
+    read from ``dir_path`` then misses its first map (MapSeriesGap), never
+    mixes new maps with those of an earlier run."""
+    paths = []
+    with _undone_on_failure(paths, dir_path):
+        for i, m in enumerate(maps):
+            paths.append(os.path.join(dir_path, map_name(i)))
+            save_frame_pgm(m, paths[-1])
     return paths

@@ -15,7 +15,7 @@ import numpy as np
 
 from .disparity import DisparityMap
 from .errors import DegenerateSaliency, DimensionMismatch, NumericError, ParamError
-from .kernels import gaussian_smooth, iter_pyramid, pyramid
+from .kernels import gaussian_smooth, iter_pyramid
 from .media import Frame, StereoFrame, StereoSequence, _Map, _check_real_fields, _maps, \
     _stored, iter_map_series
 
@@ -94,9 +94,9 @@ def _is_normalized(values: np.ndarray) -> bool:
 
 
 def build_saliency_pyramid(values: np.ndarray, levels: int):
-    """The levels of kernels.pyramid(values, levels) of a weight array, each
-    re-normalized, one at a time (``iter_pyramid``); so it stops where the
-    image pyramid of that shape does.  A ``values`` that is its own
+    """The levels of ``iter_pyramid(values, levels)`` of a weight array, each
+    re-normalized, one at a time; so it stops where the image pyramid of
+    that shape does.  A ``values`` that is its own
     normalization (``_is_normalized``), as the values of a ``normalize_map``
     result are, is the first level as it is."""
     for k, level in enumerate(iter_pyramid(values, levels)):
@@ -184,7 +184,7 @@ def baseline_vam_frame(frame: StereoFrame, prev: Frame | None, disparity: np.nda
     smooth_sigma = cfg.smooth_sigma if cfg.smooth_sigma is not None else min(shape) / 32.0
     levels = max((s for _, s in cfg.center_surround_pairs), default=0) + 1
     luma = frame.left.luma
-    pyr = pyramid(luma, levels)
+    pyr = list(iter_pyramid(luma, levels))
     pairs = [(c, s) for c, s in cfg.center_surround_pairs if s < len(pyr)]
     # every channel's pyramid has the level shapes of the luma's
     firsts, (ry, rx) = _run_grid(shape, [pyr[level].shape for pair in pairs for level in pair])
@@ -194,7 +194,7 @@ def baseline_vam_frame(frame: StereoFrame, prev: Frame | None, disparity: np.nda
     if frame.left.planes[1] is not None:  # read as float64 only when present
         for chroma in (frame.left.chroma_u, frame.left.chroma_v):
             opp = _upsample_to(np.abs(chroma - 128.0), shape)
-            f_col += _center_surround(pyramid(opp, levels), pairs, *firsts)
+            f_col += _center_surround(list(iter_pyramid(opp, levels)), pairs, *firsts)
     if prev is None:
         f_mot = np.zeros(shape)
     else:

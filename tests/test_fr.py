@@ -18,7 +18,7 @@ from stereoqa.errors import (
 )
 from stereoqa.fr import FR_METRICS, FR_NEEDS_DISPARITY, FrMetricConfig
 from stereoqa import kernels
-from stereoqa.kernels import dct3_stereo_stack, gaussian_smooth, pyramid, sobel_gradient
+from stereoqa.kernels import dct3_stereo_stack, gaussian_smooth, iter_pyramid, sobel_gradient
 from stereoqa.media import StereoFrame
 from stereoqa.rng import SeededRng
 from stereoqa.saliency import SaliencyMap, normalize_map, uniform_series, weighted_spatial_mean
@@ -428,17 +428,17 @@ def _plain_ssim_map(x, y, cfg):
 
 def _plain_saliency_levels(s, levels):
     return [(lvl - lvl.min()) / (lvl.max() - lvl.min()) if np.ptp(lvl) >= 1e-12
-            else np.ones_like(lvl) for lvl in pyramid(s, levels)]
+            else np.ones_like(lvl) for lvl in iter_pyramid(s, levels)]
 
 
 def _plain_msssim(x, y, s, cfg, smooth):
-    x_levels = pyramid(x, 5)
+    x_levels = list(iter_pyramid(x, 5))
     scales = 1 + sum(min(lvl.shape) >= cfg.ssim_window for lvl in x_levels[1:])
     weights = np.asarray(cfg.msssim_exponents[:scales])
     weights = weights / weights.sum()
     c1, c2 = cfg.ssim_c1, cfg.ssim_c2
     score = 1.0
-    for m, (x_m, y_m, s_m) in enumerate(zip(x_levels, pyramid(y, scales),
+    for m, (x_m, y_m, s_m) in enumerate(zip(x_levels, iter_pyramid(y, scales),
                                             _plain_saliency_levels(s, scales))):
         mu_x, mu_y, var_x, var_y, cov = _plain_moments(
             x_m, y_m, lambda a: smooth(a, cfg.ssim_window, cfg.ssim_sigma))

@@ -247,7 +247,7 @@ def _upsample_by_repeat(small, shape):
 
 
 def _center_surround_full(channel, pairs):
-    pyr = saliency.pyramid(channel, max((s for _, s in pairs), default=0) + 1)
+    pyr = list(saliency.iter_pyramid(channel, max((s for _, s in pairs), default=0) + 1))
     acc = np.zeros_like(channel)
     for c, s in pairs:
         if s >= len(pyr):

@@ -3,6 +3,7 @@ map source may be an iterator, and the metric driver keeps one frame's
 context at a time."""
 
 import dataclasses
+import json
 import os
 import tracemalloc
 import weakref
@@ -16,7 +17,7 @@ from stereoqa.cli import main
 from stereoqa.disparity import DisparityMap, estimate_disparity, iter_disparity_series
 from stereoqa.distort import DistortionSpec, apply
 from stereoqa.errors import (DegenerateSaliency, DescriptorMismatch, MapSeriesGap,
-                             MapShapeError, ParamError, SequenceLengthError)
+                             MapShapeError, ParamError, RangeError, SequenceLengthError)
 from stereoqa.fr import FR_METRICS, FR_NEEDS_DISPARITY, FrMetricConfig
 from stereoqa.media import (Frame, StereoFrame, StereoSequence, iter_map_series, load_sequence,
                             read_pgm, save_map_series, save_sequence)
@@ -25,7 +26,7 @@ from stereoqa.nr import NR_METRICS, NR_NEEDS_DISPARITY, NrMetricConfig
 from stereoqa.saliency import (SaliencyMap, iter_baseline_vam, iter_external_saliency,
                                normalize_map, uniform_series)
 
-from conftest import make_seq, write_yuv420
+from conftest import make_seq, seq_from_lumas, write_yuv420
 from test_media import _float64_copy
 from test_saliency import vam_by_frame, vam_full_frame
 
@@ -316,13 +317,86 @@ def test_a_failed_saliency_run_leaves_no_readable_series(tmp_path, capsys):
         iter_map_series(str(out), expected)
 
 
-@pytest.mark.parametrize("command", [["disparity"], ["saliency", "--disparity", "estimate"]],
-                         ids=["disparity", "saliency"])
-def test_map_commands_memory_does_not_grow_with_the_frames(tmp_path, command):
-    """The disparity and saliency commands write each map once it is made:
-    the peak for 16 frames of 480x270 yuv420p8 stays within 1.1 times the
-    peak for 2 (holding every frame's maps until the first write made it
+def test_a_failed_map_write_removes_every_directory_it_made(tmp_path):
+    def maps():
+        yield np.full((8, 8), 0.5)
+        yield np.full((8, 8), 2.0)  # outside [0, 1]
+
+    with pytest.raises(RangeError):
+        save_map_series(maps(), str(tmp_path / "nest" / "a" / "b"))
+    assert os.listdir(tmp_path) == []
+
+
+# awgn, then gaussian_blur
+_LIST_SPEC = [{"kind": "awgn", "params": {"variance": 0.001}, "seed": 3}, {"kind": "gaussian_blur"}]
+
+
+def _distort_argv(tmp_path, desc_path, spec, out, name="spec.json"):
+    (tmp_path / name).write_text(json.dumps(spec))
+    return ["distort", "--in", desc_path, "--spec", str(tmp_path / name), "--out", str(out)]
+
+
+def _distort_input(tmp_path, seq):
+    """``seq`` stored as a distort output is: left.raw, right.raw and
+    descriptor.json in ``tmp_path / "src"``; the descriptor's path."""
+    src = tmp_path / "src"
+    src.mkdir()
+    save_sequence(seq, str(src / "left.raw"), str(src / "right.raw")).to_json(
+        str(src / "descriptor.json"))
+    return str(src / "descriptor.json")
+
+
+def test_an_in_place_distort_reads_its_input_intact(tmp_path):
+    """``distort --out`` the input's own directory gives the bytes a run into
+    a fresh directory gives: the streams are written next to the targets and
+    replace them only once the last frame is written."""
+    desc_path = _distort_input(tmp_path, make_seq(12, frames=3, size=64))
+    fresh = _distort_argv(tmp_path, desc_path, _LIST_SPEC, tmp_path / "fresh")
+    assert main(fresh) == 0
+    assert main([*fresh[:-1], str(tmp_path / "src")]) == 0
+    for name in ("left.raw", "right.raw", "descriptor.json"):
+        assert (tmp_path / "src" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+    assert not [name for name in os.listdir(tmp_path / "src") if name.endswith(".part")]
+
+
+# frame 0 is black, so its DCT is 0 and only frame 1's overflows at this step
+_LATE_FAILURE = [{"kind": "gaussian_blur"}, {"kind": "block_quantize", "params": {"step": 1e-306}}]
+
+
+def _black_then_grey(tmp_path):
+    return _distort_input(tmp_path, seq_from_lumas([np.zeros((64, 64)), np.full((64, 64), 128.0)]))
+
+
+def test_a_later_frame_error_keeps_its_spec_prefix_and_leaves_no_out(tmp_path, capsys):
+    argv = _distort_argv(tmp_path, _black_then_grey(tmp_path), _LATE_FAILURE,
+                         tmp_path / "nest" / "out")
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (f"error: {argv[4]}[1]: block_quantize: overflow "
+                                       "encountered in divide\n")
+    assert not (tmp_path / "nest").exists()
+
+
+def test_a_failed_distort_leaves_an_earlier_out_as_it_was(tmp_path, capsys):
+    desc_path = _black_then_grey(tmp_path)
+    out = tmp_path / "out"
+    assert main(_distort_argv(tmp_path, desc_path, _LIST_SPEC, out)) == 0
+    before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+    assert main(_distort_argv(tmp_path, desc_path, _LATE_FAILURE, out, "bad.json")) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
+
+
+@pytest.mark.parametrize("command", [["disparity"], ["saliency", "--disparity", "estimate"],
+                                     ["distort", "--spec", "spec.json"]],
+                         ids=["disparity", "saliency", "distort"])
+def test_map_commands_memory_does_not_grow_with_the_frames(tmp_path, monkeypatch, command):
+    """The disparity and saliency commands write each map once it is made,
+    and distort (here with a list spec) each frame: the peak for 16 frames
+    of 480x270 yuv420p8 stays within 1.1 times the peak for 2 (holding every
+    frame's maps, or every distorted frame, until the first write made it
     grow with the frames)."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spec.json").write_text(json.dumps(_LIST_SPEC))
     peaks = []
     for frames in (2, 16):
         desc_path = str(tmp_path / f"seq{frames}.json")
@@ -335,5 +409,6 @@ def test_map_commands_memory_does_not_grow_with_the_frames(tmp_path, command):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert len(os.listdir(tmp_path / "out16")) == 17  # 16 maps and the manifest
+    # 16 maps and the manifest; or two streams, the descriptor and the manifest
+    assert len(os.listdir(tmp_path / "out16")) == (4 if command[0] == "distort" else 17)
     assert peaks[1] <= 1.1 * peaks[0], peaks

@@ -10,8 +10,9 @@ seeded 480x270 yuv420p8 reference pair and a noisy copy of it into a
 temporary directory, through the package's own ``distort.apply`` and
 ``save_sequence``.  On that pair it runs, each in a fresh ``python -m
 stereoqa.cli`` process: ``score-fr --metric M --saliency baseline`` for each
-metric M (default ``ssim_s``; disparity is estimated), ``disparity`` and
-``saliency --disparity estimate`` of the reference.  It prints one line per
+metric M (default ``ssim_s``; disparity is estimated), ``disparity``,
+``saliency --disparity estimate`` and ``distort`` with a list spec (awgn,
+then gaussian_blur) of the reference.  It prints one line per
 command: its name, N and that process's peak resident memory in MB
 (``ru_maxrss`` from ``wait4``).  With ``--max-growth R`` it exits 1 when, for
 any command, the peak of the last count is above R times the peak of the
@@ -19,6 +20,7 @@ first.
 """
 
 import argparse
+import json
 import multiprocessing
 import os
 import subprocess
@@ -29,13 +31,16 @@ import numpy as np
 
 WIDTH, HEIGHT = 480, 270
 DISPARITY = 4  # pixels between the views
+SPEC = [{"kind": "awgn", "params": {"variance": 0.001}, "seed": 3}, {"kind": "gaussian_blur"}]
 
 
 def write_pair(out_dir, frames, seed=0):
     """Write ``ref.json`` and ``dist.json``, a reference and a distorted
-    yuv420p8 sequence, with their streams in ``out_dir``: a smooth noise texture that moves one row per frame, seen
-    DISPARITY pixels apart by the two views, with chroma that follows the
-    luma; the distorted copy adds Gaussian noise of sigma 6 to the luma."""
+    yuv420p8 sequence, with their streams in ``out_dir``: a smooth noise
+    texture that moves one row per frame, seen DISPARITY pixels apart by the
+    two views, with chroma that follows the luma; the distorted copy adds
+    Gaussian noise of sigma 6 to the luma.  Also write ``spec.json``, the
+    list spec the ``distort`` command is measured with."""
     from stereoqa.distort import DistortionSpec, apply
     from stereoqa.media import Frame, StereoFrame, StereoSequence, save_sequence
 
@@ -56,6 +61,8 @@ def write_pair(out_dir, frames, seed=0):
         streams = (os.path.join(out_dir, f"{name}-{v}.raw") for v in ("left", "right"))
         save_sequence(seq, *streams, format="yuv420p8").to_json(
             os.path.join(out_dir, f"{name}.json"))
+    with open(os.path.join(out_dir, "spec.json"), "w") as fh:
+        json.dump(SPEC, fh)
 
 
 def _commands(d, metrics):
@@ -68,6 +75,8 @@ def _commands(d, metrics):
     commands["disparity"] = ["disparity", "--in", ref, "--out", os.path.join(d, "disparity")]
     commands["saliency"] = ["saliency", "--in", ref, "--disparity", "estimate",
                             "--out", os.path.join(d, "saliency")]
+    commands["distort"] = ["distort", "--in", ref, "--spec", os.path.join(d, "spec.json"),
+                           "--out", os.path.join(d, "distort")]
     return commands
 
 
