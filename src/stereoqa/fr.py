@@ -17,7 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .disparity import disparity_to_depth
-from .errors import NeedsTemporalContext, ParamError, TooSmall
+from .errors import ParamError, TooSmall
 from .kernels import (
     _check_window,
     convolve2d,
@@ -458,7 +458,7 @@ def _patch_features(image: np.ndarray, patch: int) -> np.ndarray:
     return np.stack([p.mean(axis=axes), p.var(axis=axes), min_eig], axis=1)
 
 
-@_fr("lower_better", needs=("d_ref", "d_dist"), over="sequence")
+@_fr("lower_better", needs=("d_ref", "d_dist"), over="sequence", history=1)
 def flosim3d_s(frames, cfg):
     """Temporal patch-feature dispersion gated by spatial and depth
     dissimilarity (1 - MS-SSIM); lower is better, 0 means identical.
@@ -466,8 +466,6 @@ def flosim3d_s(frames, cfg):
     Every frame's flow term is scaled by the mean of all depth terms, so it
     walks the frames keeping the previous frame's two StereoFrames and each
     frame's two terms."""
-    if len(frames) < 2:
-        raise NeedsTemporalContext("needs at least 2 frames")
     flow_scores = []
     depth_scores = []
     prev = None  # the previous frame's (ref, dist) StereoFrames

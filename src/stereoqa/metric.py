@@ -1,18 +1,21 @@
 """The one driver behind every full- and no-reference metric.
 
 A metric is a registered formula; it states its orientation, the disparity
-slots it needs and what one call scores (``over``).  The driver owns the
-default config, validation, the frame and view loops, the saliency mode,
-flags and the report.
+slots it needs, what one call scores (``over``) and the earlier frames it
+needs (``history``).  The driver owns the default config, validation, the
+frame and view loops, the saliency mode, flags and the report.
 
 - ``"view"``: ``formula(x, y, s, cfg)`` (FR) or ``formula(luma, s, cfg)``
   (NR) scores one view; the frame score is ``view_mean`` of it.
 - ``"frame"``: ``formula(c, cfg)`` scores one stereo frame from its context:
   ``ref``/``dist`` (StereoFrame; ``ref`` is None for NR), ``s``, ``d_ref``,
   ``d_dist`` and the ``flags`` list that every context shares.
-- ``"sequence"``: ``formula(frames, cfg)`` gets the contexts as an iterator
-  whose len() is the frame count, and returns the scores of the last frames;
-  the frame CSV numbers them so.
+- ``"sequence"``: ``formula(frames, cfg)`` gets an iterator over the
+  contexts and returns the scores of the last frames; the frame CSV numbers
+  them so.  ``history`` declares how many earlier frames a temporal formula
+  needs before it scores one (an int, or a function of the config), and the
+  driver raises NeedsTemporalContext on a sequence shorter than that plus
+  one frame before any map is taken.
 
 The driver goes through the frames once.  It makes each frame's context,
 and takes that frame's maps from their series, when the frame is reached,
@@ -22,8 +25,10 @@ StereoFrames), never the context.  A map series is any iterable in frame
 order, such as the lazy series of ``iter_baseline_vam``,
 ``iter_disparity_series`` or ``media.iter_map_series``, or a list.
 
-``s`` is a float64 weight array for FR and NR alike, all ones without
-saliency.  Disparity maps arrive as float64 arrays.  The driver checks every
+``s`` is a float64 weight array for FR and NR alike.  Without saliency the
+series is one all-ones map of source ``"none"``, repeated, so it goes
+through the same checks, and the report's saliency mode is the first map's
+source.  Disparity maps arrive as float64 arrays.  The driver checks every
 map series as it goes (count, ``SaliencyMap``/``DisparityMap`` elements,
 frame shape; ``media._maps``) and rejects an all-zero saliency map, so
 formulas never re-check them.
@@ -43,7 +48,7 @@ import numpy as np
 
 from .disparity import DisparityMap
 from .errors import DegenerateSaliency, DimensionMismatch, DisparityRequired, \
-    SequenceLengthError, numeric_errors
+    NeedsTemporalContext, SequenceLengthError, numeric_errors
 from .media import _maps
 from .report import make_report
 from .saliency import SaliencyMap
@@ -70,24 +75,7 @@ def _power(base: float, cfg, field: str) -> float:
         return np.float64(base) ** exponent
 
 
-class _Contexts:
-    """The contexts a ``"sequence"`` formula walks: an iterator that makes
-    each one when it is taken, and whose len() is the number of frames."""
-
-    def __init__(self, contexts, n: int):
-        self._contexts, self._n = contexts, n
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        return next(self._contexts)
-
-    def __len__(self) -> int:
-        return self._n
-
-
-def _run(formula, orientation, needs, over, ref, dist, s_series, maps, cfg):
+def _run(formula, orientation, needs, over, history, ref, dist, s_series, maps, cfg):
     if ref is not None:
         if len(ref) != len(dist):
             raise SequenceLengthError(f"{len(ref)} vs {len(dist)} frames")
@@ -95,25 +83,26 @@ def _run(formula, orientation, needs, over, ref, dist, s_series, maps, cfg):
             raise DimensionMismatch("reference and distorted dimensions differ")
     n = len(dist)
     shape = (dist.height, dist.width)
-    mode = "none"
-    if s_series is None:
-        ones = np.ones(shape)
-        ones.flags.writeable = False  # as a map's values; a saliency pyramid keeps it
-        s = itertools.repeat(ones)
-    else:
-        def nonzero(t, m):
-            nonlocal mode
-            if t == 0:
-                mode = m.source
-            if not m.values.any():
-                raise DegenerateSaliency(f"saliency map of frame {t} is all zero")
+    mode = None
 
-        s = _maps(s_series, SaliencyMap, n, shape, "s_series", nonzero)
+    def nonzero(t, m):
+        nonlocal mode
+        if t == 0:
+            mode = m.source
+        if not m.values.any():
+            raise DegenerateSaliency(f"saliency map of frame {t} is all zero")
+
+    if s_series is None:
+        s_series = itertools.repeat(SaliencyMap(np.ones(shape), "none"), n)
+    s = _maps(s_series, SaliencyMap, n, shape, "s_series", nonzero)
     d = {slot: itertools.repeat(None) for slot in maps}
     for slot in needs:
         if maps[slot] is None:
             raise DisparityRequired(f"this metric needs disparity maps ({slot})")
         d[slot] = _maps(maps[slot], DisparityMap, n, shape, slot)
+    k = history(cfg) if callable(history) else history
+    if n < k + 1:
+        raise NeedsTemporalContext(f"needs at least {k + 1} frames")
     refs = itertools.repeat(None) if ref is None else iter(ref.frames)
     dists = iter(dist.frames)
     flags = []
@@ -131,7 +120,7 @@ def _run(formula, orientation, needs, over, ref, dist, s_series, maps, cfg):
     with numeric_errors(formula.__name__):
         frames = contexts()
         if over == "sequence":
-            scores = formula(_Contexts(frames, n), cfg)
+            scores = formula(frames, cfg)
         elif over == "frame":
             scores = [formula(c, cfg) for c in frames]
         else:
@@ -143,13 +132,13 @@ def _run(formula, orientation, needs, over, ref, dist, s_series, maps, cfg):
 
 
 def registrar(registry: dict, needs_table: dict, config_cls, reference: bool):
-    """Decorator ``(orientation, needs=(), over="view")`` that wraps a formula
-    into a metric and registers it under the formula's name; metrics that
-    need disparity also enter ``needs_table``."""
+    """Decorator ``(orientation, needs=(), over="view", history=0)`` that
+    wraps a formula into a metric and registers it under the formula's name;
+    metrics that need disparity also enter ``needs_table``."""
 
-    def decorator(orientation: str, needs=(), over: str = "view"):
+    def decorator(orientation: str, needs=(), over: str = "view", history=0):
         def register(formula):
-            spec = (formula, orientation, needs, over)
+            spec = (formula, orientation, needs, over, history)
             if reference:
                 def metric(ref, dist, *, d_ref=None, d_dist=None, s_series=None, cfg=None):
                     maps = {"d_ref": d_ref, "d_dist": d_dist}

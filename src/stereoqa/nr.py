@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NeedsTemporalContext, NoEdges, NumericError, ParamError, TooSmall
+from .errors import NoEdges, NumericError, ParamError, TooSmall
 from .kernels import Kernel2D, _check_window, convolve2d, sobel_gradient
 from .media import _check_int, _check_numbers, _check_real_fields
 from .metric import _power, registrar, view_mean
@@ -276,13 +276,12 @@ def aqi_s(luma, s, cfg):
     return float(np.std(entropies))
 
 
-@_nr("higher_better", needs=("d_dist",), over="sequence")
+@_nr("higher_better", needs=("d_dist",), over="sequence",
+     history=lambda cfg: cfg.qa3d_history)
 def qa3d_s(frames, cfg):
     """Temporal disparity consistency plus an interview edge difference;
     scored from frame `history` onward, higher better."""
     p = cfg.qa3d_history
-    if len(frames) < p + 1:
-        raise NeedsTemporalContext(f"needs at least {p + 1} frames")
     history = collections.deque(maxlen=p)  # d_index of the last p frames
     scores = []
     for c in frames:  # no plane outlives its frame

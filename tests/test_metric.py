@@ -7,7 +7,8 @@ import pytest
 
 from stereoqa.disparity import DisparityMap
 from stereoqa.errors import (DegenerateSaliency, DimensionMismatch, DisparityRequired,
-                             NumericError, ParamError, SequenceLengthError)
+                             NeedsTemporalContext, NumericError, ParamError,
+                             SequenceLengthError)
 from stereoqa.fr import FR_METRICS, FR_NEEDS_DISPARITY, FrMetricConfig
 from stereoqa.metric import registrar
 from stereoqa.nr import NR_METRICS, NR_NEEDS_DISPARITY, NrMetricConfig
@@ -58,6 +59,32 @@ def test_non_finite_frame_score_raises(bad):
     seq = make_seq(71, frames=2, size=16)
     with pytest.raises(NumericError):
         broken(seq, seq)
+
+
+@pytest.mark.parametrize("history", [2, lambda cfg: cfg.qa3d_history], ids=["int", "config"])
+def test_driver_checks_the_declared_history(history):
+    registry, needs, taken = {}, {}, []
+
+    @registrar(registry, needs, NrMetricConfig, reference=False)(
+        "higher_better", over="sequence", history=history)
+    def probe(frames, cfg):
+        return [0.5 for _ in frames][2:]
+
+    def s_series(seq):
+        for m in uniform_series(seq):
+            taken.append(m)
+            yield m
+
+    cfg = NrMetricConfig(qa3d_history=2)
+    short = make_seq(71, frames=2, size=16)
+    with pytest.raises(NeedsTemporalContext, match=r"^needs at least 3 frames$"):
+        probe(short, s_series=s_series(short), cfg=cfg)
+    assert taken == []  # raised before the first map was asked for
+    seq = make_seq(71, frames=3, size=16)
+    report = probe(seq, s_series=s_series(seq), cfg=cfg)
+    assert report.first_frame == 2
+    assert report.frame_scores == [0.5]
+    assert len(taken) == 3
 
 
 @pytest.mark.parametrize("reference", [True, False], ids=["fr", "nr"])

@@ -158,10 +158,8 @@ def test_driver_holds_one_context_at_a_time(over):
     @registrar(registry, needs, FrMetricConfig, reference=True)("higher_better", over=over)
     def probe(*args):
         if over == "sequence":
-            frames = args[0]
-            assert len(frames) == 5
             scores = []
-            for _ in frames:
+            for _ in args[0]:
                 count()
                 scores.append(0.5)
             return scores

@@ -10,9 +10,10 @@ seeded 480x270 yuv420p8 reference pair and a noisy copy of it into a
 temporary directory, through the package's own ``distort.apply`` and
 ``save_sequence``.  On that pair it runs, each in a fresh ``python -m
 stereoqa.cli`` process: ``score-fr --metric M --saliency baseline`` for each
-metric M (default ``ssim_s``; disparity is estimated), ``disparity``,
-``saliency --disparity estimate`` and ``distort`` with a list spec (awgn,
-then gaussian_blur) of the reference.  It prints one line per
+metric M (default ``ssim_s``; disparity is estimated), ``score-nr --metric
+qa3d_s --saliency baseline`` with ``qa3d_history`` 1 on the distorted
+sequence, ``disparity``, ``saliency --disparity estimate`` and ``distort``
+with a list spec (awgn, then gaussian_blur) of the reference.  It prints one line per
 command: its name, N and that process's peak resident memory in MB
 (``ru_maxrss`` from ``wait4``).  With ``--max-growth R`` it exits 1 when, for
 any command, the peak of the last count is above R times the peak of the
@@ -32,6 +33,7 @@ import numpy as np
 WIDTH, HEIGHT = 480, 270
 DISPARITY = 4  # pixels between the views
 SPEC = [{"kind": "awgn", "params": {"variance": 0.001}, "seed": 3}, {"kind": "gaussian_blur"}]
+QA3D_CONFIG = {"qa3d_history": 1}  # scores every frame after the first
 
 
 def write_pair(out_dir, frames, seed=0):
@@ -40,7 +42,8 @@ def write_pair(out_dir, frames, seed=0):
     texture that moves one row per frame, seen DISPARITY pixels apart by the
     two views, with chroma that follows the luma; the distorted copy adds
     Gaussian noise of sigma 6 to the luma.  Also write ``spec.json``, the
-    list spec the ``distort`` command is measured with."""
+    list spec the ``distort`` command is measured with, and ``qa3d.json``,
+    the config of the ``qa3d_s`` command."""
     from stereoqa.distort import DistortionSpec, apply
     from stereoqa.media import Frame, StereoFrame, StereoSequence, save_sequence
 
@@ -61,8 +64,9 @@ def write_pair(out_dir, frames, seed=0):
         streams = (os.path.join(out_dir, f"{name}-{v}.raw") for v in ("left", "right"))
         save_sequence(seq, *streams, format="yuv420p8").to_json(
             os.path.join(out_dir, f"{name}.json"))
-    with open(os.path.join(out_dir, "spec.json"), "w") as fh:
-        json.dump(SPEC, fh)
+    for name, value in (("spec", SPEC), ("qa3d", QA3D_CONFIG)):
+        with open(os.path.join(out_dir, f"{name}.json"), "w") as fh:
+            json.dump(value, fh)
 
 
 def _commands(d, metrics):
@@ -72,6 +76,9 @@ def _commands(d, metrics):
     commands = {metric: ["score-fr", "--metric", metric, "--ref", ref, "--dist", dist,
                          "--saliency", "baseline", "--out", os.path.join(d, f"{metric}.json")]
                 for metric in metrics}
+    commands["qa3d_s"] = ["score-nr", "--metric", "qa3d_s", "--dist", dist,
+                          "--saliency", "baseline", "--config", os.path.join(d, "qa3d.json"),
+                          "--out", os.path.join(d, "qa3d_s.json")]
     commands["disparity"] = ["disparity", "--in", ref, "--out", os.path.join(d, "disparity")]
     commands["saliency"] = ["saliency", "--in", ref, "--disparity", "estimate",
                             "--out", os.path.join(d, "saliency")]
