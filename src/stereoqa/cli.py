@@ -19,7 +19,8 @@ import numpy as np
 from . import __version__
 from .disparity import DisparityConfig, DisparityMap, iter_disparity_series
 from .distort import DistortionSpec, apply
-from .errors import MalformedJson, ParamError, StereoQaError, prefixed_errors
+from .errors import DimensionMismatch, MalformedJson, ParamError, SequenceLengthError, \
+    StereoQaError, prefixed_errors
 from .fr import FR_METRICS, FR_NEEDS_DISPARITY, FrMetricConfig
 from .media import SequenceDescriptor, StereoSequence, _fits, _Frames, _undone_on_failure, \
     decode, iter_map_series, load_sequence, read_json, save_map_series, save_sequence, \
@@ -95,7 +96,8 @@ def _resolve_disparity(source: str, seq):
 
 
 class _SourceError(Exception):
-    """A StereoQaError of a map source, carried past the --config prefix."""
+    """A StereoQaError that no config value causes, carried past the --config
+    prefix."""
 
 
 def _primed(maps):
@@ -120,10 +122,14 @@ def _primed(maps):
 @contextlib.contextmanager
 def _config_errors(path):
     """``prefixed_errors(path)`` for the block, except that a map source's
-    error (_SourceError, see _primed) leaves as the source raised it."""
+    error (_SourceError, see _primed) and that of inputs that disagree,
+    which no config value causes, leave as they were raised."""
     try:
         with prefixed_errors(path):  # None without --config
-            yield
+            try:
+                yield
+            except (SequenceLengthError, DimensionMismatch) as exc:
+                raise _SourceError(exc) from None
     except _SourceError as exc:
         raise exc.args[0] from None
 
@@ -254,9 +260,10 @@ def _cmd_evaluate(args) -> int:
     for (metric, mode), scores in sorted(groups.items()):
         idx = [item_pos[item] for item in scores]
         objective = np.array(list(scores.values()))
-        perf = performance(objective, mos_table.mos[idx],
-                           per_item_std=mos_table.std[idx],
-                           use_logistic=args.logistic)
+        with prefixed_errors(f"{metric} (saliency {mode})"):
+            perf = performance(objective, mos_table.mos[idx],
+                               per_item_std=mos_table.std[idx],
+                               use_logistic=args.logistic)
         for flag in perf.flags:
             sys.stderr.write(f"{metric} (saliency {mode}): {flag}\n")
         rows.append((metric, mode, args.label, perf))

@@ -3,10 +3,10 @@
 Metrics pool local values with weighted_spatial_mean; the VIF terms of
 ``vif_s`` and ``hv3d_s`` weight their numerator and denominator sums with the
 saliency pyramid instead.  Either way a constant saliency series reproduces
-the base (unweighted) metric.  Views are averaged by ``metric.view_mean``
-(``ddl1_s`` adds them).  Saliency for FR scoring comes from the reference
-pair; temporal pooling is the plain mean over frames.  Each metric is a
-formula run by the driver in ``metric``.
+the base (unweighted) metric.  ``metric.view_mean`` averages the views
+(``ddl1_s`` doubles each, so it adds them).  Saliency for FR scoring comes
+from the reference pair; temporal pooling is the plain mean over frames.
+Each metric is a formula run by the driver in ``metric``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .kernels import (
     sobel_gradient,
 )
 from .media import StereoFrame, _check_int, _check_numbers, _check_real_fields
-from .metric import _power, registrar, view_frames_mean, view_mean
+from .metric import _power, registrar, view_mean
 from .saliency import build_saliency_pyramid, weighted_spatial_mean
 
 MSSSIM_EXPONENTS = (0.0448, 0.2856, 0.3001, 0.2363, 0.1333)
@@ -154,7 +154,7 @@ def _ssim_map(x, y, cfg: FrMetricConfig) -> np.ndarray:
     return _ssim(_raw_moments(x, y, _ssim_mean(cfg, x.shape)), cfg)
 
 
-# hv3d_s/flosim3d_s amplify reordered round-off past 1e-12; ROADMAP item 2 deletes this
+# hv3d_s/flosim3d_s amplify reordered round-off past 1e-12; their re-record deletes this
 def _smooth_2d(image: np.ndarray, size: int, sigma: float, what: str = "sigma") -> np.ndarray:
     return convolve2d(image, gaussian_kernel(size, sigma, what))
 
@@ -166,16 +166,16 @@ def _psnr_from_mse(mse: float, cap: float) -> float:
 
 
 @_fr("higher_better")
-def psnr_s(x, y, s, cfg):
+def psnr_s(x, y, c, cfg):
     """PSNR over saliency-weighted MSE, averaged over views."""
     err = x - y
-    return _psnr_from_mse(weighted_spatial_mean(err * err, s), cfg.psnr_cap)
+    return _psnr_from_mse(weighted_spatial_mean(err * err, c.s), cfg.psnr_cap)
 
 
 @_fr("higher_better")
-def ssim_s(x, y, s, cfg):
+def ssim_s(x, y, c, cfg):
     """Saliency-pooled local SSIM, averaged over views."""
-    return weighted_spatial_mean(_ssim_map(x, y, cfg), s)
+    return weighted_spatial_mean(_ssim_map(x, y, cfg), c.s)
 
 
 def _msssim_scale(x, y, s, cfg: FrMetricConfig, smooth, weight: float,
@@ -225,10 +225,10 @@ def _msssim_frame(x: np.ndarray, y: np.ndarray, s: np.ndarray,
     return float(score)
 
 
-@_fr("higher_better", over="frame")
-def msssim_s(c, cfg):
+@_fr("higher_better")
+def msssim_s(x, y, c, cfg):
     """Multi-scale SSIM with per-scale saliency pyramids, averaged over views."""
-    return view_mean(lambda x, y: _msssim_frame(x, y, c.s, cfg, c.flags), c.ref, c.dist)
+    return _msssim_frame(x, y, c.s, cfg, c.flags)
 
 
 def _vif_scale(x, y, w, mean, sigma_n_sq: float) -> tuple[float, float]:
@@ -277,14 +277,14 @@ def _vif_frame(x: np.ndarray, y: np.ndarray, s: np.ndarray,
 
 
 @_fr("higher_better")
-def vif_s(x, y, s, cfg):
+def vif_s(x, y, c, cfg):
     """Pixel-domain visual information fidelity over 4 scales, view-averaged."""
-    return _vif_frame(x, y, s, cfg)
+    return _vif_frame(x, y, c.s, cfg)
 
 
-@_fr("higher_better", needs=("d_ref", "d_dist"), over="frame")
-def ddl1_s(c, cfg):
-    """SSIM damped by disparity differences; per-frame value is left + right.
+@_fr("higher_better", needs=("d_ref", "d_dist"))
+def ddl1_s(x, y, c, cfg):
+    """SSIM damped by disparity differences, doubled: the frame value is left + right.
 
     The disparity factor is clamp01(1 - sqrt(|D^2 - D'^2|) / 255); the absolute
     value keeps the radicand real when the distorted disparity is larger.
@@ -294,8 +294,8 @@ def ddl1_s(c, cfg):
     def damped(ssim_map, dr, dd):
         return (ssim_map * np.clip(1.0 - np.sqrt(np.abs(dr * dr - dd * dd)) / 255.0, 0.0, 1.0),)
 
-    return 2.0 * view_mean(lambda x, y: weighted_spatial_mean(
-        _by_blocks(damped, _ssim_map(x, y, cfg), c.d_ref, c.d_dist)[0], c.s), c.ref, c.dist)
+    return 2.0 * weighted_spatial_mean(
+        _by_blocks(damped, _ssim_map(x, y, cfg), c.d_ref, c.d_dist)[0], c.s)
 
 
 @_fr("composite", needs=("d_ref", "d_dist"), over="frame")
@@ -306,7 +306,7 @@ def oq_s(c, cfg):
     the published combination constants are unavailable.  IQ is clamped at
     0, as hv3d_s clamps its SSIM term, so a fractional ``oq_d`` stays real.
     """
-    iq = view_mean(lambda x, y: weighted_spatial_mean(_ssim_map(x, y, cfg), c.s),
+    iq = view_mean(lambda x, y: weighted_spatial_mean(_ssim_map(x.luma, y.luma, cfg), c.s),
                    c.ref, c.dist)
     dq = weighted_spatial_mean(np.abs(c.d_ref - c.d_dist), c.s)
     iq_d = _power(max(iq, 0.0), cfg, "oq_d")
@@ -483,7 +483,7 @@ def flosim3d_s(frames, cfg):
             return (1.0 - _msssim_frame(ref_t.luma, dist_t.luma, c.s, cfg, c.flags,
                                         _smooth_2d)) * q_fl
 
-        flow_scores.append(view_frames_mean(flow, c.ref, c.dist, *prev))
+        flow_scores.append(view_mean(flow, c.ref, c.dist, *prev))
         # the shared map serves both view depths
         depth_scores.append(1.0 - _msssim_frame(
             *(disparity_to_depth(d) * 255.0 for d in (c.d_ref, c.d_dist)), c.s, cfg, c.flags,

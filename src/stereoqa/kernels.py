@@ -5,7 +5,7 @@ boundary behavior.  DCTs are orthonormal (type II) so Parseval holds exactly.
 Every filter is a same-size convolution run by _by_rows: a frame of
 _SPLIT_PIXELS pixels or more is cut into row strips over the CPUs the process
 may use, a smaller one is one strip on the calling thread, and either way the
-result is bit-identical to one whole scipy.ndimage call.  ROADMAP item 3
+result is bit-identical to one whole scipy.ndimage call.  The NR re-record
 replaces nr._box_mean, every NR box and line mean, with exact box sums.
 
 This is the one module that imports scipy, and it imports only the root

@@ -5,11 +5,12 @@ slots it needs, what one call scores (``over``) and the earlier frames it
 needs (``history``).  The driver owns the default config, validation, the
 frame and view loops, the saliency mode, flags and the report.
 
-- ``"view"``: ``formula(x, y, s, cfg)`` (FR) or ``formula(luma, s, cfg)``
-  (NR) scores one view; the frame score is ``view_mean`` of it.
-- ``"frame"``: ``formula(c, cfg)`` scores one stereo frame from its context:
-  ``ref``/``dist`` (StereoFrame; ``ref`` is None for NR), ``s``, ``d_ref``,
-  ``d_dist`` and the ``flags`` list that every context shares.
+- ``"view"``: ``formula(x, y, c, cfg)`` (FR) or ``formula(luma, c, cfg)``
+  (NR) scores one view's lumas; the frame score is ``view_mean`` of it.
+- ``"frame"``: ``formula(c, cfg)`` scores one stereo frame.  Both read the
+  frame's context ``c``: ``ref``/``dist`` (StereoFrame; ``ref`` is None for
+  NR), ``s``, ``d_ref``, ``d_dist`` and the ``flags`` list that every
+  context shares.
 - ``"sequence"``: ``formula(frames, cfg)`` gets an iterator over the
   contexts and returns the scores of the last frames; the frame CSV numbers
   them so.  ``history`` declares how many earlier frames a temporal formula
@@ -33,9 +34,9 @@ map series as it goes (count, ``SaliencyMap``/``DisparityMap`` elements,
 frame shape; ``media._maps``) and rejects an all-zero saliency map, so
 formulas never re-check them.
 
-``view_mean`` owns the view rule, frame score = ``0.5 * (left + right)``;
-``"frame"`` and ``"sequence"`` formulas that score views call it, or
-``view_frames_mean``, too, and score each view from that view alone.
+``view_mean`` owns the view rule, frame score = ``0.5 * (left + right)``,
+``f`` given one view's Frames; ``oq_s`` and ``flosim3d_s``, whose frame
+scores are more than a mean of views, call it too.
 """
 
 from __future__ import annotations
@@ -55,15 +56,9 @@ from .saliency import SaliencyMap
 
 
 def view_mean(f, *frames) -> float:
-    """``0.5 * (f(*left lumas) + f(*right lumas))`` of the stereo frames
-    ``frames``."""
-    return view_frames_mean(lambda *views: f(*(v.luma for v in views)), *frames)
-
-
-def view_frames_mean(f, *frames) -> float:
-    """``view_mean`` with ``f`` given one view's Frame of each stereo frame,
-    for a formula that reads its lumas itself, to decide how long each
-    float64 plane lives (``flosim3d_s``)."""
+    """The view rule: ``0.5 * (f(*left views) + f(*right views))``, ``f``
+    given one view's Frame of each stereo frame ``frames``; ``f`` reads the
+    lumas itself, so it decides how long each float64 plane lives."""
     return 0.5 * (f(*(q.left for q in frames)) + f(*(q.right for q in frames)))
 
 
@@ -124,7 +119,7 @@ def _run(formula, orientation, needs, over, history, ref, dist, s_series, maps, 
         elif over == "frame":
             scores = [formula(c, cfg) for c in frames]
         else:
-            scores = [view_mean(lambda *lumas: formula(*lumas, c.s, cfg),
+            scores = [view_mean(lambda *views: formula(*(v.luma for v in views), c, cfg),
                                 *([c.dist] if c.ref is None else [c.ref, c.dist]))
                       for c in frames]
         return make_report(formula.__name__, scores, orientation, mode, cfg,

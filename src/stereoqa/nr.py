@@ -1,8 +1,8 @@
 """No-reference metrics over the distorted sequence alone.
 
 Saliency here comes from the distorted pair (no reference exists).  The
-metrics average the two views per frame with ``metric.view_mean`` (``nospdm_s``
-weights them, ``qa3d_s`` compares them) and pool frames by the plain mean;
+driver averages each frame's two views with ``metric.view_mean`` (``nospdm_s``
+weights them, ``qa3d_s`` compares them) and pools frames by the plain mean;
 orientation is recorded per metric because sign conventions differ.  Every
 pixel-pair table (differences, pair-mean weights, zero crossings) is built
 from ``_pairs``.
@@ -18,7 +18,7 @@ import numpy as np
 from .errors import NoEdges, NumericError, ParamError, TooSmall
 from .kernels import Kernel2D, _check_window, convolve2d, sobel_gradient
 from .media import _check_int, _check_numbers, _check_real_fields
-from .metric import _power, registrar, view_mean
+from .metric import _power, registrar
 from .saliency import weighted_spatial_mean
 
 
@@ -97,7 +97,7 @@ def _boundary_pairs(shape, g, grid="gbim_grid"):
 
 
 @_nr("lower_better")
-def gbim_s(luma, s, cfg):
+def gbim_s(luma, c, cfg):
     """Block-edge impairment: 8-grid boundary differences over the frame's
     average inter-pixel difference.  Lower is better."""
     at = _boundary_pairs(luma.shape, cfg.gbim_grid)
@@ -112,13 +112,13 @@ def gbim_s(luma, s, cfg):
     total = 0.0
     for axis, d in diffs.items():
         w = 0.5 * np.add(*_pairs(mask, axis))
-        sw = 0.5 * np.add(*_pairs(s, axis))
+        sw = 0.5 * np.add(*_pairs(c.s, axis))
         total += weighted_spatial_mean(w[at[axis]] * d[at[axis]], sw[at[axis]])
     return total / (2.0 * e)
 
 
 @_nr("lower_better")
-def nrpbm_s(luma, s, cfg):
+def nrpbm_s(luma, c, cfg):
     """Perceptual blur via the re-blur probe; higher means blurrier
     (lower is better).  A flat frame scores 0.0, and so does a frame whose
     saliency weights no luma difference (the driver has already rejected an
@@ -131,7 +131,7 @@ def nrpbm_s(luma, s, cfg):
         df = np.abs(np.subtract(*_pairs(luma, axis)))
         db = np.abs(np.subtract(*_pairs(blurred, axis)))
         dv = np.maximum(df - db, 0.0)
-        sw = 0.5 * np.add(*_pairs(s, axis))
+        sw = 0.5 * np.add(*_pairs(c.s, axis))
         denom = (df * sw).sum()
         ratios.append((dv * sw).sum() / denom if denom > 0 else None)
     if all(r is None for r in ratios):
@@ -174,16 +174,16 @@ def _edge_widths(luma: np.ndarray, threshold_frac: float):
 
 
 @_nr("lower_better")
-def blur_farias_s(luma, s, cfg):
+def blur_farias_s(luma, c, cfg):
     """Mean edge width at Sobel edge pixels; lower (sharper) is better."""
     ys, xs, widths = _edge_widths(luma, cfg.farias_edge_threshold)
     if widths.size == 0:
         raise NoEdges("no edge pixels in a view")
-    return weighted_spatial_mean(widths, s[ys, xs])
+    return weighted_spatial_mean(widths, c.s[ys, xs])
 
 
 @_nr("lower_better")
-def block_farias_s(luma, s, cfg):
+def block_farias_s(luma, c, cfg):
     """Ratio of 8-grid boundary differences to all differences, scaled by
     1/(H*W); lower is better.  An axis with no weighted luma difference adds
     0.0, so a flat frame, or one whose saliency weights no luma difference,
@@ -192,7 +192,7 @@ def block_farias_s(luma, s, cfg):
     total = 0.0
     for axis in (1, 0):
         d = np.abs(np.subtract(*_pairs(luma, axis)))
-        sw = 0.5 * np.add(*_pairs(s, axis))
+        sw = 0.5 * np.add(*_pairs(c.s, axis))
         den = (d * sw).sum()
         if den > 0:
             total += (d[at[axis]] * sw[at[axis]]).sum() / den
@@ -207,7 +207,7 @@ def _region_reduce(ufunc, image: np.ndarray, r: int) -> np.ndarray:
 
 
 @_nr("higher_better")
-def sadaka_s(luma, s, cfg):
+def sadaka_s(luma, c, cfg):
     """Foveal just-noticeable-blur sharpness; higher (sharper) is better."""
     ys, xs, widths = _edge_widths(luma, cfg.farias_edge_threshold)
     if widths.size == 0:
@@ -224,7 +224,7 @@ def sadaka_s(luma, s, cfg):
         # a region without edge pixels has d_r = 0 and adds nothing
         d_r = np.bincount(region, np.abs(widths / w_jnb[region]) ** beta,
                           contrast.size) ** (1.0 / beta)
-        weight = (_region_reduce(np.add, s, r) / s.sum()) ** beta
+        weight = (_region_reduce(np.add, c.s, r) / c.s.sum()) ** beta
         total = (d_r * weight).sum()
         score = total ** (-1.0 / beta)
     if total <= 0.0:
@@ -235,20 +235,16 @@ def sadaka_s(luma, s, cfg):
     return score
 
 
-@_nr("higher_better", over="frame")
-def vqsm_s(c, cfg):
+@_nr("higher_better")
+def vqsm_s(luma, c, cfg):
     """Sharpness (gradient magnitude) and smoothness (local std) combined by
     the configured polynomial; the neutral defaults give sharpness minus
     smoothness, higher better."""
     a1, a2, a3, a4, a5 = cfg.vqsm_alphas
     s_bar = _box_mean(c.s, (5, 5))
-
-    def view(luma):
-        q_sh = weighted_spatial_mean(sobel_gradient(luma)["magnitude"], c.s)
-        q_sm = weighted_spatial_mean(_local_std(luma, 5), s_bar)
-        return a1 * q_sh**2 + a2 * q_sh + a3 * q_sm**2 + a4 * q_sm + a5
-
-    return view_mean(view, c.dist)
+    q_sh = weighted_spatial_mean(sobel_gradient(luma)["magnitude"], c.s)
+    q_sm = weighted_spatial_mean(_local_std(luma, 5), s_bar)
+    return a1 * q_sh**2 + a2 * q_sh + a3 * q_sm**2 + a4 * q_sm + a5
 
 
 _AQI_STEPS = {0: (0, 1), 45: (-1, 1), 90: (1, 0), 135: (1, 1)}
@@ -263,14 +259,14 @@ def _aqi_kernel(direction: int) -> Kernel2D:
 
 
 @_nr("higher_better")
-def aqi_s(luma, s, cfg):
+def aqi_s(luma, c, cfg):
     """Spread of directional entropies (saliency-weighted histograms);
     higher anisotropy means less degradation."""
     entropies = []
     for direction in cfg.aqi_directions:
         filtered = convolve2d(luma, _aqi_kernel(direction))
         hist, _ = np.histogram(filtered, bins=cfg.aqi_bins, range=(0.0, 255.0),
-                               weights=s)
+                               weights=c.s)
         p = hist[hist > 0] / hist.sum()
         entropies.append(float(-(p * np.log(p)).sum()))
     return float(np.std(entropies))

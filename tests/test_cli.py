@@ -235,6 +235,22 @@ def test_default_window_error_names_its_field(tmp_path, capsys, metric):
     assert err == f"error: {cfg}: ssim_window 11 is wider than the (8, 40) frame\n", err
 
 
+@pytest.mark.parametrize("other,line", [
+    (make_seq(102, frames=3, size=64), "error: 2 vs 3 frames\n"),
+    (make_seq(102, frames=2, size=32), "error: reference and distorted dimensions differ\n"),
+], ids=["frames", "size"])
+def test_inputs_that_disagree_are_not_blamed_on_the_config(desc_path, tmp_path, capsys,
+                                                           other, line):
+    dist = _write_fixture(tmp_path, "other", other)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"psnr_cap": 60.0}))
+    argv = ["score-fr", "--metric", "ssim_s", "--ref", desc_path, "--dist", dist,
+            "--out", str(tmp_path / "r.json")]
+    for extra in ([], ["--config", str(cfg)]):
+        assert main([*argv, *extra]) == 1
+        assert capsys.readouterr().err == line
+
+
 def test_score_line_length_is_bounded(desc_path, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"oq_a": 1e308}))
@@ -659,6 +675,17 @@ def test_evaluate_reports_unconverged_fit(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == ""
     with open(argv[-1]) as fh:
         assert fh.read() != table  # the flag is on stderr only, the fit differs
+
+
+def test_evaluate_names_the_group_that_fails(tmp_path, capsys):
+    argv = _study(tmp_path, {"a": (80, 81), "b": (60, 62), "c": (40, 41), "d": (20, 24)})
+    for item in "abcd":  # a second group, of one constant score
+        path = tmp_path / f"flat_{item}.json"
+        path.write_text(json.dumps({"metric": "ssim_s", "saliency_mode": "none", "score": 1.0}))
+        argv.insert(-2, f"{item}={path}")
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.endswith("error: ssim_s (saliency none): zero variance in a series\n"), err
 
 
 @pytest.mark.parametrize("fmt", ["gray8", "yuv420p8"])

@@ -108,14 +108,14 @@ def test_flosim_flags_a_zero_depth_term():
 
 def test_flosim_scores_each_view_with_its_own_flow_term(monkeypatch):
     """Each view's flow term goes with that view's MS-SSIM term, so the
-    report stays the same when view_frames_mean scores the right view first."""
+    report stays the same when view_mean scores the right view first."""
     ref = make_seq(5, frames=3, size=64, block=8)
     dist = apply(ref, DistortionSpec(kind="awgn", params={"variance": 0.01}, seed=1))
     maps = {"d_ref": list(iter_disparity_series(ref)), "d_dist": list(iter_disparity_series(dist))}
     want = dataclasses.asdict(fr.flosim3d_s(ref, dist, **maps))
     assert want["score"] > 0.0
-    view_frames_mean = fr.view_frames_mean
-    monkeypatch.setattr(fr, "view_frames_mean", lambda f, *frames: view_frames_mean(
+    view_mean = fr.view_mean
+    monkeypatch.setattr(fr, "view_mean", lambda f, *frames: view_mean(
         f, *(StereoFrame(q.right, q.left) for q in frames)))
     assert dataclasses.asdict(fr.flosim3d_s(ref, dist, **maps)) == want
 

@@ -94,7 +94,7 @@ def test_formula_gets_ones_without_saliency(reference):
 
     @registrar(registry, needs, config_cls, reference=reference)("higher_better")
     def probe(*args):
-        seen.append(args[-2])
+        seen.append(args[-2].s)  # at call time: the driver clears the context after its frame
         return 0.5
 
     seq = make_seq(71, frames=2, size=16)
@@ -103,6 +103,24 @@ def test_formula_gets_ones_without_saliency(reference):
     for s in seen:
         assert isinstance(s, np.ndarray) and s.dtype == np.float64
         assert s.shape == (16, 16) and np.all(s == 1.0)
+
+
+def test_view_formula_gets_its_frame_context():
+    registry, needs, seen = {}, {}, []
+
+    @registrar(registry, needs, FrMetricConfig, reference=True)(
+        "higher_better", needs=("d_ref", "d_dist"))
+    def probe(x, y, c, cfg):
+        seen.append((c.s[0, 0], c.d_ref[0, 0], c.d_dist[0, 0]))
+        c.flags.append("probed")
+        return 0.5
+
+    seq = make_seq(71, frames=2, size=16)
+    report = probe(seq, seq, s_series=[SaliencyMap(np.full((16, 16), 1.0 + t)) for t in range(2)],
+                   d_ref=[DisparityMap(np.full((16, 16), 10.0 + t)) for t in range(2)],
+                   d_dist=[DisparityMap(np.full((16, 16), 20.0 + t)) for t in range(2)])
+    assert seen == [(1.0, 10.0, 20.0)] * 2 + [(2.0, 11.0, 21.0)] * 2  # two views a frame
+    assert report.flags == ["probed"]
 
 
 @pytest.mark.parametrize("module,name", REGISTRY, ids=[n for _, n in REGISTRY])

@@ -17,11 +17,12 @@ The command set: ``info``; ``distort`` with each kind and a list spec;
 ``disparity``; ``saliency`` with no, estimated and ``dir:`` disparity, plus
 config cases; every metric under no, baseline and ``dir:`` saliency with
 frame CSVs, and one ``--config`` case each; ``evaluate`` as csv and json,
-with and without ``--logistic``.  It runs at five awkward two-frame sizes,
-in each pixel format; at one 12-frame size, on which ``flosim3d_s`` and
-``qa3d_s`` score several frames, also against the left-blurred item; and at
-one single-frame size, on which ``info`` flags the undefined TI and the
-temporal metrics exit 1.
+with and without ``--logistic``, and once with a group of constant scores;
+and, with and without ``--config``, pairs whose frame counts or sizes
+differ.  It runs at five awkward two-frame sizes, in each pixel format; at
+one 12-frame size, on which ``flosim3d_s`` and ``qa3d_s`` score several
+frames, also against the left-blurred item; and at one single-frame size,
+on which ``info`` flags the undefined TI and the temporal metrics exit 1.
 """
 
 import contextlib
@@ -195,6 +196,12 @@ def _commands():
             for i, (metric, cfg) in enumerate(EDGE_CONFIGS):
                 path = _write_json(f"a/config/edge{i}.json", cfg)
                 yield score(metric, ref, f"a/score/{metric}.edge{i}", "--config", path)
+            # inputs that disagree, whose error never names the config
+            for name, (h, w, n) in {"three": (64, 64, 3), "narrow": (64, 48, 2)}.items():
+                desc = _write_sequence(f"a/{name}", 90, h, w, fmt, n)
+                yield score("ssim_s", desc, f"a/score/ssim_s.{name}")
+                yield score("ssim_s", desc, f"a/score/ssim_s.{name}.config",
+                            "--config", "a/config/ssim_s.json")
             for name, desc in items.items():
                 if name != "list":
                     for metric in FR_METRICS + NR_METRICS:
@@ -211,6 +218,10 @@ def _commands():
                     out = f"a/eval/perf{'-logistic' if logistic else ''}.{fmt}"
                     yield ["evaluate", "--scores", mos, "--objective", *objective,
                            "--format", fmt, *logistic, "--out", out]
+            flat = [f"{name}=" + _write_json(f"a/eval/flat/{name}.json", {
+                "metric": "flat_s", "saliency_mode": "none", "score": 1.0}) for name in items]
+            yield ["evaluate", "--scores", mos, "--objective", *objective, *flat,
+                   "--out", "a/eval/perf-flat.csv"]
 
 
 def _relative(text, src, out):
