@@ -19,8 +19,8 @@ import numpy as np
 from . import __version__
 from .disparity import DisparityConfig, DisparityMap, iter_disparity_series
 from .distort import DistortionSpec, apply
-from .errors import DimensionMismatch, MalformedJson, ParamError, SequenceLengthError, \
-    StereoQaError, prefixed_errors
+from .errors import DescriptorMismatch, DimensionMismatch, MalformedJson, ParamError, \
+    SequenceLengthError, StereoQaError, UndefinedCorrelation, prefixed_errors
 from .fr import FR_METRICS, FR_NEEDS_DISPARITY, FrMetricConfig
 from .media import SequenceDescriptor, StereoSequence, _fits, _Frames, _undone_on_failure, \
     decode, iter_map_series, load_sequence, read_json, save_map_series, save_sequence, \
@@ -71,6 +71,19 @@ def _write_manifest(out_path: str, args: argparse.Namespace, outputs) -> None:
     })
 
 
+def _save_outputs(args: argparse.Namespace, saves) -> None:
+    """``save(path)`` for each (path, save) of ``saves``, then the manifest of
+    the first path, each file listed before it is written: if one fails, every
+    listed file is removed (``media._undone_on_failure``), so none is left."""
+    written = []
+    with _undone_on_failure(written):
+        for path, save in saves:
+            written.append(path)
+            save(path)
+        written.append(saves[0][0] + ".manifest.json")
+        _write_manifest(saves[0][0], args, [path for path, _ in saves])
+
+
 # Map sources are iterators that make or read a frame's map when it is taken;
 # a dir: source looks for every file first.
 def _resolve_saliency(mode: str, seq):
@@ -100,35 +113,27 @@ class _SourceError(Exception):
     prefix."""
 
 
-def _primed(maps):
+def _source(maps):
     """A map source for what runs under the config (the metric driver, the
-    VAM): its first map is made here, before any frame is scored, and a
-    StereoQaError of a later map leaves as _SourceError; so a map's error
-    comes as it did when every map was made first, and never with the
-    config's prefix (_config_errors)."""
-    maps = iter(maps)
-    first = [next(maps)]
-
-    def primed():
-        yield first.pop()  # and holds it no longer
-        try:
-            yield from maps
-        except StereoQaError as exc:
-            raise _SourceError(exc) from None
-
-    return primed()
+    VAM): each map is made when its frame is reached, and a StereoQaError it
+    raises leaves as _SourceError, so never with the config's prefix
+    (_config_errors)."""
+    try:
+        yield from maps
+    except StereoQaError as exc:
+        raise _SourceError(exc) from None
 
 
 @contextlib.contextmanager
 def _config_errors(path):
     """``prefixed_errors(path)`` for the block, except that a map source's
-    error (_SourceError, see _primed) and that of inputs that disagree,
-    which no config value causes, leave as they were raised."""
+    error (_SourceError, see _source) and an input's (inputs that disagree, a
+    frame too small or cut short), which no config value causes, leave as raised."""
     try:
         with prefixed_errors(path):  # None without --config
             try:
                 yield
-            except (SequenceLengthError, DimensionMismatch) as exc:
+            except (SequenceLengthError, DimensionMismatch, DescriptorMismatch) as exc:
                 raise _SourceError(exc) from None
     except _SourceError as exc:
         raise exc.args[0] from None
@@ -158,18 +163,16 @@ def _cmd_score(args) -> int:
     # saliency comes from the first sequence: the reference for FR
     s_series = _resolve_saliency(args.saliency, seqs[0])
     if s_series is not None:
-        s_series = _primed(s_series)
-    disparity = {slot: _primed(_resolve_disparity(sources[slot],
+        s_series = _source(s_series)
+    disparity = {slot: _source(_resolve_disparity(sources[slot],
                                                   seqs[0] if slot == "d_ref" else seqs[-1]))
                  for slot in needs.get(metric, ())}
     with _config_errors(args.config):
         report = metrics[metric](*seqs, s_series=s_series, cfg=cfg, **disparity)
-    report.save_json(args.out)
-    outputs = [args.out]
+    saves = [(args.out, report.save_json)]
     if args.frame_csv:
-        report.save_frame_csv(args.frame_csv)
-        outputs.append(args.frame_csv)
-    _write_manifest(args.out, args, outputs)
+        saves.append((args.frame_csv, report.save_frame_csv))
+    _save_outputs(args, saves)
     sys.stderr.write(f"{metric}: {report.score:.6g} ({report.orientation})\n")
     return 0
 
@@ -179,7 +182,7 @@ def _cmd_saliency(args) -> int:
     cfg = _load_config(args.config, VamConfig)
     d_series = None
     if args.disparity != "none":
-        d_series = _primed(_resolve_disparity(args.disparity, seq))
+        d_series = _source(_resolve_disparity(args.disparity, seq))
     with _config_errors(args.config):
         paths = save_map_series((m.values for m in iter_baseline_vam(seq, d_series, cfg)),
                                 args.out)
@@ -197,11 +200,11 @@ def _cmd_disparity(args) -> int:
 
 def _apply_each(seq, specs):
     """``seq`` with each spec of ``specs``, (where, spec) pairs, applied in
-    turn by ``apply``; the error of any frame, a later one too, carries the
-    prefix ``where`` of the spec that raised it."""
-    stages = []
+    turn by ``apply``; an error of a spec, on any frame too, carries the prefix
+    ``where`` of that spec, and an error of ``seq``'s own frame none."""
+    stages = [(None, seq)]  # the input's frame t is read first, with no prefix
     for where, spec in specs:
-        with prefixed_errors(where):  # apply makes frame 0: the region's checks, say
+        with prefixed_errors(where):  # apply checks the awgn seed range
             seq = apply(seq, spec)
         stages.append((where, seq))
 
@@ -260,15 +263,19 @@ def _cmd_evaluate(args) -> int:
     for (metric, mode), scores in sorted(groups.items()):
         idx = [item_pos[item] for item in scores]
         objective = np.array(list(scores.values()))
-        with prefixed_errors(f"{metric} (saliency {mode})"):
-            perf = performance(objective, mos_table.mos[idx],
-                               per_item_std=mos_table.std[idx],
-                               use_logistic=args.logistic)
+        where = f"{metric} (saliency {mode})"
+        with prefixed_errors(where):
+            try:
+                perf = performance(objective, mos_table.mos[idx],
+                                   per_item_std=mos_table.std[idx],
+                                   use_logistic=args.logistic)
+            except UndefinedCorrelation as exc:  # the other groups are still written
+                sys.stderr.write(f"{where}: left out: {exc}\n")
+                continue
         for flag in perf.flags:
-            sys.stderr.write(f"{metric} (saliency {mode}): {flag}\n")
+            sys.stderr.write(f"{where}: {flag}\n")
         rows.append((metric, mode, args.label, perf))
-    emit_report(rows, args.out, fmt=args.format)
-    _write_manifest(args.out, args, [args.out])
+    _save_outputs(args, [(args.out, lambda path: emit_report(rows, path, fmt=args.format))])
     return 0
 
 

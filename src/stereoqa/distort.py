@@ -128,9 +128,9 @@ _DISTORTIONS = {
 def apply(seq: StereoSequence, spec: DistortionSpec) -> StereoSequence:
     """A new sequence with the distortion applied to the targeted views;
     the input is never modified.  Each frame is made from ``seq``'s when it
-    is asked for (``media._Frames``), and frame 0 here, so that an error the
-    spec gives on every frame (a region outside it, a blur wider than it)
-    comes from this call."""
+    is asked for (``media._Frames``), so an error the spec gives on a frame
+    (a region outside it, a blur wider than it) comes when that frame is
+    asked for.  The awgn seed range is checked here."""
     # awgn draws frame t, view v from stream seed + 2t + v; check the last
     # one here, so that the error names the seed the spec gave
     if spec.kind == "awgn" and spec.seed + 2 * len(seq) - 1 >= 2**64:
@@ -155,6 +155,4 @@ def apply(seq: StereoSequence, spec: DistortionSpec) -> StereoSequence:
             views.append(Frame(luma, *frame.planes[1:]))
         return StereoFrame(*views)
 
-    frames = _Frames(len(seq), (seq.height, seq.width), make)
-    frames[0]
-    return StereoSequence(frames, fps=seq.fps)
+    return StereoSequence(_Frames(len(seq), (seq.height, seq.width), make), fps=seq.fps)

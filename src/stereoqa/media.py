@@ -6,8 +6,8 @@ writable input copied.  A ``Frame`` has luma and both chroma planes or
 neither, each in [0, 255]; a loaded frame holds its planes as the 8-bit
 samples of the stream, and ``Frame.luma``/``chroma_u``/``chroma_v`` read them
 as float64.  ``StereoFrame``, ``StereoSequence`` and the maps are frozen, so
-no plane or checked value can be reassigned.  A loaded sequence reads each
-frame from its streams when that frame is asked for, and holds only the
+no plane or checked value can be reassigned.  A loaded sequence reads, and
+checks, each frame when that frame is first asked for, and holds only the
 last frame it read; ``save_sequence`` writes one frame at a time.
 Grayscale maps (saliency, disparity) travel as PGM series scaled to [0, 1];
 ``iter_map_series`` reads them, and ``save_map_series`` writes them, one at
@@ -377,14 +377,13 @@ class _Frames(collections.abc.Sequence):
 
 def load_sequence(desc: SequenceDescriptor) -> StereoSequence:
     """The stereo pair of raw planar streams described by ``desc``.  Both
-    stream sizes are checked, and the first frame read, here; after that a
-    frame is read from both streams when it is asked for (``_Frames``)."""
+    stream sizes are checked here, and no frame is read: a frame is read from
+    both streams, and checked (``Frame``), when it is asked for (``_Frames``)."""
     for path in (desc.left, desc.right):
         _check_view(path, desc)
     frames = _Frames(desc.frames, (desc.height, desc.width),
                      lambda t: StereoFrame(_read_frame(desc.left, t, desc),
                                            _read_frame(desc.right, t, desc)))
-    frames[0]  # checks the frame geometry (Frame's checks) once
     return StereoSequence(frames, fps=desc.fps)
 
 

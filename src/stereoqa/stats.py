@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 
@@ -39,9 +40,17 @@ class SubjectiveTable:
 
     @classmethod
     def from_csv(cls, path) -> "SubjectiveTable":
+        """The table of a UTF-8 CSV file, with or without a byte order mark; bytes
+        that are not UTF-8, or a row the csv module refuses, raise MalformedCsv."""
+        try:
+            with open(path, "rb") as fh:
+                text = fh.read().decode("utf-8-sig")
+        except UnicodeDecodeError as exc:  # exc.object: the bytes after the mark
+            line = exc.object.count(b"\n", 0, exc.start) + 1
+            raise MalformedCsv(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from exc
         ratings = {}
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
+        reader = csv.DictReader(io.StringIO(text, newline=""))
+        try:
             missing = {"item_id", "subject_id", "score"} - set(reader.fieldnames or ())
             if missing:
                 raise MalformedCsv(f"{path}: missing column(s) {', '.join(sorted(missing))}")
@@ -58,6 +67,8 @@ class SubjectiveTable:
                 if not np.isfinite(ratings[key]):
                     raise RangeError(f"{path}: line {reader.line_num}: score "
                                      f"{row['score']!r} is not finite")
+        except csv.Error as exc:  # DictReader counts a line only once its row is read
+            raise MalformedCsv(f"{path}: line {reader.reader.line_num}: {exc}") from exc
         items = sorted({item for item, _ in ratings})
         subjects = sorted({subj for _, subj in ratings})
         scores = np.full((len(items), len(subjects)), np.nan)
@@ -169,7 +180,7 @@ def _aligned(x, y):
 def pearson_cc(x, y) -> float:
     x, y = _aligned(x, y)
     if x.size < 3:
-        raise ParamError("need at least 3 points")
+        raise UndefinedCorrelation("need at least 3 points")
     cx, cy = x - x.mean(), y - y.mean()
     sx, sy = np.abs(cx).max(), np.abs(cy).max()
     if sx == 0 or sy == 0:

@@ -1,3 +1,5 @@
+import codecs
+import csv
 import ctypes
 import json
 import os
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 import stereoqa
-from stereoqa import fr, nr, stats
+from stereoqa import fr, media, nr, stats
 from stereoqa.cli import _DISPARITY_SCALE, main
 from stereoqa.disparity import DisparityMap
 from stereoqa.distort import DistortionSpec, apply
@@ -21,7 +23,7 @@ from stereoqa.nr import NR_METRICS
 from stereoqa.rng import SeededRng
 from stereoqa.saliency import iter_baseline_vam
 
-from conftest import make_seq
+from conftest import make_seq, write_yuv420
 
 
 def _write_fixture(tmp_path, name, seq):
@@ -376,6 +378,71 @@ def test_bad_spec_exit_1(desc_path, tmp_path, capsys, spec, field):
     assert not (tmp_path / "out").exists()
 
 
+def _tiny(tmp_path):
+    """The descriptor path of two yuv420p8 frames of 4x4, below the 8x8 minimum."""
+    path = str(tmp_path / "tiny.json")
+    write_yuv420(str(tmp_path), "tiny", 2, 4, 4, 5).to_json(path)
+    return path
+
+
+@pytest.mark.parametrize("command", [
+    ["info"],
+    ["distort", "--spec", "spec.json", "--out", "out"],
+    ["score-fr", "--metric", "ssim_s", "--dist", "tiny.json", "--saliency", "baseline",
+     "--config", "cfg.json", "--out", "out.json", "--frame-csv", "out.csv"],
+    ["saliency", "--disparity", "estimate", "--out", "out"],
+    ["disparity", "--out", "out"],
+], ids=["info", "distort", "score-fr", "saliency", "disparity"])
+def test_tiny_input_names_neither_spec_nor_config(tmp_path, capsys, monkeypatch, command):
+    """A frame too small is the input's fault: its error carries no spec or
+    config prefix, though the frame is read only when it is reached, and the
+    run leaves no output."""
+    monkeypatch.chdir(tmp_path)
+    pathlib.Path("spec.json").write_text(json.dumps(
+        [{"kind": "intensity_shift"}, {"kind": "awgn", "params": {"variance": 0.01}}]))
+    pathlib.Path("cfg.json").write_text("{}")
+    flag = "--ref" if command[0] == "score-fr" else "--in"
+    assert main([*command, flag, _tiny(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: frame too small: 4x4 (minimum 8x8)\n"
+    assert not any(name.startswith("out") for name in os.listdir())
+
+
+def test_a_frame_is_checked_only_when_it_is_reached(tmp_path, capsys):
+    """No frame is read before the driver reaches it, so of two faults the
+    one that needs no frame, too few frames for qa3d_s, is reported first."""
+    cfg = tmp_path / "nrcfg.json"
+    cfg.write_text("{}")
+    assert main(["score-nr", "--metric", "qa3d_s", "--dist", _tiny(tmp_path),
+                 "--config", str(cfg), "--out", str(tmp_path / "o.json")]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: needs at least 11 frames\n"
+
+
+def test_a_stream_cut_short_is_not_blamed_on_the_config(desc_path, tmp_path, capsys,
+                                                         monkeypatch):
+    """A stream that loses part of its last frame after its size was checked
+    fails when the driver reads that frame, without the config's prefix."""
+    monkeypatch.setattr(media, "_check_view", lambda path, desc: None)
+    right = tmp_path / "seq" / "r.raw"
+    os.truncate(right, right.stat().st_size - 100)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{}")
+    assert main(["score-fr", "--metric", "psnr_s", "--ref", desc_path, "--dist", desc_path,
+                 "--config", str(cfg), "--out", str(tmp_path / "o.json")]) == 1
+    assert capsys.readouterr().err == (f"error: {right}: frame 1 ends early; the stream "
+                                       "changed on disk after it was loaded\n")
+
+
+def test_failed_score_run_leaves_no_output(desc_path, tmp_path, capsys):
+    """A report whose frame CSV cannot be written is removed with it, so no
+    report is left without its manifest."""
+    before = sorted(os.listdir(tmp_path))
+    assert main(["score-fr", "--metric", "psnr_s", "--ref", desc_path, "--dist", desc_path,
+                 "--out", str(tmp_path / "o.json"),
+                 "--frame-csv", str(tmp_path / "nodir" / "f.csv")]) == 1
+    _assert_one_error_line(capsys, "nodir")
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 def test_bad_fr_config_value_exit_1(desc_path, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"vif_scales": 1.5}))
@@ -678,14 +745,44 @@ def test_evaluate_reports_unconverged_fit(tmp_path, capsys, monkeypatch):
 
 
 def test_evaluate_names_the_group_that_fails(tmp_path, capsys):
+    """A group that cannot be correlated is left out, with a line that names
+    it, and the other groups are written."""
     argv = _study(tmp_path, {"a": (80, 81), "b": (60, 62), "c": (40, 41), "d": (20, 24)})
     for item in "abcd":  # a second group, of one constant score
         path = tmp_path / f"flat_{item}.json"
         path.write_text(json.dumps({"metric": "ssim_s", "saliency_mode": "none", "score": 1.0}))
         argv.insert(-2, f"{item}={path}")
-    assert main(argv) == 1
+    assert main(argv) == 0
     err = capsys.readouterr().err
-    assert err.endswith("error: ssim_s (saliency none): zero variance in a series\n"), err
+    assert err.endswith("ssim_s (saliency none): left out: zero variance in a series\n"), err
+    with open(argv[-1]) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["metric"], r["n"]) for r in rows] == [("psnr_s", "4")]
+
+
+def test_evaluate_reads_a_csv_with_a_byte_order_mark(tmp_path):
+    """Excel's "CSV UTF-8" starts the file with a byte order mark; the table
+    reads as it does without one."""
+    argv = _study(tmp_path, {"a": (80, 81), "b": (60, 62), "c": (40, 41), "d": (20, 24)})
+    assert main(argv) == 0
+    table = pathlib.Path(argv[-1]).read_text()
+    scores = pathlib.Path(argv[2])
+    scores.write_bytes(codecs.BOM_UTF8 + scores.read_bytes())
+    assert main(argv) == 0
+    assert pathlib.Path(argv[-1]).read_text() == table
+
+
+@pytest.mark.parametrize("row, message", [
+    (b"a,s\xff,", "line 2: not UTF-8 text (invalid start byte)"),
+    (b"a," + b"s" * 200_000 + b",", "line 2: field larger than field limit (131072)"),
+], ids=["byte-0xff", "field-200000-chars"])
+def test_evaluate_malformed_csv_exit_1(tmp_path, capsys, row, message):
+    argv = _study(tmp_path, {"a": (80, 81), "b": (60, 62), "c": (40, 41), "d": (20, 24)})
+    scores = pathlib.Path(argv[2])
+    scores.write_bytes(scores.read_bytes().replace(b"a,s0,", row, 1))
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {scores}: {message}\n"
+    assert not os.path.exists(argv[-1])
 
 
 @pytest.mark.parametrize("fmt", ["gray8", "yuv420p8"])

@@ -100,7 +100,7 @@ def test_region_restriction():
 def test_region_out_of_bounds():
     seq = flat_seq(100.0, frames=1, size=32)
     with pytest.raises(RangeError):
-        apply(seq, DistortionSpec(kind="intensity_shift", region=(20, 20, 16, 16)))
+        apply(seq, DistortionSpec(kind="intensity_shift", region=(20, 20, 16, 16))).frames[0]
 
 
 @pytest.mark.parametrize("region", [

@@ -305,7 +305,7 @@ _IMAGE = _SEQ.frames[0].left.luma
     (lambda: fr.vif_s(_SEQ, _SEQ, cfg=fr.FrMetricConfig(vif_scales=10**6)), "vif_scales 1000000"),
     (lambda: nr.nrpbm_s(_SEQ, cfg=nr.NrMetricConfig(nrpbm_probe=10**12)),
      "nrpbm_probe 1000000000000"),
-    (lambda: apply(_SEQ, DistortionSpec(kind="gaussian_blur", params={"size": 10**12})),
+    (lambda: apply(_SEQ, DistortionSpec(kind="gaussian_blur", params={"size": 10**12})).frames[0],
      "blur size 1000000000000"),
 ], ids=["convolve2d", "convolve2d-line", "gaussian_smooth", "vif_s", "nrpbm_s",
         "gaussian_blur"])

@@ -16,7 +16,6 @@ import stereoqa.stats as stats
 from stereoqa.errors import (
     DimensionMismatch,
     EmptyReport,
-    ParamError,
     RangeError,
     UndefinedCorrelation,
 )
@@ -99,7 +98,7 @@ def test_pearson_hand_values():
 def test_pearson_degenerate():
     with pytest.raises(UndefinedCorrelation):
         pearson_cc([1, 1, 1], [1, 2, 3])
-    with pytest.raises(ParamError):
+    with pytest.raises(UndefinedCorrelation, match="need at least 3 points"):
         pearson_cc([1, 2], [1, 2])
 
 

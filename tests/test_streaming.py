@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import stereoqa.fr as fr
+import stereoqa.media as media
 import stereoqa.nr as nr
 from stereoqa.cli import main
 from stereoqa.disparity import DisparityMap, estimate_disparity, iter_disparity_series
@@ -47,6 +48,21 @@ def _yuv_seq(seed, frames, h=45, w=74):
         return Frame(luma, *(np.floor(rng.random((h // 2, w // 2)) * 256.0) for _ in range(2)))
 
     return StereoSequence([StereoFrame(view(), view()) for _ in range(frames)], fps=25.0)
+
+
+def test_load_sequence_and_apply_make_no_frame_when_called(tmp_path, monkeypatch):
+    """Opening a sequence checks its streams and reads no frame, and a
+    distortion makes none: each frame is read, and distorted, when it is
+    first asked for."""
+    reads, read_frame = [], media._read_frame
+    monkeypatch.setattr(media, "_read_frame",
+                        lambda path, t, desc: reads.append(t) or read_frame(path, t, desc))
+    seq = load_sequence(write_yuv420(str(tmp_path), "seq", 3, 16, 16, 2))
+    out = apply(apply(seq, DistortionSpec(kind="awgn", params={"variance": 0.01})),
+                DistortionSpec(kind="gaussian_blur"))
+    assert reads == []
+    out.frames[2]
+    assert reads == [2, 2]  # frame 2 of each view, and no other
 
 
 def test_loaded_frames_are_read_when_asked_for(tmp_path):

@@ -17,9 +17,12 @@ The command set: ``info``; ``distort`` with each kind and a list spec;
 ``disparity``; ``saliency`` with no, estimated and ``dir:`` disparity, plus
 config cases; every metric under no, baseline and ``dir:`` saliency with
 frame CSVs, and one ``--config`` case each; ``evaluate`` as csv and json,
-with and without ``--logistic``, and once with a group of constant scores;
-and, with and without ``--config``, pairs whose frame counts or sizes
-differ.  It runs at five awkward two-frame sizes, in each pixel format; at
+with and without ``--logistic``, once with a group of constant scores, and
+on score tables with a byte order mark, a byte that is not UTF-8 and a
+200,000-character field; a frame CSV into a missing directory; 4x4 frames
+through ``info``, ``distort``, ``score-fr``, ``saliency`` and
+``disparity``, and through ``qa3d_s``, which needs more frames too; and,
+with and without ``--config``, pairs whose frame counts or sizes differ.  It runs at five awkward two-frame sizes, in each pixel format; at
 one 12-frame size, on which ``flosim3d_s`` and ``qa3d_s`` score several
 frames, also against the left-blurred item; and at one single-frame size,
 on which ``info`` flags the undefined TI and the temporal metrics exit 1.
@@ -222,6 +225,32 @@ def _commands():
                 "metric": "flat_s", "saliency_mode": "none", "score": 1.0}) for name in items]
             yield ["evaluate", "--scores", mos, "--objective", *objective, *flat,
                    "--out", "a/eval/perf-flat.csv"]
+            # score tables that Excel writes (a byte order mark), or that are not CSV text
+            with open(mos, "rb") as fh:
+                table = fh.read()
+            first = table.split(b"\n")[1]
+            for name, data in {"bom": b"\xef\xbb\xbf" + table,
+                               "byte-ff": table.replace(first, first + b"\xff", 1),
+                               "field-200000": table.replace(first, b"x" * 200_000, 1)}.items():
+                with open(f"a/eval/mos-{name}.csv", "wb") as fh:
+                    fh.write(data)
+                yield ["evaluate", "--scores", f"a/eval/mos-{name}.csv", "--objective",
+                       *objective, "--out", f"a/eval/perf-{name}.csv"]
+            # a report whose frame CSV cannot be written
+            yield ["score-fr", "--metric", "psnr_s", "--ref", ref, "--dist", dist,
+                   "--out", "a/score/psnr_s.nodir.json", "--frame-csv", "a/nodir/f.csv"]
+            # frames below the 8x8 minimum, through each command that reads them,
+            # and with a second fault that needs no frame: too few for qa3d_s
+            tiny = _write_sequence("a/tiny", 91, 4, 4, "gray8", 2)
+            yield ["info", "--in", tiny]
+            yield ["distort", "--in", tiny, "--spec", "a/spec/list.json", "--out", "a/tiny-list"]
+            yield ["score-fr", "--metric", "ssim_s", "--ref", tiny, "--dist", tiny,
+                   "--saliency", "baseline", "--out", "a/score/ssim_s.tiny.json",
+                   "--frame-csv", "a/score/ssim_s.tiny.csv"]
+            yield ["saliency", "--in", tiny, "--out", "a/sal/tiny", "--disparity", "estimate"]
+            yield ["disparity", "--in", tiny, "--out", "a/disp/tiny"]
+            yield ["score-nr", "--metric", "qa3d_s", "--dist", tiny, "--config",
+                   _write_json("a/config/nrcfg.json", {}), "--out", "a/score/qa3d_s.tiny.json"]
 
 
 def _relative(text, src, out):
