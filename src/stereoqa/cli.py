@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 processing error, 2 usage error.  Every subcommand
 that writes outputs also writes a JSON run manifest next to the primary
-output so the run can be replayed byte for byte.
+output, last, so the run can be replayed byte for byte; a run that fails
+leaves no output (_save_outputs).
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ from .disparity import DisparityConfig, DisparityMap, iter_disparity_series
 from .distort import DistortionSpec, apply
 from .errors import DescriptorMismatch, DimensionMismatch, MalformedJson, ParamError, \
     SequenceLengthError, StereoQaError, UndefinedCorrelation, prefixed_errors
-from .fr import FR_METRICS, FR_NEEDS_DISPARITY, FrMetricConfig
+from .fr import FR_METRICS, FrMetricConfig
 from .media import SequenceDescriptor, StereoSequence, _fits, _Frames, _undone_on_failure, \
     decode, iter_map_series, load_sequence, read_json, save_map_series, save_sequence, \
     write_json
-from .nr import NR_METRICS, NR_NEEDS_DISPARITY, NrMetricConfig
+from .nr import NR_METRICS, NrMetricConfig
 from .saliency import VamConfig, iter_baseline_vam, iter_external_saliency, uniform_series
 from .stats import MosTable, SubjectiveTable, emit_report, performance, \
     screen_and_mos, si_ti
@@ -60,28 +61,27 @@ def _load_config(path, cls):
     return cls() if path is None else decode(cls, read_json(path), path)
 
 
-def _write_manifest(out_path: str, args: argparse.Namespace, outputs) -> None:
-    write_json(out_path + ".manifest.json", {  # every key in sorted order
-        "command": args.command,
-        "options": {k: v for k, v in sorted(vars(args).items())
-                    if k not in ("command", "func")},
-        "outputs": sorted(outputs),
-        "tool": "stereoqa",
-        "version": __version__,
-    })
-
-
-def _save_outputs(args: argparse.Namespace, saves) -> None:
-    """``save(path)`` for each (path, save) of ``saves``, then the manifest of
-    the first path, each file listed before it is written: if one fails, every
-    listed file is removed (``media._undone_on_failure``), so none is left."""
+@contextlib.contextmanager
+def _save_outputs(args: argparse.Namespace, primary: str, dir_path: str = "."):
+    """Make ``dir_path`` and its missing parents, and run the block; it lists
+    each file it writes in the list it gets, before writing it (or, for a save
+    that removes its own files if it fails, once that save returns).  Then
+    write ``<primary>.manifest.json``, which names them.  If any step fails,
+    every listed file, the manifest and every directory made here are removed
+    (``media._undone_on_failure``): a failed run leaves no output."""
     written = []
-    with _undone_on_failure(written):
-        for path, save in saves:
-            written.append(path)
-            save(path)
-        written.append(saves[0][0] + ".manifest.json")
-        _write_manifest(saves[0][0], args, [path for path, _ in saves])
+    with _undone_on_failure(written, dir_path):
+        yield written
+        outputs = sorted(written)
+        written.append(primary + ".manifest.json")
+        write_json(written[-1], {  # every key in sorted order
+            "command": args.command,
+            "options": {k: v for k, v in sorted(vars(args).items())
+                        if k not in ("command", "func")},
+            "outputs": outputs,
+            "tool": "stereoqa",
+            "version": __version__,
+        })
 
 
 # Map sources are iterators that make or read a frame's map when it is taken;
@@ -140,13 +140,13 @@ def _config_errors(path):
 
 
 _SCORERS = {
-    "score-fr": (FR_METRICS, FR_NEEDS_DISPARITY, FrMetricConfig),
-    "score-nr": (NR_METRICS, NR_NEEDS_DISPARITY, NrMetricConfig),
+    "score-fr": (FR_METRICS, FrMetricConfig),
+    "score-nr": (NR_METRICS, NrMetricConfig),
 }
 
 
 def _cmd_score(args) -> int:
-    metrics, needs, config_cls = _SCORERS[args.command]
+    metrics, config_cls = _SCORERS[args.command]
     metric = args.metric
     if metric not in metrics:
         sys.stderr.write(f"unknown metric {metric!r}; available: "
@@ -164,15 +164,17 @@ def _cmd_score(args) -> int:
     s_series = _resolve_saliency(args.saliency, seqs[0])
     if s_series is not None:
         s_series = _source(s_series)
-    disparity = {slot: _source(_resolve_disparity(sources[slot],
-                                                  seqs[0] if slot == "d_ref" else seqs[-1]))
-                 for slot in needs.get(metric, ())}
+    # every map option is checked; the driver starts only the sources the metric reads
+    disparity = {slot: _source(_resolve_disparity(source, seqs[0 if slot == "d_ref" else -1]))
+                 for slot, source in sources.items()}
     with _config_errors(args.config):
         report = metrics[metric](*seqs, s_series=s_series, cfg=cfg, **disparity)
-    saves = [(args.out, report.save_json)]
-    if args.frame_csv:
-        saves.append((args.frame_csv, report.save_frame_csv))
-    _save_outputs(args, saves)
+    with _save_outputs(args, args.out) as written:
+        for path, save in ((args.out, report.save_json),
+                           (args.frame_csv, report.save_frame_csv)):
+            if path:
+                written.append(path)
+                save(path)
     sys.stderr.write(f"{metric}: {report.score:.6g} ({report.orientation})\n")
     return 0
 
@@ -183,18 +185,18 @@ def _cmd_saliency(args) -> int:
     d_series = None
     if args.disparity != "none":
         d_series = _source(_resolve_disparity(args.disparity, seq))
-    with _config_errors(args.config):
-        paths = save_map_series((m.values for m in iter_baseline_vam(seq, d_series, cfg)),
-                                args.out)
-    _write_manifest(os.path.join(args.out, "saliency"), args, paths)
+    with _save_outputs(args, os.path.join(args.out, "saliency"), args.out) as written, \
+            _config_errors(args.config):
+        written += save_map_series((m.values for m in iter_baseline_vam(seq, d_series, cfg)),
+                                   args.out)
     return 0
 
 
 def _cmd_disparity(args) -> int:
     seq = load_sequence(SequenceDescriptor.from_json(args.input))
     maps = _resolve_disparity("estimate", seq)
-    paths = save_map_series((m.values / _DISPARITY_SCALE for m in maps), args.out)
-    _write_manifest(os.path.join(args.out, "disparity"), args, paths)
+    with _save_outputs(args, os.path.join(args.out, "disparity"), args.out) as written:
+        written += save_map_series((m.values / _DISPARITY_SCALE for m in maps), args.out)
     return 0
 
 
@@ -226,11 +228,11 @@ def _cmd_distort(args) -> int:
     specs = [(where, decode(DistortionSpec, d, where)) for where, d in entries]
     seq = _apply_each(seq, specs)
     left, right = (os.path.join(args.out, f"{view}.raw") for view in ("left", "right"))
-    with _undone_on_failure([], args.out):  # a failed run removes the --out it made
-        desc = save_sequence(seq, left, right, format=desc.format)
     desc_path = os.path.join(args.out, "descriptor.json")
-    desc.to_json(desc_path)
-    _write_manifest(desc_path, args, [left, right, desc_path])
+    with _save_outputs(args, desc_path, args.out) as written:
+        desc = save_sequence(seq, left, right, format=desc.format)
+        written += [left, right, desc_path]
+        desc.to_json(desc_path)
     return 0
 
 
@@ -275,7 +277,9 @@ def _cmd_evaluate(args) -> int:
         for flag in perf.flags:
             sys.stderr.write(f"{where}: {flag}\n")
         rows.append((metric, mode, args.label, perf))
-    _save_outputs(args, [(args.out, lambda path: emit_report(rows, path, fmt=args.format))])
+    with _save_outputs(args, args.out) as written:
+        written.append(args.out)
+        emit_report(rows, args.out, fmt=args.format)
     return 0
 
 

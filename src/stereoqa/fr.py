@@ -75,8 +75,7 @@ class FrMetricConfig:
 
 
 FR_METRICS: dict = {}
-FR_NEEDS_DISPARITY: dict = {}
-_fr = registrar(FR_METRICS, FR_NEEDS_DISPARITY, FrMetricConfig, reference=True)
+_fr = registrar(FR_METRICS, FrMetricConfig, reference=True)
 
 
 # The SSIM-family formulas below are their plain expressions, evaluated by
@@ -337,10 +336,11 @@ def _gather_blocks(image: np.ndarray, anchors: np.ndarray, size: int) -> np.ndar
     return sliding_window_view(image, (size, size))[anchors[:, 0], anchors[:, 1]]
 
 
-def _block_grid(h: int, w: int, size: int) -> np.ndarray:
-    """(n, 2) row-major origins of the whole size x size blocks."""
+def _block_grid(h: int, w: int, size: int, what: str = "") -> np.ndarray:
+    """(n, 2) row-major origins of the whole size x size blocks; ``what``
+    names the config field that sets ``size`` and its value, if one does."""
     if h < size or w < size:
-        raise TooSmall(f"frame smaller than one {size}x{size} block")
+        raise TooSmall(f"{what}{': ' if what else ''}frame smaller than one {size}x{size} block")
     y0, x0 = np.meshgrid(np.arange(0, h - size + 1, size),
                          np.arange(0, w - size + 1, size), indexing="ij")
     return np.stack([y0.ravel(), x0.ravel()], axis=1)
@@ -417,7 +417,7 @@ def hv3d_s(c, cfg):
     block variance ratio of the reference disparity map."""
     b = cfg.hv3d_block
     h, w = c.ref.left.shape
-    anchors = _block_grid(h, w, b)
+    anchors = _block_grid(h, w, b, f"hv3d_block {b}")
     dr, dd = c.d_ref, c.d_dist
 
     def fused_blocks(frame: StereoFrame, d_values: np.ndarray) -> np.ndarray:
@@ -447,7 +447,7 @@ def hv3d_s(c, cfg):
 def _patch_features(image: np.ndarray, patch: int) -> np.ndarray:
     """(mean, variance, min gradient-covariance eigenvalue) per patch."""
     grad = sobel_gradient(image)
-    anchors = _block_grid(image.shape[0], image.shape[1], patch)
+    anchors = _block_grid(image.shape[0], image.shape[1], patch, f"flosim_patch {patch}")
     p, pgx, pgy = (_gather_blocks(a, anchors, patch)
                    for a in (image, grad["gx"], grad["gy"]))
     axes = (1, 2)

@@ -1,9 +1,11 @@
 """The one driver behind every full- and no-reference metric.
 
-A metric is a registered formula; it states its orientation, the disparity
-slots it needs, what one call scores (``over``) and the earlier frames it
-needs (``history``).  The driver owns the default config, validation, the
-frame and view loops, the saliency mode, flags and the report.
+A metric is a registered formula, and its registration is the one record of
+what it reads: its orientation, the disparity slots it needs (``needs``, kept
+as ``metric.needs``), what one call scores (``over``) and the earlier frames
+it needs (``history``).  The driver owns the default config, validation, the
+frame and view loops, the saliency mode, flags and the report; it starts
+only the map series of the slots in ``needs``.
 
 - ``"view"``: ``formula(x, y, c, cfg)`` (FR) or ``formula(luma, c, cfg)``
   (NR) scores one view's lumas; the frame score is ``view_mean`` of it.
@@ -14,9 +16,9 @@ frame and view loops, the saliency mode, flags and the report.
 - ``"sequence"``: ``formula(frames, cfg)`` gets an iterator over the
   contexts and returns the scores of the last frames; the frame CSV numbers
   them so.  ``history`` declares how many earlier frames a temporal formula
-  needs before it scores one (an int, or a function of the config), and the
-  driver raises NeedsTemporalContext on a sequence shorter than that plus
-  one frame before any map is taken.
+  needs before it scores one (an int, or the name of the config field that
+  holds it), and the driver raises NeedsTemporalContext, naming that field,
+  on a sequence shorter than that plus one frame before any map is taken.
 
 The driver goes through the frames once.  It makes each frame's context,
 and takes that frame's maps from their series, when the frame is reached,
@@ -95,9 +97,10 @@ def _run(formula, orientation, needs, over, history, ref, dist, s_series, maps, 
         if maps[slot] is None:
             raise DisparityRequired(f"this metric needs disparity maps ({slot})")
         d[slot] = _maps(maps[slot], DisparityMap, n, shape, slot)
-    k = history(cfg) if callable(history) else history
+    k = getattr(cfg, history) if isinstance(history, str) else history
     if n < k + 1:
-        raise NeedsTemporalContext(f"needs at least {k + 1} frames")
+        field = f"{history} {k}: " if isinstance(history, str) else ""
+        raise NeedsTemporalContext(f"{field}needs at least {k + 1} frames")
     refs = itertools.repeat(None) if ref is None else iter(ref.frames)
     dists = iter(dist.frames)
     flags = []
@@ -126,10 +129,10 @@ def _run(formula, orientation, needs, over, history, ref, dist, s_series, maps, 
                            list(dict.fromkeys(flags)), first_frame=n - len(scores))
 
 
-def registrar(registry: dict, needs_table: dict, config_cls, reference: bool):
+def registrar(registry: dict, config_cls, reference: bool):
     """Decorator ``(orientation, needs=(), over="view", history=0)`` that
-    wraps a formula into a metric and registers it under the formula's name;
-    metrics that need disparity also enter ``needs_table``."""
+    wraps a formula into a metric, with its disparity slots as ``needs``, and
+    registers it under the formula's name."""
 
     def decorator(orientation: str, needs=(), over: str = "view", history=0):
         def register(formula):
@@ -145,9 +148,8 @@ def registrar(registry: dict, needs_table: dict, config_cls, reference: bool):
 
             functools.update_wrapper(metric, formula)
             del metric.__wrapped__  # help() shows the metric's own signature
+            metric.needs = tuple(needs)
             registry[formula.__name__] = metric
-            if needs:
-                needs_table[formula.__name__] = tuple(needs)
             return metric
 
         return register

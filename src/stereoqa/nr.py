@@ -64,8 +64,7 @@ class NrMetricConfig:
 
 
 NR_METRICS: dict = {}
-NR_NEEDS_DISPARITY: dict = {}
-_nr = registrar(NR_METRICS, NR_NEEDS_DISPARITY, NrMetricConfig, reference=False)
+_nr = registrar(NR_METRICS, NrMetricConfig, reference=False)
 
 
 def _box_mean(image: np.ndarray, shape) -> np.ndarray:
@@ -272,8 +271,7 @@ def aqi_s(luma, c, cfg):
     return float(np.std(entropies))
 
 
-@_nr("higher_better", needs=("d_dist",), over="sequence",
-     history=lambda cfg: cfg.qa3d_history)
+@_nr("higher_better", needs=("d_dist",), over="sequence", history="qa3d_history")
 def qa3d_s(frames, cfg):
     """Temporal disparity consistency plus an interview edge difference;
     scored from frame `history` onward, higher better."""

@@ -16,7 +16,7 @@ import stereoqa.nr as nr
 from stereoqa.cli import main as cli_main
 from stereoqa.disparity import DisparityMap, iter_disparity_series
 from stereoqa.distort import DistortionSpec, apply
-from stereoqa.fr import FR_METRICS, FR_NEEDS_DISPARITY, FrMetricConfig
+from stereoqa.fr import FR_METRICS, FrMetricConfig
 from stereoqa.kernels import dct2_stack, dct3_stereo_stack, idct2_stack
 from stereoqa.media import save_sequence
 from stereoqa.nr import NR_METRICS, NrMetricConfig
@@ -51,7 +51,7 @@ def _wiggled_disparity(seq):
 
 def _fr_kwargs(metric, d_ref, d_dist):
     out = {}
-    for slot in FR_NEEDS_DISPARITY.get(metric, ()):
+    for slot in FR_METRICS[metric].needs:
         out[slot] = d_ref if slot == "d_ref" else d_dist
     return out
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import stereoqa
-from stereoqa import fr, media, nr, stats
+from stereoqa import cli, fr, media, nr, stats
 from stereoqa.cli import _DISPARITY_SCALE, main
 from stereoqa.disparity import DisparityMap
 from stereoqa.distort import DistortionSpec, apply
@@ -198,6 +198,10 @@ def test_bad_descriptor_exit_1(desc_path, tmp_path, capsys, mangle, field):
     *(pytest.param("score-fr", metric, '{"ssim_window": 65}',
                    "ssim_window 65 is wider than the (64, 64) frame", id=f"{metric}-ssim_window-65")
       for metric in ("ssim_s", "msssim_s")),
+    # so does the block check of a block size that the config sets
+    *(pytest.param("score-fr", metric, f'{{"{field}": 500}}',
+                   f": {field} 500: frame smaller than one 500x500 block", id=f"{field}-500")
+      for metric, field in (("hv3d_s", "hv3d_block"), ("flosim3d_s", "flosim_patch"))),
     pytest.param("score-fr", "hv3d_s", '{"hv3d_beta3": -1e10}', "hv3d_beta3 -10000000000.0",
                  id="hv3d_beta3-negative"),
     pytest.param("score-fr", "oq_s", '{"oq_e": -1e10}', "oq_e -10000000000.0",
@@ -414,7 +418,26 @@ def test_a_frame_is_checked_only_when_it_is_reached(tmp_path, capsys):
     cfg.write_text("{}")
     assert main(["score-nr", "--metric", "qa3d_s", "--dist", _tiny(tmp_path),
                  "--config", str(cfg), "--out", str(tmp_path / "o.json")]) == 1
-    assert capsys.readouterr().err == f"error: {cfg}: needs at least 11 frames\n"
+    assert capsys.readouterr().err == f"error: {cfg}: qa3d_history 10: needs at least 11 frames\n"
+
+
+@pytest.mark.parametrize("command,option,source,line", [
+    ("score-fr", "--disparity-dist", "bogus", "error: unknown disparity source 'bogus'\n"),
+    ("score-fr", "--disparity-ref", "dir:{missing}", "error: missing map index 0 in {missing}\n"),
+    ("score-nr", "--disparity", "dir:{missing}", "error: missing map index 0 in {missing}\n"),
+], ids=["fr-unknown", "fr-missing-dir", "nr-missing-dir"])
+def test_every_map_option_is_checked(desc_path, tmp_path, capsys, command, option, source,
+                                     line):
+    """Every map option given is checked, as --saliency is, even one that the
+    metric does not read; the run leaves no output."""
+    missing = str(tmp_path / "missing")
+    inputs = (["--metric", "psnr_s", "--ref", desc_path] if command == "score-fr"
+              else ["--metric", "gbim_s"])
+    out = tmp_path / "o.json"
+    assert main([command, *inputs, "--dist", desc_path, option, source.format(missing=missing),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == line.format(missing=missing)
+    assert not out.exists()
 
 
 def test_a_stream_cut_short_is_not_blamed_on_the_config(desc_path, tmp_path, capsys,
@@ -441,6 +464,42 @@ def test_failed_score_run_leaves_no_output(desc_path, tmp_path, capsys):
                  "--frame-csv", str(tmp_path / "nodir" / "f.csv")]) == 1
     _assert_one_error_line(capsys, "nodir")
     assert sorted(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.parametrize("command", ["score-fr", "score-nr", "evaluate", "saliency",
+                                     "disparity", "distort"])
+def test_a_run_whose_manifest_fails_leaves_no_output(desc_path, tmp_path, capsys, monkeypatch,
+                                                     command):
+    """Every writing command writes its manifest last, inside the scope that
+    removes what the run wrote: a full disk at the manifest leaves no file of
+    the run and no directory that it made."""
+    (tmp_path / "spec.json").write_text(json.dumps({"kind": "intensity_shift"}))
+    evaluate = _study(tmp_path, {"a": (80, 81), "b": (60, 62), "c": (40, 41), "d": (20, 24)})
+    new_dir = str(tmp_path / "runs" / "out")
+    argv = {
+        "score-fr": ["score-fr", "--metric", "psnr_s", "--ref", desc_path, "--dist", desc_path,
+                     "--out", str(tmp_path / "o.json"), "--frame-csv", str(tmp_path / "f.csv")],
+        "score-nr": ["score-nr", "--metric", "gbim_s", "--dist", desc_path,
+                     "--out", str(tmp_path / "o.json"), "--frame-csv", str(tmp_path / "f.csv")],
+        "evaluate": evaluate,
+        "saliency": ["saliency", "--in", desc_path, "--out", new_dir],
+        "disparity": ["disparity", "--in", desc_path, "--out", new_dir],
+        "distort": ["distort", "--in", desc_path, "--spec", str(tmp_path / "spec.json"),
+                    "--out", new_dir],
+    }[command]
+    write_json = cli.write_json
+
+    def full_disk(path, value):
+        if path.endswith(".manifest.json"):
+            raise OSError(28, "No space left on device")
+        write_json(path, value)
+
+    monkeypatch.setattr(cli, "write_json", full_disk)
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == 1
+    # the last line; evaluate's two-subject table flags its skipped screening first
+    assert capsys.readouterr().err.splitlines()[-1] == "error: [Errno 28] No space left on device"
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_bad_fr_config_value_exit_1(desc_path, tmp_path, capsys):

@@ -29,13 +29,13 @@ _S_REF, _S_DIST = list(iter_baseline_vam(_REF)), list(iter_baseline_vam(_DIST))
 
 def _fr_runs(cfg):
     for name, metric in fr.FR_METRICS.items():
-        maps = {slot: _MAPS[slot] for slot in fr.FR_NEEDS_DISPARITY.get(name, ())}
+        maps = {slot: _MAPS[slot] for slot in metric.needs}
         yield name, lambda: metric(_REF, _DIST, s_series=_S_REF, cfg=cfg, **maps)
 
 
 def _nr_runs(cfg):
     for name, metric in nr.NR_METRICS.items():
-        maps = {slot: _MAPS[slot] for slot in nr.NR_NEEDS_DISPARITY.get(name, ())}
+        maps = {slot: _MAPS[slot] for slot in metric.needs}
         yield name, lambda: metric(_DIST, s_series=_S_DIST, cfg=cfg, **maps)
 
 
@@ -114,7 +114,7 @@ def test_float_fields_hold_real_numbers(cls, name, value):
 ])
 def test_finite_frame_scores_near_the_float_limit_have_a_finite_mean(metric, field, value):
     # identical inputs put every frame score at the value, so a plain sum overflows
-    maps = {slot: _MAPS["d_ref"] for slot in fr.FR_NEEDS_DISPARITY[metric]}
+    maps = {slot: _MAPS["d_ref"] for slot in fr.FR_METRICS[metric].needs}
     report = fr.FR_METRICS[metric](_REF, _REF, cfg=fr.FrMetricConfig(**{field: value}),
                                    **maps)
     assert report.frame_scores == [value, value]

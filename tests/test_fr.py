@@ -16,7 +16,7 @@ from stereoqa.errors import (
     SequenceLengthError,
     TooSmall,
 )
-from stereoqa.fr import FR_METRICS, FR_NEEDS_DISPARITY, FrMetricConfig
+from stereoqa.fr import FR_METRICS, FrMetricConfig
 from stereoqa import kernels
 from stereoqa.kernels import dct3_stereo_stack, gaussian_smooth, iter_pyramid, sobel_gradient
 from stereoqa.media import StereoFrame
@@ -33,7 +33,7 @@ def _flat_disparity(seq, value=0.0):
 
 def _disparity_kwargs(metric, ref, dist):
     out = {}
-    for slot in FR_NEEDS_DISPARITY.get(metric, ()):
+    for slot in FR_METRICS[metric].needs:
         out[slot] = _flat_disparity(ref if slot == "d_ref" else dist)
     return out
 
@@ -258,7 +258,7 @@ def _window_inputs(h, w, frames=1, salient=True):
 
 
 def _score(metric, ref, dist, maps):
-    slots = FR_NEEDS_DISPARITY.get(metric, ()) + ("s_series",)
+    slots = FR_METRICS[metric].needs + ("s_series",)
     return FR_METRICS[metric](ref, dist, **{slot: maps[slot] for slot in slots})
 
 

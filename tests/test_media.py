@@ -37,8 +37,8 @@ from stereoqa.media import (
     save_map_series,
     save_sequence,
 )
-from stereoqa.fr import FR_METRICS, FR_NEEDS_DISPARITY, FrMetricConfig
-from stereoqa.nr import NR_METRICS, NR_NEEDS_DISPARITY, NrMetricConfig
+from stereoqa.fr import FR_METRICS, FrMetricConfig
+from stereoqa.nr import NR_METRICS, NrMetricConfig
 from stereoqa.saliency import SaliencyMap, VamConfig, iter_baseline_vam
 
 from conftest import make_seq, write_yuv420
@@ -529,10 +529,10 @@ def test_sequence_round_trip_every_format(fmt, height, width, frames, seed):
 
 
 def test_loaded_sequence_holds_only_its_samples(tmp_path):
-    """A loaded sequence holds at most one frame, the last it read (first
-    frame 0, which load_sequence reads to check it): a frame is read when it
-    is asked for, and its planes are read-only uint8 views of that frame's
-    bytes, with no float64 copy (8 bytes a sample), not even for a moment."""
+    """A loaded sequence holds at most one frame, the last it read (none
+    before the first is asked for): a frame is read when it is asked for, and
+    its planes are read-only uint8 views of that frame's bytes, with no
+    float64 copy (8 bytes a sample), not even for a moment."""
     frames = 8
     desc = write_yuv420(str(tmp_path), "seq", frames, 144, 256, 1)
     one_frame = 2 * desc.frame_bytes() + 16384  # its bytes and a few objects
@@ -587,12 +587,12 @@ def _every_report(ref: StereoSequence, dist: StereoSequence) -> list[dict]:
                  "d_dist": list(iter_disparity_series(dist))}
     s_ref, s_dist = list(iter_baseline_vam(ref)), list(iter_baseline_vam(dist))
     reports = [fn(ref, dist, s_series=s_ref,
-                  **{slot: disparity[slot] for slot in FR_NEEDS_DISPARITY.get(name, ())})
-               for name, fn in FR_METRICS.items()]
+                  **{slot: disparity[slot] for slot in fn.needs})
+               for fn in FR_METRICS.values()]
     cfg = NrMetricConfig(qa3d_history=1)  # fits the 3 frames
     reports += [fn(dist, s_series=s_dist, cfg=cfg,
-                   **{slot: disparity[slot] for slot in NR_NEEDS_DISPARITY.get(name, ())})
-                for name, fn in NR_METRICS.items()]
+                   **{slot: disparity[slot] for slot in fn.needs})
+                for fn in NR_METRICS.values()]
     return [dataclasses.asdict(r) for r in reports]
 
 

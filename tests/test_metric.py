@@ -9,16 +9,17 @@ from stereoqa.disparity import DisparityMap
 from stereoqa.errors import (DegenerateSaliency, DimensionMismatch, DisparityRequired,
                              NeedsTemporalContext, NumericError, ParamError,
                              SequenceLengthError)
-from stereoqa.fr import FR_METRICS, FR_NEEDS_DISPARITY, FrMetricConfig
+from stereoqa.fr import FR_METRICS, FrMetricConfig
 from stereoqa.metric import registrar
-from stereoqa.nr import NR_METRICS, NR_NEEDS_DISPARITY, NrMetricConfig
+from stereoqa.nr import NR_METRICS, NrMetricConfig
 from stereoqa.saliency import SaliencyMap, uniform_series
 
 from conftest import make_seq, seq_from_lumas
 
 REGISTRY = ([("stereoqa.fr", name) for name in FR_METRICS]
             + [("stereoqa.nr", name) for name in NR_METRICS])
-NEEDS_DISPARITY = {**FR_NEEDS_DISPARITY, **NR_NEEDS_DISPARITY}
+DISPARITY_SLOTS = {name: fn.needs for name, fn in {**FR_METRICS, **NR_METRICS}.items()
+                   if fn.needs}
 
 
 def test_registries_hold_all_21_metrics():
@@ -29,7 +30,7 @@ def test_registries_hold_all_21_metrics():
 def test_registry_entry_contract(module, name):
     reference = module == "stereoqa.fr"
     fn = (FR_METRICS if reference else NR_METRICS)[name]
-    needs = (FR_NEEDS_DISPARITY if reference else NR_NEEDS_DISPARITY).get(name, ())
+    needs = fn.needs
     # the span tracer names each metric by these two attributes
     assert fn.__name__ == name
     assert fn.__module__ == module
@@ -47,12 +48,31 @@ def test_registry_entry_contract(module, name):
             fn(*args, cfg=cfg, **{k: v for k, v in maps.items() if k != slot})
 
 
+@pytest.mark.parametrize("module,name", REGISTRY, ids=[n for _, n in REGISTRY])
+def test_driver_starts_only_the_series_a_metric_needs(module, name):
+    """The CLI passes a series for every slot; the driver starts only those
+    that the registration's ``needs`` names, so the others cost nothing."""
+    reference = module == "stereoqa.fr"
+    fn = (FR_METRICS if reference else NR_METRICS)[name]
+    seq = make_seq(81, frames=3, size=64, block=8)
+    started = []
+
+    def series(slot):
+        started.append(slot)
+        yield from [DisparityMap(np.zeros((64, 64)))] * 3
+
+    slots = ("d_ref", "d_dist") if reference else ("d_dist",)
+    fn(*((seq, seq) if reference else (seq,)), **{slot: series(slot) for slot in slots},
+       cfg=None if reference else NrMetricConfig(qa3d_history=2))
+    assert started == list(fn.needs)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_non_finite_frame_score_raises(bad):
-    registry, needs = {}, {}
+    registry = {}
     calls = iter([0.5, bad, 0.5, 0.5])
 
-    @registrar(registry, needs, FrMetricConfig, reference=True)("higher_better")
+    @registrar(registry, FrMetricConfig, reference=True)("higher_better")
     def broken(x, y, s, cfg):
         return next(calls)
 
@@ -61,11 +81,12 @@ def test_non_finite_frame_score_raises(bad):
         broken(seq, seq)
 
 
-@pytest.mark.parametrize("history", [2, lambda cfg: cfg.qa3d_history], ids=["int", "config"])
-def test_driver_checks_the_declared_history(history):
-    registry, needs, taken = {}, {}, []
+@pytest.mark.parametrize("history,field", [(2, ""), ("qa3d_history", "qa3d_history 2: ")],
+                         ids=["int", "config"])
+def test_driver_checks_the_declared_history(history, field):
+    registry, taken = {}, []
 
-    @registrar(registry, needs, NrMetricConfig, reference=False)(
+    @registrar(registry, NrMetricConfig, reference=False)(
         "higher_better", over="sequence", history=history)
     def probe(frames, cfg):
         return [0.5 for _ in frames][2:]
@@ -77,7 +98,7 @@ def test_driver_checks_the_declared_history(history):
 
     cfg = NrMetricConfig(qa3d_history=2)
     short = make_seq(71, frames=2, size=16)
-    with pytest.raises(NeedsTemporalContext, match=r"^needs at least 3 frames$"):
+    with pytest.raises(NeedsTemporalContext, match=f"^{field}needs at least 3 frames$"):
         probe(short, s_series=s_series(short), cfg=cfg)
     assert taken == []  # raised before the first map was asked for
     seq = make_seq(71, frames=3, size=16)
@@ -89,10 +110,10 @@ def test_driver_checks_the_declared_history(history):
 
 @pytest.mark.parametrize("reference", [True, False], ids=["fr", "nr"])
 def test_formula_gets_ones_without_saliency(reference):
-    registry, needs, seen = {}, {}, []
+    registry, seen = {}, []
     config_cls = FrMetricConfig if reference else NrMetricConfig
 
-    @registrar(registry, needs, config_cls, reference=reference)("higher_better")
+    @registrar(registry, config_cls, reference=reference)("higher_better")
     def probe(*args):
         seen.append(args[-2].s)  # at call time: the driver clears the context after its frame
         return 0.5
@@ -106,9 +127,9 @@ def test_formula_gets_ones_without_saliency(reference):
 
 
 def test_view_formula_gets_its_frame_context():
-    registry, needs, seen = {}, {}, []
+    registry, seen = {}, []
 
-    @registrar(registry, needs, FrMetricConfig, reference=True)(
+    @registrar(registry, FrMetricConfig, reference=True)(
         "higher_better", needs=("d_ref", "d_dist"))
     def probe(x, y, c, cfg):
         seen.append((c.s[0, 0], c.d_ref[0, 0], c.d_dist[0, 0]))
@@ -127,7 +148,7 @@ def test_view_formula_gets_its_frame_context():
 def test_no_saliency_is_exactly_uniform(module, name):
     reference = module == "stereoqa.fr"
     fn = (FR_METRICS if reference else NR_METRICS)[name]
-    needs = (FR_NEEDS_DISPARITY if reference else NR_NEEDS_DISPARITY).get(name, ())
+    needs = fn.needs
     ref = make_seq(81, frames=3, size=64, block=8)
     dist = make_seq(82, frames=3, size=64, block=8)
     args = (ref, dist) if reference else (dist,)
@@ -148,7 +169,7 @@ def test_all_zero_saliency_map_is_degenerate(module, name):
     args = (seq, seq) if reference else (seq,)
     cfg = None if reference else NrMetricConfig(qa3d_history=2)
     maps = {slot: [DisparityMap(np.zeros((64, 64))) for _ in range(3)]
-            for slot in NEEDS_DISPARITY.get(name, ())}
+            for slot in DISPARITY_SLOTS.get(name, ())}
     s_series = uniform_series(seq)
     s_series[1] = SaliencyMap(np.zeros((64, 64)))
     with pytest.raises(DegenerateSaliency, match="frame 1"):
@@ -164,7 +185,7 @@ def test_raw_array_saliency_is_param_error(name):
         fn(*args, s_series=[np.ones((32, 32))] * 2)
 
 
-@pytest.mark.parametrize("name", sorted(NEEDS_DISPARITY))
+@pytest.mark.parametrize("name", sorted(DISPARITY_SLOTS))
 @pytest.mark.parametrize("bad,error", [
     (DisparityMap(np.zeros((80, 80))), DimensionMismatch),
     (DisparityMap(np.zeros((48, 48))), DimensionMismatch),
@@ -177,8 +198,8 @@ def test_disparity_map_checked_by_driver(name, bad, error):
     args = (seq, seq) if reference else (seq,)
     cfg = None if reference else NrMetricConfig(qa3d_history=2)
     good = [DisparityMap(np.zeros((64, 64))) for _ in range(3)]
-    for slot in NEEDS_DISPARITY[name]:
-        maps = {s: good for s in NEEDS_DISPARITY[name]}
+    for slot in DISPARITY_SLOTS[name]:
+        maps = {s: good for s in DISPARITY_SLOTS[name]}
         maps[slot] = [good[0], bad, good[2]]
         with pytest.raises(error):
             fn(*args, cfg=cfg, **maps)
@@ -192,7 +213,7 @@ def test_block_pool_without_block_weight_is_degenerate(name):
     seq = seq_from_lumas(lumas, [np.roll(x, 2, axis=1) for x in lumas])
     s = np.zeros((64, 66))
     s[:, 64:] = 1.0
-    maps = {slot: [DisparityMap(np.zeros((64, 66)))] * 2 for slot in FR_NEEDS_DISPARITY[name]}
+    maps = {slot: [DisparityMap(np.zeros((64, 66)))] * 2 for slot in FR_METRICS[name].needs}
     with pytest.raises(DegenerateSaliency):
         FR_METRICS[name](seq, seq, s_series=[SaliencyMap(s)] * 2, **maps)
 

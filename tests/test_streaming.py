@@ -19,11 +19,11 @@ from stereoqa.disparity import DisparityMap, estimate_disparity, iter_disparity_
 from stereoqa.distort import DistortionSpec, apply
 from stereoqa.errors import (DegenerateSaliency, DescriptorMismatch, MapSeriesGap,
                              MapShapeError, ParamError, RangeError, SequenceLengthError)
-from stereoqa.fr import FR_METRICS, FR_NEEDS_DISPARITY, FrMetricConfig
+from stereoqa.fr import FR_METRICS, FrMetricConfig
 from stereoqa.media import (Frame, StereoFrame, StereoSequence, iter_map_series, load_sequence,
                             read_pgm, save_map_series, save_sequence)
 from stereoqa.metric import registrar
-from stereoqa.nr import NR_METRICS, NR_NEEDS_DISPARITY, NrMetricConfig
+from stereoqa.nr import NR_METRICS, NrMetricConfig
 from stereoqa.saliency import (SaliencyMap, iter_baseline_vam, iter_external_saliency,
                                normalize_map, uniform_series)
 
@@ -141,10 +141,9 @@ def test_generator_sources_give_the_list_reports(tmp_path):
     cfg = NrMetricConfig(qa3d_history=1)
     reports = {}
     for lazy in (True, False):
-        got = [fn(ref, dist, **_sources(ref, FR_NEEDS_DISPARITY.get(name, ()), lazy))
-               for name, fn in FR_METRICS.items()]
-        got += [fn(dist, cfg=cfg, **_sources(dist, NR_NEEDS_DISPARITY.get(name, ()), lazy))
-                for name, fn in NR_METRICS.items()]
+        got = [fn(ref, dist, **_sources(ref, fn.needs, lazy)) for fn in FR_METRICS.values()]
+        got += [fn(dist, cfg=cfg, **_sources(dist, fn.needs, lazy))
+                for fn in NR_METRICS.values()]
         reports[lazy] = [dataclasses.asdict(r) for r in got]
     assert len(reports[True]) == 21
     assert reports[True] == reports[False]
@@ -165,13 +164,13 @@ def _tracked(n, shape, log, at_make):
 
 @pytest.mark.parametrize("over", ["view", "frame", "sequence"])
 def test_driver_holds_one_context_at_a_time(over):
-    registry, needs, alive = {}, {}, []
+    registry, alive = {}, []
     log, at_make = [], []
 
     def count():
         alive.append(sum(r() is not None for r in log))
 
-    @registrar(registry, needs, FrMetricConfig, reference=True)("higher_better", over=over)
+    @registrar(registry, FrMetricConfig, reference=True)("higher_better", over=over)
     def probe(*args):
         if over == "sequence":
             scores = []

@@ -9,7 +9,9 @@ input sequences under OUT and runs each command in-process through
 ``stereoqa.cli.main``, with OUT as the working directory and relative paths
 only.  Every output lands under OUT, and ``log.jsonl`` gets one line per
 command: its argv, exit code, stderr and stdout, with the absolute paths of
-OUT and SRC replaced by ``<OUT>`` and ``<SRC>``.  Trees made from two
+OUT and SRC replaced by ``<OUT>`` and ``<SRC>``, and, for a command that
+exits non-zero, ``left``: those of its ``--out`` and ``--frame-csv`` paths
+that still exist (a failed run should leave none).  Trees made from two
 checkouts compare with ``diff -r``, so a refactor that keeps every output
 leaves no difference.
 
@@ -253,6 +255,12 @@ def _commands():
                    _write_json("a/config/nrcfg.json", {}), "--out", "a/score/qa3d_s.tiny.json"]
 
 
+def _left_behind(command):
+    """The ``--out`` and ``--frame-csv`` paths of ``command`` that exist."""
+    return [path for flag, path in zip(command, command[1:])
+            if flag in ("--out", "--frame-csv") and os.path.exists(path)]
+
+
 def _relative(text, src, out):
     return text.replace(out, "<OUT>").replace(src, "<SRC>")
 
@@ -280,9 +288,12 @@ def main(argv):
                     err.write(traceback.format_exc(limit=-1))
             count += 1
             failed += code != 0
-            log.write(json.dumps({"argv": command, "code": code,
-                                  "stderr": _relative(err.getvalue(), src, out),
-                                  "stdout": _relative(text.getvalue(), src, out)}) + "\n")
+            record = {"argv": command, "code": code,
+                      "stderr": _relative(err.getvalue(), src, out),
+                      "stdout": _relative(text.getvalue(), src, out)}
+            if code != 0:
+                record["left"] = _left_behind(command)
+            log.write(json.dumps(record) + "\n")
     sys.stdout.write(f"{count} commands, {failed} with a non-zero exit, "
                      f"{time.perf_counter() - start:.1f} s\n")
     return 0
